@@ -2,7 +2,10 @@
 
 The engine advances a set of named stocks with explicit Euler steps: each
 step evaluates a model-supplied derivative function once, records every
-stock, flow, and auxiliary value, then applies ``stock += rate * dt``.
+stock, flow, and auxiliary value, then applies ``stock += rate * dt``,
+clamping the stocks the model declares non-negative at zero. Records go
+into one flat row buffer that becomes the run's read-only variable matrix
+at the end; :func:`run_simulation` lists the checks every step makes.
 Besides the integrator it provides the three primitive building blocks the
 models here are assembled from:
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -38,8 +42,6 @@ __all__ = [
     "RunResult",
     "eval_inverted_sigmoid",
     "eval_linear_trend",
-    "lag_lookup",
-    "integrate_step",
     "run_simulation",
 ]
 
@@ -151,7 +153,7 @@ def eval_linear_trend(trend: LinearTrend, t: float) -> float:
 class LaggedSeries:
     """Recorded history with a fixed information delay.
 
-    ``record`` appends one value per step; ``lag_lookup`` reads the value
+    ``record`` appends one value per step; ``lookup`` reads the value
     nearest to ``t - lag`` (ties resolve toward the earlier step) and falls
     back to ``initial_value`` for targets before the first record.
     """
@@ -201,11 +203,6 @@ class LaggedSeries:
         return self._values[i]
 
 
-def lag_lookup(series: LaggedSeries, t: float) -> float:
-    """Value of ``series`` as seen from time ``t``, i.e. at ``t - lag``."""
-    return series.lookup(t)
-
-
 @dataclass(frozen=True)
 class ClampEvent:
     """A non-negative stock was about to go below zero and was clamped."""
@@ -213,36 +210,6 @@ class ClampEvent:
     time: float
     variable: str
     attempted: float
-
-
-def integrate_step(stocks, rates, dt, non_negative=(), names=(), time=None):
-    """One explicit Euler step: ``stock + rate * dt`` per stock.
-
-    ``stocks`` and ``rates`` are parallel sequences. Stocks whose name (or
-    index, when no names are given) appears in ``non_negative`` are clamped
-    at zero, and each clamp is reported as a :class:`ClampEvent`.
-
-    Returns ``(new_stocks, events)``.
-    """
-    if len(stocks) != len(rates):
-        raise ValueError(
-            f"{len(stocks)} stocks but {len(rates)} rates")
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    labels = list(names) if names else list(range(len(stocks)))
-    new = []
-    events = []
-    for stock, rate, label in zip(stocks, rates, labels):
-        if not math.isfinite(rate):
-            raise SimulationError(
-                "non-finite rate", variable=str(label), time=time)
-        value = stock + rate * dt
-        if label in non_negative and value < 0.0:
-            events.append(ClampEvent(time=time, variable=str(label),
-                                     attempted=value))
-            value = 0.0
-        new.append(value)
-    return new, events
 
 
 @dataclass(frozen=True)
@@ -282,6 +249,17 @@ class RunResult:
                 + sorted(self.flow_names) + sorted(self.aux_names))
 
 
+def _raise_first_non_finite(what: str, names, values, t: float) -> None:
+    """Raise for the first non-finite entry of ``values``, if there is one.
+
+    Called once a set's sum came out non-finite; a set of finite values
+    whose sum merely overflowed passes.
+    """
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise SimulationError(what, variable=name, time=t)
+
+
 def run_simulation(model, clock: SimulationClock) -> RunResult:
     """Integrate ``model`` over ``clock`` and record the full trajectory.
 
@@ -291,72 +269,84 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
     also provide ``begin_run(clock)`` (reset of per-run memory such as
     lagged series), ``non_negative`` (names clamped at zero), and
     ``flow_names`` (aux entries to report as flows).
+
+    ``derivatives`` is looked up on the model at every step, so a subclass
+    override (or an instrumented wrapper) sees every call. Each step checks
+    that the stocks are finite before the call, that the rates cover exactly
+    the stocks and the auxiliaries keep the first step's names, that every
+    auxiliary is finite and, before the Euler update, that every rate is
+    finite; a failure raises :class:`SimulationError` naming the first
+    offending variable and the time. Each record (stocks, then auxiliaries)
+    is appended to one flat ``array("d")`` row buffer, which becomes one
+    read-only ``(n_vars, n_records)`` matrix whose rows are the variables.
     """
     begin = getattr(model, "begin_run", None)
     if begin is not None:
         begin(clock)
     state = dict(model.initial_state())
     stock_names = tuple(state)
+    stock_keys = dict.fromkeys(stock_names).keys()
     non_negative = frozenset(getattr(model, "non_negative", ()))
     flow_names = tuple(getattr(model, "flow_names", ()))
     times = clock.times()
+    times.setflags(write=False)
+    n_steps, dt = clock.n_steps, clock.dt
 
-    columns: dict[str, list[float]] = {name: [] for name in stock_names}
-    aux_keys: tuple[str, ...] | None = None
+    values = list(state.values())
+    rows = array("d")
+    aux_keys: tuple[str, ...] = ()
+    aux_key_set = None
     events: list[ClampEvent] = []
 
-    for k, t in enumerate(times):
-        t = float(t)
-        for name in stock_names:
-            if not math.isfinite(state[name]):
-                raise SimulationError("non-finite stock", variable=name,
-                                      time=t)
+    for k, t in enumerate(times.tolist()):
+        if not math.isfinite(sum(values)):
+            _raise_first_non_finite("non-finite stock", stock_names, values, t)
         rates, aux = model.derivatives(state, t)
-        if set(rates) != set(stock_names):
+        if rates.keys() != stock_keys:
             missing = set(stock_names) ^ set(rates)
             raise SimulationError(
                 f"derivative rates do not match stocks: {sorted(missing)}",
                 time=t)
-        if aux_keys is None:
+        if aux_key_set is None:
             aux_keys = tuple(aux)
             for name in aux_keys:
-                if name in columns:
+                if name in stock_keys:
                     raise SimulationError(
                         f"auxiliary {name!r} collides with a stock name",
                         time=t)
-                columns[name] = []
-        elif set(aux) != set(aux_keys):
+            aux_key_set = dict.fromkeys(aux_keys).keys()
+        elif aux.keys() != aux_key_set:
             changed = set(aux) ^ set(aux_keys)
             raise SimulationError(
                 f"auxiliary set changed mid-run: {sorted(changed)}", time=t)
 
-        for name in stock_names:
-            columns[name].append(state[name])
-        for name in aux_keys:
-            value = aux[name]
-            if not math.isfinite(value):
-                raise SimulationError("non-finite auxiliary", variable=name,
-                                      time=t)
-            columns[name].append(value)
+        aux_values = list(map(aux.__getitem__, aux_keys))
+        if not math.isfinite(sum(aux_values)):
+            _raise_first_non_finite("non-finite auxiliary", aux_keys,
+                                    aux_values, t)
+        rows.fromlist(values)
+        rows.fromlist(aux_values)
 
-        if k < clock.n_steps:
-            new_values, step_events = integrate_step(
-                [state[name] for name in stock_names],
-                [rates[name] for name in stock_names],
-                clock.dt, non_negative=non_negative, names=stock_names,
-                time=t)
-            events.extend(step_events)
-            state = dict(zip(stock_names, new_values))
+        if k < n_steps:
+            rate_values = list(map(rates.__getitem__, stock_names))
+            if not math.isfinite(sum(rate_values)):
+                _raise_first_non_finite("non-finite rate", stock_names,
+                                        rate_values, t)
+            values = [stock + rate * dt
+                      for stock, rate in zip(values, rate_values)]
+            if values and min(values) < 0.0:
+                for i, name in enumerate(stock_names):
+                    if values[i] < 0.0 and name in non_negative:
+                        events.append(ClampEvent(time=t, variable=name,
+                                                 attempted=values[i]))
+                        values[i] = 0.0
+            state = dict(zip(stock_names, values))
 
-    assert aux_keys is not None
-    variables = {}
-    for name, column in columns.items():
-        array = np.asarray(column, dtype=float)
-        array.setflags(write=False)
-        variables[name] = array
-    times = np.asarray(times, dtype=float)
-    times.setflags(write=False)
+    names = stock_names + aux_keys
+    matrix = np.frombuffer(rows, dtype=float).reshape(
+        len(times), len(names)).T.copy()
+    matrix.setflags(write=False)
     aux_only = tuple(name for name in aux_keys if name not in flow_names)
-    return RunResult(times=times, variables=variables,
+    return RunResult(times=times, variables=dict(zip(names, matrix)),
                      stock_names=stock_names, flow_names=flow_names,
                      aux_names=aux_only, clamp_events=tuple(events))

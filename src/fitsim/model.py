@@ -50,7 +50,6 @@ from .engine import (
     SimulationClock,
     eval_inverted_sigmoid,
     eval_linear_trend,
-    lag_lookup,
     run_simulation,
 )
 
@@ -292,12 +291,17 @@ def compute_request_pipeline(previous_requests: float, tendency: float,
     return RequestPipeline(annual, approved, construction)
 
 
+def lifetime_at_activity(activity: float, econ: EconomicParameters) -> float:
+    """Equipment lifetime at a maintenance activity level, floored at one year."""
+    return max(MINIMUM_LIFETIME, econ.normal_equipment_lifetime * activity)
+
+
 def effective_lifetime(delay_in_debt_payment: float, econ: EconomicParameters,
                        effects: SocialEffectSet) -> float:
     """Equipment lifetime shortened by stalled maintenance, floored at one year."""
-    activity = eval_inverted_sigmoid(effects.om_activity,
-                                     delay_in_debt_payment)
-    return max(MINIMUM_LIFETIME, econ.normal_equipment_lifetime * activity)
+    return lifetime_at_activity(
+        eval_inverted_sigmoid(effects.om_activity, delay_in_debt_payment),
+        econ)
 
 
 def compute_depreciation(installed_capacity: float,
@@ -570,11 +574,12 @@ class FitModel:
         tendency = compute_tendency_to_invest(roi, acceptance, trust)
 
         # --- request pipeline (annual information delay) ---
-        previous_requests = lag_lookup(self._requests, t)
+        previous_requests = self._requests.lookup(t)
         pipeline = compute_request_pipeline(previous_requests, tendency, econ)
         self._requests.record(t, pipeline.annual_requests)
 
-        lifetime = effective_lifetime(delay, econ, effects)
+        activity = eval_inverted_sigmoid(effects.om_activity, delay)
+        lifetime = lifetime_at_activity(activity, econ)
         depreciation = installed / lifetime
 
         # --- fund allocation with debt priority ---
@@ -613,7 +618,7 @@ class FitModel:
             "penetration_rate": penetration,
             "social_acceptance": acceptance,
             "investor_trust": trust,
-            "om_activity": eval_inverted_sigmoid(effects.om_activity, delay),
+            "om_activity": activity,
             "effective_lifetime": lifetime,
             "tendency_to_invest": tendency,
             "annual_fit_requests": pipeline.annual_requests,

@@ -43,6 +43,9 @@ CHART_VARIABLES = (
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#8c564b", "#e377c2")
 
+# rows converted to Python floats at a time by the CSV emitters
+_BLOCK_ROWS = 256
+
 
 def format_float(value: float) -> str:
     """Shortest exact decimal form; reproducible across runs."""
@@ -67,13 +70,24 @@ def _series(result: RunResult, name: str) -> np.ndarray:
     return result.times if name == "time" else result[name]
 
 
+def _write_rows(stream, prefix: str, columns) -> None:
+    """Write one CSV line per record: ``prefix``, then each column's value.
+
+    Values are ``repr`` of Python floats, the text :func:`format_float`
+    gives. Rows are converted in blocks so memory stays flat on long runs.
+    """
+    matrix = np.column_stack(columns)
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        block = matrix[start:start + _BLOCK_ROWS].tolist()
+        stream.write("".join([prefix + ",".join(map(repr, row)) + "\n"
+                              for row in block]))
+
+
 def emit_run_csv(result: RunResult, stream, variables=()) -> None:
     """Write one trajectory as CSV: a time column plus one per variable."""
     columns = _columns(result, variables)
     stream.write(",".join(columns) + "\n")
-    data = [_series(result, name) for name in columns]
-    for i in range(result.n_records):
-        stream.write(",".join(format_float(col[i]) for col in data) + "\n")
+    _write_rows(stream, "", [_series(result, name) for name in columns])
 
 
 def emit_comparison_csv(report: ComparisonReport, stream,
@@ -84,11 +98,8 @@ def emit_comparison_csv(report: ComparisonReport, stream,
     stream.write(",".join(["scenario"] + columns) + "\n")
     for name in names:
         result = report.runs[name]
-        data = [_series(result, column) for column in columns]
-        for i in range(result.n_records):
-            stream.write(name + ","
-                         + ",".join(format_float(col[i]) for col in data)
-                         + "\n")
+        _write_rows(stream, name + ",",
+                    [_series(result, column) for column in columns])
 
 
 def outcome_table(report: ComparisonReport) -> str:
@@ -127,14 +138,11 @@ def write_plot_data(report: ComparisonReport, directory,
     times = report.runs[names[0]].times
     paths = []
     for variable in variables:
-        columns = [report.runs[name][variable] for name in names]
+        columns = [times] + [report.runs[name][variable] for name in names]
         path = os.path.join(directory, f"{variable}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(["time"] + names) + "\n")
-            for i in range(len(times)):
-                handle.write(format_float(times[i]) + ","
-                             + ",".join(format_float(col[i])
-                                        for col in columns) + "\n")
+            _write_rows(handle, "", columns)
         paths.append(path)
     return paths
 
@@ -203,11 +211,14 @@ def render_chart_svg(times, series_by_label: dict[str, np.ndarray],
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{_tick_label(tick)}</text>')
 
+    # same operation order as sx and sy, so the coordinates match them bit
+    # for bit
+    xs = (left + (t - x_low) / (x_high - x_low) * plot_w).tolist()
     for k, (label, series) in enumerate(series_by_label.items()):
         color = _PALETTE[k % len(_PALETTE)]
         v = np.asarray(series, dtype=float)
-        points = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
-                          for x, y in zip(t, v))
+        ys = (top + (y_high - v) / (y_high - y_low) * plot_h).tolist()
+        points = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)])
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = top + 14.0 + 16.0 * k

@@ -71,6 +71,10 @@ class PolicyControl:
                 f"floor={self.tax_floor}, cap={self.tax_cap}")
 
 
+# frozen, so one instance can serve every step of every base run
+_NEUTRAL_OVERRIDES = PriceTaxOverrides()
+
+
 def apply_policy(control: PolicyControl, budget_signal: float,
                  shortage_signal: float, t: float,
                  base_tax: float) -> PriceTaxOverrides:
@@ -80,9 +84,9 @@ def apply_policy(control: PolicyControl, budget_signal: float,
     ``budget_signal`` (the current fund level) is part of the contract for
     future controllers but unused by the three shipped ones.
     """
-    shortage = max(0.0, shortage_signal)
     if control.policy_id == "base":
-        return PriceTaxOverrides()
+        return _NEUTRAL_OVERRIDES
+    shortage = max(0.0, shortage_signal)
     if control.policy_id == "p1_higher_fit":
         return PriceTaxOverrides(fit_price_delta=control.fit_price_delta)
     if control.policy_id == "p2_budget_adjusted_fit":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import SimulationClock
+from .engine import ConfigurationError, SimulationClock
 from .model import FitModel, ModelParameters, apply_overrides, get_parameter
 
 __all__ = [
@@ -311,7 +311,15 @@ def extreme_condition_suite(params: ModelParameters,
     (b) a large inherited debt (1e8 dollars): the tendency must fall from
         its launch value toward zero and the fund must drain steeply as
         everything goes to debt service.
+
+    Check (a) reads the fund past its first year, so a clock shorter than
+    one year raises :class:`ConfigurationError` before any run starts.
     """
+    steps_per_year = max(1, round(1.0 / clock.dt))
+    if clock.n_steps < steps_per_year:
+        raise ConfigurationError(
+            f"the extreme-condition suite needs a horizon of at least one "
+            f"year, got {clock.start_year} to {clock.end_year}")
     findings = []
 
     crippled = replace(params.econ, remuneration_period=1.0)
@@ -328,7 +336,6 @@ def extreme_condition_suite(params: ModelParameters,
         "remuneration_1yr_no_tendency",
         float(tendency[-1]) < 0.01,
         f"final tendency {float(tendency[-1]):.3g}"))
-    steps_per_year = max(1, round(1.0 / clock.dt))
     later = budget[steps_per_year:]
     grows = bool(np.all(np.diff(later) >= -1e-9 * max(1.0, float(later.max()))))
     findings.append(Finding(

@@ -114,3 +114,18 @@ def test_validate_reports_fit_metrics(tmp_path, capsys):
     assert "r_squared" in out
     assert "theil um/us/uc" in out
     assert "3 points" in out
+
+
+def test_compare_short_horizon_runs_its_checks_and_fails(tmp_path, capsys):
+    # two records are too few for the behavior classifier the checks use
+    assert main(["compare", "--horizon", "2015.25",
+                 "--out", str(tmp_path / "cmp")]) == 2
+    assert "at least 3 points" in capsys.readouterr().err
+
+
+def test_validate_short_horizon_is_a_configuration_error(capsys):
+    assert main(["validate", "--horizon", "2015.25"]) == 2
+    captured = capsys.readouterr()
+    assert "horizon of at least one year" in captured.err
+    assert "2015.25" in captured.err
+    assert captured.out == ""

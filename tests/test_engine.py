@@ -15,8 +15,6 @@ from fitsim import (
     SimulationError,
     eval_inverted_sigmoid,
     eval_linear_trend,
-    integrate_step,
-    lag_lookup,
     run_simulation,
 )
 
@@ -126,11 +124,11 @@ def test_linear_trend_must_stay_positive():
 
 def test_lagged_series_falls_back_before_history():
     series = LaggedSeries(lag=1.0, initial_value=400.0)
-    assert lag_lookup(series, 2015.0) == 400.0
+    assert series.lookup(2015.0) == 400.0
     series.record(2015.0, 500.0)
     # target 2015.25 is after the first record, so nearest wins
-    assert lag_lookup(series, 2015.5) == 400.0
-    assert lag_lookup(series, 2016.25) == 500.0
+    assert series.lookup(2015.5) == 400.0
+    assert series.lookup(2016.25) == 500.0
 
 
 def test_lagged_series_nearest_with_tie_toward_earlier():
@@ -159,33 +157,6 @@ def test_lagged_series_rejects_time_reversal_and_lookahead():
         series.lookup(2.0)  # needs history up to t=1.0, far past records
     with pytest.raises(ConfigurationError):
         LaggedSeries(lag=0.0, initial_value=0.0)
-
-
-# === Euler stepping ===
-
-def test_integrate_step_arithmetic():
-    new, events = integrate_step([1.0, 2.0], [0.5, -1.0], dt=0.5)
-    assert new == [1.25, 1.5]
-    assert events == []
-
-
-def test_integrate_step_clamps_named_stocks():
-    new, events = integrate_step([1.0], [-10.0], dt=0.25,
-                                 non_negative={"s"}, names=("s",), time=3.0)
-    assert new == [0.0]
-    assert len(events) == 1
-    assert events[0].variable == "s"
-    assert events[0].attempted == pytest.approx(-1.5)
-    assert events[0].time == 3.0
-
-
-def test_integrate_step_rejects_bad_rates():
-    with pytest.raises(SimulationError):
-        integrate_step([1.0], [math.inf], dt=0.25)
-    with pytest.raises(ValueError):
-        integrate_step([1.0, 2.0], [0.1], dt=0.25)
-    with pytest.raises(ValueError):
-        integrate_step([1.0], [0.1], dt=0.0)
 
 
 # === run_simulation on a closed-form toy ===
@@ -274,3 +245,89 @@ def test_at_year_reads_nearest_record(base_run):
     assert base_run.at_year("installed_capacity", 2015.0) == 120.0
     direct = float(base_run["installed_capacity"][4])
     assert base_run.at_year("installed_capacity", 2016.1) == direct
+
+
+# === Euler stepping and per-step checks ===
+
+class ScriptedModel:
+    """Given initial stocks, constant rates, and ``aux(t)`` per step."""
+
+    non_negative = frozenset()
+
+    def __init__(self, stocks, rates, aux=lambda t: {}):
+        self.stocks = stocks
+        self.rates = rates
+        self.aux = aux
+
+    def initial_state(self):
+        return dict(self.stocks)
+
+    def derivatives(self, state, t):
+        return dict(self.rates), self.aux(t)
+
+
+def test_run_euler_step_arithmetic():
+    model = ScriptedModel({"a": 1.0, "b": 2.0}, {"a": 0.5, "b": -1.0})
+    result = run_simulation(model, SimulationClock(0.0, 0.5, 0.5))
+    assert result["a"].tolist() == [1.0, 1.25]
+    assert result["b"].tolist() == [2.0, 1.5]
+    assert result.clamp_events == ()
+
+
+def test_run_clamps_non_negative_stocks_and_records_the_event():
+    model = ScriptedModel({"s": 1.0, "free": 1.0}, {"s": -10.0, "free": -10.0})
+    model.non_negative = frozenset({"s"})
+    result = run_simulation(model, SimulationClock(3.0, 3.5, 0.25))
+    assert result["s"].tolist() == [1.0, 0.0, 0.0]
+    assert result["free"].tolist() == [1.0, -1.5, -4.0]
+    assert [(e.time, e.variable) for e in result.clamp_events] == [
+        (3.0, "s"), (3.25, "s")]
+    assert result.clamp_events[0].attempted == pytest.approx(-1.5)
+    assert result.clamp_events[1].attempted == pytest.approx(-2.5)
+
+
+def test_run_names_the_stock_of_a_non_finite_rate():
+    model = ScriptedModel({"a": 1.0, "b": 1.0}, {"a": 0.0, "b": math.inf})
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(model, SimulationClock(0.0, 1.0, 0.25))
+    assert exc.value.variable == "b"
+    assert exc.value.time == 0.0
+    assert "non-finite rate" in str(exc.value)
+
+
+def test_run_names_a_non_finite_initial_stock():
+    model = ScriptedModel({"a": 1.0, "b": math.nan}, {"a": 0.0, "b": 0.0})
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(model, SimulationClock(0.0, 1.0, 0.25))
+    assert (exc.value.variable, exc.value.time) == ("b", 0.0)
+    assert "non-finite stock" in str(exc.value)
+
+
+def test_run_names_a_nan_auxiliary_and_its_step_time():
+    def aux(t):
+        return {"x": 1.0, "y": math.nan if t == 0.75 else 2.0}
+
+    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, aux)
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(model, SimulationClock(0.0, 2.0, 0.25))
+    assert (exc.value.variable, exc.value.time) == ("y", 0.75)
+    assert "non-finite auxiliary" in str(exc.value)
+
+
+def test_run_rejects_an_auxiliary_set_that_changes_mid_run():
+    def aux(t):
+        return {"x": 1.0} if t < 0.5 else {"x": 1.0, "late": 2.0}
+
+    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, aux)
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(model, SimulationClock(0.0, 1.0, 0.25))
+    assert exc.value.time == 0.5
+    assert "late" in str(exc.value)
+
+
+def test_run_accepts_finite_values_whose_sum_overflows():
+    model = ScriptedModel({"a": 1e308, "b": 1e308}, {"a": -1e308, "b": -1e308},
+                          lambda t: {"x": 1e308, "y": 1e308})
+    result = run_simulation(model, SimulationClock(0.0, 1.0, 0.5))
+    assert result["a"].tolist() == [1e308, 5e307, 0.0]
+    assert result["x"].tolist() == [1e308] * 3
