@@ -12,6 +12,7 @@ suites.
 from .engine import (
     ClampEvent,
     ConfigurationError,
+    DEFAULT_CLOCK,
     LaggedSeries,
     LinearTrend,
     RunResult,
@@ -46,6 +47,7 @@ from .policies import (
     make_policy_fn,
     qualitative_checks,
     run_scenario_suite,
+    scenario_model,
 )
 from .validation import (
     BehaviorSignature,
@@ -85,69 +87,3 @@ from .output import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClampEvent",
-    "ConfigurationError",
-    "LaggedSeries",
-    "LinearTrend",
-    "RunResult",
-    "SigmoidEffect",
-    "SimulationClock",
-    "SimulationError",
-    "eval_inverted_sigmoid",
-    "eval_linear_trend",
-    "run_simulation",
-    "EconomicParameters",
-    "ExogenousInputs",
-    "FitModel",
-    "ModelParameters",
-    "PARAMETER_NAMES",
-    "PriceTaxOverrides",
-    "SocialEffectSet",
-    "annuity_factor",
-    "apply_overrides",
-    "compute_fit_price",
-    "compute_roi",
-    "get_parameter",
-    "POLICY_IDS",
-    "ComparisonReport",
-    "PolicyControl",
-    "Scenario",
-    "ScenarioOutcome",
-    "apply_policy",
-    "make_policy_fn",
-    "qualitative_checks",
-    "run_scenario_suite",
-    "BehaviorSignature",
-    "ErrorReport",
-    "Finding",
-    "GROWTH_PEAK_DECLINE",
-    "MONOTONE_DECLINE",
-    "MONOTONE_GROWTH",
-    "PerturbationSet",
-    "TABLE_PERTURBATIONS",
-    "behavior_signature",
-    "error_metrics",
-    "extreme_condition_suite",
-    "sensitivity_suite",
-    "signatures_match",
-    "theil_decomposition",
-    "ConfigDocument",
-    "ConfigEntry",
-    "default_config_text",
-    "load_config",
-    "load_default_config",
-    "parse_config",
-    "serialize_config",
-    "CHART_VARIABLES",
-    "emit_comparison_csv",
-    "emit_run_csv",
-    "findings_text",
-    "format_float",
-    "outcome_table",
-    "render_chart_svg",
-    "write_comparison_charts",
-    "write_plot_data",
-    "__version__",
-]

@@ -21,7 +21,6 @@ from dataclasses import replace
 
 from .config import ConfigDocument, load_config, load_default_config
 from .engine import ConfigurationError, SimulationClock, SimulationError
-from .model import FitModel, apply_overrides
 from .output import (
     emit_comparison_csv,
     emit_run_csv,
@@ -31,10 +30,10 @@ from .output import (
     write_plot_data,
 )
 from .policies import (
-    CANONICAL_SCENARIOS,
-    make_policy_fn,
+    POLICY_IDS,
     qualitative_checks,
     run_scenario_suite,
+    scenario_model,
 )
 from .validation import (
     error_metrics,
@@ -107,9 +106,7 @@ def _load_document(args) -> ConfigDocument:
 def _cmd_run(args) -> int:
     doc = _load_document(args)
     scenario = doc.scenario(args.scenario)
-    params = apply_overrides(doc.params, scenario.overrides)
-    policy = make_policy_fn(scenario.policy, params.econ.res_tax_base)
-    result = FitModel(params, policy).simulate(scenario.clock)
+    result = scenario_model(doc.params, scenario).simulate(scenario.clock)
     variables = ()
     if args.variables:
         variables = tuple(name.strip() for name in args.variables.split(",")
@@ -145,7 +142,7 @@ def _cmd_compare(args) -> int:
         for item in written:
             print(f"wrote {item}", file=sys.stderr)
     print(outcome_table(report), file=sys.stderr)
-    if not report.runs.keys() >= set(CANONICAL_SCENARIOS):
+    if not report.runs.keys() >= set(POLICY_IDS):
         # not the canonical four-scenario set; nothing to check
         return 0
     findings = qualitative_checks(report)
@@ -156,13 +153,11 @@ def _cmd_compare(args) -> int:
 def _cmd_validate(args) -> int:
     doc = _load_document(args)
     scenario = doc.scenario(args.scenario)
-    params = apply_overrides(doc.params, scenario.overrides)
-    failed = False
+    model = scenario_model(doc.params, scenario)
 
     if args.historical:
         years, values = load_series_csv(args.historical)
-        policy = make_policy_fn(scenario.policy, params.econ.res_tax_base)
-        result = FitModel(params, policy).simulate(scenario.clock)
+        result = model.simulate(scenario.clock)
         simulated = [result.at_year(args.historical_variable, year)
                      for year in years]
         report = error_metrics(simulated, values)
@@ -174,11 +169,10 @@ def _cmd_validate(args) -> int:
         print(f"  theil um/us/uc = {report.theil_um:.4f} "
               f"{report.theil_us:.4f} {report.theil_uc:.4f}")
 
-    findings = extreme_condition_suite(params, scenario.clock)
-    findings += sensitivity_suite(params, clock=scenario.clock)
+    findings = extreme_condition_suite(model.params, scenario.clock)
+    findings += sensitivity_suite(model.params, clock=scenario.clock)
     print(findings_text(findings))
-    failed = failed or not all(finding.passed for finding in findings)
-    return 1 if failed else 0
+    return 0 if all(finding.passed for finding in findings) else 1
 
 
 def main(argv=None) -> int:

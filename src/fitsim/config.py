@@ -26,18 +26,18 @@ line comments start with ``#``; the ``;`` is reserved for provenance.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from importlib import resources
 
-from .engine import ConfigurationError, SimulationClock
+from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
 from .model import (
-    EconomicParameters,
     ModelParameters,
     PARAMETER_NAMES,
+    PARAMETER_PATHS,
     apply_overrides,
     get_parameter,
 )
-from .policies import MAX_RES_TAX, POLICY_IDS, PolicyControl, Scenario
+from .policies import POLICY_IDS, PolicyControl, Scenario
 
 __all__ = [
     "PROVENANCE_SOURCES",
@@ -52,38 +52,19 @@ __all__ = [
 
 PROVENANCE_SOURCES = ("paper", "derived", "assumed")
 
-DEFAULT_CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
-
-_CLOCK_KEYS = ("start_year", "end_year", "dt")
-_PARAMETER_KEYS = tuple(f.name for f in dataclass_fields(EconomicParameters))
-_EFFECT_KEYS = tuple(
-    f"{effect}_{part}"
-    for effect in ("social_tolerance", "investor_trust", "om_activity")
-    for part in ("y_max", "x_50", "p")
-) + ("penetration_gain",)
-_TREND_KEYS = tuple(
-    f"{trend}_{part}"
-    for trend in ("total_generation_capacity", "electricity_consumption")
-    for part in ("intercept", "slope", "reference_year")
-)
-_POLICY_KEYS = ("fit_price_delta", "fit_controller_gain",
-                "tax_controller_gain", "tax_floor", "tax_cap")
-_BOOL_KEYS = frozenset({"average_price_literal_form"})
+_CLOCK_KEYS = tuple(f.name for f in dataclass_fields(SimulationClock))
+_POLICY_KEYS = tuple(f.name for f in dataclass_fields(PolicyControl)
+                     if f.name != "policy_id")
+# section -> the ModelParameters group whose registry names it holds
+_PARAMETER_SECTIONS = {"parameters": "econ", "effects": "effects",
+                       "trends": "exogenous"}
 
 _SCALAR_SECTIONS = {
     "clock": _CLOCK_KEYS,
-    "parameters": _PARAMETER_KEYS,
-    "effects": _EFFECT_KEYS,
-    "trends": _TREND_KEYS,
+    **{section: tuple(name for name, path in PARAMETER_PATHS.items()
+                      if path[0] == group)
+       for section, group in _PARAMETER_SECTIONS.items()},
     "policy": _POLICY_KEYS,
-}
-
-_KNOB_DEFAULTS = {
-    "fit_price_delta": 0.0,
-    "fit_controller_gain": 0.0,
-    "tax_controller_gain": 0.0,
-    "tax_floor": 0.0,
-    "tax_cap": MAX_RES_TAX,
 }
 
 
@@ -91,7 +72,7 @@ _KNOB_DEFAULTS = {
 class ConfigEntry:
     """One parsed value line: the value plus its provenance."""
 
-    value: float | bool | str
+    value: float | str
     source: str
     note: str = ""
 
@@ -144,19 +125,12 @@ def _split_value(section: str, key: str, raw: str) -> tuple[str, str, str]:
     return token, source, note
 
 
-def _parse_scalar(section: str, key: str, token: str) -> float | bool:
-    where = f"[{section}] {key}"
-    if key in _BOOL_KEYS:
-        lowered = token.lower()
-        if lowered not in ("true", "false"):
-            raise ConfigurationError(
-                f"{where}: expected true or false, got {token!r}")
-        return lowered == "true"
+def _parse_scalar(section: str, key: str, token: str) -> float:
     try:
         return float(token)
     except ValueError:
         raise ConfigurationError(
-            f"{where}: not a number: {token!r}") from None
+            f"[{section}] {key}: not a number: {token!r}") from None
 
 
 def parse_config(text: str) -> ConfigDocument:
@@ -200,28 +174,26 @@ def parse_config(text: str) -> ConfigDocument:
         return values
 
     clock_values = read_section("clock", _CLOCK_KEYS)
-    clock_defaults = {"start_year": DEFAULT_CLOCK.start_year,
-                      "end_year": DEFAULT_CLOCK.end_year,
-                      "dt": DEFAULT_CLOCK.dt}
-    for key, fallback in clock_defaults.items():
+    for key in _CLOCK_KEYS:
         if key not in clock_values:
-            log.append(f"clock.{key} defaulted to {fallback!r}")
-    clock = SimulationClock(**{**clock_defaults, **clock_values})
+            log.append(f"clock.{key} defaulted to "
+                       f"{getattr(DEFAULT_CLOCK, key)!r}")
+    clock = replace(DEFAULT_CLOCK, **clock_values)
 
     parameter_overrides: dict[str, float] = {}
-    for section in ("parameters", "effects", "trends"):
+    for section in _PARAMETER_SECTIONS:
         parameter_overrides.update(
             read_section(section, _SCALAR_SECTIONS[section]))
     defaults = ModelParameters()
-    for section in ("parameters", "effects", "trends"):
+    for section in _PARAMETER_SECTIONS:
         for key in _SCALAR_SECTIONS[section]:
             if key not in parameter_overrides:
                 log.append(f"{section}.{key} defaulted to "
                            f"{get_parameter(defaults, key)!r}")
     params = apply_overrides(defaults, parameter_overrides)
 
-    knob_defaults = dict(_KNOB_DEFAULTS)
-    knob_defaults.update(read_section("policy", _POLICY_KEYS))
+    # knobs left out here fall back to PolicyControl's own defaults
+    knob_defaults = read_section("policy", _POLICY_KEYS)
 
     def parse_scenario_value(name: str, key: str, token: str):
         if key == "policy":
@@ -258,8 +230,7 @@ def parse_config(text: str) -> ConfigDocument:
 
     if not scenarios:
         log.append("no [scenario:NAME] sections; synthesized neutral 'base'")
-        scenarios.append(Scenario(name="base", clock=clock,
-                                  policy=PolicyControl(**_KNOB_DEFAULTS)))
+        scenarios.append(Scenario(name="base", clock=clock))
 
     return ConfigDocument(clock=clock, params=params,
                           scenarios=tuple(scenarios), entries=entries,
@@ -272,11 +243,7 @@ def load_config(path) -> ConfigDocument:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def serialize_config(doc: ConfigDocument) -> str:

@@ -35,6 +35,7 @@ __all__ = [
     "ConfigurationError",
     "SimulationError",
     "SimulationClock",
+    "DEFAULT_CLOCK",
     "SigmoidEffect",
     "LinearTrend",
     "LaggedSeries",
@@ -91,6 +92,10 @@ class SimulationClock:
     def times(self) -> np.ndarray:
         """All record times, start through end inclusive (n_steps + 1)."""
         return self.start_year + self.dt * np.arange(self.n_steps + 1)
+
+
+# the paper's horizon on a quarterly grid
+DEFAULT_CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,8 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
     ``derivatives(state, t) -> (rates, aux)`` where ``rates`` has one entry
     per stock and ``aux`` holds every flow and auxiliary to record. It may
     also provide ``begin_run(clock)`` (reset of per-run memory such as
-    lagged series), ``non_negative`` (names clamped at zero), and
+    lagged series, and checks that must fail before the first step),
+    ``non_negative`` (names clamped at zero), and
     ``flow_names`` (aux entries to report as flows).
 
     ``derivatives`` is looked up on the model at every step, so a subclass

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, NamedTuple
 
 from .engine import (
@@ -85,7 +85,6 @@ class EconomicParameters:
     initial_installed_capacity: float = 120.0  # MW
     initial_budget: float = 2.28e8         # dollars
     initial_suna_debt: float = 0.0         # dollars
-    average_price_literal_form: bool = False  # see average_fit_price
 
     def __post_init__(self):
         positive = (
@@ -180,7 +179,8 @@ class PriceTaxOverrides:
                 f"got {self.fit_price_multiplier}")
 
 
-PolicyFn = Callable[[float, float, float], PriceTaxOverrides]
+# the policy hook: perceived budget shortage ($) -> overrides for this step
+PolicyFn = Callable[[float], PriceTaxOverrides]
 
 
 # === economic operations ===
@@ -351,19 +351,14 @@ def allocate_payments(budget: float, suna_debt: float,
 
 def average_fit_price(total_fit_payment: float,
                       total_electricity_production: float,
-                      fallback_price: float,
-                      literal_form: bool = False) -> float:
+                      fallback_price: float) -> float:
     """Average tariff actually contracted so far, $/MWh.
 
     Lifetime payout divided by lifetime production; before any production
-    exists the current tariff stands in. ``literal_form`` keeps the inverse
-    ratio (production over payout) for inspection of the uncorrected
-    bookkeeping; it is not dimensionally a price.
+    exists the current tariff stands in.
     """
     if total_electricity_production <= 0.0 or total_fit_payment <= 0.0:
         return fallback_price
-    if literal_form:
-        return total_electricity_production / total_fit_payment
     return total_fit_payment / total_electricity_production
 
 
@@ -382,8 +377,7 @@ def compute_production_and_price(installed_capacity: float,
     """Production of the installed base and the payment it entitles."""
     production = installed_capacity * econ.capacity_factor * ANNUAL_HOURS
     average = average_fit_price(total_fit_payment,
-                                total_electricity_production, fit_price,
-                                econ.average_price_literal_form)
+                                total_electricity_production, fit_price)
     desired = production * average
     inflow = production * fit_price
     return ProductionPayment(production, average, desired, inflow)
@@ -392,29 +386,42 @@ def compute_production_and_price(installed_capacity: float,
 # === parameter registry (config keys and sensitivity targets) ===
 
 def _registry() -> dict[str, tuple[str, ...]]:
+    """Flat name -> attribute path of every scalar in ``ModelParameters``.
+
+    Scalars keep their field name (``capacity_target``); the parts of a
+    sigmoid or trend are ``<field>_<part>`` (``investor_trust_x_50``).
+    Groups and their fields keep declaration order.
+    """
     names: dict[str, tuple[str, ...]] = {}
-    for f in fields(EconomicParameters):
-        names[f.name] = ("econ", f.name)
-    for effect in ("social_tolerance", "investor_trust", "om_activity"):
-        for part in ("y_max", "x_50", "p"):
-            names[f"{effect}_{part}"] = ("effects", effect, part)
-    names["penetration_gain"] = ("effects", "penetration_gain")
-    for trend in ("total_generation_capacity", "electricity_consumption"):
-        for part in ("intercept", "slope", "reference_year"):
-            names[f"{trend}_{part}"] = ("exogenous", trend, part)
+    for group in fields(ModelParameters):
+        for item in fields(group.default):
+            value = getattr(group.default, item.name)
+            if not is_dataclass(value):
+                names[item.name] = (group.name, item.name)
+                continue
+            for part in fields(value):
+                names[f"{item.name}_{part.name}"] = (group.name, item.name,
+                                                     part.name)
     return names
 
 
-PARAMETER_NAMES: tuple[str, ...] = tuple(sorted(_registry()))
+# built once; the config derives its [parameters], [effects] and [trends]
+# keys from the first element of each path
+PARAMETER_PATHS: dict[str, tuple[str, ...]] = _registry()
+PARAMETER_NAMES: tuple[str, ...] = tuple(sorted(PARAMETER_PATHS))
+
+
+def _path(name: str) -> tuple[str, ...]:
+    path = PARAMETER_PATHS.get(name)
+    if path is None:
+        raise ConfigurationError(f"unknown parameter {name!r}")
+    return path
 
 
 def get_parameter(params: ModelParameters, name: str) -> float:
     """Current value of a named parameter (see ``PARAMETER_NAMES``)."""
-    path = _registry().get(name)
-    if path is None:
-        raise ConfigurationError(f"unknown parameter {name!r}")
     obj = params
-    for attr in path:
+    for attr in _path(name):
         obj = getattr(obj, attr)
     return obj
 
@@ -422,40 +429,22 @@ def get_parameter(params: ModelParameters, name: str) -> float:
 def apply_overrides(params: ModelParameters,
                     overrides: dict[str, float]) -> ModelParameters:
     """Functional update of named parameters; unknown names are rejected."""
-    registry = _registry()
-    econ_updates: dict[str, float] = {}
-    effect_updates: dict[str, dict[str, float]] = {}
-    effect_scalars: dict[str, float] = {}
-    trend_updates: dict[str, dict[str, float]] = {}
+    # group -> field -> value, or part -> value for a sigmoid or trend
+    changes: dict[str, dict] = {}
     for name, value in overrides.items():
-        path = registry.get(name)
-        if path is None:
-            raise ConfigurationError(f"unknown parameter {name!r}")
-        if path[0] == "econ":
-            econ_updates[path[1]] = value
-        elif path[0] == "effects" and len(path) == 2:
-            effect_scalars[path[1]] = value
-        elif path[0] == "effects":
-            effect_updates.setdefault(path[1], {})[path[2]] = value
+        group, item, *part = _path(name)
+        if part:
+            changes.setdefault(group, {}).setdefault(item, {})[part[0]] = value
         else:
-            trend_updates.setdefault(path[1], {})[path[2]] = value
-
-    econ = replace(params.econ, **econ_updates) if econ_updates else params.econ
-    effects = params.effects
-    if effect_updates or effect_scalars:
-        parts = {}
-        for effect_name, changes in effect_updates.items():
-            current = getattr(effects, effect_name)
-            parts[effect_name] = replace(current, **changes)
-        effects = replace(effects, **parts, **effect_scalars)
-    exogenous = params.exogenous
-    if trend_updates:
-        parts = {}
-        for trend_name, changes in trend_updates.items():
-            current = getattr(exogenous, trend_name)
-            parts[trend_name] = replace(current, **changes)
-        exogenous = replace(exogenous, **parts)
-    return ModelParameters(econ=econ, effects=effects, exogenous=exogenous)
+            changes.setdefault(group, {})[item] = value
+    groups = {}
+    for group_name, group_changes in changes.items():
+        group = getattr(params, group_name)
+        groups[group_name] = replace(group, **{
+            item: (replace(getattr(group, item), **value)
+                   if isinstance(value, dict) else value)
+            for item, value in group_changes.items()})
+    return replace(params, **groups)
 
 
 # === the wired model ===
@@ -463,10 +452,10 @@ def apply_overrides(params: ModelParameters,
 class FitModel:
     """Wires the operations above into a derivative function over the stocks.
 
-    A policy hook may be attached: ``policy(budget, perceived_shortage, t)``
-    returning :class:`PriceTaxOverrides`. Without one the base rules apply
-    unchanged. Instances are reusable; per-run memory (the request lag and
-    the penetration warning latch) is reset by ``begin_run``.
+    A policy hook may be attached: ``policy(perceived_shortage)`` returning
+    :class:`PriceTaxOverrides`. Without one the base rules apply unchanged.
+    Instances are reusable; per-run memory (the request lag and the
+    penetration warning latch) is reset by ``begin_run``.
     """
 
     STOCKS = (
@@ -510,6 +499,18 @@ class FitModel:
         }
 
     def begin_run(self, clock: SimulationClock) -> None:
+        """Reset per-run memory; reject trends not positive over ``clock``.
+
+        A linear trend is positive on the whole window when it is positive
+        at both ends, so a bad trend fails here, before the first step.
+        """
+        exog = self.params.exogenous
+        for item in fields(exog):
+            for year in (clock.start_year, clock.end_year):
+                try:
+                    eval_linear_trend(getattr(exog, item.name), year)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"{item.name}: {exc}") from None
         self._requests = LaggedSeries(
             lag=1.0, initial_value=self.params.econ.initial_annual_requests)
         self._penetration_warned = False
@@ -522,8 +523,6 @@ class FitModel:
         econ = self.params.econ
         effects = self.params.effects
         exog = self.params.exogenous
-        if self._requests is None:
-            self.begin_run(SimulationClock(t, t + 1.0))
 
         installed = state["installed_capacity"]
         depreciated = state["depreciated_capacity"]
@@ -544,7 +543,7 @@ class FitModel:
             max(cumulative, econ.initial_installed_capacity), econ)
 
         # --- policy overrides, price, levy ---
-        overrides = (self.policy(budget, perceived, t)
+        overrides = (self.policy(perceived)
                      if self.policy is not None else None)
         fit_price = compute_fit_price(installed, econ, overrides)
         res_tax = econ.res_tax_base

@@ -2,7 +2,7 @@
 
 Three interventions are modeled on top of the base tariff and levy rules,
 each expressed as a :class:`~fitsim.model.PriceTaxOverrides` produced once
-per step from the fund's state:
+per step from the perceived budget shortage:
 
 * ``p1_higher_fit``: a flat tariff increase, paid regardless of the fund.
 * ``p2_budget_adjusted_fit``: the tariff is scaled down smoothly while a
@@ -19,8 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from .engine import ConfigurationError, RunResult, SimulationClock
+from .engine import (
+    DEFAULT_CLOCK,
+    ConfigurationError,
+    RunResult,
+    SimulationClock,
+)
 from .model import (
     FitModel,
     ModelParameters,
@@ -75,18 +81,15 @@ class PolicyControl:
 _NEUTRAL_OVERRIDES = PriceTaxOverrides()
 
 
-def apply_policy(control: PolicyControl, budget_signal: float,
-                 shortage_signal: float, t: float,
+def apply_policy(control: PolicyControl, shortage: float,
                  base_tax: float) -> PriceTaxOverrides:
-    """Overrides for one step given the perceived state of the fund.
+    """Overrides for one step given the perceived budget shortfall in dollars.
 
-    ``shortage_signal`` is the smoothed budget shortfall in dollars;
-    ``budget_signal`` (the current fund level) is part of the contract for
-    future controllers but unused by the three shipped ones.
+    A negative perceived shortfall reads as none.
     """
     if control.policy_id == "base":
         return _NEUTRAL_OVERRIDES
-    shortage = max(0.0, shortage_signal)
+    shortage = max(0.0, shortage)
     if control.policy_id == "p1_higher_fit":
         return PriceTaxOverrides(fit_price_delta=control.fit_price_delta)
     if control.policy_id == "p2_budget_adjusted_fit":
@@ -101,11 +104,7 @@ def apply_policy(control: PolicyControl, budget_signal: float,
 
 def make_policy_fn(control: PolicyControl, base_tax: float) -> PolicyFn:
     """Bind a control and the base levy into the model's policy hook."""
-
-    def policy(budget: float, shortage: float, t: float) -> PriceTaxOverrides:
-        return apply_policy(control, budget, shortage, t, base_tax)
-
-    return policy
+    return partial(apply_policy, control, base_tax=base_tax)
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,17 @@ class Scenario:
     """One named run: parameter overrides plus a policy, on a shared clock."""
 
     name: str
-    clock: SimulationClock = SimulationClock(2015.0, 2035.0, 0.25)
+    clock: SimulationClock = DEFAULT_CLOCK
     overrides: dict[str, float] = field(default_factory=dict)
     policy: PolicyControl = PolicyControl()
-    output_variables: tuple[str, ...] = ()  # empty means all
+
+
+def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:
+    """The model of one scenario: its overrides applied on top of ``params``
+    and its policy bound to the resulting base levy."""
+    params = apply_overrides(params, scenario.overrides)
+    return FitModel(params, make_policy_fn(scenario.policy,
+                                           params.econ.res_tax_base))
 
 
 @dataclass(frozen=True)
@@ -133,10 +139,12 @@ class ScenarioOutcome:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome rows plus the full trajectories they were read from."""
+    """Outcome rows, the full trajectories they were read from, and the
+    parameters each scenario ran with."""
 
     outcomes: tuple[ScenarioOutcome, ...]
     runs: dict[str, RunResult]
+    params: dict[str, ModelParameters]
 
     def outcome(self, name: str) -> ScenarioOutcome:
         for row in self.outcomes:
@@ -158,13 +166,12 @@ def run_scenario_suite(params: ModelParameters,
         raise ConfigurationError(f"duplicate scenario names in {names}")
     outcomes = []
     runs: dict[str, RunResult] = {}
+    run_params: dict[str, ModelParameters] = {}
     for scenario in scenarios:
-        scenario_params = apply_overrides(params, scenario.overrides)
-        policy = make_policy_fn(scenario.policy,
-                                scenario_params.econ.res_tax_base)
-        model = FitModel(scenario_params, policy)
+        model = scenario_model(params, scenario)
         result = model.simulate(scenario.clock)
         runs[scenario.name] = result
+        run_params[scenario.name] = model.params
         outcomes.append(ScenarioOutcome(
             name=scenario.name,
             installed_capacity=result.final("installed_capacity"),
@@ -173,11 +180,8 @@ def run_scenario_suite(params: ModelParameters,
             suna_debt=result.final("suna_debt"),
             delay_in_debt_payment=result.final("delay_in_debt_payment"),
         ))
-    return ComparisonReport(outcomes=tuple(outcomes), runs=runs)
-
-
-# canonical scenario names checked by the qualitative battery
-CANONICAL_SCENARIOS = POLICY_IDS
+    return ComparisonReport(outcomes=tuple(outcomes), runs=runs,
+                            params=run_params)
 
 
 def qualitative_checks(report: ComparisonReport) -> list[Finding]:
@@ -188,10 +192,10 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         debt at any step;
     (c) the base run shows debt emerging well into the program (not at
         launch) and a capacity peak followed by decline;
-    (d) p1 reaches the capacity target no later than base;
+    (d) p1 reaches the base run's capacity target no later than base;
     (e) p2's tendency to invest recovers after its trough.
     """
-    missing = [name for name in CANONICAL_SCENARIOS if name not in report.runs]
+    missing = [name for name in POLICY_IDS if name not in report.runs]
     if missing:
         raise ValueError(
             f"report lacks canonical scenarios: {missing}")
@@ -202,7 +206,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     findings = []
 
     capacity = {name: report.outcome(name).installed_capacity
-                for name in CANONICAL_SCENARIOS}
+                for name in POLICY_IDS}
     ok = (capacity["p3_budget_adjusted_tax"] > capacity["base"]
           > capacity["p2_budget_adjusted_fit"]
           > capacity["p1_higher_fit"])
@@ -210,10 +214,10 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         "capacity_ordering", ok,
         "2035 installed capacity (MW): "
         + ", ".join(f"{name}={capacity[name]:.1f}"
-                    for name in CANONICAL_SCENARIOS)))
+                    for name in POLICY_IDS)))
 
     debt = {name: report.outcome(name).suna_debt
-            for name in CANONICAL_SCENARIOS}
+            for name in POLICY_IDS}
     p3_debt_peak = float(p3["suna_debt"].max())
     ok = (debt["p1_higher_fit"] > debt["base"]
           > debt["p2_budget_adjusted_fit"] > debt["p3_budget_adjusted_tax"]
@@ -222,7 +226,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         "debt_ordering", ok,
         "2035 debt ($): "
         + ", ".join(f"{name}={debt[name]:.3g}"
-                    for name in CANONICAL_SCENARIOS)
+                    for name in POLICY_IDS)
         + f"; p3 peak debt={p3_debt_peak:.3g}"))
 
     signature = behavior_signature(base.times, base["installed_capacity"])
@@ -239,7 +243,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         f"{signature.peak_year}, debt emerges at "
         f"{emergence if emergence is not None else 'never'}"))
 
-    target = 5000.0
+    target = report.params["base"].econ.capacity_target
     t_p1 = _first_crossing_year(p1, "installed_capacity", target)
     t_base = _first_crossing_year(base, "installed_capacity", target)
     ok = t_p1 <= t_base

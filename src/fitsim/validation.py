@@ -16,12 +16,11 @@ Three layers of confidence checks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import ConfigurationError, SimulationClock
+from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
 from .model import FitModel, ModelParameters, apply_overrides, get_parameter
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "extreme_condition_suite",
     "sensitivity_suite",
 ]
-
-DEFAULT_CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,22 @@ def test_run_writes_into_out_dir(tmp_path, capsys):
     assert "81 records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["base", "p1_higher_fit",
+                                  "p2_budget_adjusted_fit",
+                                  "p3_budget_adjusted_tax"])
+def test_run_matches_its_block_of_compare(name, capsys):
+    # run and compare wire a scenario into the model the same way
+    assert main(["compare"]) == 0
+    compared = capsys.readouterr().out.splitlines()
+    assert main(["run", "--scenario", name]) == 0
+    run = capsys.readouterr().out.splitlines()
+    header = compared[0].removeprefix("scenario,")
+    rows = [line.removeprefix(f"{name},") for line in compared[1:]
+            if line.startswith(f"{name},")]
+    assert len(rows) == 81
+    assert run == [header] + rows
+
+
 def test_run_rejects_unknown_scenario(capsys):
     assert main(["run", "--scenario", "p9"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -85,14 +85,6 @@ def test_duplicate_section_is_a_syntax_error():
         parse_config("[clock]\ndt = 0.25 ; assumed\n[clock]\ndt = 0.5 ; assumed\n")
 
 
-def test_bool_parameter_parsing():
-    text = "[parameters]\naverage_price_literal_form = true ; assumed\n"
-    assert parse_config(text).params.econ.average_price_literal_form is True
-    with pytest.raises(ConfigurationError, match="true or false"):
-        parse_config(
-            "[parameters]\naverage_price_literal_form = yes ; assumed\n")
-
-
 def test_parameter_overrides_reach_the_model():
     text = ("[parameters]\ninitial_fit_price = 25.0 ; assumed\n"
             "[trends]\nelectricity_consumption_slope = 4e6 ; assumed\n")

@@ -5,9 +5,6 @@ computations (term-by-term discounted cash flows, hand-traced allocation
 ledgers) rather than from the implementation itself.
 """
 
-import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -23,6 +20,7 @@ from fitsim import (
     compute_fit_price,
     compute_roi,
     get_parameter,
+    parse_config,
 )
 from fitsim.model import (
     PriceTaxOverrides,
@@ -242,9 +240,6 @@ def test_average_fit_price_forms():
     assert average_fit_price(0.0, 0.0, fallback_price=20.0) == 20.0
     assert average_fit_price(200.0, 10.0, 20.0) == pytest.approx(20.0)
     assert average_fit_price(150.0, 10.0, 20.0) == pytest.approx(15.0)
-    # the literal bookkeeping ratio is exposed but inverted
-    assert average_fit_price(150.0, 10.0, 20.0,
-                             literal_form=True) == pytest.approx(10.0 / 150.0)
 
 
 def test_production_and_payment_entitlement():
@@ -373,11 +368,25 @@ def test_total_payment_ledger_matches_price_times_production(base_run):
     assert np.allclose(inflow, production * price, rtol=1e-12)
 
 
-def test_literal_average_price_form_runs(default_params):
-    econ = replace(default_params.econ, average_price_literal_form=True)
-    params = ModelParameters(econ, default_params.effects,
-                             default_params.exogenous)
-    clock = SimulationClock(2015.0, 2018.0, 0.25)
-    run = FitModel(params).simulate(clock)
-    assert run.n_records == 13
-    assert math.isfinite(run.final("installed_capacity"))
+class _CountingModel(FitModel):
+    calls = 0
+
+    def derivatives(self, state, t):
+        self.calls += 1
+        return super().derivatives(state, t)
+
+
+@pytest.mark.parametrize("trend, line, year", [
+    # positive at launch, negative by the horizon
+    ("electricity_consumption", "slope = -2.5e6", 2035.0),
+    ("total_generation_capacity", "intercept = -1.0", 2015.0),
+])
+def test_trend_positivity_is_checked_before_the_first_step(trend, line, year):
+    doc = parse_config(f"[trends]\n{trend}_{line} ; assumed\n")
+    model = _CountingModel(doc.params)
+    with pytest.raises(ConfigurationError) as excinfo:
+        model.simulate(doc.clock)
+    assert model.calls == 0
+    message = str(excinfo.value)
+    assert message.startswith(f"{trend}: ")
+    assert f"t={year}" in message

@@ -11,7 +11,9 @@ from fitsim import (
     Scenario,
     SimulationClock,
     apply_policy,
+    default_config_text,
     make_policy_fn,
+    parse_config,
     qualitative_checks,
     run_scenario_suite,
 )
@@ -23,7 +25,7 @@ SHORT_CLOCK = SimulationClock(2015.0, 2020.0, 0.25)
 
 def test_base_policy_is_neutral():
     control = PolicyControl("base")
-    overrides = apply_policy(control, 1e6, 5e5, 2020.0, base_tax=0.001)
+    overrides = apply_policy(control, 5e5, base_tax=0.001)
     assert overrides.fit_price_delta == 0.0
     assert overrides.fit_price_multiplier == 1.0
     assert overrides.res_tax is None
@@ -31,19 +33,19 @@ def test_base_policy_is_neutral():
 
 def test_p1_adds_a_flat_tariff_increase():
     control = PolicyControl("p1_higher_fit", fit_price_delta=4.0)
-    overrides = apply_policy(control, 0.0, 1e9, 2020.0, base_tax=0.001)
+    overrides = apply_policy(control, 1e9, base_tax=0.001)
     assert overrides.fit_price_delta == 4.0
     assert overrides.fit_price_multiplier == 1.0
 
 
 def test_p2_scales_the_tariff_down_with_the_shortfall():
     control = PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=2e-7)
-    healthy = apply_policy(control, 1e6, 0.0, 2020.0, base_tax=0.001)
+    healthy = apply_policy(control, 0.0, base_tax=0.001)
     assert healthy.fit_price_multiplier == 1.0
-    stressed = apply_policy(control, 0.0, 5e6, 2020.0, base_tax=0.001)
+    stressed = apply_policy(control, 5e6, base_tax=0.001)
     assert stressed.fit_price_multiplier == pytest.approx(1.0 / 2.0)
     # negative perceived shortfall reads as healthy, not as a tariff boost
-    recovered = apply_policy(control, 1e6, -1e6, 2020.0, base_tax=0.001)
+    recovered = apply_policy(control, -1e6, base_tax=0.001)
     assert recovered.fit_price_multiplier == 1.0
 
 
@@ -51,11 +53,11 @@ def test_p3_raises_the_levy_within_its_clamp():
     control = PolicyControl("p3_budget_adjusted_tax",
                             tax_controller_gain=1e-9, tax_floor=0.001,
                             tax_cap=0.06)
-    idle = apply_policy(control, 1e6, 0.0, 2020.0, base_tax=0.03)
+    idle = apply_policy(control, 0.0, base_tax=0.03)
     assert idle.res_tax == pytest.approx(0.03)
-    pushed = apply_policy(control, 0.0, 1e7, 2020.0, base_tax=0.03)
+    pushed = apply_policy(control, 1e7, base_tax=0.03)
     assert pushed.res_tax == pytest.approx(0.04)
-    saturated = apply_policy(control, 0.0, 1e12, 2020.0, base_tax=0.03)
+    saturated = apply_policy(control, 1e12, base_tax=0.03)
     assert saturated.res_tax == 0.06
 
 
@@ -75,7 +77,7 @@ def test_make_policy_fn_binds_control_and_tax():
                                           tax_controller_gain=0.0,
                                           tax_cap=0.06),
                             base_tax=0.03)
-    assert policy(0.0, 0.0, 2020.0).res_tax == pytest.approx(0.03)
+    assert policy(0.0).res_tax == pytest.approx(0.03)
 
 
 # === zeroed policies reproduce the base run bit-exactly ===
@@ -98,7 +100,7 @@ def test_p3_neutral_needs_matching_floor():
     # a zero-gain p3 still overrides the levy when its floor differs
     control = PolicyControl("p3_budget_adjusted_tax", tax_floor=0.002,
                             tax_cap=0.06)
-    overrides = apply_policy(control, 0.0, 0.0, 2015.0, base_tax=0.001)
+    overrides = apply_policy(control, 0.0, base_tax=0.001)
     assert overrides.res_tax == 0.002
 
 
@@ -184,3 +186,15 @@ def test_qualitative_checks_demand_the_canonical_set(default_params):
         default_params, [Scenario(name="base", clock=SHORT_CLOCK)])
     with pytest.raises(ValueError):
         qualitative_checks(report)
+
+
+def test_target_check_reads_the_base_runs_capacity_target():
+    text = default_config_text().replace(
+        "capacity_target = 5000.0 ;", "capacity_target = 4000.0 ;")
+    doc = parse_config(text)
+    assert doc.params.econ.capacity_target == 4000.0
+    report = run_scenario_suite(doc.params, list(doc.scenarios))
+    finding = next(finding for finding in qualitative_checks(report)
+                   if finding.name == "p1_reaches_target_first")
+    assert finding.detail.startswith("first year at 4000 MW: ")
+

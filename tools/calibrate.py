@@ -71,6 +71,7 @@ import test_acceptance  # noqa: E402
 
 from fitsim.config import load_default_config, parse_config  # noqa: E402
 from fitsim.engine import (  # noqa: E402
+    DEFAULT_CLOCK,
     ConfigurationError,
     SimulationClock,
     SimulationError,
@@ -119,9 +120,9 @@ KNOBS = {key: section[len("scenario:"):]
          if section.startswith("scenario:")}
 KEYS = tuple(SEARCH_BOX)
 
-START, END = 2015.0, 2035.0
+QUARTER = DEFAULT_CLOCK
+START, END = QUARTER.start_year, QUARTER.end_year
 HORIZON = END - START
-QUARTER = SimulationClock(START, END, 0.25)
 EIGHTH = SimulationClock(START, END, 0.125)
 TENTH = SimulationClock(START, END, 0.1)
 FINE = SimulationClock(START, END, 1.0 / 64.0)
@@ -275,12 +276,12 @@ class Calibration:
     def __init__(self):
         self.doc = load_default_config()
         self.target = self.doc.params.econ.capacity_target
-        # what the benchmark sweep perturbs: numeric model parameters
-        # marked assumed
+        # what the benchmark sweep perturbs: model parameters marked
+        # assumed
         self.assumed = sorted(
             key for section in ("parameters", "effects", "trends")
             for key, entry in self.doc.entries.get(section, {}).items()
-            if entry.source == "assumed" and not isinstance(entry.value, bool))
+            if entry.source == "assumed")
 
     # --- building runs ---
 
