@@ -1,13 +1,12 @@
 """Discrete-time stock-flow simulation kernel.
 
-The engine advances a set of named stocks with explicit Euler steps: each
-step evaluates a model-supplied derivative function once, records every
-stock, flow, and auxiliary value, then applies ``stock += rate * dt``,
-clamping the stocks the model declares non-negative at zero. Records go
-into one flat row buffer that becomes the run's read-only variable matrix
-at the end; :func:`run_simulation` lists the checks every step makes.
-Besides the integrator it provides the three primitive building blocks the
-models here are assembled from:
+The engine advances a model's stocks with explicit Euler steps. The model
+declares its stock and auxiliary names once; each step hands it the stocks
+in that order, records the stocks and the auxiliaries it returns in theirs,
+then applies ``stock += rate * dt``, clamping the stocks the model declares
+non-negative at zero (:func:`run_simulation` lists the checks). Besides the
+integrator it provides the three primitive building blocks the models here
+are assembled from:
 
 * an inverted sigmoid response ``y = y_max / (1 + (x / x_50) ** p)``, used
   for saturating social and institutional effects,
@@ -21,15 +20,12 @@ the same model twice yields bit-identical trajectories.
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ConfigurationError",
@@ -72,6 +68,10 @@ class SimulationClock:
     dt: float = 0.25
 
     def __post_init__(self):
+        for name in ("start_year", "end_year", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not (self.end_year > self.start_year):
             raise ConfigurationError(
                 f"end_year must exceed start_year, got "
@@ -268,91 +268,86 @@ def _raise_first_non_finite(what: str, names, values, t: float) -> None:
 def run_simulation(model, clock: SimulationClock) -> RunResult:
     """Integrate ``model`` over ``clock`` and record the full trajectory.
 
-    The model must provide ``initial_state() -> dict[str, float]`` and
-    ``derivatives(state, t) -> (rates, aux)`` where ``rates`` has one entry
-    per stock and ``aux`` holds every flow and auxiliary to record. It may
-    also provide ``begin_run(clock)`` (reset of per-run memory such as
-    lagged series, and checks that must fail before the first step),
-    ``non_negative`` (names clamped at zero), and
-    ``flow_names`` (aux entries to report as flows).
+    The model declares ``stock_names`` and ``aux_names`` (every flow and
+    auxiliary to record) as tuples, and may declare ``flow_names`` (aux
+    entries reported as flows) and ``non_negative`` (stocks clamped at
+    zero). ``initial_state()`` returns the stocks in ``stock_names`` order;
+    ``derivatives(stocks, t)`` takes them in that order and returns
+    ``(rates, aux)``, sequences aligned with ``stock_names`` and
+    ``aux_names``. An optional ``begin_run(clock)`` resets per-run memory
+    and makes the checks that must fail before the first step.
 
-    ``derivatives`` is looked up on the model at every step, so a subclass
-    override (or an instrumented wrapper) sees every call. Each step checks
-    that the stocks are finite before the call, that the rates cover exactly
-    the stocks and the auxiliaries keep the first step's names, that every
-    auxiliary is finite and, before the Euler update, that every rate is
-    finite; a failure raises :class:`SimulationError` naming the first
-    offending variable and the time. Each record (stocks, then auxiliaries)
-    is appended to one flat ``array("d")`` row buffer, which becomes one
-    read-only ``(n_vars, n_records)`` matrix whose rows are the variables.
+    The declarations are checked once, before step 0: names unique across
+    stocks and auxiliaries, flows among the auxiliaries, one initial value
+    per stock. ``derivatives`` is looked up on the model at every step, so
+    a subclass override or an instrumented wrapper sees every call. Each
+    step checks that the stocks are finite, that one rate per stock and one
+    value per auxiliary came back, and that the auxiliaries and, before the
+    Euler update, the rates are finite; a failure raises
+    :class:`SimulationError` naming the first offending variable and the
+    time. Records (stocks, then auxiliaries) go into one flat ``array("d")``
+    that becomes a read-only ``(n_vars, n_records)`` matrix at the end.
     """
     begin = getattr(model, "begin_run", None)
     if begin is not None:
         begin(clock)
-    state = dict(model.initial_state())
-    stock_names = tuple(state)
-    stock_keys = dict.fromkeys(stock_names).keys()
-    non_negative = frozenset(getattr(model, "non_negative", ()))
+    stock_names = tuple(model.stock_names)
+    aux_names = tuple(model.aux_names)
     flow_names = tuple(getattr(model, "flow_names", ()))
+    names = stock_names + aux_names
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SimulationError("name declared twice among stocks and "
+                                  "auxiliaries", variable=name)
+    for name in flow_names:
+        if name not in aux_names:
+            raise SimulationError("flow is not a declared auxiliary",
+                                  variable=name)
+    values = list(model.initial_state())
+    n_stocks, n_aux = len(stock_names), len(aux_names)
+    if len(values) != n_stocks:
+        raise SimulationError(
+            f"initial state has {len(values)} values for {n_stocks} stocks")
+    non_negative = getattr(model, "non_negative", ())
+    clamped = [(i, name) for i, name in enumerate(stock_names)
+               if name in non_negative]
     times = clock.times()
     times.setflags(write=False)
     n_steps, dt = clock.n_steps, clock.dt
-
-    values = list(state.values())
     rows = array("d")
-    aux_keys: tuple[str, ...] = ()
-    aux_key_set = None
     events: list[ClampEvent] = []
 
     for k, t in enumerate(times.tolist()):
         if not math.isfinite(sum(values)):
             _raise_first_non_finite("non-finite stock", stock_names, values, t)
-        rates, aux = model.derivatives(state, t)
-        if rates.keys() != stock_keys:
-            missing = set(stock_names) ^ set(rates)
+        rates, aux = model.derivatives(values, t)
+        if len(rates) != n_stocks:
             raise SimulationError(
-                f"derivative rates do not match stocks: {sorted(missing)}",
-                time=t)
-        if aux_key_set is None:
-            aux_keys = tuple(aux)
-            for name in aux_keys:
-                if name in stock_keys:
-                    raise SimulationError(
-                        f"auxiliary {name!r} collides with a stock name",
-                        time=t)
-            aux_key_set = dict.fromkeys(aux_keys).keys()
-        elif aux.keys() != aux_key_set:
-            changed = set(aux) ^ set(aux_keys)
+                f"{len(rates)} rates returned for {n_stocks} stocks", time=t)
+        if len(aux) != n_aux:
             raise SimulationError(
-                f"auxiliary set changed mid-run: {sorted(changed)}", time=t)
-
-        aux_values = list(map(aux.__getitem__, aux_keys))
-        if not math.isfinite(sum(aux_values)):
-            _raise_first_non_finite("non-finite auxiliary", aux_keys,
-                                    aux_values, t)
+                f"{len(aux)} auxiliaries returned, {n_aux} declared", time=t)
+        if not math.isfinite(sum(aux)):
+            _raise_first_non_finite("non-finite auxiliary", aux_names, aux, t)
         rows.fromlist(values)
-        rows.fromlist(aux_values)
+        rows.fromlist(list(aux))  # faster than extend() on a tuple
 
         if k < n_steps:
-            rate_values = list(map(rates.__getitem__, stock_names))
-            if not math.isfinite(sum(rate_values)):
+            if not math.isfinite(sum(rates)):
                 _raise_first_non_finite("non-finite rate", stock_names,
-                                        rate_values, t)
-            values = [stock + rate * dt
-                      for stock, rate in zip(values, rate_values)]
-            if values and min(values) < 0.0:
-                for i, name in enumerate(stock_names):
-                    if values[i] < 0.0 and name in non_negative:
+                                        rates, t)
+            values = [stock + rate * dt for stock, rate in zip(values, rates)]
+            if clamped and min(values) < 0.0:
+                for i, name in clamped:
+                    if values[i] < 0.0:
                         events.append(ClampEvent(time=t, variable=name,
                                                  attempted=values[i]))
                         values[i] = 0.0
-            state = dict(zip(stock_names, values))
 
-    names = stock_names + aux_keys
     matrix = np.frombuffer(rows, dtype=float).reshape(
         len(times), len(names)).T.copy()
     matrix.setflags(write=False)
-    aux_only = tuple(name for name in aux_keys if name not in flow_names)
+    aux_only = tuple(name for name in aux_names if name not in flow_names)
     return RunResult(times=times, variables=dict(zip(names, matrix)),
                      stock_names=stock_names, flow_names=flow_names,
                      aux_names=aux_only, clamp_events=tuple(events))

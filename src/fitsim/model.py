@@ -39,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import (
     ConfigurationError,
@@ -315,8 +315,7 @@ def compute_depreciation(installed_capacity: float,
 
 # === fund accounting ===
 
-@dataclass(frozen=True)
-class PaymentAllocation:
+class PaymentAllocation(NamedTuple):
     """One year's split of the fund between old debt and new obligations."""
 
     available_whole_payment: float      # $/yr the fund can release
@@ -341,12 +340,8 @@ def allocate_payments(budget: float, suna_debt: float,
     available = min(budget, whole_desired)
     debt_payment = min(available, suna_debt)
     actual = min(max(available - suna_debt, 0.0), desired_payment)
-    return PaymentAllocation(
-        available_whole_payment=available,
-        debt_payment=debt_payment,
-        actual_production_payment=actual,
-        debt_creation=desired_payment - actual,
-    )
+    return PaymentAllocation(available, debt_payment, actual,
+                             desired_payment - actual)
 
 
 def average_fit_price(total_fit_payment: float,
@@ -458,7 +453,7 @@ class FitModel:
     penetration warning latch) is reset by ``begin_run``.
     """
 
-    STOCKS = (
+    stock_names = (
         "installed_capacity",
         "depreciated_capacity",
         "suna_debt",
@@ -467,17 +462,26 @@ class FitModel:
         "total_fit_payment",
         "perceived_shortage",
     )
-    non_negative = frozenset(STOCKS)
-    flow_names = (
-        "construction_rate",
-        "depreciation",
-        "debt_creation",
-        "debt_payment",
-        "budget_increase",
-        "budget_decrease",
-        "electricity_production",
-        "fit_payment_inflow",
+    non_negative = frozenset(stock_names)
+    # the order of the values ``derivatives`` returns, one line of names per
+    # line of values there; the first four lines are the flows
+    aux_names = (
+        "construction_rate", "depreciation",
+        "debt_creation", "debt_payment",
+        "budget_increase", "budget_decrease",
+        "electricity_production", "fit_payment_inflow",
+        "cumulative_installed_capacity", "capital_cost",
+        "fit_price", "res_tax", "roi",
+        "penetration_rate", "social_acceptance", "investor_trust",
+        "om_activity", "effective_lifetime", "tendency_to_invest",
+        "annual_fit_requests", "approved_fit_requests",
+        "average_fit_price", "desired_production_payment",
+        "whole_desired_payment", "available_whole_payment",
+        "actual_production_payment", "delay_in_debt_payment",
+        "budget_shortage", "electricity_consumption",
+        "total_generation_capacity",
     )
+    flow_names = aux_names[:8]
 
     def __init__(self, params: ModelParameters,
                  policy: PolicyFn | None = None):
@@ -486,17 +490,11 @@ class FitModel:
         self._requests: LaggedSeries | None = None
         self._penetration_warned = False
 
-    def initial_state(self) -> dict[str, float]:
+    def initial_state(self) -> tuple[float, ...]:
+        """The stocks at launch, in ``stock_names`` order."""
         econ = self.params.econ
-        return {
-            "installed_capacity": econ.initial_installed_capacity,
-            "depreciated_capacity": 0.0,
-            "suna_debt": econ.initial_suna_debt,
-            "budget": econ.initial_budget,
-            "total_electricity_production": 0.0,
-            "total_fit_payment": 0.0,
-            "perceived_shortage": 0.0,
-        }
+        return (econ.initial_installed_capacity, 0.0, econ.initial_suna_debt,
+                econ.initial_budget, 0.0, 0.0, 0.0)
 
     def begin_run(self, clock: SimulationClock) -> None:
         """Reset per-run memory; reject trends not positive over ``clock``.
@@ -518,19 +516,15 @@ class FitModel:
     def simulate(self, clock: SimulationClock) -> RunResult:
         return run_simulation(self, clock)
 
-    def derivatives(self, state: dict[str, float],
-                    t: float) -> tuple[dict[str, float], dict[str, float]]:
+    def derivatives(self, stocks: Sequence[float], t: float
+                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Rates and auxiliaries, in ``stock_names``/``aux_names`` order."""
         econ = self.params.econ
         effects = self.params.effects
         exog = self.params.exogenous
 
-        installed = state["installed_capacity"]
-        depreciated = state["depreciated_capacity"]
-        debt = state["suna_debt"]
-        budget = state["budget"]
-        total_production = state["total_electricity_production"]
-        total_payment = state["total_fit_payment"]
-        perceived = state["perceived_shortage"]
+        (installed, depreciated, debt, budget, total_production,
+         total_payment, perceived) = stocks
 
         # --- exogenous drivers ---
         generation_capacity = eval_linear_trend(
@@ -590,46 +584,29 @@ class FitModel:
         whole_desired = debt + production.desired_payment
         shortage = whole_desired - allocation.available_whole_payment
 
-        rates = {
-            "installed_capacity": pipeline.construction_rate - depreciation,
-            "depreciated_capacity": depreciation,
-            "suna_debt": allocation.debt_creation - allocation.debt_payment,
-            "budget": budget_increase - budget_decrease,
-            "total_electricity_production": production.electricity_production,
-            "total_fit_payment": production.payment_inflow,
-            "perceived_shortage": ((shortage - perceived)
-                                   / econ.shortage_smoothing_time),
-        }
-        aux = {
-            "construction_rate": pipeline.construction_rate,
-            "depreciation": depreciation,
-            "debt_creation": allocation.debt_creation,
-            "debt_payment": allocation.debt_payment,
-            "budget_increase": budget_increase,
-            "budget_decrease": budget_decrease,
-            "electricity_production": production.electricity_production,
-            "fit_payment_inflow": production.payment_inflow,
-            "cumulative_installed_capacity": cumulative,
-            "capital_cost": capital_cost,
-            "fit_price": fit_price,
-            "res_tax": res_tax,
-            "roi": roi,
-            "penetration_rate": penetration,
-            "social_acceptance": acceptance,
-            "investor_trust": trust,
-            "om_activity": activity,
-            "effective_lifetime": lifetime,
-            "tendency_to_invest": tendency,
-            "annual_fit_requests": pipeline.annual_requests,
-            "approved_fit_requests": pipeline.approved_requests,
-            "average_fit_price": production.average_price,
-            "desired_production_payment": production.desired_payment,
-            "whole_desired_payment": whole_desired,
-            "available_whole_payment": allocation.available_whole_payment,
-            "actual_production_payment": allocation.actual_production_payment,
-            "delay_in_debt_payment": delay,
-            "budget_shortage": shortage,
-            "electricity_consumption": consumption,
-            "total_generation_capacity": generation_capacity,
-        }
+        rates = (
+            pipeline.construction_rate - depreciation,
+            depreciation,
+            allocation.debt_creation - allocation.debt_payment,
+            budget_increase - budget_decrease,
+            production.electricity_production,
+            production.payment_inflow,
+            (shortage - perceived) / econ.shortage_smoothing_time,
+        )
+        aux = (
+            pipeline.construction_rate, depreciation,
+            allocation.debt_creation, allocation.debt_payment,
+            budget_increase, budget_decrease,
+            production.electricity_production, production.payment_inflow,
+            cumulative, capital_cost,
+            fit_price, res_tax, roi,
+            penetration, acceptance, trust,
+            activity, lifetime, tendency,
+            pipeline.annual_requests, pipeline.approved_requests,
+            production.average_price, production.desired_payment,
+            whole_desired, allocation.available_whole_payment,
+            allocation.actual_production_payment, delay,
+            shortage, consumption,
+            generation_capacity,
+        )
         return rates, aux

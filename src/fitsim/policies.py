@@ -192,7 +192,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         debt at any step;
     (c) the base run shows debt emerging well into the program (not at
         launch) and a capacity peak followed by decline;
-    (d) p1 reaches the base run's capacity target no later than base;
+    (d) p1 reaches the base run's capacity target, and no later than base;
     (e) p2's tendency to invest recovers after its trough.
     """
     missing = [name for name in POLICY_IDS if name not in report.runs]
@@ -246,7 +246,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     target = report.params["base"].econ.capacity_target
     t_p1 = _first_crossing_year(p1, "installed_capacity", target)
     t_base = _first_crossing_year(base, "installed_capacity", target)
-    ok = t_p1 <= t_base
+    ok = math.isfinite(t_p1) and t_p1 <= t_base
     findings.append(Finding(
         "p1_reaches_target_first", ok,
         f"first year at {target:.0f} MW: p1={t_p1}, base={t_base}"))

@@ -59,6 +59,14 @@ def test_missing_config_file_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--horizon", "--dt"])
+def test_non_finite_clock_override_is_a_configuration_error(flag, capsys):
+    assert main(["run", flag, "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "must be finite" in err
+
+
 def test_clock_overrides_change_the_grid(capsys):
     assert main(["run", "--dt", "0.5", "--horizon", "2025"]) == 0
     lines = capsys.readouterr().out.splitlines()

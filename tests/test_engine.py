@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fitsim import (
+    ClampEvent,
     ConfigurationError,
     LaggedSeries,
     LinearTrend,
@@ -40,6 +41,16 @@ def test_clock_rejects_bad_windows():
         SimulationClock(2015.0, 2035.0, dt=-0.25)
     with pytest.raises(ConfigurationError):
         SimulationClock(2015.0, 2035.0, dt=0.3)  # not a whole step count
+
+    for field, window in (("start_year", (-math.inf, 2035.0, 0.25)),
+                          ("start_year", (math.nan, 2035.0, 0.25)),
+                          ("end_year", (2015.0, math.inf, 0.25)),
+                          ("end_year", (2015.0, math.nan, 0.25)),
+                          ("dt", (2015.0, 2035.0, math.inf)),
+                          ("dt", (2015.0, 2035.0, math.nan))):
+        with pytest.raises(ConfigurationError) as exc:
+            SimulationClock(*window)
+        assert str(exc.value).startswith(f"{field} must be finite")
 
 
 # === inverted sigmoid ===
@@ -164,16 +175,19 @@ def test_lagged_series_rejects_time_reversal_and_lookahead():
 class DecayModel:
     """One stock with s' = -s / tau; exact solution s0 * exp(-t / tau)."""
 
+    stock_names = ("s",)
+    aux_names = ("outflow",)
+
     def __init__(self, tau=20.0, s0=100.0):
         self.tau = tau
         self.s0 = s0
 
     def initial_state(self):
-        return {"s": self.s0}
+        return (self.s0,)
 
-    def derivatives(self, state, t):
-        rate = -state["s"] / self.tau
-        return {"s": rate}, {"outflow": -rate}
+    def derivatives(self, stocks, t):
+        rate = -stocks[0] / self.tau
+        return (rate,), (-rate,)
 
 
 def test_euler_decay_tracks_analytic_solution():
@@ -215,30 +229,64 @@ def test_run_result_arrays_are_read_only(base_run):
 
 def test_run_rejects_aux_colliding_with_stock():
     class Colliding(DecayModel):
-        def derivatives(self, state, t):
-            rates, _ = super().derivatives(state, t)
-            return rates, {"s": 1.0}
+        aux_names = ("s",)
 
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError) as exc:
         run_simulation(Colliding(), SimulationClock(0.0, 1.0, 0.5))
+    assert exc.value.variable == "s"
+
+
+@pytest.mark.parametrize("declared, variable", [
+    ({"aux_names": ("outflow", "outflow")}, "outflow"),
+    ({"stock_names": ("s", "s")}, "s"),
+    ({"flow_names": ("inflow",)}, "inflow"),
+])
+def test_run_rejects_bad_declarations_before_the_first_step(declared,
+                                                            variable):
+    calls = []
+
+    class Declared(DecayModel):
+        def derivatives(self, stocks, t):
+            calls.append(t)
+            return super().derivatives(stocks, t)
+
+    model = Declared()
+    model.__dict__.update(declared)
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(model, SimulationClock(0.0, 1.0, 0.5))
+    assert exc.value.variable == variable
+    assert calls == []
+
+
+def test_run_rejects_an_initial_state_of_the_wrong_length():
+    class Short(DecayModel):
+        stock_names = ("s", "t")
+
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(Short(), SimulationClock(0.0, 1.0, 0.5))
+    assert "1 values for 2 stocks" in str(exc.value)
 
 
 def test_run_rejects_mismatched_rates():
     class Wrong(DecayModel):
-        def derivatives(self, state, t):
-            return {"not_s": 0.0}, {}
+        def derivatives(self, stocks, t):
+            return (0.0, 0.0), (0.0,)
 
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError) as exc:
         run_simulation(Wrong(), SimulationClock(0.0, 1.0, 0.5))
+    assert exc.value.time == 0.0
+    assert "2 rates returned for 1 stocks" in str(exc.value)
 
 
 def test_run_aborts_on_non_finite_stock():
     class Exploding(DecayModel):
-        def derivatives(self, state, t):
-            return {"s": state["s"] * 1e308}, {}
+        def derivatives(self, stocks, t):
+            return (1e308,), (0.0,)  # finite, but the stock overflows
 
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError) as exc:
         run_simulation(Exploding(), SimulationClock(0.0, 2.0, 0.5))
+    assert (exc.value.variable, exc.value.time) == ("s", 2.0)
+    assert "non-finite stock" in str(exc.value)
 
 
 def test_at_year_reads_nearest_record(base_run):
@@ -250,20 +298,26 @@ def test_at_year_reads_nearest_record(base_run):
 # === Euler stepping and per-step checks ===
 
 class ScriptedModel:
-    """Given initial stocks, constant rates, and ``aux(t)`` per step."""
+    """Given initial stocks, constant rates, and ``aux(t)`` per step.
+
+    ``stocks`` and ``rates`` map names to values; ``aux(t)`` returns the
+    values of ``aux_names`` in order.
+    """
 
     non_negative = frozenset()
 
-    def __init__(self, stocks, rates, aux=lambda t: {}):
+    def __init__(self, stocks, rates, aux_names=(), aux=lambda t: ()):
+        self.stock_names = tuple(stocks)
+        self.aux_names = aux_names
         self.stocks = stocks
-        self.rates = rates
+        self.rates = tuple(rates[name] for name in self.stock_names)
         self.aux = aux
 
     def initial_state(self):
-        return dict(self.stocks)
+        return tuple(self.stocks.values())
 
-    def derivatives(self, state, t):
-        return dict(self.rates), self.aux(t)
+    def derivatives(self, stocks, t):
+        return self.rates, self.aux(t)
 
 
 def test_run_euler_step_arithmetic():
@@ -305,9 +359,9 @@ def test_run_names_a_non_finite_initial_stock():
 
 def test_run_names_a_nan_auxiliary_and_its_step_time():
     def aux(t):
-        return {"x": 1.0, "y": math.nan if t == 0.75 else 2.0}
+        return (1.0, math.nan if t == 0.75 else 2.0)
 
-    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, aux)
+    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, ("x", "y"), aux)
     with pytest.raises(SimulationError) as exc:
         run_simulation(model, SimulationClock(0.0, 2.0, 0.25))
     assert (exc.value.variable, exc.value.time) == ("y", 0.75)
@@ -316,18 +370,82 @@ def test_run_names_a_nan_auxiliary_and_its_step_time():
 
 def test_run_rejects_an_auxiliary_set_that_changes_mid_run():
     def aux(t):
-        return {"x": 1.0} if t < 0.5 else {"x": 1.0, "late": 2.0}
+        return (1.0,) if t < 0.5 else (1.0, 2.0)
 
-    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, aux)
+    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, ("x",), aux)
     with pytest.raises(SimulationError) as exc:
         run_simulation(model, SimulationClock(0.0, 1.0, 0.25))
     assert exc.value.time == 0.5
-    assert "late" in str(exc.value)
+    assert "2 auxiliaries returned, 1 declared" in str(exc.value)
 
 
 def test_run_accepts_finite_values_whose_sum_overflows():
     model = ScriptedModel({"a": 1e308, "b": 1e308}, {"a": -1e308, "b": -1e308},
-                          lambda t: {"x": 1e308, "y": 1e308})
+                          ("x", "y"), lambda t: (1e308, 1e308))
     result = run_simulation(model, SimulationClock(0.0, 1.0, 0.5))
     assert result["a"].tolist() == [1e308, 5e307, 0.0]
     assert result["x"].tolist() == [1e308] * 3
+
+
+# === the kernel against a plain Euler loop ===
+
+class LinearModel:
+    """``rate_i = a_i * s_i + b_i``; the auxiliaries repeat the rates."""
+
+    def __init__(self, s0, a, b, non_negative):
+        self.stock_names = tuple(f"s{i}" for i in range(len(s0)))
+        self.aux_names = tuple(f"r{i}" for i in range(len(s0)))
+        self.non_negative = frozenset(self.stock_names[i]
+                                      for i in non_negative)
+        self.s0, self.a, self.b = s0, a, b
+
+    def initial_state(self):
+        return self.s0
+
+    def derivatives(self, stocks, t):
+        rates = [a * s + b for a, s, b in zip(self.a, stocks, self.b)]
+        return rates, rates
+
+
+def reference_euler(model, clock):
+    """Records per variable and clamp events, one step at a time."""
+    names = model.stock_names + model.aux_names
+    records = {name: [] for name in names}
+    events = []
+    stocks = list(model.s0)
+    times = clock.times().tolist()
+    for k, t in enumerate(times):
+        rates = [a * s + b for a, s, b in zip(model.a, stocks, model.b)]
+        for name, value in zip(names, stocks + rates):
+            records[name].append(value)
+        if k == len(times) - 1:
+            break
+        for i, name in enumerate(model.stock_names):
+            stocks[i] = stocks[i] + rates[i] * clock.dt
+            if stocks[i] < 0.0 and name in model.non_negative:
+                events.append(ClampEvent(t, name, stocks[i]))
+                stocks[i] = 0.0
+    return records, events
+
+
+_coefficient = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@st.composite
+def linear_models(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    column = st.lists(_coefficient, min_size=n, max_size=n)
+    s0 = draw(st.lists(st.floats(min_value=0.0, max_value=10.0),
+                       min_size=n, max_size=n))
+    non_negative = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return LinearModel(tuple(s0), draw(column), draw(column), non_negative)
+
+
+@given(linear_models(), st.sampled_from([0.5, 0.25, 0.1, 0.0625]))
+def test_run_matches_a_plain_euler_loop(model, dt):
+    clock = SimulationClock(0.0, 3.0, dt)
+    result = run_simulation(model, clock)
+    records, events = reference_euler(model, clock)
+    for name, values in records.items():
+        assert result[name].tolist() == values, name
+    assert list(result.clamp_events) == events

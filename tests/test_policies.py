@@ -1,5 +1,7 @@
 """Policy controllers, scenario suites, and the qualitative battery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,14 @@ def test_target_check_reads_the_base_runs_capacity_target():
                    if finding.name == "p1_reaches_target_first")
     assert finding.detail.startswith("first year at 4000 MW: ")
 
+
+
+def test_target_check_fails_when_no_run_reaches_the_target(default_doc):
+    # every run stays below the 5000 MW target until 2020
+    scenarios = [replace(scenario, clock=SHORT_CLOCK)
+                 for scenario in default_doc.scenarios]
+    report = run_scenario_suite(default_doc.params, scenarios)
+    finding = next(finding for finding in qualitative_checks(report)
+                   if finding.name == "p1_reaches_target_first")
+    assert finding.detail == "first year at 5000 MW: p1=inf, base=inf"
+    assert not finding.passed

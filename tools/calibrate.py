@@ -446,7 +446,7 @@ class Calibration:
         # criterion 09: step halving
         fine = FitModel(params).simulate(EIGHTH)
         worst = 0.0
-        for stock in FitModel.STOCKS[:-1]:  # all but the perceived shortage
+        for stock in FitModel.stock_names[:-1]:  # all but the perceived shortage
             scale = float(np.max(np.abs(fine[stock])))
             if scale > 0.0:
                 worst = max(worst, float(np.max(np.abs(
