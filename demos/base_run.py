@@ -47,7 +47,7 @@ def main():
         print(f"  {variable:<28} {run.final(variable):.4g}")
 
     target = doc.params.econ.capacity_target
-    peak = float(run["installed_capacity"].max())
+    peak = max(run["installed_capacity"])
     print(f"\ncapacity peaked at {peak:.0f} MW against a "
           f"{target:.0f} MW goal ({100.0 * peak / target:.0f}%)")
 

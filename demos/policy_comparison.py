@@ -33,8 +33,9 @@ def main():
     print("\npeak capacity by scenario (MW):")
     for name in report.runs:
         run = report.runs[name]
-        peak = float(run["installed_capacity"].max())
-        at = float(run.times[run["installed_capacity"].argmax()])
+        capacity = run["installed_capacity"].tolist()
+        peak = max(capacity)
+        at = run.times[capacity.index(peak)]
         print(f"  {name:<26} {peak:>8.1f} at {at}")
 
     paths = write_plot_data(report, OUT_DIR)

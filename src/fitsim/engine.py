@@ -25,8 +25,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "ConfigurationError",
     "SimulationError",
@@ -84,14 +82,19 @@ class SimulationClock:
             raise ConfigurationError(
                 f"horizon of {span} years is not a whole number of "
                 f"steps at dt={self.dt}")
+        if round(steps) < 1:
+            raise ConfigurationError(
+                f"dt must not exceed the horizon of {span} years, "
+                f"got {self.dt}")
 
     @property
     def n_steps(self) -> int:
         return round((self.end_year - self.start_year) / self.dt)
 
-    def times(self) -> np.ndarray:
+    def times(self) -> list[float]:
         """All record times, start through end inclusive (n_steps + 1)."""
-        return self.start_year + self.dt * np.arange(self.n_steps + 1)
+        return [self.start_year + self.dt * k
+                for k in range(self.n_steps + 1)]
 
 
 # the paper's horizon on a quarterly grid
@@ -221,19 +224,22 @@ class ClampEvent:
 class RunResult:
     """Full trajectory of one run: every stock, flow, and auxiliary.
 
-    ``variables`` maps each name to an array aligned with ``times``
+    ``variables`` maps each name to a column aligned with ``times``
     (n_steps + 1 records; the final record carries a diagnostic derivative
-    evaluation so auxiliaries are defined there too). Arrays are read-only.
+    evaluation so auxiliaries are defined there too). ``times`` and the
+    columns are read-only ``memoryview`` slices of one buffer of doubles:
+    they index, iterate and ``tolist()`` as Python floats, and array
+    libraries read them through the buffer protocol without a copy.
     """
 
-    times: np.ndarray
-    variables: dict[str, np.ndarray]
+    times: memoryview
+    variables: dict[str, memoryview]
     stock_names: tuple[str, ...]
     flow_names: tuple[str, ...]
     aux_names: tuple[str, ...]
     clamp_events: tuple[ClampEvent, ...] = ()
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def __getitem__(self, name: str) -> memoryview:
         return self.variables[name]
 
     def final(self, name: str) -> float:
@@ -241,7 +247,8 @@ class RunResult:
 
     def at_year(self, name: str, year: float) -> float:
         """Value of a variable at the record closest to ``year``."""
-        i = int(np.argmin(np.abs(self.times - year)))
+        times = self.times
+        i = min(range(len(times)), key=lambda k: abs(times[k] - year))
         return float(self.variables[name][i])
 
     @property
@@ -285,8 +292,9 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
     value per auxiliary came back, and that the auxiliaries and, before the
     Euler update, the rates are finite; a failure raises
     :class:`SimulationError` naming the first offending variable and the
-    time. Records (stocks, then auxiliaries) go into one flat ``array("d")``
-    that becomes a read-only ``(n_vars, n_records)`` matrix at the end.
+    time. Records (time, stocks, then auxiliaries) go into one flat
+    ``array("d")``; every column of the result is a read-only strided view
+    of it.
     """
     begin = getattr(model, "begin_run", None)
     if begin is not None:
@@ -311,13 +319,11 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
     non_negative = getattr(model, "non_negative", ())
     clamped = [(i, name) for i, name in enumerate(stock_names)
                if name in non_negative]
-    times = clock.times()
-    times.setflags(write=False)
     n_steps, dt = clock.n_steps, clock.dt
     rows = array("d")
     events: list[ClampEvent] = []
 
-    for k, t in enumerate(times.tolist()):
+    for k, t in enumerate(clock.times()):
         if not math.isfinite(sum(values)):
             _raise_first_non_finite("non-finite stock", stock_names, values, t)
         rates, aux = model.derivatives(values, t)
@@ -329,6 +335,7 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
                 f"{len(aux)} auxiliaries returned, {n_aux} declared", time=t)
         if not math.isfinite(sum(aux)):
             _raise_first_non_finite("non-finite auxiliary", aux_names, aux, t)
+        rows.append(t)
         rows.fromlist(values)
         rows.fromlist(list(aux))  # faster than extend() on a tuple
 
@@ -344,10 +351,10 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
                                                  attempted=values[i]))
                         values[i] = 0.0
 
-    matrix = np.frombuffer(rows, dtype=float).reshape(
-        len(times), len(names)).T.copy()
-    matrix.setflags(write=False)
+    view = memoryview(rows).toreadonly()
+    width = 1 + len(names)
+    columns = {name: view[i::width] for i, name in enumerate(names, start=1)}
     aux_only = tuple(name for name in aux_names if name not in flow_names)
-    return RunResult(times=times, variables=dict(zip(names, matrix)),
+    return RunResult(times=view[::width], variables=columns,
                      stock_names=stock_names, flow_names=flow_names,
                      aux_names=aux_only, clamp_events=tuple(events))

@@ -9,8 +9,8 @@ coordinate formatting so no renderer state can leak in.
 from __future__ import annotations
 
 import os
-
-import numpy as np
+from array import array
+from collections.abc import Sequence
 
 from .engine import RunResult
 from .policies import ComparisonReport
@@ -43,9 +43,6 @@ CHART_VARIABLES = (
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#8c564b", "#e377c2")
 
-# rows converted to Python floats at a time by the CSV emitters
-_BLOCK_ROWS = 256
-
 
 def format_float(value: float) -> str:
     """Shortest exact decimal form; reproducible across runs."""
@@ -66,21 +63,19 @@ def _columns(result: RunResult, variables) -> list[str]:
     return columns
 
 
-def _series(result: RunResult, name: str) -> np.ndarray:
+def _series(result: RunResult, name: str) -> memoryview:
     return result.times if name == "time" else result[name]
 
 
 def _write_rows(stream, prefix: str, columns) -> None:
     """Write one CSV line per record: ``prefix``, then each column's value.
 
-    Values are ``repr`` of Python floats, the text :func:`format_float`
-    gives. Rows are converted in blocks so memory stays flat on long runs.
+    A column may be any sequence of floats; each is read as Python floats,
+    so values are written as the text :func:`format_float` gives.
     """
-    matrix = np.column_stack(columns)
-    for start in range(0, len(matrix), _BLOCK_ROWS):
-        block = matrix[start:start + _BLOCK_ROWS].tolist()
-        stream.write("".join([prefix + ",".join(map(repr, row)) + "\n"
-                              for row in block]))
+    rows = zip(*[array("d", column) for column in columns])
+    stream.writelines(prefix + ",".join(map(repr, row)) + "\n"
+                      for row in rows)
 
 
 def emit_run_csv(result: RunResult, stream, variables=()) -> None:
@@ -157,7 +152,7 @@ def _tick_label(value: float) -> str:
     return f"{value:.6g}"
 
 
-def render_chart_svg(times, series_by_label: dict[str, np.ndarray],
+def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
                      title: str) -> str:
     """A minimal line chart; pure text assembly, no drawing library.
 
@@ -169,16 +164,13 @@ def render_chart_svg(times, series_by_label: dict[str, np.ndarray],
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    t = np.asarray(times, dtype=float)
-    all_values = np.concatenate(
-        [np.asarray(series, dtype=float) for series in series_by_label.values()])
-    y_low = float(all_values.min())
-    y_high = float(all_values.max())
+    y_low = float(min(map(min, series_by_label.values())))
+    y_high = float(max(map(max, series_by_label.values())))
     if y_high == y_low:
         y_low, y_high = y_low - 1.0, y_high + 1.0
     pad = 0.05 * (y_high - y_low)
     y_low, y_high = y_low - pad, y_high + pad
-    x_low, x_high = float(t[0]), float(t[-1])
+    x_low, x_high = float(times[0]), float(times[-1])
 
     def sx(x: float) -> float:
         return left + (x - x_low) / (x_high - x_low) * plot_w
@@ -211,14 +203,11 @@ def render_chart_svg(times, series_by_label: dict[str, np.ndarray],
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{_tick_label(tick)}</text>')
 
-    # same operation order as sx and sy, so the coordinates match them bit
-    # for bit
-    xs = (left + (t - x_low) / (x_high - x_low) * plot_w).tolist()
+    xs = [sx(x) for x in times]
     for k, (label, series) in enumerate(series_by_label.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        v = np.asarray(series, dtype=float)
-        ys = (top + (y_high - v) / (y_high - y_low) * plot_h).tolist()
-        points = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)])
+        points = " ".join([f"{x:.2f},{sy(y):.2f}"
+                           for x, y in zip(xs, series)])
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = top + 14.0 + 16.0 * k

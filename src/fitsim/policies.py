@@ -218,7 +218,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
 
     debt = {name: report.outcome(name).suna_debt
             for name in POLICY_IDS}
-    p3_debt_peak = float(p3["suna_debt"].max())
+    p3_debt_peak = max(p3["suna_debt"])
     ok = (debt["p1_higher_fit"] > debt["base"]
           > debt["p2_budget_adjusted_fit"] > debt["p3_budget_adjusted_tax"]
           and p3_debt_peak <= 0.0)
@@ -252,11 +252,11 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         f"first year at {target:.0f} MW: p1={t_p1}, base={t_base}"))
 
     tendency = p2["tendency_to_invest"]
-    trough = float(tendency.min())
-    ok = float(tendency[-1]) > trough
+    trough = min(tendency)
+    ok = tendency[-1] > trough
     findings.append(Finding(
         "p2_tendency_recovers", ok,
-        f"p2 tendency trough={trough:.4f}, final={float(tendency[-1]):.4f}"))
+        f"p2 tendency trough={trough:.4f}, final={tendency[-1]:.4f}"))
     return findings
 
 

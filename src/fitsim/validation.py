@@ -16,9 +16,9 @@ Three layers of confidence checks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from statistics import correlation, fmean, pstdev
 
 from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
 from .model import FitModel, ModelParameters, apply_overrides, get_parameter
@@ -70,50 +70,46 @@ class ErrorReport:
     theil_uc: float
 
 
-def _as_series(simulated, historical) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(simulated, dtype=float)
-    h = np.asarray(historical, dtype=float)
-    if s.ndim != 1 or h.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if s.shape != h.shape:
+def _as_series(simulated, historical) -> tuple[list[float], list[float]]:
+    try:
+        s = [float(value) for value in simulated]
+        h = [float(value) for value in historical]
+    except TypeError:
+        raise ValueError("series must be one-dimensional") from None
+    if len(s) != len(h):
         raise ValueError(
-            f"length mismatch: simulated has {s.size}, historical {h.size}")
-    if s.size < 2:
-        raise ValueError(f"need at least 2 points, got {s.size}")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(h))):
+            f"length mismatch: simulated has {len(s)}, historical {len(h)}")
+    if len(s) < 2:
+        raise ValueError(f"need at least 2 points, got {len(s)}")
+    if not all(map(math.isfinite, s + h)):
         raise ValueError("series must be finite")
     return s, h
 
 
-def theil_decomposition(simulated, historical,
-                        sample_moments: bool = False
-                        ) -> tuple[float, float, float]:
+def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
     """Theil shares ``(um, us, uc)`` of the mean squared error.
 
     Bias share ``um = (mean_s - mean_h)^2 / MSE``, variance share
     ``us = (sigma_s - sigma_h)^2 / MSE``, covariance share
-    ``uc = 2 (1 - r) sigma_s sigma_h / MSE``. With population moments
-    (the default) the three shares sum to one exactly; ``sample_moments``
-    switches to the n-1 normalization, under which the identity is only
-    approximate.
+    ``uc = 2 (1 - r) sigma_s sigma_h / MSE``. With population moments the
+    three shares sum to one exactly.
 
     Raises ``ValueError`` when MSE is zero: a perfect fit has nothing to
     decompose.
     """
     s, h = _as_series(simulated, historical)
-    mse = float(np.mean((s - h) ** 2))
+    mse = fmean([(a - b) ** 2 for a, b in zip(s, h)])
     if mse == 0.0:
         raise ValueError("MSE is zero; decomposition undefined on a "
                          "perfect fit")
-    ddof = 1 if sample_moments else 0
-    sigma_s = float(np.std(s, ddof=ddof))
-    sigma_h = float(np.std(h, ddof=ddof))
-    um = (float(np.mean(s)) - float(np.mean(h))) ** 2 / mse
+    sigma_s = pstdev(s)
+    sigma_h = pstdev(h)
+    um = (fmean(s) - fmean(h)) ** 2 / mse
     us = (sigma_s - sigma_h) ** 2 / mse
     if sigma_s == 0.0 or sigma_h == 0.0:
         uc = 0.0  # no co-movement to attribute
     else:
-        r = float(np.corrcoef(s, h)[0, 1])
+        r = correlation(s, h)
         uc = 2.0 * (1.0 - r) * sigma_s * sigma_h / mse
     return um, us, uc
 
@@ -127,32 +123,30 @@ def error_metrics(simulated, historical) -> ErrorReport:
     ``1 - SSE / SST`` with SST taken around the historical mean.
     """
     s, h = _as_series(simulated, historical)
-    diff = s - h
-    mse = float(np.mean(diff ** 2))
+    diff = [a - b for a, b in zip(s, h)]
+    mse = fmean([d ** 2 for d in diff])
     if mse == 0.0:
         return ErrorReport(r_squared=1.0, mse=0.0, rmspe=0.0,
                            theil_um=0.0, theil_us=0.0, theil_uc=0.0)
 
-    zero_h = h == 0.0
-    if np.any(zero_h & (diff != 0.0)):
+    if any(b == 0.0 and d != 0.0 for b, d in zip(h, diff)):
         raise ValueError("historical series has zero values where the "
                          "simulation differs; RMSPE undefined")
-    relative = np.zeros_like(h)
-    nonzero = ~zero_h
-    relative[nonzero] = diff[nonzero] / h[nonzero]
-    rmspe = 100.0 * float(np.sqrt(np.mean(relative ** 2)))
+    relative = [d / b if b != 0.0 else 0.0 for b, d in zip(h, diff)]
+    rmspe = 100.0 * math.sqrt(fmean([q ** 2 for q in relative]))
 
-    sst = float(np.sum((h - np.mean(h)) ** 2))
+    mean_h = fmean(h)
+    sst = math.fsum([(b - mean_h) ** 2 for b in h])
     if sst == 0.0:
         raise ValueError("historical series is constant; R squared undefined")
-    r_squared = 1.0 - float(np.sum(diff ** 2)) / sst
+    r_squared = 1.0 - math.fsum([d ** 2 for d in diff]) / sst
 
     um, us, uc = theil_decomposition(s, h)
     return ErrorReport(r_squared=r_squared, mse=mse, rmspe=rmspe,
                        theil_um=um, theil_us=us, theil_uc=uc)
 
 
-def load_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
+def load_series_csv(path) -> tuple[list[float], list[float]]:
     """Read a two-column (year, value) CSV, header optional."""
     years: list[float] = []
     values: list[float] = []
@@ -176,7 +170,7 @@ def load_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
             values.append(value)
     if len(years) < 2:
         raise ValueError(f"{path}: need at least 2 data rows")
-    return np.asarray(years), np.asarray(values)
+    return years, values
 
 
 # === behavior-mode classification ===
@@ -208,34 +202,33 @@ def behavior_signature(times, values) -> BehaviorSignature:
     monotone decline, or flat. "Meaningful" is a fixed fraction of the
     series scale, so uniform positive scaling leaves the result unchanged.
     """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.shape != v.shape or t.ndim != 1 or t.size < 3:
+    if len(times) != len(values) or len(values) < 3:
         raise ValueError("need matching 1-d series of at least 3 points")
 
-    smooth = v.copy()
-    smooth[1:-1] = (v[:-2] + v[1:-1] + v[2:]) / 3.0
-    scale = float(np.max(np.abs(smooth)))
+    v = values
+    smooth = ([v[0]] + [(a + b + c) / 3.0 for a, b, c in zip(v, v[1:], v[2:])]
+              + [v[-1]])
+    scale = max(map(abs, smooth))
     margin = _SHAPE_MARGIN * scale if scale > 0.0 else 0.0
 
-    peak_index = int(np.argmax(smooth))
-    rise = float(smooth[peak_index] - smooth[0])
-    fall = float(smooth[peak_index] - smooth[-1])
+    peak_index = max(range(len(smooth)), key=smooth.__getitem__)
+    rise = smooth[peak_index] - smooth[0]
+    fall = smooth[peak_index] - smooth[-1]
     if rise > margin and fall > margin:
         shape = GROWTH_PEAK_DECLINE
-    elif float(smooth[-1] - smooth[0]) > margin:
+    elif smooth[-1] - smooth[0] > margin:
         shape = MONOTONE_GROWTH
-    elif float(smooth[0] - smooth[-1]) > margin:
+    elif smooth[0] - smooth[-1] > margin:
         shape = MONOTONE_DECLINE
     else:
         shape = FLAT
-    peak_year = float(t[peak_index]) if scale > 0.0 else None
+    peak_year = float(times[peak_index]) if scale > 0.0 else None
 
     first_positive_year: float | None = None
-    top = float(np.max(v))
+    top = max(v)
     if top > 0.0:
         floor = 1e-9 * top
-        for ti, vi in zip(t, v):
+        for ti, vi in zip(times, v):
             if vi > floor:
                 first_positive_year = float(ti)
                 break
@@ -327,18 +320,19 @@ def extreme_condition_suite(params: ModelParameters,
     budget = run["budget"]
     findings.append(Finding(
         "remuneration_1yr_capacity_declines",
-        float(installed[-1]) < float(installed[0]),
-        f"installed {float(installed[0]):.1f} -> {float(installed[-1]):.1f} MW"))
+        installed[-1] < installed[0],
+        f"installed {installed[0]:.1f} -> {installed[-1]:.1f} MW"))
     findings.append(Finding(
         "remuneration_1yr_no_tendency",
-        float(tendency[-1]) < 0.01,
-        f"final tendency {float(tendency[-1]):.3g}"))
+        tendency[-1] < 0.01,
+        f"final tendency {tendency[-1]:.3g}"))
     later = budget[steps_per_year:]
-    grows = bool(np.all(np.diff(later) >= -1e-9 * max(1.0, float(later.max()))))
+    slack = -1e-9 * max(1.0, max(later))
+    grows = all(b - a >= slack for a, b in zip(later, later[1:]))
     findings.append(Finding(
         "remuneration_1yr_budget_grows",
-        grows and float(budget[-1]) > float(budget[0]),
-        f"budget {float(budget[0]):.3g} -> {float(budget[-1]):.3g}, "
+        grows and budget[-1] > budget[0],
+        f"budget {budget[0]:.3g} -> {budget[-1]:.3g}, "
         f"monotone after year 1: {grows}"))
 
     indebted = replace(params.econ, initial_suna_debt=1.0e8)
@@ -346,7 +340,7 @@ def extreme_condition_suite(params: ModelParameters,
                                     params.exogenous), clock)
     tendency = run["tendency_to_invest"]
     budget = run["budget"]
-    t0 = float(tendency[0])
+    t0 = tendency[0]
     t3 = run.at_year("tendency_to_invest", clock.start_year + 3.0)
     # The debt eventually clears out of levy income, so trust (and with it
     # the tendency) is allowed to recover late; the assertion is about the
@@ -355,7 +349,7 @@ def extreme_condition_suite(params: ModelParameters,
         "inherited_debt_kills_tendency",
         t0 < 0.1 and t3 < 0.01,
         f"tendency {t0:.3g} at start -> {t3:.3g} (year 3)"))
-    b0 = float(budget[0])
+    b0 = budget[0]
     b1 = run.at_year("budget", clock.start_year + 1.0)
     findings.append(Finding(
         "inherited_debt_drains_budget",
@@ -383,8 +377,8 @@ def sensitivity_suite(params: ModelParameters,
 
     base_ic = base["installed_capacity"]
     pert_ic = perturbed["installed_capacity"]
-    base_took_off = float(base_ic.max()) >= 3.0 * float(base_ic[0])
-    pert_took_off = float(pert_ic.max()) >= 1.5 * float(pert_ic[0])
+    base_took_off = max(base_ic) >= 3.0 * base_ic[0]
+    pert_took_off = max(pert_ic) >= 1.5 * pert_ic[0]
     if base_took_off and not pert_took_off:
         findings.append(Finding(
             "sensitivity_out_of_band", True,

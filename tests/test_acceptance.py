@@ -131,8 +131,8 @@ def test_criterion_03_conservation_ledgers(base_run):
 
     def ledger_residual(stock, inflow, outflow):
         values = base_run[stock]
-        net = base_run[inflow] - (base_run[outflow]
-                                  if outflow else 0.0)
+        net = np.asarray(base_run[inflow]) - (base_run[outflow]
+                                              if outflow else 0.0)
         rebuilt = values[0] + dt * np.concatenate(
             ([0.0], np.cumsum(net[:-1])))
         scale = max(float(np.max(np.abs(values))), 1.0)
@@ -146,7 +146,8 @@ def test_criterion_03_conservation_ledgers(base_run):
                                           "electricity_production", None)
     cumulative_exact = bool(np.array_equal(
         base_run["cumulative_installed_capacity"],
-        base_run["installed_capacity"] + base_run["depreciated_capacity"]))
+        np.asarray(base_run["installed_capacity"])
+        + base_run["depreciated_capacity"]))
     unclamped = base_run.clamp_events == ()
 
     elapsed = time.perf_counter() - start
@@ -269,7 +270,7 @@ def test_criterion_09_step_halving(default_params):
               "budget", "total_electricity_production", "total_fit_payment")
     worst = 0.0
     for stock in stocks:
-        c = coarse[stock]
+        c = np.asarray(coarse[stock])
         f = fine[stock][::2]
         scale = float(np.max(np.abs(fine[stock])))
         if scale == 0.0:

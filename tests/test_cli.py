@@ -67,6 +67,12 @@ def test_non_finite_clock_override_is_a_configuration_error(flag, capsys):
     assert "must be finite" in err
 
 
+def test_dt_longer_than_the_horizon_is_a_configuration_error(capsys):
+    assert main(["run", "--dt", "1e12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt ")
+
+
 def test_clock_overrides_change_the_grid(capsys):
     assert main(["run", "--dt", "0.5", "--horizon", "2025"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -311,7 +311,8 @@ def test_parameter_validation_catches_bad_values():
 
 def stock_ledger_residual(run, stock, inflow, outflow, dt):
     """Worst relative gap between a stock and its integrated flows."""
-    integrated = np.cumsum((run[inflow][:-1] - run[outflow][:-1]) * dt)
+    integrated = np.cumsum((np.asarray(run[inflow][:-1])
+                            - run[outflow][:-1]) * dt)
     reconstructed = run[stock][0] + np.concatenate(([0.0], integrated))
     scale = max(1.0, float(np.max(np.abs(run[stock]))))
     return float(np.max(np.abs(reconstructed - run[stock]))) / scale
@@ -323,7 +324,7 @@ def test_base_run_conserves_money_and_capacity(base_run):
                                  "budget_decrease", dt) < 1e-9
     assert stock_ledger_residual(base_run, "suna_debt", "debt_creation",
                                  "debt_payment", dt) < 1e-9
-    cumulative = (base_run["installed_capacity"]
+    cumulative = (np.asarray(base_run["installed_capacity"])
                   + base_run["depreciated_capacity"])
     assert np.array_equal(base_run["cumulative_installed_capacity"],
                           cumulative)
@@ -363,7 +364,7 @@ def test_model_instance_is_reusable(default_params):
 def test_total_payment_ledger_matches_price_times_production(base_run):
     # payment inflow is production priced at the current tariff
     inflow = base_run["fit_payment_inflow"]
-    production = base_run["electricity_production"]
+    production = np.asarray(base_run["electricity_production"])
     price = base_run["fit_price"]
     assert np.allclose(inflow, production * price, rtol=1e-12)
 

@@ -258,7 +258,7 @@ def _recovery(run) -> float:
     A tendency that ends at zero does so because the project's return
     does, so the return, at or below zero, tells how far off recovery is.
     """
-    tendency = run["tendency_to_invest"]
+    tendency = np.asarray(run["tendency_to_invest"])
     if float(tendency[-1]) <= 0.0:
         return min(0.0, run.final("roi"))
     return _above(float(tendency[-1]), float(tendency.min()),
@@ -266,7 +266,7 @@ def _recovery(run) -> float:
 
 
 def _first_crossing(run, threshold: float) -> float:
-    above = np.nonzero(run["installed_capacity"] >= threshold)[0]
+    above = np.nonzero(np.asarray(run["installed_capacity"]) >= threshold)[0]
     return float(run.times[above[0]]) if above.size else math.inf
 
 
@@ -329,14 +329,15 @@ class Calibration:
             # small by design; dt 0.1 and 1/64 check that it stays positive
             "debt_p2_over_p3": _above(debt["p2_budget_adjusted_fit"],
                                       debt["p3_budget_adjusted_tax"]),
-            "p3_debt_free": (float(p3["budget"].min()) / fund0
-                             if float(p3["suna_debt"].max()) == 0.0
+            "p3_debt_free": (float(np.asarray(p3["budget"]).min()) / fund0
+                             if float(np.asarray(p3["suna_debt"]).max()) == 0.0
                              else -1.0),
             "base_capacity_peak_decline": _peak_decline(
                 base.times, base["installed_capacity"]),
             "base_debt_emerges_2021_to_2024": _emergence(base, DEBT_WINDOW),
-            "p1_reaches_target": _above(float(p1["installed_capacity"].max()),
-                                        self.target),
+            "p1_reaches_target": _above(
+                float(np.asarray(p1["installed_capacity"]).max()),
+                self.target),
             "p1_first_to_target": (
                 min(_first_crossing(base, self.target), END + 1.0)
                 - min(_first_crossing(p1, self.target), END + 1.0))
@@ -346,7 +347,8 @@ class Calibration:
         for name, value in entries.items():
             margins[name] = min(margins.get(name, value), value)
         for name, run in runs.items():
-            share = run["installed_capacity"] / run["total_generation_capacity"]
+            share = (np.asarray(run["installed_capacity"])
+                     / run["total_generation_capacity"])
             gates[f"no_penetration_clamp_{name}{suffix}"] = bool(
                 float(share.max()) <= 1.0)
         gates[f"qualitative_checks{suffix}"] = all(
@@ -425,10 +427,10 @@ class Calibration:
             QUARTER)
         ic0 = float(base["installed_capacity"][0])
         margins["base_takes_off"] = _above(
-            float(base["installed_capacity"].max()),
+            float(np.asarray(base["installed_capacity"]).max()),
             CRITERIA_BOUNDS["base_take_off"] * ic0)
         margins["perturbed_takes_off"] = _above(
-            float(perturbed["installed_capacity"].max()),
+            float(np.asarray(perturbed["installed_capacity"]).max()),
             CRITERIA_BOUNDS["perturbed_take_off"] * ic0)
         margins["perturbed_capacity_peak_decline"] = _peak_decline(
             perturbed.times, perturbed["installed_capacity"])
@@ -436,9 +438,9 @@ class Calibration:
                               perturbed["suna_debt"]).emerged:
             # perturbed peak debt over base peak debt; a base run without
             # debt already fails its own emergence margin
-            base_peak = float(base["suna_debt"].max())
+            base_peak = float(np.asarray(base["suna_debt"]).max())
             margins["perturbed_debt_emerges"] = (
-                float(perturbed["suna_debt"].max()) / base_peak
+                float(np.asarray(perturbed["suna_debt"]).max()) / base_peak
                 if base_peak > 0.0 else -1.0)
         else:
             margins["perturbed_debt_emerges"] = _dry_fund(perturbed)
@@ -450,7 +452,7 @@ class Calibration:
             scale = float(np.max(np.abs(fine[stock])))
             if scale > 0.0:
                 worst = max(worst, float(np.max(np.abs(
-                    base[stock] - fine[stock][::2]))) / scale)
+                    np.asarray(base[stock]) - fine[stock][::2]))) / scale)
         margins["step_halving"] = _below(worst,
                                          CRITERIA_BOUNDS["step_halving"])
         margins["calm_towards_growth_corner"] = (
@@ -509,7 +511,7 @@ class Calibration:
                     QUARTER)
             except SimulationError:
                 return False
-            return bool(np.all(run["installed_capacity"]
+            return bool(np.all(np.asarray(run["installed_capacity"])
                                <= run["total_generation_capacity"]))
 
         if calm(1.0):
@@ -551,8 +553,9 @@ class Calibration:
             finals = [run.final(name) for name in run.stock_names]
             if not all(math.isfinite(v) and v >= 0.0 for v in finals):
                 problems.append(f"draw {draw}: stocks {finals}")
-            peak = max(peak, float(np.max(run["installed_capacity"]
-                                          / run["total_generation_capacity"])))
+            peak = max(peak, float(np.max(
+                np.asarray(run["installed_capacity"])
+                / run["total_generation_capacity"])))
         return problems, peak
 
 
