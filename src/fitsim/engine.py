@@ -11,18 +11,23 @@ are assembled from:
 * an inverted sigmoid response ``y = y_max / (1 + (x / x_50) ** p)``, used
   for saturating social and institutional effects,
 * a linear trend for exogenous drivers,
-* a lagged series with a nearest-step lookup, used for annual information
-  delays on a sub-annual grid.
+* a lagged series with a constant-time nearest-step lookup, used for
+  annual information delays on a sub-annual grid.
 
 Runs are deterministic and pure with respect to their inputs: integrating
 the same model twice yields bit-identical trajectories.
+
+The engine sees only a model's ``derivatives``. The fitsim model writes
+its step as its links inlined over per-run constants, tied to a composed
+reference by a property in ``tests/test_model.py``; the lagged series here
+likewise finds its records by index arithmetic, tied to a binary-search
+reference by a property in ``tests/test_engine.py``.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -161,9 +166,11 @@ def eval_linear_trend(trend: LinearTrend, t: float) -> float:
 class LaggedSeries:
     """Recorded history with a fixed information delay.
 
-    ``record`` appends one value per step; ``lookup`` reads the value
-    nearest to ``t - lag`` (ties resolve toward the earlier step) and falls
-    back to ``initial_value`` for targets before the first record.
+    ``record`` appends one value per step of a regular grid; ``lookup``
+    reads the value nearest to ``t - lag`` (ties resolve toward the earlier
+    step) and falls back to ``initial_value`` for targets before the first
+    record. The lookup finds the records around the target by index
+    arithmetic on the grid, in constant time.
     """
 
     lag: float
@@ -191,24 +198,25 @@ class LaggedSeries:
 
     def lookup(self, t: float) -> float:
         target = t - self.lag
-        if not self._times or target < self._times[0]:
+        times = self._times
+        if not times or target < times[0]:
             return self.initial_value
-        spacing = (self._times[-1] - self._times[-2]
-                   if len(self._times) > 1 else self.lag)
-        if target > self._times[-1] + 0.5 * spacing:
+        last = len(times) - 1
+        spacing = times[-1] - times[-2] if last else self.lag
+        if target > times[-1] + 0.5 * spacing:
             raise RuntimeError(
                 f"lag lookup at t={t} needs history up to {target}, but "
-                f"recording stops at {self._times[-1]}")
-        i = bisect_left(self._times, target)
-        if i == len(self._times):
-            return self._values[-1]
-        if i == 0:
+                f"recording stops at {times[-1]}")
+        if not last:
             return self._values[0]
-        before, after = self._times[i - 1], self._times[i]
-        # ties toward the earlier step: strictly-closer wins, equality keeps i-1
-        if (target - before) <= (after - target):
-            return self._values[i - 1]
-        return self._values[i]
+        # the pair of records around target. Near a record the index may be
+        # one off, but either pair then picks that record; past the last
+        # record, the pair before it picks the last.
+        i = min(int((target - times[0]) / spacing), last - 1)
+        # ties toward the earlier step: strictly-closer wins, equality keeps i
+        if (target - times[i]) <= (times[i + 1] - target):
+            return self._values[i]
+        return self._values[i + 1]
 
 
 @dataclass(frozen=True)

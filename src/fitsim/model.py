@@ -32,6 +32,15 @@ perceived_shortage              dollars  first-order perception of the
 
 Except where noted, prices and costs are in dollars per MWh; the levy
 (``res_tax``) is in dollars per kWh and is converted at the budget boundary.
+
+Each link of the structure is a public function below (``annuity_factor``,
+``compute_*``, ``allocate_payments``, ...), checked against oracles in the
+tests. ``FitModel.derivatives`` does not call them: it is the same links
+inlined as straight-line arithmetic over constants ``begin_run`` binds once
+per run, calling a link only to raise its error. ``ReferenceFitModel`` in
+``tests/test_model.py`` composes the links instead, and a property over the
+calibration box, the policies and the step sizes holds the two to the same
+bytes.
 """
 
 from __future__ import annotations
@@ -512,40 +521,97 @@ class FitModel:
         self._requests = LaggedSeries(
             lag=1.0, initial_value=self.params.econ.initial_annual_requests)
         self._penetration_warned = False
+        econ = self.params.econ
+        effects = self.params.effects
+        generation = exog.total_generation_capacity
+        use = exog.electricity_consumption
+        tolerance = effects.social_tolerance
+        trust = effects.investor_trust
+        activity = effects.om_activity
+        # the order ``derivatives`` unpacks them in
+        self._constants = (
+            generation.intercept, generation.slope, generation.reference_year,
+            use.intercept, use.slope, use.reference_year,
+            econ.initial_installed_capacity, econ.initial_capital_cost,
+            -econ.learning_exponent,
+            econ.capacity_target, econ.fit_price_floor,
+            econ.initial_fit_price, econ.res_tax_base,
+            econ.capacity_factor * ANNUAL_HOURS, econ.om_cost,
+            annuity_factor(econ.interest_rate, econ.remuneration_period),
+            econ.capacity_factor,
+            effects.penetration_gain,
+            tolerance.y_max, tolerance.x_50, tolerance.p,
+            trust.y_max, trust.x_50, trust.p,
+            activity.y_max, activity.x_50, activity.p,
+            1.0 - econ.rejection_fraction, econ.time_to_build,
+            econ.normal_equipment_lifetime,
+            econ.shortage_smoothing_time,
+        )
 
     def simulate(self, clock: SimulationClock) -> RunResult:
         return run_simulation(self, clock)
 
     def derivatives(self, stocks: Sequence[float], t: float
                     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Rates and auxiliaries, in ``stock_names``/``aux_names`` order."""
-        econ = self.params.econ
-        effects = self.params.effects
-        exog = self.params.exogenous
+        """Rates and auxiliaries, in ``stock_names``/``aux_names`` order.
+
+        The links above, inlined over the constants ``begin_run`` bound:
+        each formula keeps its link's operation order, and each check a run
+        can reach stays, calling the link to raise its error. The reference
+        model in ``tests/test_model.py`` composes the links themselves and
+        must match this step bit for bit.
+        """
+        (gen_intercept, gen_slope, gen_year,
+         use_intercept, use_slope, use_year,
+         initial_installed, initial_cost, learning,
+         target, price_floor, initial_price, base_tax,
+         margin_scale, om_cost, annuity,
+         capacity_factor,
+         gain, tol_max, tol_x50, tol_p,
+         trust_max, trust_x50, trust_p,
+         om_max, om_x50, om_p,
+         approval, build_time, normal_lifetime,
+         smoothing) = self._constants
 
         (installed, depreciated, debt, budget, total_production,
          total_payment, perceived) = stocks
 
         # --- exogenous drivers ---
-        generation_capacity = eval_linear_trend(
-            exog.total_generation_capacity, t)
-        consumption = eval_linear_trend(exog.electricity_consumption, t)
+        generation_capacity = gen_intercept + gen_slope * (t - gen_year)
+        if generation_capacity <= 0.0:
+            eval_linear_trend(self.params.exogenous.total_generation_capacity,
+                              t)
+        consumption = use_intercept + use_slope * (t - use_year)
+        if consumption <= 0.0:
+            eval_linear_trend(self.params.exogenous.electricity_consumption, t)
 
         # --- capacity ledger and learning ---
         cumulative = installed + depreciated
-        capital_cost = compute_capital_cost(
-            max(cumulative, econ.initial_installed_capacity), econ)
+        # max(a, b) and min(a, b) are written as the builtins evaluate them
+        built = (initial_installed if initial_installed > cumulative
+                 else cumulative)
+        capital_cost = initial_cost * (built / initial_installed) ** learning
 
         # --- policy overrides, price, levy ---
         overrides = (self.policy(perceived)
                      if self.policy is not None else None)
-        fit_price = compute_fit_price(installed, econ, overrides)
-        res_tax = econ.res_tax_base
-        if overrides is not None and overrides.res_tax is not None:
-            res_tax = overrides.res_tax
+        gap_fraction = (target - installed) / target
+        multiplier = (gap_fraction if gap_fraction > price_floor
+                      else price_floor)
+        multiplier = multiplier if multiplier < 1.0 else 1.0
+        fit_price = initial_price * multiplier
+        res_tax = base_tax
+        if overrides is not None:
+            fit_price = (fit_price * overrides.fit_price_multiplier
+                         + overrides.fit_price_delta)
+            if overrides.res_tax is not None:
+                res_tax = overrides.res_tax
 
         # --- investment climate ---
-        roi = compute_roi(econ, fit_price, capital_cost)
+        if capital_cost <= 0.0:
+            compute_roi(self.params.econ, fit_price, capital_cost)
+        roi = ((margin_scale * (fit_price - om_cost) * annuity - capital_cost)
+               / capital_cost)
         penetration = installed / generation_capacity
         if penetration > 1.0:
             if not self._penetration_warned:
@@ -557,55 +623,91 @@ class FitModel:
             penetration = 1.0
 
         # --- production and the payment it entitles ---
-        production = compute_production_and_price(
-            installed, total_production, total_payment, fit_price, econ)
-        delay = compute_delay_in_debt_payment(debt,
-                                              production.desired_payment)
+        production = installed * capacity_factor * ANNUAL_HOURS
+        if total_production <= 0.0 or total_payment <= 0.0:
+            average_price = fit_price
+        else:
+            average_price = total_payment / total_production
+        desired = production * average_price
+        inflow = production * fit_price
+        if debt <= 0.0:
+            delay = 0.0
+        else:
+            delay = debt / (DELAY_PAYMENT_EPSILON
+                            if DELAY_PAYMENT_EPSILON > desired else desired)
 
-        acceptance = compute_social_acceptance(penetration, res_tax, effects)
-        trust = eval_inverted_sigmoid(effects.investor_trust, delay)
-        tendency = compute_tendency_to_invest(roi, acceptance, trust)
+        if not 0.0 <= penetration <= 1.0:
+            compute_social_acceptance(penetration, res_tax,
+                                      self.params.effects)
+        if not 0.0 <= res_tax < math.inf:
+            eval_inverted_sigmoid(self.params.effects.social_tolerance,
+                                  res_tax)
+        try:
+            tolerance = tol_max / (1.0 + (res_tax / tol_x50) ** tol_p)
+        except OverflowError:
+            tolerance = 0.0
+        acceptance = (1.0 + gain * penetration) * tolerance
+        if not 0.0 <= delay < math.inf:
+            eval_inverted_sigmoid(self.params.effects.investor_trust, delay)
+        try:
+            trust = trust_max / (1.0 + (delay / trust_x50) ** trust_p)
+        except OverflowError:
+            trust = 0.0
+        tendency = (roi if roi > 0.0 else 0.0) * acceptance * trust
 
         # --- request pipeline (annual information delay) ---
-        previous_requests = self._requests.lookup(t)
-        pipeline = compute_request_pipeline(previous_requests, tendency, econ)
-        self._requests.record(t, pipeline.annual_requests)
+        requests = self._requests
+        annual_requests = requests.lookup(t) * tendency
+        approved = annual_requests * approval
+        construction = approved / build_time
+        requests.record(t, annual_requests)
 
-        activity = eval_inverted_sigmoid(effects.om_activity, delay)
-        lifetime = lifetime_at_activity(activity, econ)
+        try:
+            activity = om_max / (1.0 + (delay / om_x50) ** om_p)
+        except OverflowError:
+            activity = 0.0
+        lifetime = normal_lifetime * activity
+        if not lifetime > MINIMUM_LIFETIME:
+            lifetime = MINIMUM_LIFETIME
         depreciation = installed / lifetime
 
         # --- fund allocation with debt priority ---
-        allocation = allocate_payments(budget, debt,
-                                       production.desired_payment)
+        if budget < 0.0 or debt < 0.0 or desired < 0.0:
+            allocate_payments(budget, debt, desired)
+        whole_desired = debt + desired
+        available = whole_desired if whole_desired < budget else budget
+        debt_payment = debt if debt < available else available
+        unreserved = available - debt
+        if 0.0 > unreserved:
+            unreserved = 0.0
+        actual = desired if desired < unreserved else unreserved
+        debt_creation = desired - actual
         budget_increase = consumption * res_tax * KWH_PER_MWH
-        budget_decrease = (allocation.debt_payment
-                           + allocation.actual_production_payment)
-        whole_desired = debt + production.desired_payment
-        shortage = whole_desired - allocation.available_whole_payment
+        budget_decrease = debt_payment + actual
+        shortage = whole_desired - available
 
         rates = (
-            pipeline.construction_rate - depreciation,
+            construction - depreciation,
             depreciation,
-            allocation.debt_creation - allocation.debt_payment,
+            debt_creation - debt_payment,
             budget_increase - budget_decrease,
-            production.electricity_production,
-            production.payment_inflow,
-            (shortage - perceived) / econ.shortage_smoothing_time,
+            production,
+            inflow,
+            (shortage - perceived) / smoothing,
         )
         aux = (
-            pipeline.construction_rate, depreciation,
-            allocation.debt_creation, allocation.debt_payment,
+            construction, depreciation,
+            debt_creation, debt_payment,
             budget_increase, budget_decrease,
-            production.electricity_production, production.payment_inflow,
+            production, inflow,
             cumulative, capital_cost,
             fit_price, res_tax, roi,
             penetration, acceptance, trust,
             activity, lifetime, tendency,
-            pipeline.annual_requests, pipeline.approved_requests,
-            production.average_price, production.desired_payment,
-            whole_desired, allocation.available_whole_payment,
-            allocation.actual_production_payment, delay,
+            annual_requests, approved,
+            average_price, desired,
+            whole_desired, available,
+            actual, delay,
             shortage, consumption,
             generation_capacity,
         )

@@ -135,10 +135,12 @@ def error_metrics(simulated, historical) -> ErrorReport:
     relative = [d / b if b != 0.0 else 0.0 for b, d in zip(h, diff)]
     rmspe = 100.0 * math.sqrt(fmean([q ** 2 for q in relative]))
 
+    # a constant history: its mean need not round back to its value, so
+    # SST can come out tiny but not 0
+    if min(h) == max(h):
+        raise ValueError("historical series is constant; R squared undefined")
     mean_h = fmean(h)
     sst = math.fsum([(b - mean_h) ** 2 for b in h])
-    if sst == 0.0:
-        raise ValueError("historical series is constant; R squared undefined")
     r_squared = 1.0 - math.fsum([d ** 2 for d in diff]) / sst
 
     um, us, uc = theil_decomposition(s, h)

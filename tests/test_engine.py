@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from bisect import bisect_left
+
+from hypothesis import given, settings, strategies as st
 
 from fitsim import (
     ClampEvent,
@@ -170,6 +172,94 @@ def test_lagged_series_rejects_time_reversal_and_lookahead():
         series.lookup(2.0)  # needs history up to t=1.0, far past records
     with pytest.raises(ConfigurationError):
         LaggedSeries(lag=0.0, initial_value=0.0)
+
+
+class BisectLaggedSeries(LaggedSeries):
+    """The lookup as a binary search over the records: the reference that
+    the index arithmetic of ``LaggedSeries.lookup`` must reproduce."""
+
+    def lookup(self, t: float) -> float:
+        target = t - self.lag
+        if not self._times or target < self._times[0]:
+            return self.initial_value
+        spacing = (self._times[-1] - self._times[-2]
+                   if len(self._times) > 1 else self.lag)
+        if target > self._times[-1] + 0.5 * spacing:
+            raise RuntimeError(
+                f"lag lookup at t={t} needs history up to {target}, but "
+                f"recording stops at {self._times[-1]}")
+        i = bisect_left(self._times, target)
+        if i == len(self._times):
+            return self._values[-1]
+        if i == 0:
+            return self._values[0]
+        before, after = self._times[i - 1], self._times[i]
+        # ties toward the earlier step: strictly-closer wins, equality keeps i-1
+        if (target - before) <= (after - target):
+            return self._values[i - 1]
+        return self._values[i]
+
+
+def naive_offset_lookup(series, t):
+    """Reads ``round(lag / dt)`` records back from the next record, without
+    the comparison; the property must reject it."""
+    if not series._times or t - series.lag < series._times[0]:
+        return series.initial_value
+    dt = series._times[1] - series._times[0]
+    return series._values[len(series._times) - round(series.lag / dt)]
+
+
+def lookup_outcome(lookup, series, t):
+    try:
+        return lookup(series, t)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def first_lookup_mismatch(lookup, start, dt, n_steps, fractions=()):
+    """First time at which ``lookup`` disagrees with the bisect form.
+
+    Each step looks up before it records, as a model does; then each
+    fraction is one lookup anywhere in and just past the recorded window.
+    """
+    series = LaggedSeries(lag=1.0, initial_value=-1.0)
+    reference = BisectLaggedSeries(lag=1.0, initial_value=-1.0)
+    times = [start + dt * k for k in range(n_steps + 1)]
+    for k, t in enumerate(times):
+        if (lookup_outcome(lookup, series, t)
+                != lookup_outcome(BisectLaggedSeries.lookup, reference, t)):
+            return t
+        series.record(t, float(k))
+        reference.record(t, float(k))
+    for fraction in fractions:
+        t = times[0] + fraction * (times[-1] + 2.0 * dt - times[0])
+        if (lookup_outcome(lookup, series, t)
+                != lookup_outcome(BisectLaggedSeries.lookup, reference, t)):
+            return t
+    return None
+
+
+# dt 0.4 puts lag / dt at 2.5: every lag target is a tie between two records
+LAG_GRIDS = st.sampled_from([0.1, 0.25, 0.4, 1 / 64])
+
+
+@settings(max_examples=300)
+@given(LAG_GRIDS, st.floats(min_value=1900.0, max_value=2100.0),
+       st.integers(min_value=1, max_value=160),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+def test_lagged_lookup_matches_the_bisect_form(dt, start, n_steps,
+                                               fractions):
+    assert first_lookup_mismatch(LaggedSeries.lookup, start, dt, n_steps,
+                                 fractions) is None
+
+
+def test_naive_offset_fails_the_lookup_property():
+    # the float rounding of each tie decides it, so a fixed offset of
+    # round(2.5) = 2 records disagrees with the nearest-record rule
+    assert first_lookup_mismatch(naive_offset_lookup, 2015.0, 0.4, 50)
+    for dt in (0.1, 0.25, 1 / 64):
+        assert first_lookup_mismatch(naive_offset_lookup, 2015.0, dt,
+                                     round(3.0 / dt)) is None
 
 
 # === run_simulation on a closed-form toy ===

@@ -5,8 +5,12 @@ computations (term-by-term discounted cash flows, hand-traced allocation
 ledgers) rather than from the implementation itself.
 """
 
+from dataclasses import replace
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fitsim import (
     ConfigurationError,
@@ -19,10 +23,15 @@ from fitsim import (
     apply_overrides,
     compute_fit_price,
     compute_roi,
+    eval_inverted_sigmoid,
+    eval_linear_trend,
     get_parameter,
+    load_default_config,
+    make_policy_fn,
     parse_config,
 )
 from fitsim.model import (
+    KWH_PER_MWH,
     PriceTaxOverrides,
     RequestPipeline,
     allocate_payments,
@@ -35,6 +44,8 @@ from fitsim.model import (
     compute_social_acceptance,
     compute_tendency_to_invest,
     effective_lifetime,
+    lifetime_at_activity,
+    logger,
 )
 
 
@@ -391,3 +402,159 @@ def test_trend_positivity_is_checked_before_the_first_step(trend, line, year):
     message = str(excinfo.value)
     assert message.startswith(f"{trend}: ")
     assert f"t={year}" in message
+
+
+# === the inlined step against the composed links ===
+
+class ReferenceFitModel(FitModel):
+    """The step as a composition of the link functions: the reference that
+    ``FitModel.derivatives`` must match bit for bit."""
+
+    def derivatives(self, stocks: Sequence[float], t: float
+                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Rates and auxiliaries, in ``stock_names``/``aux_names`` order."""
+        econ = self.params.econ
+        effects = self.params.effects
+        exog = self.params.exogenous
+
+        (installed, depreciated, debt, budget, total_production,
+         total_payment, perceived) = stocks
+
+        # --- exogenous drivers ---
+        generation_capacity = eval_linear_trend(
+            exog.total_generation_capacity, t)
+        consumption = eval_linear_trend(exog.electricity_consumption, t)
+
+        # --- capacity ledger and learning ---
+        cumulative = installed + depreciated
+        capital_cost = compute_capital_cost(
+            max(cumulative, econ.initial_installed_capacity), econ)
+
+        # --- policy overrides, price, levy ---
+        overrides = (self.policy(perceived)
+                     if self.policy is not None else None)
+        fit_price = compute_fit_price(installed, econ, overrides)
+        res_tax = econ.res_tax_base
+        if overrides is not None and overrides.res_tax is not None:
+            res_tax = overrides.res_tax
+
+        # --- investment climate ---
+        roi = compute_roi(econ, fit_price, capital_cost)
+        penetration = installed / generation_capacity
+        if penetration > 1.0:
+            if not self._penetration_warned:
+                logger.warning(
+                    "installed capacity %.1f MW exceeds total generation "
+                    "capacity %.1f MW at t=%.2f; penetration clamped",
+                    installed, generation_capacity, t)
+                self._penetration_warned = True
+            penetration = 1.0
+
+        # --- production and the payment it entitles ---
+        production = compute_production_and_price(
+            installed, total_production, total_payment, fit_price, econ)
+        delay = compute_delay_in_debt_payment(debt,
+                                              production.desired_payment)
+
+        acceptance = compute_social_acceptance(penetration, res_tax, effects)
+        trust = eval_inverted_sigmoid(effects.investor_trust, delay)
+        tendency = compute_tendency_to_invest(roi, acceptance, trust)
+
+        # --- request pipeline (annual information delay) ---
+        previous_requests = self._requests.lookup(t)
+        pipeline = compute_request_pipeline(previous_requests, tendency, econ)
+        self._requests.record(t, pipeline.annual_requests)
+
+        activity = eval_inverted_sigmoid(effects.om_activity, delay)
+        lifetime = lifetime_at_activity(activity, econ)
+        depreciation = installed / lifetime
+
+        # --- fund allocation with debt priority ---
+        allocation = allocate_payments(budget, debt,
+                                       production.desired_payment)
+        budget_increase = consumption * res_tax * KWH_PER_MWH
+        budget_decrease = (allocation.debt_payment
+                           + allocation.actual_production_payment)
+        whole_desired = debt + production.desired_payment
+        shortage = whole_desired - allocation.available_whole_payment
+
+        rates = (
+            pipeline.construction_rate - depreciation,
+            depreciation,
+            allocation.debt_creation - allocation.debt_payment,
+            budget_increase - budget_decrease,
+            production.electricity_production,
+            production.payment_inflow,
+            (shortage - perceived) / econ.shortage_smoothing_time,
+        )
+        aux = (
+            pipeline.construction_rate, depreciation,
+            allocation.debt_creation, allocation.debt_payment,
+            budget_increase, budget_decrease,
+            production.electricity_production, production.payment_inflow,
+            cumulative, capital_cost,
+            fit_price, res_tax, roi,
+            penetration, acceptance, trust,
+            activity, lifetime, tendency,
+            pipeline.annual_requests, pipeline.approved_requests,
+            production.average_price, production.desired_payment,
+            whole_desired, allocation.available_whole_payment,
+            allocation.actual_production_payment, delay,
+            shortage, consumption,
+            generation_capacity,
+        )
+        return rates, aux
+
+
+DOC = load_default_config()
+# the box the calibration and the sweep search: every `assumed` model value
+ASSUMED_KEYS = sorted(
+    key
+    for section in ("parameters", "effects", "trends")
+    for key, entry in DOC.entries.get(section, {}).items()
+    if entry.source == "assumed")
+# the four canonical scenarios, plus a p1 whose negative tariff reaches the
+# allocation check
+NEGATIVE_TARIFF = replace(DOC.scenario("p1_higher_fit"), policy=replace(
+    DOC.scenario("p1_higher_fit").policy, fit_price_delta=-30.0))
+SCENARIOS = DOC.scenarios + (NEGATIVE_TARIFF,)
+
+
+def run_outcome(model_class, params, scenario, dt):
+    """Every column's bytes and the clamp events, or the error raised."""
+    params = apply_overrides(params, scenario.overrides)
+    model = model_class(params, make_policy_fn(scenario.policy,
+                                               params.econ.res_tax_base))
+    try:
+        run = model.simulate(SimulationClock(2015.0, 2035.0, dt))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ({name: bytes(column) for name, column in run.variables.items()},
+            bytes(run.times), repr(run.clamp_events))
+
+
+def test_assumed_keys_come_from_the_provenance_markers():
+    assert len(ASSUMED_KEYS) == 12
+    assert set(ASSUMED_KEYS) <= set(PARAMETER_NAMES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-0.2, max_value=0.2),
+                min_size=len(ASSUMED_KEYS), max_size=len(ASSUMED_KEYS)),
+       st.sampled_from(SCENARIOS),
+       st.sampled_from([0.25, 0.1, 0.4, 1 / 64]))
+@example([0.0] * len(ASSUMED_KEYS), NEGATIVE_TARIFF, 0.25)
+def test_step_matches_the_composed_links(shifts, scenario, dt):
+    params = apply_overrides(DOC.params, {
+        key: get_parameter(DOC.params, key) * (1.0 + shift)
+        for key, shift in zip(ASSUMED_KEYS, shifts)})
+    assert (run_outcome(FitModel, params, scenario, dt)
+            == run_outcome(ReferenceFitModel, params, scenario, dt))
+
+
+def test_negative_tariff_stops_at_the_allocation_check():
+    for model_class in (FitModel, ReferenceFitModel):
+        kind, message = run_outcome(model_class, DOC.params, NEGATIVE_TARIFF,
+                                    0.25)
+        assert kind is ValueError
+        assert message.startswith("allocation inputs must be non-negative")

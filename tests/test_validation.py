@@ -63,6 +63,9 @@ def test_error_metrics_input_guards():
     # constant history has no variance to explain
     with pytest.raises(ValueError):
         error_metrics([1.0, 2.0], [3.0, 3.0])
+    # three 0.1s average to 0.10000000000000002, not to 0.1
+    with pytest.raises(ValueError):
+        error_metrics([0.2, 0.3, 0.1], [0.1, 0.1, 0.1])
 
 
 def test_zero_history_tolerated_where_simulation_matches():
