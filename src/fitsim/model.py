@@ -45,7 +45,6 @@ bytes.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -61,8 +60,6 @@ from .engine import (
     eval_linear_trend,
     run_simulation,
 )
-
-logger = logging.getLogger(__name__)
 
 ANNUAL_HOURS = 8760.0
 KWH_PER_MWH = 1000.0
@@ -615,7 +612,10 @@ class FitModel:
         penetration = installed / generation_capacity
         if penetration > 1.0:
             if not self._penetration_warned:
-                logger.warning(
+                # imported when the clamp first binds, so that start-up
+                # does not load logging
+                import logging
+                logging.getLogger(__name__).warning(
                     "installed capacity %.1f MW exceeds total generation "
                     "capacity %.1f MW at t=%.2f; penetration clamped",
                     installed, generation_capacity, t)

@@ -4,6 +4,19 @@ Everything here is byte-reproducible: floats are written with ``repr``
 (the shortest exact form), line endings are always ``\\n``, column and
 row orders are canonical, and the SVG is assembled by hand with fixed
 coordinate formatting so no renderer state can leak in.
+
+Formatting floats is most of an emitter's time, so each CSV column is
+formatted once. A float column becomes text in one place, :func:`_text`,
+a whole column at a time, and every CSV writer joins its lines from
+columns of text through :func:`_write_rows`. Text is addressed by
+content: the bytes of a column's doubles key it, and since the text is a
+pure function of those bytes a key cannot hand back wrong text.
+:func:`emit_comparison_csv` formats each distinct column once (``time``
+repeats in every scenario, the exogenous drivers in most), drops a
+column's text after the last scenario that reads it, and keeps the text
+of the plotted columns (``time`` and :data:`CHART_VARIABLES`) of the
+latest comparison for :func:`write_plot_data`, which formats only what
+it does not find there.
 """
 
 from __future__ import annotations
@@ -67,34 +80,67 @@ def _series(result: RunResult, name: str) -> memoryview:
     return result.times if name == "time" else result[name]
 
 
-def _write_rows(stream, prefix: str, columns) -> None:
-    """Write one CSV line per record: ``prefix``, then each column's value.
+# the text of the plotted columns of the latest comparison CSV, keyed by
+# the bytes of their doubles; replaced, not grown, by each comparison
+_plot_text: dict[bytes, list[str]] = {}
 
-    A column may be any sequence of floats; each is read as Python floats,
-    so values are written as the text :func:`format_float` gives.
-    """
-    rows = zip(*[array("d", column) for column in columns])
-    stream.writelines(prefix + ",".join(map(repr, row)) + "\n"
-                      for row in rows)
+
+def _key(column) -> bytes:
+    """The bytes of a float column's doubles, which determine its text."""
+    return array("d", column).tobytes()
+
+
+def _text(column) -> list[str]:
+    """A float column, or the bytes of its doubles, as the text
+    :func:`format_float` gives each value."""
+    return list(map(repr, array("d", column)))
+
+
+def _text_of(key: bytes, texts: dict[bytes, list[str]]) -> list[str]:
+    """The text of the column whose doubles are ``key``, formatted at most
+    once per ``texts``."""
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = _text(key)
+    return text
+
+
+def _write_rows(stream, prefix: str, columns) -> None:
+    """Write one CSV line per record: ``prefix``, then each text column's
+    entry."""
+    stream.writelines(prefix + line + "\n"
+                      for line in map(",".join, zip(*columns)))
 
 
 def emit_run_csv(result: RunResult, stream, variables=()) -> None:
     """Write one trajectory as CSV: a time column plus one per variable."""
     columns = _columns(result, variables)
     stream.write(",".join(columns) + "\n")
-    _write_rows(stream, "", [_series(result, name) for name in columns])
+    _write_rows(stream, "",
+                [_text(_series(result, name)) for name in columns])
 
 
 def emit_comparison_csv(report: ComparisonReport, stream,
                         variables=()) -> None:
     """Write all scenarios into one CSV with a leading scenario column."""
+    global _plot_text
+    _plot_text = {}
     names = [outcome.name for outcome in report.outcomes]
     columns = _columns(report.runs[names[0]], variables)
+    keys = [[_key(_series(report.runs[name], column)) for column in columns]
+            for name in names]
+    plotted = {key for row in keys
+               for column, key in zip(columns, row)
+               if column == "time" or column in CHART_VARIABLES}
+    last_read = {key: i for i, row in enumerate(keys) for key in row}
+    texts: dict[bytes, list[str]] = {}
     stream.write(",".join(["scenario"] + columns) + "\n")
-    for name in names:
-        result = report.runs[name]
-        _write_rows(stream, name + ",",
-                    [_series(result, column) for column in columns])
+    for i, (name, row) in enumerate(zip(names, keys)):
+        _write_rows(stream, name + ",", [_text_of(key, texts) for key in row])
+        for key in row:
+            if last_read[key] == i and key not in plotted:
+                texts.pop(key, None)
+    _plot_text = {key: texts[key] for key in plotted}
 
 
 def outcome_table(report: ComparisonReport) -> str:
@@ -122,21 +168,40 @@ def findings_text(findings: list[Finding]) -> str:
     return "\n".join(str(finding) for finding in findings)
 
 
+def _shared_times(report: ComparisonReport, names) -> memoryview:
+    """The first run's record times, once every run is shown to share
+    them; plot data and charts draw all runs against one time axis."""
+    times = report.runs[names[0]].times
+    first = array("d", times)
+    for name in names[1:]:
+        if array("d", report.runs[name].times) != first:
+            raise ValueError(
+                f"scenario {name!r} is recorded at other times than "
+                f"{names[0]!r}; plot data and charts need one clock")
+    return times
+
+
 def write_plot_data(report: ComparisonReport, directory,
                     variables=CHART_VARIABLES) -> list[str]:
     """One CSV per variable: a time column plus one column per scenario.
 
     The layout suits external plotters; re-emission is byte-identical.
+    Raises ``ValueError``, before writing anything, when the runs were
+    recorded at different times.
     """
-    os.makedirs(directory, exist_ok=True)
     names = [outcome.name for outcome in report.outcomes]
-    times = report.runs[names[0]].times
+    times = _shared_times(report, names)
+    os.makedirs(directory, exist_ok=True)
+    texts = dict(_plot_text)
+    header = ",".join(["time"] + names) + "\n"
+    time_text = _text_of(_key(times), texts)
     paths = []
     for variable in variables:
-        columns = [times] + [report.runs[name][variable] for name in names]
+        columns = [time_text] + [_text_of(_key(report.runs[name][variable]),
+                                          texts) for name in names]
         path = os.path.join(directory, f"{variable}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(",".join(["time"] + names) + "\n")
+            handle.write(header)
             _write_rows(handle, "", columns)
         paths.append(path)
     return paths
@@ -203,10 +268,12 @@ def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{_tick_label(tick)}</text>')
 
-    xs = [sx(x) for x in times]
+    # each x is formatted once per chart; each y is sy(y), inlined
+    xs = [f"{sx(x):.2f}," for x in times]
+    span = y_high - y_low
     for k, (label, series) in enumerate(series_by_label.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join([f"{x:.2f},{sy(y):.2f}"
+        points = " ".join([f"{x}{top + (y_high - y) / span * plot_h:.2f}"
                            for x, y in zip(xs, series)])
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
@@ -222,10 +289,14 @@ def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
 
 def write_comparison_charts(report: ComparisonReport, directory,
                             variables=CHART_VARIABLES) -> list[str]:
-    """One SVG per variable, all scenarios overlaid; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
+    """One SVG per variable, all scenarios overlaid; returns the paths.
+
+    Raises ``ValueError``, before writing anything, when the runs were
+    recorded at different times.
+    """
     names = [outcome.name for outcome in report.outcomes]
-    times = report.runs[names[0]].times
+    times = _shared_times(report, names)
+    os.makedirs(directory, exist_ok=True)
     paths = []
     for variable in variables:
         series = {name: report.runs[name][variable] for name in names}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from statistics import correlation, fmean, pstdev
 
 from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
 from .model import FitModel, ModelParameters, apply_overrides, get_parameter
@@ -86,6 +85,22 @@ def _as_series(simulated, historical) -> tuple[list[float], list[float]]:
     return s, h
 
 
+def _sum_of_squares(values: list[float], what: str) -> float:
+    """``fsum`` of the squares of ``values``, which are not all zero.
+
+    Raises ``ValueError`` when a square or the sum overflows, or when the
+    squares underflow so far that their mean is zero: no metric is defined
+    from such a sum.
+    """
+    try:
+        total = math.fsum([value ** 2 for value in values])
+    except OverflowError:
+        raise ValueError(f"the squares of the {what} overflow") from None
+    if total / len(values) == 0.0:
+        raise ValueError(f"the squares of the {what} underflow to zero")
+    return total
+
+
 def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
     """Theil shares ``(um, us, uc)`` of the mean squared error.
 
@@ -94,14 +109,19 @@ def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
     ``uc = 2 (1 - r) sigma_s sigma_h / MSE``. With population moments the
     three shares sum to one exactly.
 
-    Raises ``ValueError`` when MSE is zero: a perfect fit has nothing to
-    decompose.
+    Raises ``ValueError`` on a perfect fit, which has nothing to
+    decompose, and when squared differences overflow or squared
+    differences or deviations underflow.
     """
+    # imported here: only ``validate --historical`` needs it
+    from statistics import StatisticsError, correlation, fmean, pstdev
+
     s, h = _as_series(simulated, historical)
-    mse = fmean([(a - b) ** 2 for a, b in zip(s, h)])
-    if mse == 0.0:
+    if s == h:
         raise ValueError("MSE is zero; decomposition undefined on a "
                          "perfect fit")
+    mse = _sum_of_squares([a - b for a, b in zip(s, h)],
+                          "differences") / len(s)
     sigma_s = pstdev(s)
     sigma_h = pstdev(h)
     um = (fmean(s) - fmean(h)) ** 2 / mse
@@ -109,7 +129,12 @@ def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
     if sigma_s == 0.0 or sigma_h == 0.0:
         uc = 0.0  # no co-movement to attribute
     else:
-        r = correlation(s, h)
+        try:
+            r = correlation(s, h)
+        except StatisticsError:
+            # neither series is constant: their deviations underflowed
+            raise ValueError("the squares of the deviations underflow to "
+                             "zero") from None
         uc = 2.0 * (1.0 - r) * sigma_s * sigma_h / mse
     return um, us, uc
 
@@ -120,28 +145,34 @@ def error_metrics(simulated, historical) -> ErrorReport:
     RMSPE is the root mean square percentage error,
     ``100 * sqrt(mean(((s - h) / h)^2))``; a zero historical value is only
     tolerated where the simulated value matches it exactly. R squared is
-    ``1 - SSE / SST`` with SST taken around the historical mean.
+    ``1 - SSE / SST`` with SST taken around the historical mean. Only
+    ``s == h``, element by element, is a perfect fit; differences or
+    deviations whose squares underflow, and squares that overflow, raise
+    ``ValueError``.
     """
     s, h = _as_series(simulated, historical)
-    diff = [a - b for a, b in zip(s, h)]
-    mse = fmean([d ** 2 for d in diff])
-    if mse == 0.0:
+    if s == h:
         return ErrorReport(r_squared=1.0, mse=0.0, rmspe=0.0,
                            theil_um=0.0, theil_us=0.0, theil_uc=0.0)
+    diff = [a - b for a, b in zip(s, h)]
+    sse = _sum_of_squares(diff, "differences")
+    mse = sse / len(diff)
 
     if any(b == 0.0 and d != 0.0 for b, d in zip(h, diff)):
         raise ValueError("historical series has zero values where the "
                          "simulation differs; RMSPE undefined")
     relative = [d / b if b != 0.0 else 0.0 for b, d in zip(h, diff)]
-    rmspe = 100.0 * math.sqrt(fmean([q ** 2 for q in relative]))
+    rmspe = 100.0 * math.sqrt(
+        _sum_of_squares(relative, "relative errors") / len(relative))
 
     # a constant history: its mean need not round back to its value, so
     # SST can come out tiny but not 0
     if min(h) == max(h):
         raise ValueError("historical series is constant; R squared undefined")
-    mean_h = fmean(h)
-    sst = math.fsum([(b - mean_h) ** 2 for b in h])
-    r_squared = 1.0 - math.fsum([d ** 2 for d in diff]) / sst
+    mean_h = math.fsum(h) / len(h)
+    sst = _sum_of_squares([b - mean_h for b in h],
+                          "deviations of the historical series")
+    r_squared = 1.0 - sse / sst
 
     um, us, uc = theil_decomposition(s, h)
     return ErrorReport(r_squared=r_squared, mse=mse, rmspe=rmspe,

@@ -146,6 +146,19 @@ def test_validate_reports_fit_metrics(tmp_path, capsys):
     assert "3 points" in out
 
 
+def test_validate_history_out_of_float_range_is_a_usage_error(tmp_path,
+                                                              capsys):
+    # relative errors near 1e202 overflow when squared
+    history = tmp_path / "tiny.csv"
+    history.write_text("2015,1e-200\n2016,2e-200\n2017,3e-200\n",
+                       encoding="utf-8")
+    assert main(["validate", "--historical", str(history)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "overflow" in captured.err
+    assert captured.out == ""
+
+
 def test_compare_short_horizon_runs_its_checks_and_fails(tmp_path, capsys):
     # two records are too few for the behavior classifier the checks use
     assert main(["compare", "--horizon", "2015.25",

@@ -5,6 +5,7 @@ computations (term-by-term discounted cash flows, hand-traced allocation
 ledgers) rather than from the implementation itself.
 """
 
+import logging
 from dataclasses import replace
 from typing import Sequence
 
@@ -45,7 +46,6 @@ from fitsim.model import (
     compute_tendency_to_invest,
     effective_lifetime,
     lifetime_at_activity,
-    logger,
 )
 
 
@@ -443,7 +443,7 @@ class ReferenceFitModel(FitModel):
         penetration = installed / generation_capacity
         if penetration > 1.0:
             if not self._penetration_warned:
-                logger.warning(
+                logging.getLogger("fitsim.model").warning(
                     "installed capacity %.1f MW exceeds total generation "
                     "capacity %.1f MW at t=%.2f; penetration clamped",
                     installed, generation_capacity, t)

@@ -2,18 +2,25 @@
 
 import io
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fitsim.output
 from fitsim import (
+    ComparisonReport,
     RunResult,
+    Scenario,
+    ScenarioOutcome,
+    SimulationClock,
     emit_comparison_csv,
     emit_run_csv,
     findings_text,
     format_float,
     outcome_table,
     render_chart_svg,
+    run_scenario_suite,
     write_comparison_charts,
     write_plot_data,
 )
@@ -76,6 +83,41 @@ def test_run_csv_reemission_is_byte_identical(base_run):
     assert lines[0].split(",") == base_run.column_order()
 
 
+def test_run_csv_writes_format_float_of_every_value():
+    # values whose text is easy to get wrong; 0.0 and -0.0 are equal
+    # floats with different bytes and different text
+    values = [0.1 + 0.2, -0.0, 1e22, 5e-324, 1.0 / 3.0]
+    result = RunResult(
+        times=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+        variables={"a": np.array(values), "b": np.array([0.0] * 5),
+                   "c": np.array(values[::-1])},
+        stock_names=("a",), flow_names=("b",), aux_names=("c",))
+    stream = io.StringIO()
+    emit_run_csv(result, stream)
+    columns = result.column_order()
+    series = [result.times] + [result[name] for name in columns[1:]]
+    expected = [",".join(columns)] + [
+        ",".join(format_float(column[i]) for column in series)
+        for i in range(result.n_records)]
+    assert stream.getvalue() == "\n".join(expected) + "\n"
+
+
+def test_comparison_csv_keys_text_by_bytes_not_value():
+    def toy(fill):
+        return RunResult(times=np.array([0.0, 1.0]),
+                         variables={"s": np.array([fill, 1.5])},
+                         stock_names=("s",), flow_names=(), aux_names=())
+    outcome = ScenarioOutcome("x", 0.0, 0.0, 0.0, 0.0, 0.0)
+    report = ComparisonReport(
+        outcomes=(outcome, replace(outcome, name="y")),
+        runs={"x": toy(0.0), "y": toy(-0.0)}, params={})
+    stream = io.StringIO()
+    emit_comparison_csv(report, stream)
+    assert stream.getvalue() == ("scenario,time,s\n"
+                                 "x,0.0,0.0\nx,1.0,1.5\n"
+                                 "y,0.0,-0.0\ny,1.0,1.5\n")
+
+
 def test_comparison_csv_layout(canonical_report):
     stream = io.StringIO()
     emit_comparison_csv(canonical_report, stream,
@@ -133,6 +175,70 @@ def test_write_plot_data_reruns_byte_identical(canonical_report, tmp_path):
         a = (first / f"{variable}.csv").read_bytes()
         b = (second / f"{variable}.csv").read_bytes()
         assert a == b
+
+
+def _plot_bytes(directory):
+    return {variable: (directory / f"{variable}.csv").read_bytes()
+            for variable in CHART_VARIABLES}
+
+
+def test_plot_data_reuses_the_comparison_text_and_keeps_the_bytes(
+        canonical_report, tmp_path, monkeypatch):
+    monkeypatch.setattr(fitsim.output, "_plot_text", {})
+    write_plot_data(canonical_report, tmp_path / "alone")
+
+    emit_comparison_csv(canonical_report, io.StringIO())
+    formatted = []
+    text = fitsim.output._text
+
+    def counted_text(column):
+        formatted.append(column)
+        return text(column)
+
+    monkeypatch.setattr(fitsim.output, "_text", counted_text)
+    write_plot_data(canonical_report, tmp_path / "after")
+    # every plotted column was formatted by the comparison CSV
+    assert formatted == []
+    assert _plot_bytes(tmp_path / "after") == _plot_bytes(tmp_path / "alone")
+
+
+def test_plot_data_after_another_comparison_keeps_its_own_bytes(
+        default_doc, canonical_report, tmp_path, monkeypatch):
+    monkeypatch.setattr(fitsim.output, "_plot_text", {})
+    write_plot_data(canonical_report, tmp_path / "alone")
+
+    scenarios = [replace(scenario,
+                         overrides={**scenario.overrides,
+                                    "capacity_factor": 0.2})
+                 for scenario in default_doc.scenarios]
+    other = run_scenario_suite(default_doc.params, scenarios)
+    emit_comparison_csv(canonical_report, io.StringIO())
+    emit_comparison_csv(other, io.StringIO())
+    write_plot_data(canonical_report, tmp_path / "after")
+    assert _plot_bytes(tmp_path / "after") == _plot_bytes(tmp_path / "alone")
+    write_plot_data(other, tmp_path / "other")
+    assert _plot_bytes(tmp_path / "other") != _plot_bytes(tmp_path / "alone")
+
+
+@pytest.fixture(scope="module")
+def two_clock_report(default_doc):
+    """Scenario "a" recorded quarterly, "b" half-yearly."""
+    return run_scenario_suite(default_doc.params, [
+        Scenario("a", SimulationClock(2015.0, 2035.0, 0.25)),
+        Scenario("b", SimulationClock(2015.0, 2035.0, 0.5))])
+
+
+def test_plot_data_refuses_runs_on_different_clocks(two_clock_report,
+                                                    tmp_path):
+    with pytest.raises(ValueError, match="'b'"):
+        write_plot_data(two_clock_report, tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()
+
+
+def test_charts_refuse_runs_on_different_clocks(two_clock_report, tmp_path):
+    with pytest.raises(ValueError, match="'b'"):
+        write_comparison_charts(two_clock_report, tmp_path / "charts")
+    assert not (tmp_path / "charts").exists()
 
 
 def test_write_comparison_charts(canonical_report, tmp_path):

@@ -68,6 +68,30 @@ def test_error_metrics_input_guards():
         error_metrics([0.2, 0.3, 0.1], [0.1, 0.1, 0.1])
 
 
+@pytest.mark.parametrize("simulated, historical, message", [
+    # differences of 1e-170 square to 0.0: not a perfect fit
+    ([2e-170, 1e-170, 3e-170], [1e-170, 2e-170, 3e-170],
+     "squares of the differences underflow"),
+    ([1e-170] * 3, [1e-170, 2e-170, 3e-170],
+     "squares of the differences underflow"),
+    # the history's deviations from its mean square to 0.0
+    ([1e-150, 2e-150, 4e-150], [1e-170, 2e-170, 3e-170],
+     "squares of the deviations of the historical series underflow"),
+    # the simulation's deviations square to 0.0 inside the Theil shares
+    ([1e-170, 2e-170, 3e-170], [1.0, 2.0, 3.5],
+     "squares of the deviations underflow"),
+    # relative errors near 1e202 overflow when squared
+    ([40.0, 150.0, 420.0], [1e-200, 2e-200, 3e-200],
+     "squares of the relative errors overflow"),
+    ([1e200, 2e200, 3e200], [-1e200, 1.0, 2.0],
+     "squares of the differences overflow"),
+])
+def test_error_metrics_rejects_squares_out_of_float_range(
+        simulated, historical, message):
+    with pytest.raises(ValueError, match=message):
+        error_metrics(simulated, historical)
+
+
 def test_zero_history_tolerated_where_simulation_matches():
     report = error_metrics([0.0, 2.0, 4.0], [0.0, 1.0, 2.0])
     assert np.isfinite(report.rmspe)
@@ -117,6 +141,8 @@ def test_theil_identity_property(seed):
 def test_theil_rejects_perfect_fit():
     with pytest.raises(ValueError):
         theil_decomposition([1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="differences underflow"):
+        theil_decomposition([2e-170, 1e-170], [1e-170, 2e-170])
 
 
 # === behavior-mode classifier ===
