@@ -87,6 +87,8 @@ _plot_text: dict[bytes, list[str]] = {}
 
 def _key(column) -> bytes:
     """The bytes of a float column's doubles, which determine its text."""
+    if isinstance(column, memoryview) and column.format == "d":
+        return column.tobytes()  # a run's columns: no float objects made
     return array("d", column).tobytes()
 
 

@@ -2,6 +2,7 @@
 
 import io
 import os
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -103,19 +104,24 @@ def test_run_csv_writes_format_float_of_every_value():
 
 
 def test_comparison_csv_keys_text_by_bytes_not_value():
-    def toy(fill):
-        return RunResult(times=np.array([0.0, 1.0]),
-                         variables={"s": np.array([fill, 1.5])},
+    def toy(column):
+        return RunResult(times=memoryview(array("d", [0.0, 1.0])),
+                         variables={"s": column},
                          stock_names=("s",), flow_names=(), aux_names=())
     outcome = ScenarioOutcome("x", 0.0, 0.0, 0.0, 0.0, 0.0)
     report = ComparisonReport(
-        outcomes=(outcome, replace(outcome, name="y")),
-        runs={"x": toy(0.0), "y": toy(-0.0)}, params={})
+        outcomes=tuple(replace(outcome, name=name) for name in "xyz"),
+        runs={"x": toy(np.array([0.0, 1.5])),
+              "y": toy(np.array([-0.0, 1.5])),
+              # single precision: keyed by its values as doubles
+              "z": toy(memoryview(array("f", [-0.0, 1.5])))},
+        params={})
     stream = io.StringIO()
     emit_comparison_csv(report, stream)
     assert stream.getvalue() == ("scenario,time,s\n"
                                  "x,0.0,0.0\nx,1.0,1.5\n"
-                                 "y,0.0,-0.0\ny,1.0,1.5\n")
+                                 "y,0.0,-0.0\ny,1.0,1.5\n"
+                                 "z,0.0,-0.0\nz,1.0,1.5\n")
 
 
 def test_comparison_csv_layout(canonical_report):
