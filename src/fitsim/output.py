@@ -15,8 +15,8 @@ pure function of those bytes a key cannot hand back wrong text.
 repeats in every scenario, the exogenous drivers in most), drops a
 column's text after the last scenario that reads it, and keeps the text
 of the plotted columns (``time`` and :data:`CHART_VARIABLES`) of the
-latest comparison for :func:`write_plot_data`, which formats only what
-it does not find there.
+latest comparison for the next :func:`write_plot_data`, which takes that
+text, formats only what it does not find there and releases the rest.
 """
 
 from __future__ import annotations
@@ -81,14 +81,13 @@ def _series(result: RunResult, name: str) -> memoryview:
 
 
 # the text of the plotted columns of the latest comparison CSV, keyed by
-# the bytes of their doubles; replaced, not grown, by each comparison
+# the bytes of their doubles; replaced by each comparison and released
+# by the next write_plot_data
 _plot_text: dict[bytes, list[str]] = {}
 
 
 def _key(column) -> bytes:
     """The bytes of a float column's doubles, which determine its text."""
-    if isinstance(column, memoryview) and column.format == "d":
-        return column.tobytes()  # a run's columns: no float objects made
     return array("d", column).tobytes()
 
 
@@ -191,10 +190,11 @@ def write_plot_data(report: ComparisonReport, directory,
     Raises ``ValueError``, before writing anything, when the runs were
     recorded at different times.
     """
+    global _plot_text
     names = [outcome.name for outcome in report.outcomes]
     times = _shared_times(report, names)
     os.makedirs(directory, exist_ok=True)
-    texts = dict(_plot_text)
+    texts, _plot_text = _plot_text, {}
     header = ",".join(["time"] + names) + "\n"
     time_text = _text_of(_key(times), texts)
     paths = []

@@ -205,6 +205,8 @@ def test_plot_data_reuses_the_comparison_text_and_keeps_the_bytes(
     write_plot_data(canonical_report, tmp_path / "after")
     # every plotted column was formatted by the comparison CSV
     assert formatted == []
+    # and the plot data released that text
+    assert fitsim.output._plot_text == {}
     assert _plot_bytes(tmp_path / "after") == _plot_bytes(tmp_path / "alone")
 
 
