@@ -95,10 +95,23 @@ def _sum_of_squares(values: list[float], what: str) -> float:
     try:
         total = math.fsum([value ** 2 for value in values])
     except OverflowError:
-        raise ValueError(f"the squares of the {what} overflow") from None
+        total = math.inf
+    if total == math.inf:  # a value that overflowed to inf squares to inf
+        raise ValueError(f"the squares of the {what} overflow")
     if total / len(values) == 0.0:
         raise ValueError(f"the squares of the {what} underflow to zero")
     return total
+
+
+def _mean(values: list[float], what: str) -> float:
+    """``fsum(values) / len(values)``, as ``statistics.fmean`` computes it.
+
+    Raises ``ValueError`` when the sum leaves float range.
+    """
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise ValueError(f"the sum of the {what} overflows") from None
 
 
 def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
@@ -110,11 +123,11 @@ def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
     three shares sum to one exactly.
 
     Raises ``ValueError`` on a perfect fit, which has nothing to
-    decompose, and when squared differences overflow or squared
-    differences or deviations underflow.
+    decompose, when a series' sum or squared differences overflow, and
+    when squared differences or deviations underflow.
     """
     # imported here: only ``validate --historical`` needs it
-    from statistics import StatisticsError, correlation, fmean, pstdev
+    from statistics import StatisticsError, correlation, pstdev
 
     s, h = _as_series(simulated, historical)
     if s == h:
@@ -124,7 +137,8 @@ def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
                           "differences") / len(s)
     sigma_s = pstdev(s)
     sigma_h = pstdev(h)
-    um = (fmean(s) - fmean(h)) ** 2 / mse
+    um = (_mean(s, "simulated series")
+          - _mean(h, "historical series")) ** 2 / mse
     us = (sigma_s - sigma_h) ** 2 / mse
     if sigma_s == 0.0 or sigma_h == 0.0:
         uc = 0.0  # no co-movement to attribute
@@ -147,8 +161,8 @@ def error_metrics(simulated, historical) -> ErrorReport:
     tolerated where the simulated value matches it exactly. R squared is
     ``1 - SSE / SST`` with SST taken around the historical mean. Only
     ``s == h``, element by element, is a perfect fit; differences or
-    deviations whose squares underflow, and squares that overflow, raise
-    ``ValueError``.
+    deviations whose squares underflow, and sums or squares that
+    overflow, raise ``ValueError``.
     """
     s, h = _as_series(simulated, historical)
     if s == h:
@@ -169,7 +183,7 @@ def error_metrics(simulated, historical) -> ErrorReport:
     # SST can come out tiny but not 0
     if min(h) == max(h):
         raise ValueError("historical series is constant; R squared undefined")
-    mean_h = math.fsum(h) / len(h)
+    mean_h = _mean(h, "historical series")
     sst = _sum_of_squares([b - mean_h for b in h],
                           "deviations of the historical series")
     r_squared = 1.0 - sse / sst

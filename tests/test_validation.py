@@ -85,6 +85,12 @@ def test_error_metrics_input_guards():
      "squares of the relative errors overflow"),
     ([1e200, 2e200, 3e200], [-1e200, 1.0, 2.0],
      "squares of the differences overflow"),
+    # a difference that overflows to inf squares to inf without raising
+    ([1e308, 1.0, 2.0], [-1e308, 1.0, 3.0],
+     "squares of the differences overflow"),
+    # the history's sum leaves float range although its mean would not
+    ([1e308, 1e308, 2.0], [1e308, 1e308, 1.0],
+     "sum of the historical series overflows"),
 ])
 def test_error_metrics_rejects_squares_out_of_float_range(
         simulated, historical, message):
@@ -143,6 +149,12 @@ def test_theil_rejects_perfect_fit():
         theil_decomposition([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="differences underflow"):
         theil_decomposition([2e-170, 1e-170], [1e-170, 2e-170])
+
+
+def test_theil_rejects_a_sum_out_of_float_range():
+    with pytest.raises(ValueError,
+                       match="sum of the simulated series overflows"):
+        theil_decomposition([1e308, 1e308, 2.0], [1e308, 1e308, 1.0])
 
 
 # === behavior-mode classifier ===
