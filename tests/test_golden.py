@@ -2,10 +2,11 @@
 
 ``golden/sha256.json`` holds the sha256 of each of the 17 files that
 ``fitsim compare --out DIR --charts`` writes, at dt 0.25, at dt 0.1 and
-on the integration-error grid of dt 0.015625, their combined digest (over the files' bytes concatenated in sorted name
-order), and the digest of ``fitsim run --scenario p3_budget_adjusted_tax``
-stdout. A change that alters any of these on purpose updates the file in
-the same change and says why.
+on the integration-error grid of dt 0.015625, their combined digest
+(over the files' bytes concatenated in sorted name order), and the
+digest of ``fitsim run --scenario p3_budget_adjusted_tax`` stdout. A
+change that alters any of these on purpose updates the file in the same
+change and says why.
 """
 
 import hashlib
