@@ -4,9 +4,11 @@ The engine advances a model's stocks with explicit Euler steps. The model
 declares its stock and auxiliary names once; each step hands it the stocks
 in that order, records the stocks and the auxiliaries it returns in theirs,
 then applies ``stock += rate * dt``, clamping the stocks the model declares
-non-negative at zero (:func:`run_simulation` lists the checks). Besides the
-integrator it provides the three primitive building blocks the models here
-are assembled from:
+non-negative at zero (:func:`run_simulation` lists the checks). Each
+record (time, stocks, auxiliaries) is written with one ``struct`` pack
+into a single buffer of doubles, and every column of the result is a
+read-only view of it. Besides the integrator it provides the three
+primitive building blocks the models here are assembled from:
 
 * an inverted sigmoid response ``y = y_max / (1 + (x / x_50) ** p)``, used
   for saturating social and institutional effects,
@@ -27,6 +29,7 @@ reference by a property in ``tests/test_engine.py``.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field
 
@@ -170,7 +173,11 @@ class LaggedSeries:
     reads the value nearest to ``t - lag`` (ties resolve toward the earlier
     step) and falls back to ``initial_value`` for targets before the first
     record. The lookup finds the records around the target by index
-    arithmetic on the grid, in constant time.
+    arithmetic on the grid, in constant time; a target a step or more from
+    either end takes one range test before the nearest-record comparison.
+    Looking ahead raises ``RuntimeError``: a target may lie at most half a
+    spacing past the last record, and with one record the spacing is taken
+    to be the lag.
     """
 
     lag: float
@@ -183,37 +190,47 @@ class LaggedSeries:
             raise ConfigurationError(f"lag must be positive, got {self.lag}")
 
     def record(self, t: float, value: float) -> None:
-        if self._times:
-            last = self._times[-1]
-            if t == last:
-                # re-evaluation at the same step overwrites, never duplicates
-                self._values[-1] = value
-                return
-            if t < last:
+        times = self._times
+        if times and t <= times[-1]:
+            if t < times[-1]:
                 raise RuntimeError(
-                    f"record at t={t} after t={last}; history must be "
+                    f"record at t={t} after t={times[-1]}; history must be "
                     f"appended in time order")
-        self._times.append(t)
+            # re-evaluation at the same step overwrites, never duplicates
+            self._values[-1] = value
+            return
+        times.append(t)
         self._values.append(value)
 
     def lookup(self, t: float) -> float:
         target = t - self.lag
         times = self._times
-        if not times or target < times[0]:
-            return self.initial_value
         last = len(times) - 1
-        spacing = times[-1] - times[-2] if last else self.lag
-        if target > times[-1] + 0.5 * spacing:
-            raise RuntimeError(
-                f"lag lookup at t={t} needs history up to {target}, but "
-                f"recording stops at {times[-1]}")
-        if not last:
-            return self._values[0]
+        # the target's position in steps from the first record; with fewer
+        # than three records every target is at an end
+        x = ((target - times[0]) / (times[-1] - times[-2]) if last > 1
+             else -1.0)
+        if 1.0 <= x < last - 1:
+            # a step or more past the first record and over a step before
+            # the last: neither the fallback nor the look-ahead check applies
+            i = int(x)
+        else:
+            if last < 0 or target < times[0]:
+                return self.initial_value
+            spacing = times[-1] - times[-2] if last else self.lag
+            if target > times[-1] + 0.5 * spacing:
+                raise RuntimeError(
+                    f"lag lookup at t={t} needs history up to {target}, but "
+                    f"recording stops at {times[-1]}")
+            if not last:
+                return self._values[0]
+            # past the last record, the pair before it picks the last
+            i = int((target - times[0]) / spacing)
+            if i >= last:
+                i = last - 1
         # the pair of records around target. Near a record the index may be
-        # one off, but either pair then picks that record; past the last
-        # record, the pair before it picks the last.
-        i = min(int((target - times[0]) / spacing), last - 1)
-        # ties toward the earlier step: strictly-closer wins, equality keeps i
+        # one off, but either pair then picks that record. Ties toward the
+        # earlier step: strictly-closer wins, equality keeps i
         if (target - times[i]) <= (times[i + 1] - target):
             return self._values[i]
         return self._values[i + 1]
@@ -300,9 +317,12 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
     value per auxiliary came back, and that the auxiliaries and, before the
     Euler update, the rates are finite; a failure raises
     :class:`SimulationError` naming the first offending variable and the
-    time. Records (time, stocks, then auxiliaries) go into one flat
-    ``array("d")``; every column of the result is a read-only strided view
-    of it.
+    time. Each record (time, stocks, then auxiliaries) is packed with one
+    ``struct.Struct(f"{width}d").pack`` built per run, as native doubles
+    exactly as ``array("d")`` stores them, and appended to one flat
+    ``array("d")`` by ``frombytes``; every column of the result is a
+    read-only strided view of it. A value the pack cannot convert raises
+    what ``array("d")`` raises for it.
     """
     begin = getattr(model, "begin_run", None)
     if begin is not None:
@@ -311,10 +331,11 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
     aux_names = tuple(model.aux_names)
     flow_names = tuple(getattr(model, "flow_names", ()))
     names = stock_names + aux_names
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise SimulationError("name declared twice among stocks and "
-                                  "auxiliaries", variable=name)
+    if len(set(names)) != len(names):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise SimulationError("name declared twice among stocks and "
+                                      "auxiliaries", variable=name)
     for name in flow_names:
         if name not in aux_names:
             raise SimulationError("flow is not a declared auxiliary",
@@ -328,6 +349,8 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
     clamped = [(i, name) for i, name in enumerate(stock_names)
                if name in non_negative]
     n_steps, dt = clock.n_steps, clock.dt
+    width = 1 + len(names)
+    pack = struct.Struct(f"{width}d").pack
     rows = array("d")
     events: list[ClampEvent] = []
 
@@ -343,9 +366,12 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
                 f"{len(aux)} auxiliaries returned, {n_aux} declared", time=t)
         if not math.isfinite(sum(aux)):
             _raise_first_non_finite("non-finite auxiliary", aux_names, aux, t)
-        rows.append(t)
-        rows.fromlist(values)
-        rows.fromlist(list(aux))  # faster than extend() on a tuple
+        try:
+            rows.frombytes(pack(t, *values, *aux))
+        except struct.error:
+            # raise what array("d") raises for a value it cannot store
+            array("d", values), array("d", aux)
+            raise
 
         if k < n_steps:
             if not math.isfinite(sum(rates)):
@@ -360,7 +386,6 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
                         values[i] = 0.0
 
     view = memoryview(rows).toreadonly()
-    width = 1 + len(names)
     columns = {name: view[i::width] for i, name in enumerate(names, start=1)}
     aux_only = tuple(name for name in aux_names if name not in flow_names)
     return RunResult(times=view[::width], variables=columns,

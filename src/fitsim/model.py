@@ -503,10 +503,14 @@ class FitModel:
                 econ.initial_budget, 0.0, 0.0, 0.0)
 
     def begin_run(self, clock: SimulationClock) -> None:
-        """Reset per-run memory; reject trends not positive over ``clock``.
+        """Reset per-run memory; reject a clock the run cannot complete.
 
         A linear trend is positive on the whole window when it is positive
-        at both ends, so a bad trend fails here, before the first step.
+        at both ends, so a bad trend fails here, before the first step. So
+        does a step too coarse for the request lag: step 1 looks back one
+        lag with only step 0 recorded, which ``LaggedSeries`` reads as a
+        spacing of one lag, so it accepts a target at most half a lag past
+        step 0, that is, a ``dt`` of at most 1.5 lags.
         """
         exog = self.params.exogenous
         for item in fields(exog):
@@ -517,6 +521,12 @@ class FitModel:
                     raise ConfigurationError(f"{item.name}: {exc}") from None
         self._requests = LaggedSeries(
             lag=1.0, initial_value=self.params.econ.initial_annual_requests)
+        lag, start = self._requests.lag, clock.start_year
+        # the look-ahead test of the lookup at step 1, term for term
+        if (start + clock.dt) - lag > start + 0.5 * lag:
+            raise ConfigurationError(
+                f"dt must not exceed 1.5 times the one-year request lag, "
+                f"got {clock.dt}")
         self._penetration_warned = False
         econ = self.params.econ
         effects = self.params.effects

@@ -123,8 +123,9 @@ def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
     three shares sum to one exactly.
 
     Raises ``ValueError`` on a perfect fit, which has nothing to
-    decompose, when a series' sum or squared differences overflow, and
-    when squared differences or deviations underflow.
+    decompose, when a series' sum or squared differences overflow, when
+    squared differences or deviations underflow, and when the products of
+    the deviations overflow, leaving the correlation or a share not finite.
     """
     # imported here: only ``validate --historical`` needs it
     from statistics import StatisticsError, correlation, pstdev
@@ -150,6 +151,9 @@ def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
             raise ValueError("the squares of the deviations underflow to "
                              "zero") from None
         uc = 2.0 * (1.0 - r) * sigma_s * sigma_h / mse
+    # a NaN correlation makes uc NaN too
+    if not (math.isfinite(um) and math.isfinite(us) and math.isfinite(uc)):
+        raise ValueError("the products of the deviations overflow")
     return um, us, uc
 
 
@@ -258,7 +262,7 @@ def behavior_signature(times, values) -> BehaviorSignature:
     scale = max(map(abs, smooth))
     margin = _SHAPE_MARGIN * scale if scale > 0.0 else 0.0
 
-    peak_index = max(range(len(smooth)), key=smooth.__getitem__)
+    peak_index = smooth.index(max(smooth))  # the first maximum
     rise = smooth[peak_index] - smooth[0]
     fall = smooth[peak_index] - smooth[-1]
     if rise > margin and fall > margin:

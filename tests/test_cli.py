@@ -73,6 +73,26 @@ def test_dt_longer_than_the_horizon_is_a_configuration_error(capsys):
     assert err.startswith("error: dt ")
 
 
+@pytest.mark.parametrize("argv, dt", [
+    (["run", "--dt", "2"], 2.0),
+    (["compare", "--dt", "2"], 2.0),
+    (["validate", "--dt", "2"], 2.0),
+    (["run", "--dt", "1.6", "--horizon", "2031"], 1.6),
+])
+def test_dt_too_coarse_for_the_request_lag_is_a_configuration_error(
+        argv, dt, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: dt must not exceed 1.5 times the one-year request lag, "
+        f"got {dt}\n")
+
+
+def test_a_step_of_one_and_a_half_years_runs(capsys):
+    assert main(["run", "--dt", "1.5", "--horizon", "2036"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 15  # (2036 - 2015) / 1.5 + 1 records
+
+
 def test_clock_overrides_change_the_grid(capsys):
     assert main(["run", "--dt", "0.5", "--horizon", "2025"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,6 +1,7 @@
 """Kernel tests: clock, sigmoid, trend, lag, Euler stepping, run recording."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -239,8 +240,10 @@ def first_lookup_mismatch(lookup, start, dt, n_steps, fractions=()):
     return None
 
 
-# dt 0.4 puts lag / dt at 2.5: every lag target is a tie between two records
-LAG_GRIDS = st.sampled_from([0.1, 0.25, 0.4, 1 / 64])
+# dt 0.4 puts lag / dt at 2.5: every lag target is a tie between two records.
+# The coarse grids reach the single-record branch at the second step: dt 1.0
+# finds the first record, 1.5 sits on the look-ahead bound and 2.0 raises
+LAG_GRIDS = st.sampled_from([0.1, 0.25, 0.4, 1 / 64, 1.0, 1.5, 2.0])
 
 
 @settings(max_examples=300)
@@ -332,6 +335,8 @@ def test_run_rejects_aux_colliding_with_stock():
     ({"aux_names": ("outflow", "outflow")}, "outflow"),
     ({"stock_names": ("s", "s")}, "s"),
     ({"flow_names": ("inflow",)}, "inflow"),
+    # the first repeat, not the first name that is declared twice
+    ({"aux_names": ("b", "a", "a", "b")}, "a"),
 ])
 def test_run_rejects_bad_declarations_before_the_first_step(declared,
                                                             variable):
@@ -477,6 +482,46 @@ def test_run_accepts_finite_values_whose_sum_overflows():
     result = run_simulation(model, SimulationClock(0.0, 1.0, 0.5))
     assert result["a"].tolist() == [1e308, 5e307, 0.0]
     assert result["x"].tolist() == [1e308] * 3
+
+
+# === the packed record ===
+
+class Tagged(float):
+    """A float whose ``__float__`` disagrees with its value; ``array("d")``
+    stores the value."""
+
+    def __float__(self):
+        return 99.0
+
+
+@pytest.mark.parametrize("container", [tuple, list])
+def test_run_records_the_doubles_array_stores(container):
+    values = (3, True, False, Tagged(0.1), -0.0)
+    model = ScriptedModel({"s": 2}, {"s": 1}, ("i", "yes", "no", "f", "z"),
+                          lambda t: container(values))
+    result = run_simulation(model, SimulationClock(0.0, 1.0, 0.5))
+    assert result["s"].tobytes() == array("d", [2, 2.5, 3.0]).tobytes()
+    for name, value in zip(result.aux_names, values):
+        assert result[name].tobytes() == array("d", [value] * 3).tobytes()
+
+
+@pytest.mark.parametrize("aux", [(1.0,), (1.0, 2.0, 3.0)])
+def test_run_rejects_a_wrong_length_aux_before_packing(aux):
+    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, ("x", "y"), lambda t: aux)
+    with pytest.raises(SimulationError) as exc:
+        run_simulation(model, SimulationClock(0.0, 1.0, 0.5))
+    assert f"{len(aux)} auxiliaries returned, 2 declared" in str(exc.value)
+
+
+def test_run_raises_what_array_raises_for_a_value_it_cannot_store():
+    # the auxiliaries sum to a finite 0, but neither fits in a double
+    aux = (10 ** 400, -10 ** 400)
+    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, ("x", "y"), lambda t: aux)
+    with pytest.raises(OverflowError) as expected:
+        array("d", aux)
+    with pytest.raises(OverflowError) as exc:
+        run_simulation(model, SimulationClock(0.0, 1.0, 0.5))
+    assert str(exc.value) == str(expected.value)
 
 
 # === the kernel against a plain Euler loop ===

@@ -20,6 +20,7 @@ from fitsim import (
     PARAMETER_NAMES,
     SimulationClock,
     FitModel,
+    LaggedSeries,
     annuity_factor,
     apply_overrides,
     compute_fit_price,
@@ -402,6 +403,44 @@ def test_trend_positivity_is_checked_before_the_first_step(trend, line, year):
     message = str(excinfo.value)
     assert message.startswith(f"{trend}: ")
     assert f"t={year}" in message
+
+
+@pytest.mark.parametrize("dt, end", [(2.0, 2035.0), (1.6, 2031.0)])
+def test_a_step_too_coarse_for_the_request_lag_fails_before_the_first_step(
+        dt, end):
+    model = _CountingModel(ModelParameters())
+    with pytest.raises(ConfigurationError) as excinfo:
+        model.simulate(SimulationClock(2015.0, end, dt))
+    assert model.calls == 0
+    assert str(excinfo.value) == (
+        f"dt must not exceed 1.5 times the one-year request lag, got {dt}")
+
+
+@given(st.floats(min_value=2014.0, max_value=2048.0),
+       st.just(1.5) | st.floats(min_value=1.45, max_value=1.55))
+# just below 2048, start + 1.5 rounds on a coarser grid than start + 0.5, so
+# from this start even dt = 1.5 looks ahead; ``dt > 1.5`` would let it pass
+@example(2046.7903555703758, 1.5)
+def test_the_coarse_step_check_is_the_lookups_own_rule(start, dt):
+    # near dt = 1.5 the rounding of the step times decides; the check must
+    # fail exactly the clocks whose second step's lookup would
+    clock = SimulationClock(start, start + 2 * dt, dt)
+    series = LaggedSeries(lag=1.0, initial_value=0.0)
+    t0, t1 = clock.times()[:2]
+    series.record(t0, 0.0)
+    try:
+        series.lookup(t1)
+        lookahead = False
+    except RuntimeError:
+        lookahead = True
+    model = _CountingModel(ModelParameters())
+    try:
+        model.simulate(clock)
+        rejected = False
+    except ConfigurationError:
+        rejected = True
+    assert rejected == lookahead
+    assert model.calls == (0 if rejected else 3)
 
 
 # === the inlined step against the composed links ===

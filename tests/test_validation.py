@@ -1,5 +1,7 @@
 """Error metrics, the Theil identity, behavior modes, stress suites."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -157,6 +159,15 @@ def test_theil_rejects_a_sum_out_of_float_range():
         theil_decomposition([1e308, 1e308, 2.0], [1e308, 1e308, 1.0])
 
 
+def test_theil_rejects_deviations_whose_products_overflow():
+    # the squares of the deviations (about 1e320) overflow inside the
+    # correlation, which comes out NaN
+    with pytest.raises(ValueError,
+                       match="products of the deviations overflow"):
+        theil_decomposition([1e160 + 1e150, 3e160 - 2e150, 2e160 + 5e149],
+                            [1e160, 3e160, 2e160])
+
+
 # === behavior-mode classifier ===
 
 def triangle(n=41, peak=20):
@@ -201,6 +212,30 @@ def test_classifier_is_scale_invariant():
         base = behavior_signature(t, v)
         scaled = behavior_signature(t, v * float(rng.uniform(1e-6, 1e6)))
         assert scaled == base
+
+
+def key_form_peak_year(times, v):
+    """The peak year with the peak found as the first index of the smoothed
+    maximum by key: the reference for the classifier's ``list.index``."""
+    smooth = ([v[0]] + [(a + b + c) / 3.0 for a, b, c in zip(v, v[1:], v[2:])]
+              + [v[-1]])
+    if not max(map(abs, smooth)) > 0.0:
+        return None
+    return float(times[max(range(len(smooth)), key=smooth.__getitem__)])
+
+
+_peak_values = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, math.inf, -math.inf])
+    | st.floats(allow_nan=False), min_size=3, max_size=12)
+
+
+@given(_peak_values, st.booleans())
+def test_classifier_peak_is_the_first_maximum(values, leading_nan):
+    if leading_nan:
+        values = [math.nan] + values
+    times = [2015.0 + 0.25 * k for k in range(len(values))]
+    assert (behavior_signature(times, values).peak_year
+            == key_form_peak_year(times, values))
 
 
 def test_classifier_input_guards():
