@@ -505,12 +505,13 @@ def test_run_records_the_doubles_array_stores(container):
         assert result[name].tobytes() == array("d", [value] * 3).tobytes()
 
 
-@pytest.mark.parametrize("aux", [(1.0,), (1.0, 2.0, 3.0)])
-def test_run_rejects_a_wrong_length_aux_before_packing(aux):
-    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, ("x", "y"), lambda t: aux)
+def test_run_rejects_a_short_aux_before_packing():
+    # a long one is test_run_rejects_an_auxiliary_set_that_changes_mid_run
+    model = ScriptedModel({"s": 1.0}, {"s": 0.0}, ("x", "y"),
+                          lambda t: (1.0,))
     with pytest.raises(SimulationError) as exc:
         run_simulation(model, SimulationClock(0.0, 1.0, 0.5))
-    assert f"{len(aux)} auxiliaries returned, 2 declared" in str(exc.value)
+    assert "1 auxiliaries returned, 2 declared" in str(exc.value)
 
 
 def test_run_raises_what_array_raises_for_a_value_it_cannot_store():

@@ -232,6 +232,8 @@ _peak_values = st.lists(
 @given(_peak_values, st.booleans())
 def test_classifier_peak_is_the_first_maximum(values, leading_nan):
     if leading_nan:
+        # max() then returns that NaN, which list.index finds only because
+        # it is the same object
         values = [math.nan] + values
     times = [2015.0 + 0.25 * k for k in range(len(values))]
     assert (behavior_signature(times, values).peak_year
