@@ -5,7 +5,7 @@ payment delay, upkeep under payment delay), the annuity factor behind
 project ROI, and the learning curve for capital cost.
 """
 
-from fitsim import EconomicParameters, SocialEffectSet, annuity_factor
+from fitsim import annuity_factor, load_default_config
 from fitsim.model import compute_capital_cost
 
 
@@ -17,7 +17,8 @@ def table(title, xs, f, x_label, y_label):
 
 
 def main():
-    effects = SocialEffectSet()
+    params = load_default_config().params
+    effects = params.effects
 
     table("Levy tolerance vs renewable tax ($/kWh)",
           [0.0, 0.01, 0.025, 0.05, 0.075, 0.1],
@@ -35,7 +36,7 @@ def main():
           [1.0, 5.0, 10.0, 20.0, 24.0],
           lambda n: annuity_factor(0.10, n), "years", "factor")
 
-    econ = EconomicParameters()
+    econ = params.econ
     table("Capital cost vs cumulative build (MW)",
           [120.0, 240.0, 500.0, 1000.0, 2500.0, 5000.0],
           lambda c: compute_capital_cost(c, econ) / 1000.0,

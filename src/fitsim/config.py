@@ -18,8 +18,10 @@ implementation). Sections:
 * ``[scenario:NAME]`` one named run: a required ``policy`` id, optional
   knob overrides, and optional parameter overrides by registry name.
 
-Unknown sections or keys are rejected. Keys left out fall back to the
-package defaults, and every fallback is recorded in the parse log. Full
+Unknown sections or keys are rejected. A parameter left out takes the
+packaged config's value, a clock key ``DEFAULT_CLOCK``'s, and each such
+fallback is logged; the packaged config must define every parameter. A
+knob left out takes ``PolicyControl``'s neutral default, unlogged. Full
 line comments start with ``#``; the ``;`` is reserved for provenance.
 """
 
@@ -34,7 +36,7 @@ from .model import (
     ModelParameters,
     PARAMETER_NAMES,
     PARAMETER_PATHS,
-    apply_overrides,
+    build_parameters,
     get_parameter,
 )
 from .policies import POLICY_IDS, PolicyControl, Scenario
@@ -82,7 +84,7 @@ class ConfigDocument:
     """A fully validated configuration.
 
     ``entries`` holds exactly what the file said (per section, in file
-    order); ``log`` records every key that fell back to a package default.
+    order); ``log`` records every clock key and parameter that fell back.
     """
 
     clock: SimulationClock
@@ -135,6 +137,11 @@ def _parse_scalar(section: str, key: str, token: str) -> float:
 
 def parse_config(text: str) -> ConfigDocument:
     """Parse and validate a configuration document."""
+    return _parse(text, packaged=False)
+
+
+def _parse(text: str, packaged: bool) -> ConfigDocument:
+    # the packaged file has no values to fall back on
     parser = configparser.ConfigParser(
         interpolation=None, delimiters=("=",),
         comment_prefixes=("#",), inline_comment_prefixes=None)
@@ -180,17 +187,21 @@ def parse_config(text: str) -> ConfigDocument:
                        f"{getattr(DEFAULT_CLOCK, key)!r}")
     clock = replace(DEFAULT_CLOCK, **clock_values)
 
-    parameter_overrides: dict[str, float] = {}
+    values: dict[str, float] = {}
     for section in _PARAMETER_SECTIONS:
-        parameter_overrides.update(
-            read_section(section, _SCALAR_SECTIONS[section]))
-    defaults = ModelParameters()
+        values.update(read_section(section, _SCALAR_SECTIONS[section]))
+    fallback = None
     for section in _PARAMETER_SECTIONS:
         for key in _SCALAR_SECTIONS[section]:
-            if key not in parameter_overrides:
-                log.append(f"{section}.{key} defaulted to "
-                           f"{get_parameter(defaults, key)!r}")
-    params = apply_overrides(defaults, parameter_overrides)
+            if key in values:
+                continue
+            if packaged:
+                raise ConfigurationError(
+                    f"the packaged config lacks [{section}] {key}")
+            fallback = fallback or load_default_config().params
+            values[key] = get_parameter(fallback, key)
+            log.append(f"{section}.{key} defaulted to {values[key]!r}")
+    params = build_parameters(values)
 
     # knobs left out here fall back to PolicyControl's own defaults
     knob_defaults = read_section("policy", _POLICY_KEYS)
@@ -271,4 +282,4 @@ def default_config_text() -> str:
 
 
 def load_default_config() -> ConfigDocument:
-    return parse_config(default_config_text())
+    return _parse(default_config_text(), packaged=True)

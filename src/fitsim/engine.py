@@ -152,7 +152,7 @@ class LinearTrend:
 
     intercept: float
     slope: float
-    reference_year: float = 2015.0
+    reference_year: float
 
 
 def eval_linear_trend(trend: LinearTrend, t: float) -> float:

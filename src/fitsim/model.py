@@ -43,8 +43,6 @@ calibration box, the policies and the step sizes holds the two to the same
 bytes.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -73,24 +71,24 @@ MINIMUM_LIFETIME = 1.0  # years
 class EconomicParameters:
     """Scalar constants of the program: economics, pipeline, initial state."""
 
-    capacity_factor: float = 0.25          # fraction of nameplate output
-    initial_fit_price: float = 20.0        # $/MWh, tariff offered at launch
-    om_cost: float = 1.64                  # $/MWh, operation and maintenance
-    interest_rate: float = 0.10            # per year, investor discount rate
-    remuneration_period: float = 20.0      # years of guaranteed purchase
-    initial_capital_cost: float = 1.34e5   # $/MW at the initial build level
-    learning_exponent: float = 0.135       # capital-cost learning strength
-    time_to_build: float = 2.0             # years from approval to operation
-    normal_equipment_lifetime: float = 20.0  # years, with healthy maintenance
-    rejection_fraction: float = 0.501      # share of requests turned down
-    capacity_target: float = 5000.0        # MW, program goal
-    res_tax_base: float = 0.000864         # $/kWh, electricity levy
-    initial_annual_requests: float = 481.0  # MW/year filed before launch
-    fit_price_floor: float = 0.25          # minimum multiplier of the launch tariff
-    shortage_smoothing_time: float = 1.0   # years, shortfall perception delay
-    initial_installed_capacity: float = 120.0  # MW
-    initial_budget: float = 2.28e8         # dollars
-    initial_suna_debt: float = 0.0         # dollars
+    capacity_factor: float             # fraction of nameplate output
+    initial_fit_price: float           # $/MWh, tariff offered at launch
+    om_cost: float                     # $/MWh, operation and maintenance
+    interest_rate: float               # per year, investor discount rate
+    remuneration_period: float         # years of guaranteed purchase
+    initial_capital_cost: float        # $/MW at the initial build level
+    learning_exponent: float           # capital-cost learning strength
+    time_to_build: float               # years from approval to operation
+    normal_equipment_lifetime: float   # years, with healthy maintenance
+    rejection_fraction: float          # share of requests turned down
+    capacity_target: float             # MW, program goal
+    res_tax_base: float                # $/kWh, electricity levy
+    initial_annual_requests: float     # MW/year filed before launch
+    fit_price_floor: float             # minimum multiplier of the launch tariff
+    shortage_smoothing_time: float     # years, shortfall perception delay
+    initial_installed_capacity: float  # MW
+    initial_budget: float              # dollars
+    initial_suna_debt: float           # dollars
 
     def __post_init__(self):
         positive = (
@@ -136,10 +134,10 @@ class SocialEffectSet:
     the same delay stalls operation-and-maintenance activity.
     """
 
-    social_tolerance: SigmoidEffect = SigmoidEffect(1.0, 0.05, 7.0)  # x: $/kWh
-    investor_trust: SigmoidEffect = SigmoidEffect(1.0, 5.0, 4.0)     # x: years
-    om_activity: SigmoidEffect = SigmoidEffect(1.0, 5.0, 6.0)        # x: years
-    penetration_gain: float = 5.0  # slope of acceptance in penetration
+    social_tolerance: SigmoidEffect  # x: $/kWh
+    investor_trust: SigmoidEffect    # x: years
+    om_activity: SigmoidEffect       # x: years
+    penetration_gain: float          # slope of acceptance in penetration
 
     def __post_init__(self):
         if not (math.isfinite(self.penetration_gain)
@@ -153,17 +151,17 @@ class SocialEffectSet:
 class ExogenousInputs:
     """Drivers outside the model's feedback structure."""
 
-    total_generation_capacity: LinearTrend = LinearTrend(74000.0, 1700.0)  # MW
-    electricity_consumption: LinearTrend = LinearTrend(1.91e7, 2.02e6)     # MWh/yr
+    total_generation_capacity: LinearTrend  # MW
+    electricity_consumption: LinearTrend    # MWh/yr
 
 
 @dataclass(frozen=True)
 class ModelParameters:
     """Everything a run needs besides the clock and the policy."""
 
-    econ: EconomicParameters = EconomicParameters()
-    effects: SocialEffectSet = SocialEffectSet()
-    exogenous: ExogenousInputs = ExogenousInputs()
+    econ: EconomicParameters
+    effects: SocialEffectSet
+    exogenous: ExogenousInputs
 
 
 @dataclass(frozen=True)
@@ -395,12 +393,11 @@ def _registry() -> dict[str, tuple[str, ...]]:
     """
     names: dict[str, tuple[str, ...]] = {}
     for group in fields(ModelParameters):
-        for item in fields(group.default):
-            value = getattr(group.default, item.name)
-            if not is_dataclass(value):
+        for item in fields(group.type):
+            if not is_dataclass(item.type):
                 names[item.name] = (group.name, item.name)
                 continue
-            for part in fields(value):
+            for part in fields(item.type):
                 names[f"{item.name}_{part.name}"] = (group.name, item.name,
                                                      part.name)
     return names
@@ -410,6 +407,19 @@ def _registry() -> dict[str, tuple[str, ...]]:
 # keys from the first element of each path
 PARAMETER_PATHS: dict[str, tuple[str, ...]] = _registry()
 PARAMETER_NAMES: tuple[str, ...] = tuple(sorted(PARAMETER_PATHS))
+
+
+def build_parameters(values: dict[str, float]) -> ModelParameters:
+    """Parameters from a value for every name of ``PARAMETER_NAMES``: once
+    per config parse, while runs change theirs by ``apply_overrides``."""
+    def build(record, prefix=""):
+        return record(**{
+            item.name: build(item.type, f"{item.name}_")
+            if is_dataclass(item.type) else values[prefix + item.name]
+            for item in fields(record)})
+
+    return ModelParameters(**{group.name: build(group.type)
+                              for group in fields(ModelParameters)})
 
 
 def _path(name: str) -> tuple[str, ...]:

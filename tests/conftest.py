@@ -6,17 +6,17 @@ the suite stays fast. Tests that mutate parameters build their own.
 
 import pytest
 
-from fitsim import ModelParameters, load_default_config, run_scenario_suite
-
-
-@pytest.fixture(scope="session")
-def default_params():
-    return ModelParameters()
+from fitsim import load_default_config, run_scenario_suite
 
 
 @pytest.fixture(scope="session")
 def default_doc():
     return load_default_config()
+
+
+@pytest.fixture(scope="session")
+def default_params(default_doc):
+    return default_doc.params
 
 
 @pytest.fixture(scope="session")

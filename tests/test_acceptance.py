@@ -14,7 +14,6 @@ from fitsim import (
     FitModel,
     GROWTH_PEAK_DECLINE,
     SimulationClock,
-    SocialEffectSet,
     annuity_factor,
     behavior_signature,
     extreme_condition_suite,
@@ -83,7 +82,7 @@ def test_criterion_01_equation_oracles(default_params):
         if not _close(compute_fit_price(installed, econ), expected):
             ok, details = False, details + [f"fit price @ {installed}"]
 
-    effects = SocialEffectSet()
+    effects = default_params.effects
     if not _close(compute_social_acceptance(0.1, 0.0, effects), 1.5):
         ok, details = False, details + ["acceptance vs penetration"]
     if not _close(compute_social_acceptance(0.0, 0.05, effects), 0.5):
@@ -106,9 +105,9 @@ def test_criterion_01_equation_oracles(default_params):
              + (f"; mismatches: {details}" if details else ""))
 
 
-def test_criterion_02_sigmoid_battery():
+def test_criterion_02_sigmoid_battery(default_params):
     start = time.perf_counter()
-    effects = SocialEffectSet()
+    effects = default_params.effects
     rng = np.random.default_rng(20150101)
     ok = True
     for effect in (effects.social_tolerance, effects.investor_trust,

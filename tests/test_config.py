@@ -1,12 +1,17 @@
 """Config parsing: provenance markers, fallbacks, scenarios, round trips."""
 
+from dataclasses import fields
+
 import pytest
 
 from fitsim import (
     ConfigurationError,
-    ModelParameters,
+    PARAMETER_NAMES,
+    PolicyControl,
     default_config_text,
+    get_parameter,
     load_config,
+    load_default_config,
     parse_config,
     serialize_config,
 )
@@ -30,7 +35,12 @@ def test_minimal_document_synthesizes_a_base_scenario():
     assert doc.clock.dt == 0.25
     assert doc.scenario_names == ("base",)
     assert doc.scenarios[0].policy.policy_id == "base"
-    assert doc.params == ModelParameters()
+    # every parameter left out takes the packaged config's value
+    packaged = load_default_config().params
+    for name in PARAMETER_NAMES:
+        assert (get_parameter(doc.params, name)
+                == get_parameter(packaged, name)), name
+    assert doc.params == packaged
 
 
 def test_fallbacks_are_logged():
@@ -133,15 +143,37 @@ def test_unknown_scenario_lookup_raises():
         doc.scenario("nope")
 
 
-def test_shipped_config_defines_the_canonical_suite(default_doc,
-                                                    default_params):
+def test_shipped_config_defines_the_canonical_suite(default_doc):
     assert default_doc.scenario_names == CANONICAL_NAMES
-    # the shipped file spells out the defaults rather than relying on them
-    assert default_doc.params == default_params
     assert default_doc.clock.dt == 0.25
     p3 = default_doc.scenario("p3_budget_adjusted_tax")
     assert p3.overrides["res_tax_base"] == pytest.approx(0.03)
     assert p3.policy.tax_cap == pytest.approx(0.06)
+
+
+def test_shipped_config_defines_every_parameter_and_knob(default_doc):
+    # the packaged file is where a partial config's values come from, so
+    # it must define all of them itself
+    defined = {key for section in ("parameters", "effects", "trends")
+               for key in default_doc.entries[section]}
+    assert defined == set(PARAMETER_NAMES)
+    knobs = {f.name for f in fields(PolicyControl)} - {"policy_id"}
+    assert len(knobs) == 5
+    assert set(default_doc.entries["policy"]) == knobs
+    assert not any("defaulted" in line for line in default_doc.log)
+
+
+@pytest.mark.parametrize("key", ["om_cost", "investor_trust_p",
+                                 "electricity_consumption_reference_year"])
+def test_a_packaged_config_missing_a_parameter_names_it(monkeypatch, key):
+    text = "".join(line for line in default_config_text().splitlines(True)
+                   if not line.startswith(f"{key} = "))
+    monkeypatch.setattr("fitsim.config.default_config_text", lambda: text)
+    with pytest.raises(ConfigurationError, match=key):
+        load_default_config()
+    # a partial config falls back on the same file and fails the same way
+    with pytest.raises(ConfigurationError, match=key):
+        parse_config(MINIMAL)
 
 
 def test_shipped_config_marks_every_value(default_doc):

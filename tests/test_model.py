@@ -15,8 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fitsim import (
     ConfigurationError,
-    EconomicParameters,
-    ModelParameters,
     PARAMETER_NAMES,
     SimulationClock,
     FitModel,
@@ -48,6 +46,10 @@ from fitsim.model import (
     effective_lifetime,
     lifetime_at_activity,
 )
+
+
+DOC = load_default_config()
+PACKAGED = DOC.params
 
 
 def dcf_annuity(rate, years):
@@ -86,8 +88,8 @@ def test_annuity_rejects_bad_arguments():
 
 
 def test_roi_matches_discounted_cash_flow_oracle():
-    econ = EconomicParameters(capacity_factor=0.25, om_cost=10.0,
-                              interest_rate=0.10, remuneration_period=20.0)
+    econ = replace(PACKAGED.econ, capacity_factor=0.25, om_cost=10.0,
+                   interest_rate=0.10, remuneration_period=20.0)
     price, capital = 100.0, 1.5e6
     margin = 0.25 * 8760.0 * (price - 10.0)
     oracle = (margin * dcf_annuity(0.10, 20) - capital) / capital
@@ -96,7 +98,7 @@ def test_roi_matches_discounted_cash_flow_oracle():
 
 
 def test_roi_is_linear_in_price_above_om():
-    econ = EconomicParameters()
+    econ = PACKAGED.econ
     capital = 1.4e5
     r1 = compute_roi(econ, 10.0, capital)
     r2 = compute_roi(econ, 11.0, capital)
@@ -107,14 +109,14 @@ def test_roi_is_linear_in_price_above_om():
 
 def test_roi_rejects_non_positive_capital():
     with pytest.raises(ValueError):
-        compute_roi(EconomicParameters(), 20.0, 0.0)
+        compute_roi(PACKAGED.econ, 20.0, 0.0)
 
 
 # === learning curve ===
 
 def test_capital_cost_learning_fixture():
-    econ = EconomicParameters(initial_capital_cost=1.5e6,
-                              learning_exponent=0.15)
+    econ = replace(PACKAGED.econ, initial_capital_cost=1.5e6,
+                   learning_exponent=0.15)
     # doubling cumulative build from the launch base
     assert compute_capital_cost(240.0, econ) == pytest.approx(
         1.5e6 * 2.0 ** -0.15, rel=1e-12)
@@ -122,26 +124,26 @@ def test_capital_cost_learning_fixture():
 
 
 def test_capital_cost_is_monotone_decreasing():
-    econ = EconomicParameters()
+    econ = PACKAGED.econ
     costs = [compute_capital_cost(c, econ)
              for c in (120.0, 240.0, 1000.0, 5000.0)]
     assert all(a > b for a, b in zip(costs, costs[1:]))
 
 
 def test_capital_cost_flat_when_learning_disabled():
-    econ = EconomicParameters(learning_exponent=0.0)
+    econ = replace(PACKAGED.econ, learning_exponent=0.0)
     assert compute_capital_cost(5000.0, econ) == econ.initial_capital_cost
 
 
 def test_capital_cost_rejects_non_positive_build():
     with pytest.raises(ValueError):
-        compute_capital_cost(0.0, EconomicParameters())
+        compute_capital_cost(0.0, PACKAGED.econ)
 
 
 # === tariff rule ===
 
 def test_fit_price_tracks_remaining_target_gap():
-    econ = EconomicParameters()
+    econ = PACKAGED.econ
     assert compute_fit_price(0.0, econ) == pytest.approx(20.0)
     assert compute_fit_price(2500.0, econ) == pytest.approx(10.0)
     # floor: a quarter of the launch tariff, even past the target
@@ -150,7 +152,7 @@ def test_fit_price_tracks_remaining_target_gap():
 
 
 def test_fit_price_policy_overrides_scale_then_shift():
-    econ = EconomicParameters()
+    econ = PACKAGED.econ
     overrides = PriceTaxOverrides(fit_price_delta=4.0,
                                   fit_price_multiplier=0.5)
     assert compute_fit_price(0.0, econ, overrides) == pytest.approx(14.0)
@@ -163,7 +165,7 @@ def test_fit_price_policy_overrides_scale_then_shift():
 # === social responses ===
 
 def test_social_acceptance_fixture():
-    effects = ModelParameters().effects
+    effects = PACKAGED.effects
     # tax-free levy keeps full tolerance; penetration adds its linear bonus
     assert compute_social_acceptance(0.1, 0.0, effects) == pytest.approx(1.5)
     assert compute_social_acceptance(0.0, 0.05, effects) == pytest.approx(0.5)
@@ -188,13 +190,13 @@ def test_tendency_floors_negative_roi_at_zero():
 # === request pipeline and retirement ===
 
 def test_request_pipeline_trace():
-    econ = EconomicParameters(rejection_fraction=0.5, time_to_build=2.0)
+    econ = replace(PACKAGED.econ, rejection_fraction=0.5, time_to_build=2.0)
     pipeline = compute_request_pipeline(100.0, 1.0, econ)
     assert pipeline == RequestPipeline(100.0, 50.0, 25.0)
 
 
 def test_effective_lifetime_halves_at_the_sigmoid_midpoint():
-    params = ModelParameters()
+    params = PACKAGED
     assert effective_lifetime(0.0, params.econ, params.effects) == 20.0
     assert effective_lifetime(5.0, params.econ,
                               params.effects) == pytest.approx(10.0)
@@ -203,7 +205,7 @@ def test_effective_lifetime_halves_at_the_sigmoid_midpoint():
 
 
 def test_depreciation_flow():
-    params = ModelParameters()
+    params = PACKAGED
     assert compute_depreciation(120.0, 5.0, params.econ,
                                 params.effects) == pytest.approx(12.0)
 
@@ -255,7 +257,7 @@ def test_average_fit_price_forms():
 
 
 def test_production_and_payment_entitlement():
-    econ = EconomicParameters()
+    econ = PACKAGED.econ
     out = compute_production_and_price(
         installed_capacity=100.0, total_electricity_production=0.0,
         total_fit_payment=0.0, fit_price=20.0, econ=econ)
@@ -267,7 +269,7 @@ def test_production_and_payment_entitlement():
 
 
 def test_desired_payment_uses_contracted_average_not_current_price():
-    econ = EconomicParameters()
+    econ = PACKAGED.econ
     out = compute_production_and_price(
         installed_capacity=100.0, total_electricity_production=1000.0,
         total_fit_payment=18000.0, fit_price=5.0, econ=econ)
@@ -281,7 +283,7 @@ def test_desired_payment_uses_contracted_average_not_current_price():
 # === parameter registry ===
 
 def test_registry_round_trip():
-    params = ModelParameters()
+    params = PACKAGED
     assert "initial_fit_price" in PARAMETER_NAMES
     assert "investor_trust_x_50" in PARAMETER_NAMES
     assert "electricity_consumption_slope" in PARAMETER_NAMES
@@ -301,22 +303,22 @@ def test_registry_round_trip():
 
 def test_registry_rejects_unknown_names():
     with pytest.raises(ConfigurationError):
-        get_parameter(ModelParameters(), "not_a_parameter")
+        get_parameter(PACKAGED, "not_a_parameter")
     with pytest.raises(ConfigurationError):
-        apply_overrides(ModelParameters(), {"not_a_parameter": 1.0})
+        apply_overrides(PACKAGED, {"not_a_parameter": 1.0})
 
 
 def test_parameter_validation_catches_bad_values():
     with pytest.raises(ConfigurationError):
-        EconomicParameters(rejection_fraction=1.5)
+        replace(PACKAGED.econ, rejection_fraction=1.5)
     with pytest.raises(ConfigurationError):
-        EconomicParameters(initial_fit_price=-1.0)
+        replace(PACKAGED.econ, initial_fit_price=-1.0)
     with pytest.raises(ConfigurationError):
-        EconomicParameters(remuneration_period=0.5)
+        replace(PACKAGED.econ, remuneration_period=0.5)
     with pytest.raises(ConfigurationError):
-        EconomicParameters(fit_price_floor=0.0)
+        replace(PACKAGED.econ, fit_price_floor=0.0)
     with pytest.raises(ConfigurationError):
-        EconomicParameters(initial_budget=-1.0)
+        replace(PACKAGED.econ, initial_budget=-1.0)
 
 
 # === full-run ledger identities ===
@@ -408,7 +410,7 @@ def test_trend_positivity_is_checked_before_the_first_step(trend, line, year):
 @pytest.mark.parametrize("dt, end", [(2.0, 2035.0), (1.6, 2031.0)])
 def test_a_step_too_coarse_for_the_request_lag_fails_before_the_first_step(
         dt, end):
-    model = _CountingModel(ModelParameters())
+    model = _CountingModel(PACKAGED)
     with pytest.raises(ConfigurationError) as excinfo:
         model.simulate(SimulationClock(2015.0, end, dt))
     assert model.calls == 0
@@ -433,7 +435,7 @@ def test_the_coarse_step_check_is_the_lookups_own_rule(start, dt):
         lookahead = False
     except RuntimeError:
         lookahead = True
-    model = _CountingModel(ModelParameters())
+    model = _CountingModel(PACKAGED)
     try:
         model.simulate(clock)
         rejected = False
@@ -545,7 +547,6 @@ class ReferenceFitModel(FitModel):
         return rates, aux
 
 
-DOC = load_default_config()
 # the box the calibration and the sweep search: every `assumed` model value
 ASSUMED_KEYS = sorted(
     key

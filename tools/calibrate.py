@@ -43,9 +43,14 @@ box. Among the candidates that count, the best wins once
 ``NEIGHBOURHOOD_DRAWS`` seeded runs of the +-20% box finish with finite,
 non-negative stocks below the penetration clamp. Every value is rounded
 to three significant digits before it is evaluated, so what ``--write``
-puts into the config and the ``model.py`` defaults is exactly what was
-scored. Every draw comes from ``SEED``, so every run prints the same
-values and margins.
+puts into the config is exactly what was scored. Every draw comes from
+``SEED``, so every run prints the same values and margins.
+
+The config's current values, the incumbent, are scored first by the same
+margins and gates and printed beside the winner's. ``--write`` replaces
+them only with a winner whose smallest margin is strictly larger
+(``replaces``), so a stricter demand cannot make the search write a worse
+calibration than the one it finds in the config.
 """
 
 from __future__ import annotations
@@ -95,7 +100,6 @@ from fitsim.validation import (  # noqa: E402
 )
 
 CONFIG_PATH = ROOT / "src" / "fitsim" / "data" / "default.cfg"
-MODEL_PATH = ROOT / "src" / "fitsim" / "model.py"
 
 # key -> (config section, low, high, log scale)
 SEARCH_BOX = {
@@ -282,6 +286,12 @@ class Calibration:
             key for section in ("parameters", "effects", "trends")
             for key, entry in self.doc.entries.get(section, {}).items()
             if entry.source == "assumed")
+
+    def incumbent(self) -> dict[str, float]:
+        """The config's current values of the searched keys."""
+        return {key: getattr(self.doc.scenario(KNOBS[key]).policy, key)
+                if key in KNOBS else get_parameter(self.doc.params, key)
+                for key in KEYS}
 
     # --- building runs ---
 
@@ -583,6 +593,12 @@ def _score(margins, gates) -> float:
     return worst if all(gates.values()) else min(worst, 0.0) - 1.0
 
 
+def replaces(incumbent: float, winner: float) -> bool:
+    """Whether the winner takes the incumbent's place: only with a strictly
+    larger score, so a tie keeps what the config holds."""
+    return winner > incumbent
+
+
 def _to_unit(values: dict[str, float]) -> np.ndarray:
     unit = []
     for key in KEYS:
@@ -639,18 +655,6 @@ def search(calibration: Calibration):
 
 # === writing the chosen values ===
 
-def _literal(value: float) -> str:
-    """Short Python literal that parses back to exactly ``value``."""
-    text = f"{value:.{SIGNIFICANT_DIGITS}g}"
-    mantissa, _, exponent = text.partition("e")
-    if exponent:
-        text = f"{mantissa}e{int(exponent)}"
-    elif "." not in text:
-        text += ".0"
-    assert float(text) == value, (text, value)
-    return text
-
-
 def rewrite_config(text: str, values: dict[str, float]) -> str:
     """Replace the searched values in the config text, notes untouched."""
     targets = {(SEARCH_BOX[key][0], key): value
@@ -674,41 +678,21 @@ def rewrite_config(text: str, values: dict[str, float]) -> str:
     return "".join(lines)
 
 
-def rewrite_model(text: str, values: dict[str, float]) -> str:
-    """Replace the matching dataclass defaults, comment columns kept."""
-    for key, value in values.items():
-        if SEARCH_BOX[key][0] != "parameters":
-            continue
-        pattern = re.compile(
-            rf"^(    {key}: float = )(\S+)( +)(#)", re.MULTILINE)
-        match = pattern.search(text)
-        if match is None:
-            raise ConfigurationError(f"model.py lacks a default for {key}")
-        literal = _literal(value)
-        width = len(match.group(2)) + len(match.group(3))
-        padding = " " * max(2, width - len(literal))
-        text = (text[:match.start(2)] + literal + padding
-                + text[match.end(3):])
-    trend = re.compile(r"(electricity_consumption: LinearTrend = "
-                       r"LinearTrend\()[^,]+, [^)]+(\))")
-    if trend.search(text) is None:
-        raise ConfigurationError("model.py lacks the consumption trend")
-    literal = (f"{_literal(values['electricity_consumption_intercept'])}, "
-               f"{_literal(values['electricity_consumption_slope'])}")
-    return trend.sub(lambda m: m.group(1) + literal + m.group(2), text,
-                     count=1)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--write", action="store_true",
-                        help="write the winner into default.cfg and model.py")
+                        help="write a winner that beats the config's "
+                             "current values into default.cfg")
     args = parser.parse_args(argv)
     # the penetration-clamp warning fires in many sampled runs; the
     # neighbourhood check counts those runs instead
     logging.getLogger("fitsim").setLevel(logging.ERROR)
 
     calibration = Calibration()
+    incumbent = calibration.incumbent()
+    incumbent_margins, incumbent_gates = calibration.evaluate(incumbent,
+                                                              -math.inf)
+    incumbent_score = _score(incumbent_margins, incumbent_gates)
     ranked, evaluated = search(calibration)
     print(f"seed {SEED}: {evaluated} candidates evaluated, "
           f"{len(ranked)} count")
@@ -725,24 +709,29 @@ def main(argv=None) -> int:
         print("no candidate counts and keeps its neighbourhood bounded")
         return 1
 
-    print("chosen values:")
+    print("chosen values (the config's current values beside them):")
     for key in KEYS:
-        print(f"  {key} = {values[key]!r}")
-    print(f"margins (smallest first; the smallest is {score:.4f}):")
+        print(f"  {key} = {values[key]!r}  (now {incumbent[key]!r})")
+    print(f"margins, winner then current (smallest first; the smallest "
+          f"are {score:.4f} and {incumbent_score:.4f}):")
     for name, margin in sorted(margins.items(), key=lambda item: item[1]):
-        print(f"  {margin:9.4f}  {name}")
+        print(f"  {margin:9.4f}  {incumbent_margins.get(name, math.nan):9.4f}"
+              f"  {name}")
+    failed = [name for name, ok in incumbent_gates.items() if not ok]
+    if failed:
+        print(f"the current values fail {failed}")
     print(f"+-20% neighbourhood: {NEIGHBOURHOOD_DRAWS} draws, all finite "
           f"and non-negative, peak penetration {peak:.4f}")
 
-    if args.write:
+    if not replaces(incumbent_score, score):
+        print(f"kept the current values: the winner's smallest margin "
+              f"{score:.4f} is not larger than {incumbent_score:.4f}")
+    elif args.write:
         config = rewrite_config(CONFIG_PATH.read_text(encoding="utf-8"),
                                 values)
         parse_config(config)  # refuse to write a config that does not load
-        model = rewrite_model(MODEL_PATH.read_text(encoding="utf-8"), values)
         CONFIG_PATH.write_text(config, encoding="utf-8")
-        MODEL_PATH.write_text(model, encoding="utf-8")
-        print(f"wrote {CONFIG_PATH.relative_to(ROOT)} and "
-              f"{MODEL_PATH.relative_to(ROOT)}")
+        print(f"wrote {CONFIG_PATH.relative_to(ROOT)}")
     return 0
 
 
