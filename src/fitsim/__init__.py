@@ -21,6 +21,7 @@ from .engine import (
     SimulationError,
     eval_inverted_sigmoid,
     eval_linear_trend,
+    replace,
     run_simulation,
 )
 from .model import (

@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import ConfigDocument, load_config, load_default_config
-from .engine import ConfigurationError, SimulationClock, SimulationError
+from .engine import ConfigurationError, SimulationError, replace
 from .output import (
     emit_comparison_csv,
     emit_run_csv,
@@ -92,12 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_document(args) -> ConfigDocument:
     doc = load_config(args.config) if args.config else load_default_config()
-    if args.dt is None and args.horizon is None:
+    for line in doc.log:  # a partial config's fallbacks; the packaged has none
+        print(f"{args.config}: {line}", file=sys.stderr)
+    given = {"end_year": args.horizon, "dt": args.dt}
+    changes = {key: value for key, value in given.items() if value is not None}
+    if not changes:
         return doc
-    clock = SimulationClock(
-        doc.clock.start_year,
-        args.horizon if args.horizon is not None else doc.clock.end_year,
-        args.dt if args.dt is not None else doc.clock.dt)
+    clock = replace(doc.clock, **changes)
     scenarios = tuple(replace(scenario, clock=clock)
                       for scenario in doc.scenarios)
     return replace(doc, clock=clock, scenarios=scenarios)

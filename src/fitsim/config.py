@@ -28,10 +28,10 @@ line comments start with ``#``; the ``;`` is reserved for provenance.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields as dataclass_fields, replace
 from importlib import resources
+from typing import NamedTuple
 
-from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
+from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock, replace
 from .model import (
     ModelParameters,
     PARAMETER_NAMES,
@@ -54,9 +54,9 @@ __all__ = [
 
 PROVENANCE_SOURCES = ("paper", "derived", "assumed")
 
-_CLOCK_KEYS = tuple(f.name for f in dataclass_fields(SimulationClock))
-_POLICY_KEYS = tuple(f.name for f in dataclass_fields(PolicyControl)
-                     if f.name != "policy_id")
+_CLOCK_KEYS = SimulationClock._fields
+_POLICY_KEYS = tuple(name for name in PolicyControl._fields
+                     if name != "policy_id")
 # section -> the ModelParameters group whose registry names it holds
 _PARAMETER_SECTIONS = {"parameters": "econ", "effects": "effects",
                        "trends": "exogenous"}
@@ -70,8 +70,7 @@ _SCALAR_SECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
+class ConfigEntry(NamedTuple):
     """One parsed value line: the value plus its provenance."""
 
     value: float | str
@@ -79,8 +78,7 @@ class ConfigEntry:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
+class ConfigDocument(NamedTuple):
     """A fully validated configuration.
 
     ``entries`` holds exactly what the file said (per section, in file

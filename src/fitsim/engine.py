@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "ConfigurationError",
@@ -43,6 +43,7 @@ __all__ = [
     "LaggedSeries",
     "ClampEvent",
     "RunResult",
+    "replace",
     "eval_inverted_sigmoid",
     "eval_linear_trend",
     "run_simulation",
@@ -65,19 +66,44 @@ class SimulationError(RuntimeError):
         self.time = time
 
 
-@dataclass(frozen=True)
-class SimulationClock:
-    """Integration window and step size, in calendar years."""
+class CheckedRecord:
+    """Base of a record checked on every construction path: a subclass of
+    this and of a ``NamedTuple`` of its fields whose ``_check`` raises
+    :class:`ConfigurationError`; ``_make`` and ``_replace`` check too."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+def replace(record, **changes):
+    """A copy of the ``NamedTuple`` record with ``changes`` to its fields,
+    built through its constructor, so that a checked record checks them."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
+class _ClockFields(NamedTuple):
     start_year: float
     end_year: float
     dt: float = 0.25
 
-    def __post_init__(self):
-        for name in ("start_year", "end_year", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+
+class SimulationClock(CheckedRecord, _ClockFields):
+    """Integration window and step size, in calendar years."""
+
+    __slots__ = ()
+
+    def _check(self):
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if not (self.end_year > self.start_year):
             raise ConfigurationError(
                 f"end_year must exceed start_year, got "
@@ -109,21 +135,23 @@ class SimulationClock:
 DEFAULT_CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
 
 
-@dataclass(frozen=True)
-class SigmoidEffect:
+class _SigmoidFields(NamedTuple):
+    y_max: float
+    x_50: float
+    p: float
+
+
+class SigmoidEffect(CheckedRecord, _SigmoidFields):
     """Inverted sigmoid ``y = y_max / (1 + (x / x_50) ** p)``.
 
     Hits ``y_max`` at x = 0, half of it at x = x_50, and decays toward 0
     as x grows; larger ``p`` sharpens the transition.
     """
 
-    y_max: float
-    x_50: float
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("y_max", "x_50", "p"):
-            value = getattr(self, name)
+    def _check(self):
+        for name, value in zip(self._fields, self):
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigurationError(
                     f"SigmoidEffect.{name} must be positive and finite, "
@@ -146,8 +174,7 @@ def eval_inverted_sigmoid(effect: SigmoidEffect, x: float) -> float:
     return effect.y_max / (1.0 + grown)
 
 
-@dataclass(frozen=True)
-class LinearTrend:
+class LinearTrend(NamedTuple):
     """Exogenous driver ``value = intercept + slope * (t - reference_year)``."""
 
     intercept: float
@@ -165,7 +192,6 @@ def eval_linear_trend(trend: LinearTrend, t: float) -> float:
     return value
 
 
-@dataclass
 class LaggedSeries:
     """Recorded history with a fixed information delay.
 
@@ -180,14 +206,11 @@ class LaggedSeries:
     to be the lag.
     """
 
-    lag: float
-    initial_value: float
-    _times: list[float] = field(default_factory=list, repr=False)
-    _values: list[float] = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not (self.lag > 0.0):
-            raise ConfigurationError(f"lag must be positive, got {self.lag}")
+    def __init__(self, lag: float, initial_value: float):
+        if not (lag > 0.0):
+            raise ConfigurationError(f"lag must be positive, got {lag}")
+        self.lag, self.initial_value = lag, initial_value
+        self._times, self._values = [], []
 
     def record(self, t: float, value: float) -> None:
         times = self._times
@@ -236,8 +259,7 @@ class LaggedSeries:
         return self._values[i + 1]
 
 
-@dataclass(frozen=True)
-class ClampEvent:
+class ClampEvent(NamedTuple):
     """A non-negative stock was about to go below zero and was clamped."""
 
     time: float
@@ -245,7 +267,6 @@ class ClampEvent:
     attempted: float
 
 
-@dataclass(frozen=True)
 class RunResult:
     """Full trajectory of one run: every stock, flow, and auxiliary.
 
@@ -257,12 +278,13 @@ class RunResult:
     libraries read them through the buffer protocol without a copy.
     """
 
-    times: memoryview
-    variables: dict[str, memoryview]
-    stock_names: tuple[str, ...]
-    flow_names: tuple[str, ...]
-    aux_names: tuple[str, ...]
-    clamp_events: tuple[ClampEvent, ...] = ()
+    def __init__(self, times: memoryview, variables: dict[str, memoryview],
+                 stock_names: tuple[str, ...], flow_names: tuple[str, ...],
+                 aux_names: tuple[str, ...],
+                 clamp_events: tuple[ClampEvent, ...] = ()):
+        self.times, self.variables = times, variables
+        self.stock_names, self.flow_names = stock_names, flow_names
+        self.aux_names, self.clamp_events = aux_names, clamp_events
 
     def __getitem__(self, name: str) -> memoryview:
         return self.variables[name]

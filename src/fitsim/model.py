@@ -44,10 +44,11 @@ bytes.
 """
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from functools import cache
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 from .engine import (
+    CheckedRecord,
     ConfigurationError,
     LaggedSeries,
     LinearTrend,
@@ -56,6 +57,7 @@ from .engine import (
     SimulationClock,
     eval_inverted_sigmoid,
     eval_linear_trend,
+    replace,
     run_simulation,
 )
 
@@ -67,10 +69,7 @@ DELAY_PAYMENT_EPSILON = 1.0  # dollars/year
 MINIMUM_LIFETIME = 1.0  # years
 
 
-@dataclass(frozen=True)
-class EconomicParameters:
-    """Scalar constants of the program: economics, pipeline, initial state."""
-
+class _EconomicFields(NamedTuple):
     capacity_factor: float             # fraction of nameplate output
     initial_fit_price: float           # $/MWh, tariff offered at launch
     om_cost: float                     # $/MWh, operation and maintenance
@@ -90,7 +89,13 @@ class EconomicParameters:
     initial_budget: float              # dollars
     initial_suna_debt: float           # dollars
 
-    def __post_init__(self):
+
+class EconomicParameters(CheckedRecord, _EconomicFields):
+    """Scalar constants of the program: economics, pipeline, initial state."""
+
+    __slots__ = ()
+
+    def _check(self):
         positive = (
             "capacity_factor", "initial_fit_price", "interest_rate",
             "remuneration_period", "initial_capital_cost", "time_to_build",
@@ -125,8 +130,14 @@ class EconomicParameters:
                 f"got {self.fit_price_floor}")
 
 
-@dataclass(frozen=True)
-class SocialEffectSet:
+class _SocialEffectFields(NamedTuple):
+    social_tolerance: SigmoidEffect  # x: $/kWh
+    investor_trust: SigmoidEffect    # x: years
+    om_activity: SigmoidEffect       # x: years
+    penetration_gain: float          # slope of acceptance in penetration
+
+
+class SocialEffectSet(CheckedRecord, _SocialEffectFields):
     """Saturating responses of the social and institutional environment.
 
     Each response is an inverted sigmoid in one pressure variable: the levy
@@ -134,12 +145,9 @@ class SocialEffectSet:
     the same delay stalls operation-and-maintenance activity.
     """
 
-    social_tolerance: SigmoidEffect  # x: $/kWh
-    investor_trust: SigmoidEffect    # x: years
-    om_activity: SigmoidEffect       # x: years
-    penetration_gain: float          # slope of acceptance in penetration
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.penetration_gain)
                 and self.penetration_gain >= 0.0):
             raise ConfigurationError(
@@ -147,16 +155,14 @@ class SocialEffectSet:
                 f"got {self.penetration_gain}")
 
 
-@dataclass(frozen=True)
-class ExogenousInputs:
+class ExogenousInputs(NamedTuple):
     """Drivers outside the model's feedback structure."""
 
     total_generation_capacity: LinearTrend  # MW
     electricity_consumption: LinearTrend    # MWh/yr
 
 
-@dataclass(frozen=True)
-class ModelParameters:
+class ModelParameters(NamedTuple):
     """Everything a run needs besides the clock and the policy."""
 
     econ: EconomicParameters
@@ -164,19 +170,22 @@ class ModelParameters:
     exogenous: ExogenousInputs
 
 
-@dataclass(frozen=True)
-class PriceTaxOverrides:
+class _OverrideFields(NamedTuple):
+    fit_price_delta: float = 0.0       # $/MWh, added after the base rule
+    fit_price_multiplier: float = 1.0  # in (0, 1], scales the base rule
+    res_tax: float | None = None       # $/kWh, replaces the base levy
+
+
+class PriceTaxOverrides(CheckedRecord, _OverrideFields):
     """Policy-side adjustments applied on top of the base price and levy.
 
     The neutral instance (multiplier 1, delta 0, no levy override) leaves
     the base run bit-exactly unchanged.
     """
 
-    fit_price_delta: float = 0.0       # $/MWh, added after the base rule
-    fit_price_multiplier: float = 1.0  # in (0, 1], scales the base rule
-    res_tax: float | None = None       # $/kWh, replaces the base levy
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 < self.fit_price_multiplier <= 1.0:
             raise ConfigurationError(
                 f"fit_price_multiplier must lie in (0, 1], "
@@ -384,6 +393,8 @@ def compute_production_and_price(installed_capacity: float,
 
 # === parameter registry (config keys and sensitivity targets) ===
 
+_field_types = cache(get_type_hints)  # read across the MRO, once per record
+
 def _registry() -> dict[str, tuple[str, ...]]:
     """Flat name -> attribute path of every scalar in ``ModelParameters``.
 
@@ -392,14 +403,13 @@ def _registry() -> dict[str, tuple[str, ...]]:
     Groups and their fields keep declaration order.
     """
     names: dict[str, tuple[str, ...]] = {}
-    for group in fields(ModelParameters):
-        for item in fields(group.type):
-            if not is_dataclass(item.type):
-                names[item.name] = (group.name, item.name)
+    for group, group_type in _field_types(ModelParameters).items():
+        for item, item_type in _field_types(group_type).items():
+            if not hasattr(item_type, "_fields"):  # a scalar
+                names[item] = (group, item)
                 continue
-            for part in fields(item.type):
-                names[f"{item.name}_{part.name}"] = (group.name, item.name,
-                                                     part.name)
+            for part in item_type._fields:
+                names[f"{item}_{part}"] = (group, item, part)
     return names
 
 
@@ -414,12 +424,12 @@ def build_parameters(values: dict[str, float]) -> ModelParameters:
     per config parse, while runs change theirs by ``apply_overrides``."""
     def build(record, prefix=""):
         return record(**{
-            item.name: build(item.type, f"{item.name}_")
-            if is_dataclass(item.type) else values[prefix + item.name]
-            for item in fields(record)})
+            name: build(kind, f"{name}_")
+            if hasattr(kind, "_fields") else values[prefix + name]
+            for name, kind in _field_types(record).items()})
 
-    return ModelParameters(**{group.name: build(group.type)
-                              for group in fields(ModelParameters)})
+    return ModelParameters(**{group: build(kind) for group, kind
+                              in _field_types(ModelParameters).items()})
 
 
 def _path(name: str) -> tuple[str, ...]:
@@ -523,12 +533,12 @@ class FitModel:
         step 0, that is, a ``dt`` of at most 1.5 lags.
         """
         exog = self.params.exogenous
-        for item in fields(exog):
+        for name, trend in zip(exog._fields, exog):
             for year in (clock.start_year, clock.end_year):
                 try:
-                    eval_linear_trend(getattr(exog, item.name), year)
+                    eval_linear_trend(trend, year)
                 except ConfigurationError as exc:
-                    raise ConfigurationError(f"{item.name}: {exc}") from None
+                    raise ConfigurationError(f"{name}: {exc}") from None
         self._requests = LaggedSeries(
             lag=1.0, initial_value=self.params.econ.initial_annual_requests)
         lag, start = self._requests.lag, clock.start_year

@@ -18,11 +18,12 @@ gains and deltas at zero reproduce the base run bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from .engine import (
     DEFAULT_CLOCK,
+    CheckedRecord,
     ConfigurationError,
     RunResult,
     SimulationClock,
@@ -46,10 +47,7 @@ POLICY_IDS = (
 MAX_RES_TAX = 0.1  # $/kWh; beyond this the tolerance sigmoid saturates
 
 
-@dataclass(frozen=True)
-class PolicyControl:
-    """Knobs of one policy; zeroed knobs make every policy the base run."""
-
+class _ControlFields(NamedTuple):
     policy_id: str = "base"
     fit_price_delta: float = 0.0       # $/MWh, p1
     fit_controller_gain: float = 0.0   # 1/$ of perceived shortage, p2
@@ -57,7 +55,13 @@ class PolicyControl:
     tax_floor: float = 0.0             # $/kWh, p3 clamp
     tax_cap: float = MAX_RES_TAX       # $/kWh, p3 clamp
 
-    def __post_init__(self):
+
+class PolicyControl(CheckedRecord, _ControlFields):
+    """Knobs of one policy; zeroed knobs make every policy the base run."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.policy_id not in POLICY_IDS:
             raise ConfigurationError(
                 f"unknown policy_id {self.policy_id!r}; "
@@ -77,7 +81,7 @@ class PolicyControl:
                 f"floor={self.tax_floor}, cap={self.tax_cap}")
 
 
-# frozen, so one instance can serve every step of every base run
+# immutable, so one instance can serve every step of every base run
 _NEUTRAL_OVERRIDES = PriceTaxOverrides()
 
 
@@ -107,14 +111,22 @@ def make_policy_fn(control: PolicyControl, base_tax: float) -> PolicyFn:
     return partial(apply_policy, control, base_tax=base_tax)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One named run: parameter overrides plus a policy, on a shared clock."""
-
+class _ScenarioFields(NamedTuple):
     name: str
     clock: SimulationClock = DEFAULT_CLOCK
-    overrides: dict[str, float] = field(default_factory=dict)
+    overrides: dict[str, float] | None = None  # left out: a fresh {}
     policy: PolicyControl = PolicyControl()
+
+
+class Scenario(_ScenarioFields):
+    """One named run: parameter overrides plus a policy, on a shared clock."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.overrides is not None else self._replace(
+            overrides={})
 
 
 def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:
@@ -125,8 +137,7 @@ def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:
                                            params.econ.res_tax_base))
 
 
-@dataclass(frozen=True)
-class ScenarioOutcome:
+class ScenarioOutcome(NamedTuple):
     """End-of-horizon readout of the variables the scenarios are judged on."""
 
     name: str
@@ -137,8 +148,7 @@ class ScenarioOutcome:
     delay_in_debt_payment: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Outcome rows, the full trajectories they were read from, and the
     parameters each scenario ran with."""
 

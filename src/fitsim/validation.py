@@ -17,9 +17,9 @@ Three layers of confidence checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
+from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock, replace
 from .model import FitModel, ModelParameters, apply_overrides, get_parameter
 
 __all__ = [
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """Outcome of one structural check."""
 
     name: str
@@ -52,8 +51,7 @@ class Finding:
 
 # === point metrics ===
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Fit of a simulated series against a historical one.
 
     ``theil_um/us/uc`` are the bias, variance, and covariance shares of the
@@ -235,8 +233,7 @@ FLAT = "flat"
 _SHAPE_MARGIN = 0.02
 
 
-@dataclass(frozen=True)
-class BehaviorSignature:
+class BehaviorSignature(NamedTuple):
     """Coarse mode of a trajectory, invariant to positive rescaling."""
 
     shape: str
@@ -310,8 +307,7 @@ def signatures_match(a: BehaviorSignature, b: BehaviorSignature,
 
 # === stress suites ===
 
-@dataclass(frozen=True)
-class PerturbationSet:
+class PerturbationSet(NamedTuple):
     """Named relative parameter changes applied together."""
 
     changes: tuple[tuple[str, float], ...]

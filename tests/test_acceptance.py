@@ -6,7 +6,6 @@ budgets included.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from fitsim import (
     annuity_factor,
     behavior_signature,
     extreme_condition_suite,
+    replace,
     run_scenario_suite,
     sensitivity_suite,
     theil_decomposition,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from fitsim import PARAMETER_NAMES, default_config_text
 from fitsim.cli import main
 
 PLOT_FILES = ("installed_capacity.csv", "penetration_rate.csv",
@@ -145,6 +146,41 @@ def test_compare_tolerates_a_noncanonical_suite(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1].startswith("solo,")
     assert "capacity_ordering" not in captured.err
+
+
+# sets the clock and om_cost, at the packaged values; every other
+# parameter falls back on the packaged config
+PARTIAL = """[clock]
+start_year = 2015.0 ; paper
+end_year = 2035.0 ; paper
+dt = 0.25 ; assumed
+[parameters]
+om_cost = 1.64 ; assumed
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "validate"])
+def test_a_partial_config_logs_its_fallbacks_to_stderr(command, tmp_path,
+                                                       capsys):
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text(PARTIAL, encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    fallbacks = [line for line in err if "defaulted to" in line]
+    assert len(fallbacks) == len(PARAMETER_NAMES) - 1
+    assert f"{cfg}: parameters.initial_fit_price defaulted to 20.0" in err
+    assert not any("om_cost" in line or "clock." in line for line in err)
+    # the log comes first, before anything the command writes
+    log = fallbacks + [f"{cfg}: no [scenario:NAME] sections; synthesized "
+                       "neutral 'base'"]
+    assert err[:len(log)] == log
+
+
+def test_a_complete_config_logs_nothing(tmp_path, capsys):
+    cfg = tmp_path / "complete.cfg"
+    cfg.write_text(default_config_text(), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_validate_exit_code_tracks_findings(capsys):

@@ -1,6 +1,6 @@
 """Every walkthrough in ``demos/`` and the README's quick start run to
-completion against the package, and importing it loads no numpy, logging
-or statistics.
+completion against the package, and importing it loads no numpy, logging,
+statistics or dataclasses.
 
 Each runs as its own process in a fresh directory, because the demos
 write ``demo_output/`` into the working directory and a fresh interpreter
@@ -46,10 +46,13 @@ def test_readme_quick_start_runs(tmp_path):
 
 def test_the_package_imports_no_numpy(tmp_path):
     # numpy is not a dependency; logging and statistics serve only the
-    # penetration-clamp warning and ``validate --historical``, so start-up
-    # loads none of the three unless the interpreter itself does
+    # penetration-clamp warning and ``validate --historical``; the records
+    # are not generated code, so neither dataclasses nor the inspect module
+    # it pulls in is needed. Start-up loads none of these unless the
+    # interpreter itself does
     probe = ("import sys; {}print(sorted(name for name in "
-             "('numpy', 'logging', 'statistics') if name in sys.modules))")
+             "('numpy', 'logging', 'statistics', 'dataclasses', 'inspect') "
+             "if name in sys.modules))")
     bare = run_python(["-c", probe.format("")], tmp_path)
     package = run_python(["-c", probe.format("import fitsim, fitsim.cli; ")],
                          tmp_path)

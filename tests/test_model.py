@@ -6,7 +6,6 @@ ledgers) rather than from the implementation itself.
 """
 
 import logging
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from fitsim import (
     load_default_config,
     make_policy_fn,
     parse_config,
+    replace,
 )
 from fitsim.model import (
     KWH_PER_MWH,

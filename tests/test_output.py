@@ -3,7 +3,6 @@
 import io
 import os
 from array import array
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from fitsim import (
     format_float,
     outcome_table,
     render_chart_svg,
+    replace,
     run_scenario_suite,
     write_comparison_charts,
     write_plot_data,

@@ -1,7 +1,5 @@
 """Policy controllers, scenario suites, and the qualitative battery."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from fitsim import (
     make_policy_fn,
     parse_config,
     qualitative_checks,
+    replace,
     run_scenario_suite,
 )
 

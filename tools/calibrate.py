@@ -63,7 +63,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +79,7 @@ from fitsim.engine import (  # noqa: E402
     ConfigurationError,
     SimulationClock,
     SimulationError,
+    replace,
 )
 from fitsim.model import (  # noqa: E402
     FitModel,
