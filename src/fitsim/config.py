@@ -28,7 +28,7 @@ line comments start with ``#``; the ``;`` is reserved for provenance.
 from __future__ import annotations
 
 import configparser
-from importlib import resources
+import os
 from typing import NamedTuple
 
 from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock, replace
@@ -274,9 +274,10 @@ def serialize_config(doc: ConfigDocument) -> str:
 
 
 def default_config_text() -> str:
-    """The configuration shipped with the package."""
-    return (resources.files("fitsim") / "data" / "default.cfg").read_text(
-        encoding="utf-8")
+    """The configuration shipped with the package, read through the
+    package's own loader, which also serves a zip import."""
+    path = os.path.join(os.path.dirname(__file__), "data", "default.cfg")
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 def load_default_config() -> ConfigDocument:

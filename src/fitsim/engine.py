@@ -73,6 +73,13 @@ class CheckedRecord:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        # a wrong call names the record, not its NamedTuple base of fields
+        super().__init_subclass__(**kwargs)
+        for base in cls.__bases__:
+            if "_fields" in vars(base):
+                base.__new__.__qualname__ = f"{cls.__name__}.__new__"
+
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         self._check()

@@ -8,15 +8,19 @@ coordinate formatting so no renderer state can leak in.
 Formatting floats is most of an emitter's time, so each CSV column is
 formatted once. A float column becomes text in one place, :func:`_text`,
 a whole column at a time, and every CSV writer joins its lines from
-columns of text through :func:`_write_rows`. Text is addressed by
-content: the bytes of a column's doubles key it, and since the text is a
-pure function of those bytes a key cannot hand back wrong text.
-:func:`emit_comparison_csv` formats each distinct column once (``time``
-repeats in every scenario, the exogenous drivers in most), drops a
-column's text after the last scenario that reads it, and keeps the text
-of the plotted columns (``time`` and :data:`CHART_VARIABLES`) of the
-latest comparison for the next :func:`write_plot_data`, which takes that
-text, formats only what it does not find there and releases the rest.
+columns of text through :func:`_write_rows`, in chunks of 128 lines per
+``write``: a whole block in one join costs more in fresh pages than the
+writes it saves. Text is addressed by content: the bytes of a column's
+doubles key it (copied as they are from a buffer of doubles, such as an
+engine column), and since the text is a pure function of those bytes a
+key cannot hand back wrong text. :func:`emit_comparison_csv` formats each
+distinct column once (``time`` repeats in every scenario, the exogenous
+drivers in most), drops a column's text after the last scenario that
+reads it, and keeps the text of the plotted columns (``time`` and
+:data:`CHART_VARIABLES`) of the latest comparison for the next
+:func:`write_plot_data`, which takes that text, formats only what it does
+not find there and releases the rest. A chart formats its x's once, into
+one format that each series fills with its y's.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import os
 from array import array
 from collections.abc import Sequence
+from itertools import islice
 
 from .engine import RunResult
 from .policies import ComparisonReport
@@ -88,13 +93,19 @@ _plot_text: dict[bytes, list[str]] = {}
 
 def _key(column) -> bytes:
     """The bytes of a float column's doubles, which determine its text."""
+    try:
+        view = memoryview(column)
+        if view.ndim == 1 and view.format == "d":
+            return view.tobytes()
+    except TypeError:
+        pass
     return array("d", column).tobytes()
 
 
-def _text(column) -> list[str]:
-    """A float column, or the bytes of its doubles, as the text
+def _text(key: bytes) -> list[str]:
+    """The column whose doubles are ``key`` as the text
     :func:`format_float` gives each value."""
-    return list(map(repr, array("d", column)))
+    return list(map(repr, array("d", key)))
 
 
 def _text_of(key: bytes, texts: dict[bytes, list[str]]) -> list[str]:
@@ -109,8 +120,9 @@ def _text_of(key: bytes, texts: dict[bytes, list[str]]) -> list[str]:
 def _write_rows(stream, prefix: str, columns) -> None:
     """Write one CSV line per record: ``prefix``, then each text column's
     entry."""
-    stream.writelines(prefix + line + "\n"
-                      for line in map(",".join, zip(*columns)))
+    lines = map(",".join, zip(*columns))
+    while chunk := list(islice(lines, 128)):
+        stream.write(prefix + ("\n" + prefix).join(chunk) + "\n")
 
 
 def emit_run_csv(result: RunResult, stream, variables=()) -> None:
@@ -118,7 +130,7 @@ def emit_run_csv(result: RunResult, stream, variables=()) -> None:
     columns = _columns(result, variables)
     stream.write(",".join(columns) + "\n")
     _write_rows(stream, "",
-                [_text(_series(result, name)) for name in columns])
+                [_text(_key(_series(result, name))) for name in columns])
 
 
 def emit_comparison_csv(report: ComparisonReport, stream,
@@ -173,9 +185,9 @@ def _shared_times(report: ComparisonReport, names) -> memoryview:
     """The first run's record times, once every run is shown to share
     them; plot data and charts draw all runs against one time axis."""
     times = report.runs[names[0]].times
-    first = array("d", times)
+    first = array("d", _key(times))
     for name in names[1:]:
-        if array("d", report.runs[name].times) != first:
+        if array("d", _key(report.runs[name].times)) != first:
             raise ValueError(
                 f"scenario {name!r} is recorded at other times than "
                 f"{names[0]!r}; plot data and charts need one clock")
@@ -238,12 +250,7 @@ def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
     pad = 0.05 * (y_high - y_low)
     y_low, y_high = y_low - pad, y_high + pad
     x_low, x_high = float(times[0]), float(times[-1])
-
-    def sx(x: float) -> float:
-        return left + (x - x_low) / (x_high - x_low) * plot_w
-
-    def sy(y: float) -> float:
-        return top + (y_high - y) / (y_high - y_low) * plot_h
+    span = y_high - y_low
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -255,7 +262,7 @@ def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
         f'height="{plot_h:.2f}" fill="none" stroke="#333"/>',
     ]
     for tick in _ticks(x_low, x_high):
-        x = sx(tick)
+        x = left + (tick - x_low) / (x_high - x_low) * plot_w
         parts.append(f'<line x1="{x:.2f}" y1="{top + plot_h:.2f}" '
                      f'x2="{x:.2f}" y2="{top + plot_h + 5:.2f}" '
                      f'stroke="#333"/>')
@@ -263,20 +270,23 @@ def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="11">{_tick_label(tick)}</text>')
     for tick in _ticks(y_low, y_high):
-        y = sy(tick)
+        y = top + (y_high - tick) / span * plot_h
         parts.append(f'<line x1="{left - 5:.2f}" y1="{y:.2f}" '
                      f'x2="{left:.2f}" y2="{y:.2f}" stroke="#333"/>')
         parts.append(f'<text x="{left - 8:.2f}" y="{y + 4:.2f}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{_tick_label(tick)}</text>')
 
-    # each x is formatted once per chart; each y is sy(y), inlined
-    xs = [f"{sx(x):.2f}," for x in times]
-    span = y_high - y_low
+    # x texts once per chart, each with a slot for a y; islice truncates as zip
+    slots = [f"{left + (x - x_low) / (x_high - x_low) * plot_w:.2f},%.2f"
+             for x in times]
+    points_format = " ".join(slots)
     for k, (label, series) in enumerate(series_by_label.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join([f"{x}{top + (y_high - y) / span * plot_h:.2f}"
-                           for x, y in zip(xs, series)])
+        ys = tuple([top + (y_high - y) / span * plot_h
+                    for y in islice(series, len(slots))])
+        points = (points_format if len(ys) == len(slots)
+                  else " ".join(slots[:len(ys)])) % ys
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = top + 14.0 + 16.0 * k

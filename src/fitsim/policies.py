@@ -18,7 +18,6 @@ gains and deltas at zero reproduce the base run bit-exactly.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple
 
 from .engine import (
@@ -107,8 +106,15 @@ def apply_policy(control: PolicyControl, shortage: float,
 
 
 def make_policy_fn(control: PolicyControl, base_tax: float) -> PolicyFn:
-    """Bind a control and the base levy into the model's policy hook."""
-    return partial(apply_policy, control, base_tax=base_tax)
+    """The model's policy hook: :func:`apply_policy` bound to a control and
+    the base levy. One record, built here, serves every step without a
+    perceived shortfall, and every step of base and p1, which ignore it."""
+    calm = apply_policy(control, 0.0, base_tax)
+    if control.policy_id in ("base", "p1_higher_fit"):
+        return lambda shortage: calm
+    # apply_policy reads every shortage <= 0.0 as 0.0; NaN takes its path
+    return lambda shortage: (calm if shortage <= 0.0
+                             else apply_policy(control, shortage, base_tax))
 
 
 class _ScenarioFields(NamedTuple):
@@ -127,6 +133,10 @@ class Scenario(_ScenarioFields):
         self = super().__new__(cls, *args, **kwargs)
         return self if self.overrides is not None else self._replace(
             overrides={})
+
+
+# as CheckedRecord does: a wrong call names Scenario
+_ScenarioFields.__new__.__qualname__ = "Scenario.__new__"
 
 
 def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:

@@ -1,6 +1,6 @@
 """Every walkthrough in ``demos/`` and the README's quick start run to
-completion against the package, and importing it loads no numpy, logging,
-statistics or dataclasses.
+completion against the package, importing it loads no numpy, logging,
+statistics, dataclasses or importlib.resources, and it runs from a zip.
 
 Each runs as its own process in a fresh directory, because the demos
 write ``demo_output/`` into the working directory and a fresh interpreter
@@ -10,6 +10,7 @@ shows what the package itself imports.
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,34 @@ def test_the_package_imports_no_numpy(tmp_path):
                          tmp_path)
     assert package.returncode == 0, package.stderr
     assert package.stdout == bare.stdout
+    # without site, whose .pth files may load them anyway, the packaged
+    # config is read through the package's own loader: no
+    # importlib.resources, and none of the file-system modules it pulls in
+    probe = ("import sys; {}print(sorted(name for name in "
+             "('importlib.resources', 'pathlib', 'tempfile', 'zipfile') "
+             "if name in sys.modules))")
+    bare = run_python(["-S", "-c", probe.format("")], tmp_path)
+    package = run_python(["-S", "-c", probe.format(
+        "import fitsim, fitsim.cli; fitsim.load_default_config(); ")],
+        tmp_path)
+    assert package.returncode == 0, package.stderr
+    assert package.stdout == bare.stdout
+
+
+def test_the_packaged_config_reads_from_a_zip_import(tmp_path):
+    archive = tmp_path / "fitsim.zip"
+    with zipfile.ZipFile(archive, "w") as bundle:
+        for path in (ROOT / "src" / "fitsim").rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                bundle.write(path, path.relative_to(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(archive))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import fitsim; print(fitsim.__file__); "
+         "print(fitsim.default_config_text(), end='')"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    where, text = done.stdout.split("\n", 1)
+    assert where.startswith(str(archive))
+    assert text == (ROOT / "src" / "fitsim" / "data" / "default.cfg"
+                    ).read_text(encoding="utf-8")

@@ -1,4 +1,10 @@
-"""Deterministic emitters: CSV layout, tables, SVG charts, plot data."""
+"""Deterministic emitters: CSV layout, tables, SVG charts, plot data.
+
+The chart polylines and the column keys are built without per-value
+Python calls; the per-point forms they replaced are kept here as
+references (:func:`reference_render_chart_svg`, :func:`reference_key`),
+and hypothesis properties hold the new forms to the same text and bytes.
+"""
 
 import io
 import os
@@ -6,6 +12,7 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fitsim.output
 from fitsim import (
@@ -256,3 +263,163 @@ def test_write_comparison_charts(canonical_report, tmp_path):
     content = (tmp_path / "installed_capacity.svg").read_text(
         encoding="utf-8")
     assert content.count("<polyline") == 4
+
+
+# === the per-point forms the emitters replaced, kept as references ===
+
+def reference_key(column) -> bytes:
+    """The column key read value by value into doubles."""
+    return array("d", column).tobytes()
+
+
+def reference_render_chart_svg(times, series_by_label, title):
+    """The chart with each point's coordinates formatted on their own."""
+    width, height = 640.0, 400.0
+    left, right, top, bottom = 70.0, 20.0, 36.0, 46.0
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+
+    y_low = float(min(map(min, series_by_label.values())))
+    y_high = float(max(map(max, series_by_label.values())))
+    if y_high == y_low:
+        y_low, y_high = y_low - 1.0, y_high + 1.0
+    pad = 0.05 * (y_high - y_low)
+    y_low, y_high = y_low - pad, y_high + pad
+    x_low, x_high = float(times[0]), float(times[-1])
+
+    def sx(x):
+        return left + (x - x_low) / (x_high - x_low) * plot_w
+
+    def sy(y):
+        return top + (y_high - y) / (y_high - y_low) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'<rect x="{left:.2f}" y="{top:.2f}" width="{plot_w:.2f}" '
+        f'height="{plot_h:.2f}" fill="none" stroke="#333"/>',
+    ]
+    for tick in fitsim.output._ticks(x_low, x_high):
+        x = sx(tick)
+        parts.append(f'<line x1="{x:.2f}" y1="{top + plot_h:.2f}" '
+                     f'x2="{x:.2f}" y2="{top + plot_h + 5:.2f}" '
+                     f'stroke="#333"/>')
+        parts.append(f'<text x="{x:.2f}" y="{top + plot_h + 18:.2f}" '
+                     f'text-anchor="middle" font-family="sans-serif" '
+                     f'font-size="11">{fitsim.output._tick_label(tick)}'
+                     f'</text>')
+    for tick in fitsim.output._ticks(y_low, y_high):
+        y = sy(tick)
+        parts.append(f'<line x1="{left - 5:.2f}" y1="{y:.2f}" '
+                     f'x2="{left:.2f}" y2="{y:.2f}" stroke="#333"/>')
+        parts.append(f'<text x="{left - 8:.2f}" y="{y + 4:.2f}" '
+                     f'text-anchor="end" font-family="sans-serif" '
+                     f'font-size="11">{fitsim.output._tick_label(tick)}'
+                     f'</text>')
+
+    xs = [f"{sx(x):.2f}," for x in times]
+    span = y_high - y_low
+    for k, (label, series) in enumerate(series_by_label.items()):
+        color = fitsim.output._PALETTE[k % len(fitsim.output._PALETTE)]
+        points = " ".join([f"{x}{top + (y_high - y) / span * plot_h:.2f}"
+                           for x, y in zip(xs, series)])
+        parts.append(f'<polyline points="{points}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        ly = top + 14.0 + 16.0 * k
+        parts.append(f'<line x1="{left + 8:.2f}" y1="{ly - 4:.2f}" '
+                     f'x2="{left + 28:.2f}" y2="{ly - 4:.2f}" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        parts.append(f'<text x="{left + 33:.2f}" y="{ly:.2f}" '
+                     f'font-family="sans-serif" font-size="11">{label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def outcome(function, *args):
+    """What ``function`` returns, or the type and text of what it raises."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5.0, 1e300, -1e300, 1e-300, -1e-300]
+chart_values = st.one_of(st.sampled_from(SPECIAL_VALUES),
+                         st.floats(allow_nan=False, allow_infinity=False))
+# a series of one value repeated, or of values drawn one by one
+chart_series = st.one_of(
+    st.tuples(chart_values, st.integers(0, 12)).map(
+        lambda drawn: [drawn[0]] * drawn[1]),
+    st.lists(chart_values, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=10,
+                unique=True).map(sorted),
+       st.lists(chart_series, min_size=1, max_size=4),
+       st.booleans())
+@example([0.0, 1.0, 2.0], [[1.0, -0.0, 1e300], [1e-300] * 2], False)
+@example([0.0, 1.0], [[5.0, 5.0, 5.0, 5.0]], True)
+def test_chart_svg_matches_the_per_point_reference(times, series, as_views):
+    if as_views:
+        times = memoryview(array("d", times))
+        series = [memoryview(array("d", values)) for values in series]
+    by_label = {f"s{k}": values for k, values in enumerate(series)}
+    assert (outcome(render_chart_svg, times, by_label, "t")
+            == outcome(reference_render_chart_svg, times, by_label, "t"))
+
+
+def strided(values, step):
+    """A read-only strided view of doubles, as the engine hands out."""
+    buffer = array("d", [value for value in values for _ in range(step)])
+    return memoryview(buffer).toreadonly()[::step]
+
+
+def float32_array(values):
+    """Single precision, where a double past its range becomes infinite."""
+    with np.errstate(over="ignore"):
+        return np.array(values, dtype=np.float64).astype(np.float32)
+
+
+# the kinds of column a key is asked for, built from a list of doubles
+KEY_COLUMNS = {
+    "engine column": lambda values: strided(values, 3),
+    "contiguous view": lambda values: memoryview(array("d", values)),
+    "float64 array": lambda values: np.array(values, dtype=np.float64),
+    "float64 every other": lambda values: np.array(
+        values + values, dtype=np.float64)[::2],
+    "big-endian array": lambda values: np.array(values, dtype=">f8"),
+    "float32 array": float32_array,
+    "float view": lambda values: memoryview(array("f", values)),
+    "list": list,
+    "tuple": tuple,
+    "2-D view": lambda values: memoryview(array("d", values * 2)).cast(
+        "B").cast("d", shape=[2, len(values)]),
+    "2-D array": lambda values: np.array([values, values]),
+    "0-D array": lambda values: np.array(values[0]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=8),
+       st.sampled_from(sorted(KEY_COLUMNS)))
+@example([-0.0, 1.5, 1e39], "float view")
+@example([1.0, 2.0], "2-D view")
+@example([float("nan"), -0.0], "engine column")
+def test_column_key_matches_the_value_by_value_reference(values, kind):
+    column = KEY_COLUMNS[kind](values)
+    assert (outcome(fitsim.output._key, column)
+            == outcome(reference_key, column))
+
+
+@pytest.mark.parametrize("n_lines", [0, 1, 127, 128, 129, 300])
+def test_rows_are_written_in_chunks_with_the_same_bytes(n_lines):
+    columns = [[str(i) for i in range(n_lines)],
+               [str(-i) for i in range(n_lines)]]
+    stream = io.StringIO()
+    fitsim.output._write_rows(stream, "p,", columns)
+    assert stream.getvalue() == "".join(
+        f"p,{i},{-i}\n" for i in range(n_lines))

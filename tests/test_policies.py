@@ -1,13 +1,18 @@
 """Policy controllers, scenario suites, and the qualitative battery."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fitsim import (
     ConfigurationError,
     ModelParameters,
     POLICY_IDS,
     PolicyControl,
+    PriceTaxOverrides,
     Scenario,
     SimulationClock,
     apply_policy,
@@ -79,6 +84,75 @@ def test_make_policy_fn_binds_control_and_tax():
                                           tax_cap=0.06),
                             base_tax=0.03)
     assert policy(0.0).res_tax == pytest.approx(0.03)
+
+
+def reference_policy_fn(control, base_tax):
+    """The hook as a plain binding: a fresh record on every step."""
+    return partial(apply_policy, control, base_tax=base_tax)
+
+
+def policy_outcome(hook, shortage):
+    """The record the hook returns, exact to the bit (a NaN levy included),
+    or the type and text of what it raises."""
+    try:
+        record = hook(shortage)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(record), repr(record)
+
+
+knob = st.one_of(st.sampled_from([0.0, 5e-324, 1e-9, 2e-7, 1.0, 1e300]),
+                 st.floats(min_value=0.0, allow_infinity=False))
+tax = st.floats(min_value=0.0, max_value=0.1)
+
+
+@st.composite
+def controls(draw):
+    """A valid control of each policy, with its knobs anywhere they are
+    allowed."""
+    floor = draw(tax)
+    return PolicyControl(
+        draw(st.sampled_from(POLICY_IDS)),
+        fit_price_delta=draw(st.floats(allow_nan=False,
+                                       allow_infinity=False)),
+        fit_controller_gain=draw(knob),
+        tax_controller_gain=draw(knob),
+        tax_floor=floor,
+        tax_cap=draw(st.floats(min_value=floor, max_value=0.1)))
+
+
+SHORTAGES = [-1e9, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, 1.0, 5e6, 1e300,
+             math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(controls(), st.one_of(st.floats(), tax),
+       st.lists(st.one_of(st.sampled_from(SHORTAGES), st.floats()),
+                min_size=1, max_size=8))
+@example(PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=2e-7),
+         0.001, [5e6, 0.0, 5e6])
+@example(PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=1e300),
+         0.001, [1e300, -1.0])
+@example(PolicyControl("p3_budget_adjusted_tax", tax_controller_gain=1e-9,
+                       tax_cap=0.06), 0.03, [1e7, -0.0, math.nan])
+def test_the_hook_returns_what_apply_policy_returns(control, base_tax,
+                                                     shortages):
+    # building the hook never raises for a valid control, whatever the levy
+    hook = make_policy_fn(control, base_tax)
+    reference = reference_policy_fn(control, base_tax)
+    for shortage in shortages:
+        assert (policy_outcome(hook, shortage)
+                == policy_outcome(reference, shortage))
+
+
+def test_a_multiplier_driven_to_zero_still_raises_on_its_step():
+    hook = make_policy_fn(PolicyControl("p2_budget_adjusted_fit",
+                                        fit_controller_gain=1e300), 0.001)
+    assert hook(-1.0) == PriceTaxOverrides()
+    with pytest.raises(ConfigurationError,
+                       match=r"^fit_price_multiplier must lie in \(0, 1\], "
+                             r"got 0\.0$"):
+        hook(1e300)
 
 
 # === zeroed policies reproduce the base run bit-exactly ===

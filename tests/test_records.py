@@ -22,6 +22,7 @@ from fitsim import (
     load_default_config,
     replace,
 )
+from fitsim.engine import CheckedRecord
 
 PACKAGED = load_default_config().params
 
@@ -69,6 +70,36 @@ def test_every_construction_path_runs_the_check(record, field, value,
     for path, build in build_paths(record, field, old).items():
         assert build() == record, path
         assert type(build()) is type(record), path
+
+
+# a valid instance of every checked record, and of Scenario
+RECORDS = [case[0] for case in CHECKED] + [Scenario("a")]
+
+
+def test_every_checked_record_is_listed():
+    assert {type(record) for record in RECORDS} == set(
+        CheckedRecord.__subclasses__()) | {Scenario}
+
+
+def wrong_calls(record):
+    """Calls that cannot bind: too many positional arguments, an unknown
+    keyword and, where a field has no default, a missing argument."""
+    kind = type(record)
+    calls = {"too many": lambda: kind(*record, 0.0),
+             "unknown keyword": lambda: kind(*record, foo=1)}
+    if len(kind._field_defaults) < len(kind._fields):
+        calls["missing"] = kind
+    return calls
+
+
+@pytest.mark.parametrize("record", RECORDS,
+                         ids=[type(record).__name__ for record in RECORDS])
+def test_a_wrong_call_names_the_public_record(record):
+    for call, build in wrong_calls(record).items():
+        with pytest.raises(TypeError) as raised:
+            build()
+        assert str(raised.value).startswith(
+            f"{type(record).__name__}.__new__() "), call
 
 
 def test_checked_records_stay_immutable():
