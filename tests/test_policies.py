@@ -12,7 +12,6 @@ from fitsim import (
     ModelParameters,
     POLICY_IDS,
     PolicyControl,
-    PriceTaxOverrides,
     Scenario,
     SimulationClock,
     apply_policy,
@@ -131,6 +130,7 @@ SHORTAGES = [-1e9, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, 1.0, 5e6, 1e300,
                 min_size=1, max_size=8))
 @example(PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=2e-7),
          0.001, [5e6, 0.0, 5e6])
+# a multiplier driven to 0 still raises on its step
 @example(PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=1e300),
          0.001, [1e300, -1.0])
 @example(PolicyControl("p3_budget_adjusted_tax", tax_controller_gain=1e-9,
@@ -143,16 +143,6 @@ def test_the_hook_returns_what_apply_policy_returns(control, base_tax,
     for shortage in shortages:
         assert (policy_outcome(hook, shortage)
                 == policy_outcome(reference, shortage))
-
-
-def test_a_multiplier_driven_to_zero_still_raises_on_its_step():
-    hook = make_policy_fn(PolicyControl("p2_budget_adjusted_fit",
-                                        fit_controller_gain=1e300), 0.001)
-    assert hook(-1.0) == PriceTaxOverrides()
-    with pytest.raises(ConfigurationError,
-                       match=r"^fit_price_multiplier must lie in \(0, 1\], "
-                             r"got 0\.0$"):
-        hook(1e300)
 
 
 # === zeroed policies reproduce the base run bit-exactly ===
