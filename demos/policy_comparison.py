@@ -23,7 +23,7 @@ OUT_DIR = "demo_output"
 
 def main():
     doc = load_default_config()
-    report = run_scenario_suite(doc.params, list(doc.scenarios))
+    report = run_scenario_suite(doc.params, list(doc.scenarios), doc.clock)
 
     print(outcome_table(report))
 

@@ -43,7 +43,6 @@ from .policies import (
     ComparisonReport,
     PolicyControl,
     Scenario,
-    ScenarioOutcome,
     apply_policy,
     make_policy_fn,
     qualitative_checks,

@@ -97,20 +97,25 @@ def _load_document(args) -> ConfigDocument:
     changes = {key: value for key, value in given.items() if value is not None}
     if not changes:
         return doc
-    clock = replace(doc.clock, **changes)
-    scenarios = tuple(replace(scenario, clock=clock)
-                      for scenario in doc.scenarios)
-    return replace(doc, clock=clock, scenarios=scenarios)
+    return replace(doc, clock=replace(doc.clock, **changes))
+
+
+def _check_variables(model, names) -> None:
+    """Refuse, before any run, names that ``model`` does not record."""
+    known = model.stock_names + model.aux_names
+    if unknown := [name for name in names if name not in known]:
+        raise ConfigurationError(
+            f"unknown variables {unknown}; have {sorted(known)}")
 
 
 def _cmd_run(args) -> int:
     doc = _load_document(args)
     scenario = doc.scenario(args.scenario)
-    result = scenario_model(doc.params, scenario).simulate(scenario.clock)
-    variables = ()
-    if args.variables:
-        variables = tuple(name.strip() for name in args.variables.split(",")
-                          if name.strip())
+    model = scenario_model(doc.params, scenario)
+    variables = [name.strip() for name in (args.variables or "").split(",")
+                 if name.strip()]
+    _check_variables(model, [name for name in variables if name != "time"])
+    result = model.simulate(doc.clock)
     if args.out == "-":
         emit_run_csv(result, sys.stdout, variables)
         return 0
@@ -125,11 +130,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     doc = _load_document(args)
-    report = run_scenario_suite(doc.params, list(doc.scenarios))
+    if args.charts and args.out == "-":
+        print("error: --charts needs --out DIR", file=sys.stderr)
+        return 2
+    report = run_scenario_suite(doc.params, list(doc.scenarios), doc.clock)
     if args.out == "-":
-        if args.charts:
-            print("error: --charts needs --out DIR", file=sys.stderr)
-            return 2
         emit_comparison_csv(report, sys.stdout)
     else:
         os.makedirs(args.out, exist_ok=True)
@@ -156,8 +161,9 @@ def _cmd_validate(args) -> int:
     model = scenario_model(doc.params, scenario)
 
     if args.historical:
+        _check_variables(model, [args.historical_variable])
         years, values = load_series_csv(args.historical)
-        result = model.simulate(scenario.clock)
+        result = model.simulate(doc.clock)
         simulated = [result.at_year(args.historical_variable, year)
                      for year in years]
         report = error_metrics(simulated, values)
@@ -169,8 +175,8 @@ def _cmd_validate(args) -> int:
         print(f"  theil um/us/uc = {report.theil_um:.4f} "
               f"{report.theil_us:.4f} {report.theil_uc:.4f}")
 
-    findings = extreme_condition_suite(model.params, scenario.clock)
-    findings += sensitivity_suite(model.params, clock=scenario.clock)
+    findings = extreme_condition_suite(model.params, doc.clock)
+    findings += sensitivity_suite(model.params, clock=doc.clock)
     print(findings_text(findings))
     return 0 if all(finding.passed for finding in findings) else 1
 

@@ -8,7 +8,7 @@ with provenance one of ``paper`` (taken from the source study), ``derived``
 (computed from other values), or ``assumed`` (an engineering choice of this
 implementation). Sections:
 
-* ``[clock]`` start_year, end_year, dt;
+* ``[clock]`` start_year, end_year, dt: the one clock of every scenario;
 * ``[parameters]`` the scalar economics (fields of
   :class:`~fitsim.model.EconomicParameters`);
 * ``[effects]`` sigmoid shapes ``<effect>_{y_max,x_50,p}`` plus
@@ -234,12 +234,12 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
             else:
                 overrides[key] = value
         control = PolicyControl(policy_id=values["policy"], **knobs)
-        scenarios.append(Scenario(name=name, clock=clock,
-                                  overrides=overrides, policy=control))
+        scenarios.append(Scenario(name=name, overrides=overrides,
+                                  policy=control))
 
     if not scenarios:
         log.append("no [scenario:NAME] sections; synthesized neutral 'base'")
-        scenarios.append(Scenario(name="base", clock=clock))
+        scenarios.append(Scenario(name="base"))
 
     return ConfigDocument(clock=clock, params=params,
                           scenarios=tuple(scenarios), entries=entries,

@@ -138,7 +138,7 @@ def emit_comparison_csv(report: ComparisonReport, stream,
     """Write all scenarios into one CSV with a leading scenario column."""
     global _plot_text
     _plot_text = {}
-    names = [outcome.name for outcome in report.outcomes]
+    names = list(report.runs)
     columns = _columns(report.runs[names[0]], variables)
     keys = [[_key(_series(report.runs[name], column)) for column in columns]
             for name in names]
@@ -160,13 +160,13 @@ def outcome_table(report: ComparisonReport) -> str:
     """Fixed-width end-of-horizon summary of a scenario comparison."""
     headers = ("scenario", "installed MW", "penetration", "tendency",
                "debt $", "delay yr")
-    rows = [(outcome.name,
-             f"{outcome.installed_capacity:.1f}",
-             f"{outcome.penetration_rate:.4f}",
-             f"{outcome.tendency_to_invest:.4f}",
-             f"{outcome.suna_debt:.4g}",
-             f"{outcome.delay_in_debt_payment:.3f}")
-            for outcome in report.outcomes]
+    rows = [(name,
+             f"{run.final('installed_capacity'):.1f}",
+             f"{run.final('penetration_rate'):.4f}",
+             f"{run.final('tendency_to_invest'):.4f}",
+             f"{run.final('suna_debt'):.4g}",
+             f"{run.final('delay_in_debt_payment'):.3f}")
+            for name, run in report.runs.items()]
     widths = [max(len(headers[j]), *(len(row[j]) for row in rows))
               for j in range(len(headers))]
     def fmt(row):
@@ -203,7 +203,7 @@ def write_plot_data(report: ComparisonReport, directory,
     recorded at different times.
     """
     global _plot_text
-    names = [outcome.name for outcome in report.outcomes]
+    names = list(report.runs)
     times = _shared_times(report, names)
     os.makedirs(directory, exist_ok=True)
     texts, _plot_text = _plot_text, {}
@@ -306,7 +306,7 @@ def write_comparison_charts(report: ComparisonReport, directory,
     Raises ``ValueError``, before writing anything, when the runs were
     recorded at different times.
     """
-    names = [outcome.name for outcome in report.outcomes]
+    names = list(report.runs)
     times = _shared_times(report, names)
     os.makedirs(directory, exist_ok=True)
     paths = []

@@ -13,15 +13,19 @@ per step from the perceived budget shortage:
 Both budget-reactive policies act on the model's first-order perceived
 shortage, so they respond with roughly a one-year delay. Policies with all
 gains and deltas at zero reproduce the base run bit-exactly.
+
+A :class:`Scenario` names parameter overrides and a policy. A comparison
+runs a list of them on one clock and reports their runs and parameters.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .engine import (
-    DEFAULT_CLOCK,
     CheckedRecord,
     ConfigurationError,
     RunResult,
@@ -119,24 +123,21 @@ def make_policy_fn(control: PolicyControl, base_tax: float) -> PolicyFn:
 
 class _ScenarioFields(NamedTuple):
     name: str
-    clock: SimulationClock = DEFAULT_CLOCK
-    overrides: dict[str, float] | None = None  # left out: a fresh {}
+    overrides: Mapping[str, float] = MappingProxyType({})
     policy: PolicyControl = PolicyControl()
 
 
-class Scenario(_ScenarioFields):
-    """One named run: parameter overrides plus a policy, on a shared clock."""
+class Scenario(CheckedRecord, _ScenarioFields):
+    """One named run: parameter overrides plus a policy. Every scenario of
+    a comparison runs on the clock given to :func:`run_scenario_suite`."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.overrides is not None else self._replace(
-            overrides={})
-
-
-# as CheckedRecord does: a wrong call names Scenario
-_ScenarioFields.__new__.__qualname__ = "Scenario.__new__"
+    def _check(self):
+        if not isinstance(self.overrides, Mapping):
+            raise ConfigurationError(
+                f"scenario {self.name!r}: overrides must be a mapping of "
+                f"parameter names to values, got {self.overrides!r}")
 
 
 def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:
@@ -147,35 +148,18 @@ def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:
                                            params.econ.res_tax_base))
 
 
-class ScenarioOutcome(NamedTuple):
-    """End-of-horizon readout of the variables the scenarios are judged on."""
-
-    name: str
-    installed_capacity: float
-    penetration_rate: float
-    tendency_to_invest: float
-    suna_debt: float
-    delay_in_debt_payment: float
-
-
 class ComparisonReport(NamedTuple):
-    """Outcome rows, the full trajectories they were read from, and the
-    parameters each scenario ran with."""
+    """The runs of a scenario comparison, in scenario order and all on one
+    clock, and the parameters each scenario ran with."""
 
-    outcomes: tuple[ScenarioOutcome, ...]
     runs: dict[str, RunResult]
     params: dict[str, ModelParameters]
 
-    def outcome(self, name: str) -> ScenarioOutcome:
-        for row in self.outcomes:
-            if row.name == name:
-                return row
-        raise KeyError(name)
 
-
-def run_scenario_suite(params: ModelParameters,
-                       scenarios: list[Scenario]) -> ComparisonReport:
-    """Run every scenario against the shared parameters.
+def run_scenario_suite(params: ModelParameters, scenarios: list[Scenario],
+                       clock: SimulationClock) -> ComparisonReport:
+    """Run every scenario against the shared parameters on ``clock``, so
+    that all runs of the report are recorded at the same times.
 
     Scenario parameter overrides apply on top of ``params``; runs are
     independent, so executing them in any order (or in parallel) gives the
@@ -184,24 +168,13 @@ def run_scenario_suite(params: ModelParameters,
     names = [scenario.name for scenario in scenarios]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate scenario names in {names}")
-    outcomes = []
     runs: dict[str, RunResult] = {}
     run_params: dict[str, ModelParameters] = {}
     for scenario in scenarios:
         model = scenario_model(params, scenario)
-        result = model.simulate(scenario.clock)
-        runs[scenario.name] = result
+        runs[scenario.name] = model.simulate(clock)
         run_params[scenario.name] = model.params
-        outcomes.append(ScenarioOutcome(
-            name=scenario.name,
-            installed_capacity=result.final("installed_capacity"),
-            penetration_rate=result.final("penetration_rate"),
-            tendency_to_invest=result.final("tendency_to_invest"),
-            suna_debt=result.final("suna_debt"),
-            delay_in_debt_payment=result.final("delay_in_debt_payment"),
-        ))
-    return ComparisonReport(outcomes=tuple(outcomes), runs=runs,
-                            params=run_params)
+    return ComparisonReport(runs=runs, params=run_params)
 
 
 def qualitative_checks(report: ComparisonReport) -> list[Finding]:
@@ -225,7 +198,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     p3 = report.runs["p3_budget_adjusted_tax"]
     findings = []
 
-    capacity = {name: report.outcome(name).installed_capacity
+    capacity = {name: report.runs[name].final("installed_capacity")
                 for name in POLICY_IDS}
     ok = (capacity["p3_budget_adjusted_tax"] > capacity["base"]
           > capacity["p2_budget_adjusted_fit"]
@@ -236,7 +209,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         + ", ".join(f"{name}={capacity[name]:.1f}"
                     for name in POLICY_IDS)))
 
-    debt = {name: report.outcome(name).suna_debt
+    debt = {name: report.runs[name].final("suna_debt")
             for name in POLICY_IDS}
     p3_debt_peak = max(p3["suna_debt"])
     ok = (debt["p1_higher_fit"] > debt["base"]

@@ -329,10 +329,6 @@ TABLE_PERTURBATIONS = PerturbationSet((
     ("learning_exponent", -0.50),
 ))
 
-# variables whose behavior mode the sensitivity suite must preserve
-SIGNATURE_VARIABLES = ("installed_capacity", "suna_debt")
-
-
 def _base_run(params: ModelParameters, clock: SimulationClock):
     return FitModel(params, policy=None).simulate(clock)
 
@@ -410,8 +406,8 @@ def sensitivity_suite(params: ModelParameters,
                       clock: SimulationClock = DEFAULT_CLOCK) -> list[Finding]:
     """Check that parameter perturbations keep the behavior modes.
 
-    The base and perturbed runs are classified on the signature variables.
-    Capacity must keep its shape class (growth-peak-decline vs monotone)
+    The base and perturbed runs are classified on installed capacity and
+    debt. Capacity must keep its shape class (growth-peak-decline vs monotone)
     and debt must keep its emergence verdict; timing and amplitude may
     shift. A perturbation that pushes the model into a different regime
     entirely (no growth at all where the base takes off) is flagged as

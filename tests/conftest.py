@@ -22,7 +22,8 @@ def default_params(default_doc):
 @pytest.fixture(scope="session")
 def canonical_report(default_doc):
     """Base plus the three policies, straight from the shipped config."""
-    return run_scenario_suite(default_doc.params, list(default_doc.scenarios))
+    return run_scenario_suite(default_doc.params, list(default_doc.scenarios),
+                              default_doc.clock)
 
 
 @pytest.fixture(scope="session")

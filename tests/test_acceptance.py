@@ -211,7 +211,8 @@ def test_criterion_05_committed_calibration_story(base_run):
 def test_criterion_06_policy_orderings(default_doc):
     start = time.perf_counter()
     report = run_scenario_suite(default_doc.params,
-                                list(default_doc.scenarios))
+                                list(default_doc.scenarios),
+                                default_doc.clock)
     ic = {name: report.runs[name].final("installed_capacity")
           for name in report.runs}
     debt = {name: report.runs[name].final("suna_debt")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fitsim import PARAMETER_NAMES, default_config_text
+from fitsim import FitModel, PARAMETER_NAMES, default_config_text
 from fitsim.cli import main
 
 PLOT_FILES = ("installed_capacity.csv", "penetration_rate.csv",
@@ -22,6 +22,34 @@ def test_run_variable_subset(capsys):
     assert main(["run", "--variables", "installed_capacity,suna_debt"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "time,installed_capacity,suna_debt"
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Fail the test if the command simulates before it refuses."""
+    def refuse(self, clock):
+        raise AssertionError("simulated before refusing")
+    monkeypatch.setattr(FitModel, "simulate", refuse)
+
+
+UNKNOWN_BOGUS = ("error: unknown variables ['bogus']; have "
+                 f"{sorted(FitModel.stock_names + FitModel.aux_names)}\n")
+
+
+def test_run_refuses_unknown_variables_before_running(no_runs, capsys):
+    assert main(["run", "--variables", "time,bogus"]) == 2
+    assert capsys.readouterr().err == UNKNOWN_BOGUS
+
+
+def test_validate_refuses_an_unknown_historical_variable_before_running(
+        no_runs, tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    history.write_text("year,value\n2015,120\n2016,150\n", encoding="utf-8")
+    assert main(["validate", "--historical", str(history),
+                 "--historical-variable", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == UNKNOWN_BOGUS
+    assert captured.out == ""
 
 
 def test_run_writes_into_out_dir(tmp_path, capsys):
@@ -126,6 +154,25 @@ def test_compare_charts_flag(tmp_path):
 def test_compare_charts_need_a_directory(capsys):
     assert main(["compare", "--charts"]) == 2
     assert "--charts needs --out" in capsys.readouterr().err
+
+
+def test_compare_charts_refuse_before_running_the_suite(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("ran the suite before refusing")
+    monkeypatch.setattr("fitsim.cli.run_scenario_suite", refuse)
+    assert main(["compare", "--charts"]) == 2
+    assert capsys.readouterr().err == "error: --charts needs --out DIR\n"
+
+
+@pytest.mark.parametrize("flag, value, n_records", [
+    ("--dt", "0.5", 41),         # (2035 - 2015) / 0.5 + 1
+    ("--horizon", "2040", 101),  # (2040 - 2015) / 0.25 + 1
+])
+def test_compare_runs_every_scenario_on_the_overridden_clock(
+        flag, value, n_records, capsys):
+    assert main(["compare", flag, value]) != 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 4 * n_records
 
 
 def test_compare_is_byte_deterministic(tmp_path, capsys):

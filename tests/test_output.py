@@ -19,7 +19,6 @@ from fitsim import (
     ComparisonReport,
     RunResult,
     Scenario,
-    ScenarioOutcome,
     SimulationClock,
     emit_comparison_csv,
     emit_run_csv,
@@ -115,9 +114,7 @@ def test_comparison_csv_keys_text_by_bytes_not_value():
         return RunResult(times=memoryview(array("d", [0.0, 1.0])),
                          variables={"s": column},
                          stock_names=("s",), flow_names=(), aux_names=())
-    outcome = ScenarioOutcome("x", 0.0, 0.0, 0.0, 0.0, 0.0)
     report = ComparisonReport(
-        outcomes=tuple(replace(outcome, name=name) for name in "xyz"),
         runs={"x": toy(np.array([0.0, 1.5])),
               "y": toy(np.array([-0.0, 1.5])),
               # single precision: keyed by its values as doubles
@@ -226,7 +223,8 @@ def test_plot_data_after_another_comparison_keeps_its_own_bytes(
                          overrides={**scenario.overrides,
                                     "capacity_factor": 0.2})
                  for scenario in default_doc.scenarios]
-    other = run_scenario_suite(default_doc.params, scenarios)
+    other = run_scenario_suite(default_doc.params, scenarios,
+                               default_doc.clock)
     emit_comparison_csv(canonical_report, io.StringIO())
     emit_comparison_csv(other, io.StringIO())
     write_plot_data(canonical_report, tmp_path / "after")
@@ -237,10 +235,13 @@ def test_plot_data_after_another_comparison_keeps_its_own_bytes(
 
 @pytest.fixture(scope="module")
 def two_clock_report(default_doc):
-    """Scenario "a" recorded quarterly, "b" half-yearly."""
-    return run_scenario_suite(default_doc.params, [
-        Scenario("a", SimulationClock(2015.0, 2035.0, 0.25)),
-        Scenario("b", SimulationClock(2015.0, 2035.0, 0.5))])
+    """Scenario "a" recorded quarterly, "b" half-yearly: the runs of two
+    suites in one report."""
+    a, b = (run_scenario_suite(default_doc.params, [Scenario(name)],
+                               SimulationClock(2015.0, 2035.0, dt))
+            for name, dt in (("a", 0.25), ("b", 0.5)))
+    return ComparisonReport(runs={**a.runs, **b.runs},
+                            params={**a.params, **b.params})
 
 
 def test_plot_data_refuses_runs_on_different_clocks(two_clock_report,

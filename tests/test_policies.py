@@ -19,7 +19,6 @@ from fitsim import (
     make_policy_fn,
     parse_config,
     qualitative_checks,
-    replace,
     run_scenario_suite,
 )
 
@@ -151,10 +150,10 @@ def test_the_hook_returns_what_apply_policy_returns(control, base_tax,
 def test_neutral_knobs_reproduce_the_base_run(policy_id, default_params):
     neutral = PolicyControl(policy_id)
     scenarios = [
-        Scenario(name="plain", clock=SHORT_CLOCK),
-        Scenario(name="zeroed", clock=SHORT_CLOCK, policy=neutral),
+        Scenario(name="plain"),
+        Scenario(name="zeroed", policy=neutral),
     ]
-    report = run_scenario_suite(default_params, scenarios)
+    report = run_scenario_suite(default_params, scenarios, SHORT_CLOCK)
     plain, zeroed = report.runs["plain"], report.runs["zeroed"]
     for name in ("installed_capacity", "suna_debt", "budget",
                  "tendency_to_invest"):
@@ -172,38 +171,33 @@ def test_p3_neutral_needs_matching_floor():
 # === scenario suites ===
 
 def test_suite_rejects_duplicate_names(default_params):
-    scenarios = [Scenario(name="x", clock=SHORT_CLOCK),
-                 Scenario(name="x", clock=SHORT_CLOCK)]
+    scenarios = [Scenario(name="x"), Scenario(name="x")]
     with pytest.raises(ConfigurationError):
-        run_scenario_suite(default_params, scenarios)
+        run_scenario_suite(default_params, scenarios, SHORT_CLOCK)
 
 
 def test_empty_suite_gives_empty_report(default_params):
-    report = run_scenario_suite(default_params, [])
-    assert report.outcomes == ()
+    report = run_scenario_suite(default_params, [], SHORT_CLOCK)
     assert report.runs == {}
+    assert report.params == {}
 
 
 def test_single_scenario_report(default_params):
     report = run_scenario_suite(
-        default_params, [Scenario(name="only", clock=SHORT_CLOCK)])
-    assert len(report.outcomes) == 1
+        default_params, [Scenario(name="only")], SHORT_CLOCK)
+    assert list(report.runs) == ["only"]
     run = report.runs["only"]
     assert run.n_records == SHORT_CLOCK.n_steps + 1
-    outcome = report.outcome("only")
-    assert outcome.installed_capacity == run.final("installed_capacity")
-    assert outcome.suna_debt == run.final("suna_debt")
-    with pytest.raises(KeyError):
-        report.outcome("missing")
+    assert run.times[-1] == SHORT_CLOCK.end_year
+    assert report.params == {"only": default_params}
 
 
 def test_scenario_overrides_apply_per_run(default_params):
     scenarios = [
-        Scenario(name="a", clock=SHORT_CLOCK),
-        Scenario(name="b", clock=SHORT_CLOCK,
-                 overrides={"initial_installed_capacity": 60.0}),
+        Scenario(name="a"),
+        Scenario(name="b", overrides={"initial_installed_capacity": 60.0}),
     ]
-    report = run_scenario_suite(default_params, scenarios)
+    report = run_scenario_suite(default_params, scenarios, SHORT_CLOCK)
     assert report.runs["a"]["installed_capacity"][0] == 120.0
     assert report.runs["b"]["installed_capacity"][0] == 60.0
 
@@ -221,9 +215,10 @@ def test_qualitative_battery_passes_on_the_shipped_config(canonical_report):
 
 
 def test_canonical_capacity_and_debt_orderings(canonical_report):
-    capacity = {o.name: o.installed_capacity
-                for o in canonical_report.outcomes}
-    debt = {o.name: o.suna_debt for o in canonical_report.outcomes}
+    runs = canonical_report.runs
+    capacity = {name: run.final("installed_capacity")
+                for name, run in runs.items()}
+    debt = {name: run.final("suna_debt") for name, run in runs.items()}
     assert (capacity["p3_budget_adjusted_tax"] > capacity["base"]
             > capacity["p2_budget_adjusted_fit"] > capacity["p1_higher_fit"])
     assert (debt["p1_higher_fit"] > debt["base"]
@@ -248,7 +243,7 @@ def test_p3_tendency_ends_above_its_start(canonical_report):
 
 def test_qualitative_checks_demand_the_canonical_set(default_params):
     report = run_scenario_suite(
-        default_params, [Scenario(name="base", clock=SHORT_CLOCK)])
+        default_params, [Scenario(name="base")], SHORT_CLOCK)
     with pytest.raises(ValueError):
         qualitative_checks(report)
 
@@ -258,7 +253,7 @@ def test_target_check_reads_the_base_runs_capacity_target():
         "capacity_target = 5000.0 ;", "capacity_target = 4000.0 ;")
     doc = parse_config(text)
     assert doc.params.econ.capacity_target == 4000.0
-    report = run_scenario_suite(doc.params, list(doc.scenarios))
+    report = run_scenario_suite(doc.params, list(doc.scenarios), doc.clock)
     finding = next(finding for finding in qualitative_checks(report)
                    if finding.name == "p1_reaches_target_first")
     assert finding.detail.startswith("first year at 4000 MW: ")
@@ -267,9 +262,8 @@ def test_target_check_reads_the_base_runs_capacity_target():
 
 def test_target_check_fails_when_no_run_reaches_the_target(default_doc):
     # every run stays below the 5000 MW target until 2020
-    scenarios = [replace(scenario, clock=SHORT_CLOCK)
-                 for scenario in default_doc.scenarios]
-    report = run_scenario_suite(default_doc.params, scenarios)
+    report = run_scenario_suite(default_doc.params,
+                                list(default_doc.scenarios), SHORT_CLOCK)
     finding = next(finding for finding in qualitative_checks(report)
                    if finding.name == "p1_reaches_target_first")
     assert finding.detail == "first year at 5000 MW: p1=inf, base=inf"

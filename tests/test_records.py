@@ -39,6 +39,9 @@ CHECKED = [
      "fit_price_multiplier must lie in (0, 1], got 0.0"),
     (PolicyControl(), "tax_cap", 0.5,
      "need tax_floor <= tax_cap <= 0.1, got floor=0.0, cap=0.5"),
+    (Scenario("a"), "overrides", None,
+     "scenario 'a': overrides must be a mapping of parameter names to "
+     "values, got None"),
 ]
 
 
@@ -72,13 +75,13 @@ def test_every_construction_path_runs_the_check(record, field, value,
         assert type(build()) is type(record), path
 
 
-# a valid instance of every checked record, and of Scenario
-RECORDS = [case[0] for case in CHECKED] + [Scenario("a")]
+# a valid instance of every checked record
+RECORDS = [case[0] for case in CHECKED]
 
 
 def test_every_checked_record_is_listed():
     assert {type(record) for record in RECORDS} == set(
-        CheckedRecord.__subclasses__()) | {Scenario}
+        CheckedRecord.__subclasses__())
 
 
 def wrong_calls(record):
@@ -129,18 +132,15 @@ def test_apply_overrides_runs_the_group_checks():
         apply_overrides(PACKAGED, {"investor_trust_p": 0.0})
 
 
-def test_a_scenario_left_without_overrides_gets_its_own_dict():
-    built = [Scenario("a"), Scenario(name="b"),
-             Scenario("c", DEFAULT_CLOCK, None, PolicyControl())]
+def test_a_scenario_left_without_overrides_gets_a_read_only_mapping():
+    built = [Scenario("a"), Scenario(name="b"), Scenario._make(["c"]),
+             replace(Scenario("d"), name="e")]
     for scenario in built:
         assert scenario.overrides == {}
-        assert type(scenario.overrides) is dict
-    assert len({id(scenario.overrides) for scenario in built}) == len(built)
-    # a copy shares the dict it was given; only a left-out one is fresh
-    first = built[0]
-    for copy in (replace(first, name="d"), first._replace(name="d")):
-        assert copy.overrides is first.overrides
-        assert copy.name == "d"
+        # one mapping serves every scenario, so none may change it
+        with pytest.raises(TypeError):
+            scenario.overrides["om_cost"] = 1.0
+    assert len({id(scenario.overrides) for scenario in built}) == 1
 
 
 def test_replace_rejects_an_unknown_field():

@@ -300,14 +300,14 @@ class Calibration:
             key: value for key, value in values.items()
             if key not in KNOBS})
 
-    def scenarios(self, values: dict[str, float], clock: SimulationClock):
+    def scenarios(self, values: dict[str, float]):
         scenarios = []
         for scenario in self.doc.scenarios:
             policy = scenario.policy
             for knob, name in KNOBS.items():
                 if scenario.name == name:
                     policy = replace(policy, **{knob: values[knob]})
-            scenarios.append(replace(scenario, clock=clock, policy=policy))
+            scenarios.append(replace(scenario, policy=policy))
         return scenarios
 
     # --- margins ---
@@ -374,7 +374,7 @@ class Calibration:
         margins: dict[str, float] = {}
         gates: dict[str, bool] = {}
         params = self.params(values)
-        report = run_scenario_suite(params, self.scenarios(values, QUARTER))
+        report = run_scenario_suite(params, self.scenarios(values), QUARTER)
         self._qualitative(report, margins, gates, "")
         base = report.runs["base"]
         p1 = report.runs["p1_higher_fit"]
@@ -473,7 +473,7 @@ class Calibration:
             if min(margins.values()) <= threshold or not all(gates.values()):
                 gates["all_checks_run"] = False
                 return margins, gates
-            report = run_scenario_suite(params, self.scenarios(values, clock))
+            report = run_scenario_suite(params, self.scenarios(values), clock)
             self._qualitative(report, margins, gates, suffix)
         gates["all_checks_run"] = True
         gates.update(self.criteria(values, params, base))
@@ -489,7 +489,7 @@ class Calibration:
         """Verdicts of the acceptance criteria that read the calibration,
         each run on this candidate instead of the shipped one."""
         doc = replace(self.doc, params=params,
-                      scenarios=tuple(self.scenarios(values, QUARTER)))
+                      scenarios=tuple(self.scenarios(values)))
         fixtures = {"default_params": params, "base_run": base,
                     "default_doc": doc}
         verdicts = {}
