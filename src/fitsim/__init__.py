@@ -21,7 +21,6 @@ from .engine import (
     SimulationError,
     eval_inverted_sigmoid,
     eval_linear_trend,
-    replace,
     run_simulation,
 )
 from .model import (
@@ -62,7 +61,6 @@ from .validation import (
     error_metrics,
     extreme_condition_suite,
     sensitivity_suite,
-    signatures_match,
     theil_decomposition,
 )
 from .config import (
@@ -72,14 +70,12 @@ from .config import (
     load_config,
     load_default_config,
     parse_config,
-    serialize_config,
 )
 from .output import (
     CHART_VARIABLES,
     emit_comparison_csv,
     emit_run_csv,
     findings_text,
-    format_float,
     outcome_table,
     render_chart_svg,
     write_comparison_charts,

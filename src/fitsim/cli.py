@@ -19,7 +19,7 @@ import os
 import sys
 
 from .config import ConfigDocument, load_config, load_default_config
-from .engine import ConfigurationError, SimulationError, replace
+from .engine import ConfigurationError, SimulationError
 from .output import (
     emit_comparison_csv,
     emit_run_csv,
@@ -97,7 +97,7 @@ def _load_document(args) -> ConfigDocument:
     changes = {key: value for key, value in given.items() if value is not None}
     if not changes:
         return doc
-    return replace(doc, clock=replace(doc.clock, **changes))
+    return doc._replace(clock=doc.clock._replace(**changes))
 
 
 def _check_variables(model, names) -> None:

@@ -31,7 +31,7 @@ import configparser
 import os
 from typing import NamedTuple
 
-from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock, replace
+from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
 from .model import (
     ModelParameters,
     PARAMETER_NAMES,
@@ -47,7 +47,6 @@ __all__ = [
     "ConfigDocument",
     "parse_config",
     "load_config",
-    "serialize_config",
     "default_config_text",
     "load_default_config",
 ]
@@ -183,7 +182,7 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
         if key not in clock_values:
             log.append(f"clock.{key} defaulted to "
                        f"{getattr(DEFAULT_CLOCK, key)!r}")
-    clock = replace(DEFAULT_CLOCK, **clock_values)
+    clock = DEFAULT_CLOCK._replace(**clock_values)
 
     values: dict[str, float] = {}
     for section in _PARAMETER_SECTIONS:
@@ -249,28 +248,6 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
 def load_config(path) -> ConfigDocument:
     with open(path, encoding="utf-8") as handle:
         return parse_config(handle.read())
-
-
-def _format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def serialize_config(doc: ConfigDocument) -> str:
-    """Write the document back out; parsing the result reproduces it.
-
-    Only keys that were present in the original file are emitted, in file
-    order, with values normalized to ``repr`` so the round trip is exact.
-    """
-    lines: list[str] = []
-    for section, section_entries in doc.entries.items():
-        lines.append(f"[{section}]")
-        for key, entry in section_entries.items():
-            annotation = entry.source
-            if entry.note:
-                annotation += f": {entry.note}"
-            lines.append(f"{key} = {_format_value(entry.value)} ; {annotation}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def default_config_text() -> str:

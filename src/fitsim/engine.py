@@ -43,7 +43,7 @@ __all__ = [
     "LaggedSeries",
     "ClampEvent",
     "RunResult",
-    "replace",
+    "checked",
     "eval_inverted_sigmoid",
     "eval_linear_trend",
     "run_simulation",
@@ -66,46 +66,29 @@ class SimulationError(RuntimeError):
         self.time = time
 
 
-class CheckedRecord:
-    """Base of a record checked on every construction path: a subclass of
-    this and of a ``NamedTuple`` of its fields whose ``_check`` raises
-    :class:`ConfigurationError`; ``_make`` and ``_replace`` check too."""
+def checked(cls):
+    """Make the ``NamedTuple`` class ``cls`` a checked record: its
+    ``_check``, which raises :class:`ConfigurationError`, runs on every
+    construction path, ``_make`` and ``_replace`` included."""
+    new = cls.__new__
 
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        # a wrong call names the record, not its NamedTuple base of fields
-        super().__init_subclass__(**kwargs)
-        for base in cls.__bases__:
-            if "_fields" in vars(base):
-                base.__new__.__qualname__ = f"{cls.__name__}.__new__"
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(kind, *args, **kwargs):
+        self = new(kind, *args, **kwargs)
         self._check()
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda kind, iterable: kind(*iterable))
+    return cls
 
 
-def replace(record, **changes):
-    """A copy of the ``NamedTuple`` record with ``changes`` to its fields,
-    built through its constructor, so that a checked record checks them."""
-    return type(record)(**{**record._asdict(), **changes})
+@checked
+class SimulationClock(NamedTuple):
+    """Integration window and step size, in calendar years."""
 
-
-class _ClockFields(NamedTuple):
     start_year: float
     end_year: float
     dt: float = 0.25
-
-
-class SimulationClock(CheckedRecord, _ClockFields):
-    """Integration window and step size, in calendar years."""
-
-    __slots__ = ()
 
     def _check(self):
         for name, value in zip(self._fields, self):
@@ -142,20 +125,17 @@ class SimulationClock(CheckedRecord, _ClockFields):
 DEFAULT_CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
 
 
-class _SigmoidFields(NamedTuple):
-    y_max: float
-    x_50: float
-    p: float
-
-
-class SigmoidEffect(CheckedRecord, _SigmoidFields):
+@checked
+class SigmoidEffect(NamedTuple):
     """Inverted sigmoid ``y = y_max / (1 + (x / x_50) ** p)``.
 
     Hits ``y_max`` at x = 0, half of it at x = x_50, and decays toward 0
     as x grows; larger ``p`` sharpens the transition.
     """
 
-    __slots__ = ()
+    y_max: float
+    x_50: float
+    p: float
 
     def _check(self):
         for name, value in zip(self._fields, self):

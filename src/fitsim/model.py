@@ -44,20 +44,18 @@ bytes.
 """
 
 import math
-from functools import cache
-from typing import Callable, NamedTuple, Sequence, get_type_hints
+from typing import Callable, NamedTuple, Sequence
 
 from .engine import (
-    CheckedRecord,
     ConfigurationError,
     LaggedSeries,
     LinearTrend,
     RunResult,
     SigmoidEffect,
     SimulationClock,
+    checked,
     eval_inverted_sigmoid,
     eval_linear_trend,
-    replace,
     run_simulation,
 )
 
@@ -69,7 +67,10 @@ DELAY_PAYMENT_EPSILON = 1.0  # dollars/year
 MINIMUM_LIFETIME = 1.0  # years
 
 
-class _EconomicFields(NamedTuple):
+@checked
+class EconomicParameters(NamedTuple):
+    """Scalar constants of the program: economics, pipeline, initial state."""
+
     capacity_factor: float             # fraction of nameplate output
     initial_fit_price: float           # $/MWh, tariff offered at launch
     om_cost: float                     # $/MWh, operation and maintenance
@@ -88,12 +89,6 @@ class _EconomicFields(NamedTuple):
     initial_installed_capacity: float  # MW
     initial_budget: float              # dollars
     initial_suna_debt: float           # dollars
-
-
-class EconomicParameters(CheckedRecord, _EconomicFields):
-    """Scalar constants of the program: economics, pipeline, initial state."""
-
-    __slots__ = ()
 
     def _check(self):
         positive = (
@@ -130,14 +125,8 @@ class EconomicParameters(CheckedRecord, _EconomicFields):
                 f"got {self.fit_price_floor}")
 
 
-class _SocialEffectFields(NamedTuple):
-    social_tolerance: SigmoidEffect  # x: $/kWh
-    investor_trust: SigmoidEffect    # x: years
-    om_activity: SigmoidEffect       # x: years
-    penetration_gain: float          # slope of acceptance in penetration
-
-
-class SocialEffectSet(CheckedRecord, _SocialEffectFields):
+@checked
+class SocialEffectSet(NamedTuple):
     """Saturating responses of the social and institutional environment.
 
     Each response is an inverted sigmoid in one pressure variable: the levy
@@ -145,7 +134,10 @@ class SocialEffectSet(CheckedRecord, _SocialEffectFields):
     the same delay stalls operation-and-maintenance activity.
     """
 
-    __slots__ = ()
+    social_tolerance: SigmoidEffect  # x: $/kWh
+    investor_trust: SigmoidEffect    # x: years
+    om_activity: SigmoidEffect       # x: years
+    penetration_gain: float          # slope of acceptance in penetration
 
     def _check(self):
         if not (math.isfinite(self.penetration_gain)
@@ -170,20 +162,17 @@ class ModelParameters(NamedTuple):
     exogenous: ExogenousInputs
 
 
-class _OverrideFields(NamedTuple):
-    fit_price_delta: float = 0.0       # $/MWh, added after the base rule
-    fit_price_multiplier: float = 1.0  # in (0, 1], scales the base rule
-    res_tax: float | None = None       # $/kWh, replaces the base levy
-
-
-class PriceTaxOverrides(CheckedRecord, _OverrideFields):
+@checked
+class PriceTaxOverrides(NamedTuple):
     """Policy-side adjustments applied on top of the base price and levy.
 
     The neutral instance (multiplier 1, delta 0, no levy override) leaves
     the base run bit-exactly unchanged.
     """
 
-    __slots__ = ()
+    fit_price_delta: float = 0.0       # $/MWh, added after the base rule
+    fit_price_multiplier: float = 1.0  # in (0, 1], scales the base rule
+    res_tax: float | None = None       # $/kWh, replaces the base levy
 
     def _check(self):
         if not 0.0 < self.fit_price_multiplier <= 1.0:
@@ -393,8 +382,6 @@ def compute_production_and_price(installed_capacity: float,
 
 # === parameter registry (config keys and sensitivity targets) ===
 
-_field_types = cache(get_type_hints)  # read across the MRO, once per record
-
 def _registry() -> dict[str, tuple[str, ...]]:
     """Flat name -> attribute path of every scalar in ``ModelParameters``.
 
@@ -403,8 +390,8 @@ def _registry() -> dict[str, tuple[str, ...]]:
     Groups and their fields keep declaration order.
     """
     names: dict[str, tuple[str, ...]] = {}
-    for group, group_type in _field_types(ModelParameters).items():
-        for item, item_type in _field_types(group_type).items():
+    for group, group_type in ModelParameters.__annotations__.items():
+        for item, item_type in group_type.__annotations__.items():
             if not hasattr(item_type, "_fields"):  # a scalar
                 names[item] = (group, item)
                 continue
@@ -426,10 +413,10 @@ def build_parameters(values: dict[str, float]) -> ModelParameters:
         return record(**{
             name: build(kind, f"{name}_")
             if hasattr(kind, "_fields") else values[prefix + name]
-            for name, kind in _field_types(record).items()})
+            for name, kind in record.__annotations__.items()})
 
     return ModelParameters(**{group: build(kind) for group, kind
-                              in _field_types(ModelParameters).items()})
+                              in ModelParameters.__annotations__.items()})
 
 
 def _path(name: str) -> tuple[str, ...]:
@@ -461,11 +448,11 @@ def apply_overrides(params: ModelParameters,
     groups = {}
     for group_name, group_changes in changes.items():
         group = getattr(params, group_name)
-        groups[group_name] = replace(group, **{
-            item: (replace(getattr(group, item), **value)
+        groups[group_name] = group._replace(**{
+            item: (getattr(group, item)._replace(**value)
                    if isinstance(value, dict) else value)
             for item, value in group_changes.items()})
-    return replace(params, **groups)
+    return params._replace(**groups)
 
 
 # === the wired model ===

@@ -19,8 +19,9 @@ drivers in most), drops a column's text after the last scenario that
 reads it, and keeps the text of the plotted columns (``time`` and
 :data:`CHART_VARIABLES`) of the latest comparison for the next
 :func:`write_plot_data`, which takes that text, formats only what it does
-not find there and releases the rest. A chart formats its x's once, into
-one format that each series fills with its y's.
+not find there and releases the rest. The x's of a comparison's charts
+are formatted once, into text that each series of each chart fills with
+its y's.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .policies import ComparisonReport
 from .validation import Finding
 
 __all__ = [
-    "format_float",
     "emit_run_csv",
     "emit_comparison_csv",
     "outcome_table",
@@ -60,11 +60,6 @@ CHART_VARIABLES = (
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#8c564b", "#e377c2")
-
-
-def format_float(value: float) -> str:
-    """Shortest exact decimal form; reproducible across runs."""
-    return repr(float(value))
 
 
 def _columns(result: RunResult, variables) -> list[str]:
@@ -103,8 +98,8 @@ def _key(column) -> bytes:
 
 
 def _text(key: bytes) -> list[str]:
-    """The column whose doubles are ``key`` as the text
-    :func:`format_float` gives each value."""
+    """The column whose doubles are ``key`` as text, each value in the
+    shortest exact form ``repr`` gives it."""
     return list(map(repr, array("d", key)))
 
 
@@ -231,6 +226,20 @@ def _tick_label(value: float) -> str:
     return f"{value:.6g}"
 
 
+# chart layout, in pixels
+_WIDTH, _HEIGHT = 640.0, 400.0
+_LEFT, _RIGHT, _TOP, _BOTTOM = 70.0, 20.0, 36.0, 46.0
+
+
+def _x_slots(times) -> list[str]:
+    """Each record's x coordinate followed by a slot for its y: the text
+    every chart over ``times`` fills."""
+    x_low, x_high = float(times[0]), float(times[-1])
+    plot_w = _WIDTH - _LEFT - _RIGHT
+    return [f"{_LEFT + (x - x_low) / (x_high - x_low) * plot_w:.2f},%.2f"
+            for x in times]
+
+
 def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
                      title: str) -> str:
     """A minimal line chart; pure text assembly, no drawing library.
@@ -238,8 +247,15 @@ def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
     Coordinates are formatted to two decimals, so identical inputs give
     identical bytes.
     """
-    width, height = 640.0, 400.0
-    left, right, top, bottom = 70.0, 20.0, 36.0, 46.0
+    return _render_chart(times, series_by_label, title)
+
+
+def _render_chart(times, series_by_label: dict[str, Sequence[float]],
+                  title: str, slots: list[str] | None = None) -> str:
+    """:func:`render_chart_svg`, reusing ``slots``, the ``_x_slots`` of
+    ``times``, when given."""
+    width, height = _WIDTH, _HEIGHT
+    left, right, top, bottom = _LEFT, _RIGHT, _TOP, _BOTTOM
     plot_w = width - left - right
     plot_h = height - top - bottom
 
@@ -277,9 +293,9 @@ def render_chart_svg(times, series_by_label: dict[str, Sequence[float]],
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11">{_tick_label(tick)}</text>')
 
-    # x texts once per chart, each with a slot for a y; islice truncates as zip
-    slots = [f"{left + (x - x_low) / (x_high - x_low) * plot_w:.2f},%.2f"
-             for x in times]
+    # each series fills the x texts' slots; islice truncates as zip
+    if slots is None:
+        slots = _x_slots(times)
     points_format = " ".join(slots)
     for k, (label, series) in enumerate(series_by_label.items()):
         color = _PALETTE[k % len(_PALETTE)]
@@ -309,10 +325,11 @@ def write_comparison_charts(report: ComparisonReport, directory,
     names = list(report.runs)
     times = _shared_times(report, names)
     os.makedirs(directory, exist_ok=True)
+    slots = _x_slots(times)  # the charts share their x texts
     paths = []
     for variable in variables:
         series = {name: report.runs[name][variable] for name in names}
-        svg = render_chart_svg(times, series, variable)
+        svg = _render_chart(times, series, variable, slots)
         path = os.path.join(directory, f"{variable}.svg")
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(svg)

@@ -25,12 +25,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .engine import (
-    CheckedRecord,
-    ConfigurationError,
-    RunResult,
-    SimulationClock,
-)
+from .engine import ConfigurationError, RunResult, SimulationClock, checked
 from .model import (
     FitModel,
     ModelParameters,
@@ -50,19 +45,16 @@ POLICY_IDS = (
 MAX_RES_TAX = 0.1  # $/kWh; beyond this the tolerance sigmoid saturates
 
 
-class _ControlFields(NamedTuple):
+@checked
+class PolicyControl(NamedTuple):
+    """Knobs of one policy; zeroed knobs make every policy the base run."""
+
     policy_id: str = "base"
     fit_price_delta: float = 0.0       # $/MWh, p1
     fit_controller_gain: float = 0.0   # 1/$ of perceived shortage, p2
     tax_controller_gain: float = 0.0   # ($/kWh) per $ of perceived shortage, p3
     tax_floor: float = 0.0             # $/kWh, p3 clamp
     tax_cap: float = MAX_RES_TAX       # $/kWh, p3 clamp
-
-
-class PolicyControl(CheckedRecord, _ControlFields):
-    """Knobs of one policy; zeroed knobs make every policy the base run."""
-
-    __slots__ = ()
 
     def _check(self):
         if self.policy_id not in POLICY_IDS:
@@ -121,17 +113,14 @@ def make_policy_fn(control: PolicyControl, base_tax: float) -> PolicyFn:
                              else apply_policy(control, shortage, base_tax))
 
 
-class _ScenarioFields(NamedTuple):
-    name: str
-    overrides: Mapping[str, float] = MappingProxyType({})
-    policy: PolicyControl = PolicyControl()
-
-
-class Scenario(CheckedRecord, _ScenarioFields):
+@checked
+class Scenario(NamedTuple):
     """One named run: parameter overrides plus a policy. Every scenario of
     a comparison runs on the clock given to :func:`run_scenario_suite`."""
 
-    __slots__ = ()
+    name: str
+    overrides: Mapping[str, float] = MappingProxyType({})
+    policy: PolicyControl = PolicyControl()
 
     def _check(self):
         if not isinstance(self.overrides, Mapping):
@@ -196,6 +185,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     p1 = report.runs["p1_higher_fit"]
     p2 = report.runs["p2_budget_adjusted_fit"]
     p3 = report.runs["p3_budget_adjusted_tax"]
+    end = f"{base.times[-1]:g}"  # every run ends on the same record
     findings = []
 
     capacity = {name: report.runs[name].final("installed_capacity")
@@ -205,7 +195,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
           > capacity["p1_higher_fit"])
     findings.append(Finding(
         "capacity_ordering", ok,
-        "2035 installed capacity (MW): "
+        f"{end} installed capacity (MW): "
         + ", ".join(f"{name}={capacity[name]:.1f}"
                     for name in POLICY_IDS)))
 
@@ -217,7 +207,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
           and p3_debt_peak <= 0.0)
     findings.append(Finding(
         "debt_ordering", ok,
-        "2035 debt ($): "
+        f"{end} debt ($): "
         + ", ".join(f"{name}={debt[name]:.3g}"
                     for name in POLICY_IDS)
         + f"; p3 peak debt={p3_debt_peak:.3g}"))

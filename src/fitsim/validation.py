@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock, replace
+from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
 from .model import FitModel, ModelParameters, apply_overrides, get_parameter
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "theil_decomposition",
     "BehaviorSignature",
     "behavior_signature",
-    "signatures_match",
     "PerturbationSet",
     "TABLE_PERTURBATIONS",
     "extreme_condition_suite",
@@ -284,27 +283,6 @@ def behavior_signature(times, values) -> BehaviorSignature:
                              first_positive_year, peak_year)
 
 
-def signatures_match(a: BehaviorSignature, b: BehaviorSignature,
-                     year_tolerance: float | None = None) -> bool:
-    """Same behavior mode: equal shape class and emergence.
-
-    Timing and amplitude are deliberately not compared by default:
-    parameter changes are allowed to delay or advance the take-off and to
-    move the peak without changing the mode. Pass ``year_tolerance`` to
-    additionally require the first positive years to lie within that many
-    years of each other.
-    """
-    if a.shape != b.shape or a.emerged != b.emerged:
-        return False
-    if year_tolerance is None:
-        return True
-    if (a.first_positive_year is None) != (b.first_positive_year is None):
-        return False
-    if a.first_positive_year is None:
-        return True
-    return abs(a.first_positive_year - b.first_positive_year) <= year_tolerance
-
-
 # === stress suites ===
 
 class PerturbationSet(NamedTuple):
@@ -345,17 +323,19 @@ def extreme_condition_suite(params: ModelParameters,
         its launch value toward zero and the fund must drain steeply as
         everything goes to debt service.
 
-    Check (a) reads the fund past its first year, so a clock shorter than
-    one year raises :class:`ConfigurationError` before any run starts.
+    Check (b) reads the tendency three years in, the last year the suite
+    reads, so a clock that ends before then raises
+    :class:`ConfigurationError` before any run starts.
     """
-    steps_per_year = max(1, round(1.0 / clock.dt))
-    if clock.n_steps < steps_per_year:
+    if clock.end_year < clock.start_year + 3.0:
         raise ConfigurationError(
-            f"the extreme-condition suite needs a horizon of at least one "
-            f"year, got {clock.start_year} to {clock.end_year}")
+            f"the extreme-condition suite needs a horizon of at least three "
+            f"years, got {clock.start_year} to {clock.end_year}")
+    # three years hold a year of steps, which check (a) reads past
+    steps_per_year = max(1, round(1.0 / clock.dt))
     findings = []
 
-    crippled = replace(params.econ, remuneration_period=1.0)
+    crippled = params.econ._replace(remuneration_period=1.0)
     run = _base_run(ModelParameters(crippled, params.effects,
                                     params.exogenous), clock)
     installed = run["installed_capacity"]
@@ -378,7 +358,7 @@ def extreme_condition_suite(params: ModelParameters,
         f"budget {budget[0]:.3g} -> {budget[-1]:.3g}, "
         f"monotone after year 1: {grows}"))
 
-    indebted = replace(params.econ, initial_suna_debt=1.0e8)
+    indebted = params.econ._replace(initial_suna_debt=1.0e8)
     run = _base_run(ModelParameters(indebted, params.effects,
                                     params.exogenous), clock)
     tendency = run["tendency_to_invest"]

@@ -16,7 +16,6 @@ from fitsim import (
     annuity_factor,
     behavior_signature,
     extreme_condition_suite,
-    replace,
     run_scenario_suite,
     sensitivity_suite,
     theil_decomposition,
@@ -61,8 +60,8 @@ def test_criterion_01_equation_oracles(default_params):
         if not _close(annuity_factor(rate, float(years)), oracle):
             ok, details = False, details + [f"annuity({rate},{years})"]
 
-    project = replace(econ, capacity_factor=0.25, om_cost=10.0,
-                      interest_rate=0.10, remuneration_period=20.0)
+    project = econ._replace(capacity_factor=0.25, om_cost=10.0,
+                            interest_rate=0.10, remuneration_period=20.0)
     capital = 1.5e6
     margin = 0.25 * 8760.0 * (100.0 - 10.0)
     roi_oracle = (margin * _discounted_dollar_stream(0.10, 20)

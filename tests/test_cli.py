@@ -175,6 +175,14 @@ def test_compare_runs_every_scenario_on_the_overridden_clock(
     assert len(lines) == 1 + 4 * n_records
 
 
+def test_compare_labels_its_findings_with_the_last_year(capsys):
+    assert main(["compare", "--horizon", "2040"]) == 0
+    err = capsys.readouterr().err
+    assert "PASS capacity_ordering: 2040 installed capacity (MW): " in err
+    assert "PASS debt_ordering: 2040 debt ($): " in err
+    assert "2035" not in err
+
+
 def test_compare_is_byte_deterministic(tmp_path, capsys):
     first = tmp_path / "a"
     second = tmp_path / "b"
@@ -272,6 +280,14 @@ def test_compare_short_horizon_runs_its_checks_and_fails(tmp_path, capsys):
 def test_validate_short_horizon_is_a_configuration_error(capsys):
     assert main(["validate", "--horizon", "2015.25"]) == 2
     captured = capsys.readouterr()
-    assert "horizon of at least one year" in captured.err
+    assert "horizon of at least three years" in captured.err
     assert "2015.25" in captured.err
     assert captured.out == ""
+
+
+def test_validate_refuses_a_horizon_before_year_three(no_runs, capsys):
+    # the inherited-debt check reads the tendency three years in
+    assert main(["validate", "--horizon", "2017"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the extreme-condition suite needs a horizon of at least "
+            "three years, got 2015.0 to 2017.0\n")

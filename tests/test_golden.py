@@ -3,10 +3,12 @@
 ``golden/sha256.json`` holds the sha256 of each of the 17 files that
 ``fitsim compare --out DIR --charts`` writes, at dt 0.25, at dt 0.1 and
 on the integration-error grid of dt 0.015625, their combined digest
-(over the files' bytes concatenated in sorted name order), and the
-digest of ``fitsim run --scenario p3_budget_adjusted_tax`` stdout. A
-change that alters any of these on purpose updates the file in the same
-change and says why.
+(over the files' bytes concatenated in sorted name order), the digest
+of ``fitsim run --scenario p3_budget_adjusted_tax`` stdout, of
+``fitsim validate`` stdout at dt 0.25 and 0.015625 (the stress-suite
+findings), and of ``fitsim compare --out -`` stderr at dt 0.25 (the
+outcome table and the structural checks). A change that alters any of
+these on purpose updates the file in the same change and says why.
 """
 
 import hashlib
@@ -47,3 +49,16 @@ def test_run_stdout_matches_golden_digest(capsys):
     out = capsys.readouterr().out
     assert (_sha256(out.encode("utf-8"))
             == GOLDEN["run_p3_budget_adjusted_tax_dt_0.25"])
+
+
+@pytest.mark.parametrize("dt", sorted(GOLDEN["validate_stdout"]))
+def test_validate_stdout_matches_golden_digest(dt, capsys):
+    assert main(["validate", "--dt", dt]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out.encode("utf-8")) == GOLDEN["validate_stdout"][dt]
+
+
+def test_compare_stderr_matches_golden_digest(capsys):
+    assert main(["compare", "--out", "-"]) == 0
+    err = capsys.readouterr().err
+    assert _sha256(err.encode("utf-8")) == GOLDEN["compare_stderr_dt_0.25"]

@@ -28,7 +28,6 @@ from fitsim import (
     load_default_config,
     make_policy_fn,
     parse_config,
-    replace,
 )
 from fitsim.model import (
     KWH_PER_MWH,
@@ -88,8 +87,8 @@ def test_annuity_rejects_bad_arguments():
 
 
 def test_roi_matches_discounted_cash_flow_oracle():
-    econ = replace(PACKAGED.econ, capacity_factor=0.25, om_cost=10.0,
-                   interest_rate=0.10, remuneration_period=20.0)
+    econ = PACKAGED.econ._replace(capacity_factor=0.25, om_cost=10.0,
+                                  interest_rate=0.10, remuneration_period=20.0)
     price, capital = 100.0, 1.5e6
     margin = 0.25 * 8760.0 * (price - 10.0)
     oracle = (margin * dcf_annuity(0.10, 20) - capital) / capital
@@ -115,8 +114,8 @@ def test_roi_rejects_non_positive_capital():
 # === learning curve ===
 
 def test_capital_cost_learning_fixture():
-    econ = replace(PACKAGED.econ, initial_capital_cost=1.5e6,
-                   learning_exponent=0.15)
+    econ = PACKAGED.econ._replace(initial_capital_cost=1.5e6,
+                                  learning_exponent=0.15)
     # doubling cumulative build from the launch base
     assert compute_capital_cost(240.0, econ) == pytest.approx(
         1.5e6 * 2.0 ** -0.15, rel=1e-12)
@@ -131,7 +130,7 @@ def test_capital_cost_is_monotone_decreasing():
 
 
 def test_capital_cost_flat_when_learning_disabled():
-    econ = replace(PACKAGED.econ, learning_exponent=0.0)
+    econ = PACKAGED.econ._replace(learning_exponent=0.0)
     assert compute_capital_cost(5000.0, econ) == econ.initial_capital_cost
 
 
@@ -190,7 +189,7 @@ def test_tendency_floors_negative_roi_at_zero():
 # === request pipeline and retirement ===
 
 def test_request_pipeline_trace():
-    econ = replace(PACKAGED.econ, rejection_fraction=0.5, time_to_build=2.0)
+    econ = PACKAGED.econ._replace(rejection_fraction=0.5, time_to_build=2.0)
     pipeline = compute_request_pipeline(100.0, 1.0, econ)
     assert pipeline == RequestPipeline(100.0, 50.0, 25.0)
 
@@ -310,15 +309,15 @@ def test_registry_rejects_unknown_names():
 
 def test_parameter_validation_catches_bad_values():
     with pytest.raises(ConfigurationError):
-        replace(PACKAGED.econ, rejection_fraction=1.5)
+        PACKAGED.econ._replace(rejection_fraction=1.5)
     with pytest.raises(ConfigurationError):
-        replace(PACKAGED.econ, initial_fit_price=-1.0)
+        PACKAGED.econ._replace(initial_fit_price=-1.0)
     with pytest.raises(ConfigurationError):
-        replace(PACKAGED.econ, remuneration_period=0.5)
+        PACKAGED.econ._replace(remuneration_period=0.5)
     with pytest.raises(ConfigurationError):
-        replace(PACKAGED.econ, fit_price_floor=0.0)
+        PACKAGED.econ._replace(fit_price_floor=0.0)
     with pytest.raises(ConfigurationError):
-        replace(PACKAGED.econ, initial_budget=-1.0)
+        PACKAGED.econ._replace(initial_budget=-1.0)
 
 
 # === full-run ledger identities ===
@@ -555,8 +554,9 @@ ASSUMED_KEYS = sorted(
     if entry.source == "assumed")
 # the four canonical scenarios, plus a p1 whose negative tariff reaches the
 # allocation check
-NEGATIVE_TARIFF = replace(DOC.scenario("p1_higher_fit"), policy=replace(
-    DOC.scenario("p1_higher_fit").policy, fit_price_delta=-30.0))
+NEGATIVE_TARIFF = DOC.scenario("p1_higher_fit")._replace(
+    policy=DOC.scenario("p1_higher_fit").policy._replace(
+        fit_price_delta=-30.0))
 SCENARIOS = DOC.scenarios + (NEGATIVE_TARIFF,)
 
 

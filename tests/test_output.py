@@ -23,10 +23,8 @@ from fitsim import (
     emit_comparison_csv,
     emit_run_csv,
     findings_text,
-    format_float,
     outcome_table,
     render_chart_svg,
-    replace,
     run_scenario_suite,
     write_comparison_charts,
     write_plot_data,
@@ -50,12 +48,6 @@ def toy_result():
         flow_names=("f",),
         aux_names=("a",),
     )
-
-
-def test_format_float_is_shortest_exact():
-    assert format_float(0.25) == "0.25"
-    assert format_float(1.0 / 3.0) == repr(1.0 / 3.0)
-    assert float(format_float(0.1 + 0.2)) == 0.1 + 0.2
 
 
 def test_run_csv_layout(toy_result):
@@ -91,6 +83,7 @@ def test_run_csv_reemission_is_byte_identical(base_run):
 
 
 def test_run_csv_writes_format_float_of_every_value():
+    # each value is written as repr gives it, the shortest exact form;
     # values whose text is easy to get wrong; 0.0 and -0.0 are equal
     # floats with different bytes and different text
     values = [0.1 + 0.2, -0.0, 1e22, 5e-324, 1.0 / 3.0]
@@ -104,7 +97,7 @@ def test_run_csv_writes_format_float_of_every_value():
     columns = result.column_order()
     series = [result.times] + [result[name] for name in columns[1:]]
     expected = [",".join(columns)] + [
-        ",".join(format_float(column[i]) for column in series)
+        ",".join(repr(float(column[i])) for column in series)
         for i in range(result.n_records)]
     assert stream.getvalue() == "\n".join(expected) + "\n"
 
@@ -219,9 +212,8 @@ def test_plot_data_after_another_comparison_keeps_its_own_bytes(
     monkeypatch.setattr(fitsim.output, "_plot_text", {})
     write_plot_data(canonical_report, tmp_path / "alone")
 
-    scenarios = [replace(scenario,
-                         overrides={**scenario.overrides,
-                                    "capacity_factor": 0.2})
+    scenarios = [scenario._replace(overrides={**scenario.overrides,
+                                              "capacity_factor": 0.2})
                  for scenario in default_doc.scenarios]
     other = run_scenario_suite(default_doc.params, scenarios,
                                default_doc.clock)
@@ -264,6 +256,24 @@ def test_write_comparison_charts(canonical_report, tmp_path):
     content = (tmp_path / "installed_capacity.svg").read_text(
         encoding="utf-8")
     assert content.count("<polyline") == 4
+
+
+def test_the_charts_of_a_comparison_format_their_x_once(
+        canonical_report, tmp_path, monkeypatch):
+    calls = []
+    x_slots = fitsim.output._x_slots
+    monkeypatch.setattr(fitsim.output, "_x_slots",
+                        lambda times: calls.append(times) or x_slots(times))
+    paths = write_comparison_charts(canonical_report, tmp_path)
+    assert len(paths) == len(CHART_VARIABLES) == 8
+    assert len(calls) == 1
+    # and each chart is the one render_chart_svg draws alone
+    times = canonical_report.runs["base"].times
+    for variable, path in zip(CHART_VARIABLES, paths):
+        series = {name: run[variable]
+                  for name, run in canonical_report.runs.items()}
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == render_chart_svg(times, series, variable)
 
 
 # === the per-point forms the emitters replaced, kept as references ===

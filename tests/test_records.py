@@ -1,14 +1,17 @@
 """The records' checks hold on every way of building one.
 
-The checked records are ``NamedTuple`` subclasses whose constructor runs
-the check. A tuple can also be built by ``_make`` and ``_replace``, and
-copied by ``fitsim.replace``; each path must raise the same
-``ConfigurationError`` for the same bad value, with the message pinned
-here word for word.
+The checked records are ``NamedTuple`` classes decorated by
+``engine.checked``, whose constructor runs the check. A tuple can also be
+built by ``_make`` and copied by ``_replace``; each path must raise the
+same ``ConfigurationError`` for the same bad value, with the message
+pinned here word for word.
 """
 
 import pytest
 
+import fitsim.engine
+import fitsim.model
+import fitsim.policies
 from fitsim import (
     ConfigurationError,
     DEFAULT_CLOCK,
@@ -20,9 +23,7 @@ from fitsim import (
     SimulationClock,
     apply_overrides,
     load_default_config,
-    replace,
 )
-from fitsim.engine import CheckedRecord
 
 PACKAGED = load_default_config().params
 
@@ -54,7 +55,6 @@ def build_paths(record, field, value):
     return {
         "position": lambda: kind(*values),
         "keyword": lambda: kind(**keywords),
-        "replace": lambda: replace(record, **{field: value}),
         "_replace": lambda: record._replace(**{field: value}),
         "_make": lambda: kind._make(values),
     }
@@ -80,8 +80,12 @@ RECORDS = [case[0] for case in CHECKED]
 
 
 def test_every_checked_record_is_listed():
-    assert {type(record) for record in RECORDS} == set(
-        CheckedRecord.__subclasses__())
+    # a checked record is one NamedTuple class with a _check
+    found = {kind for module in (fitsim.engine, fitsim.model, fitsim.policies)
+             for kind in vars(module).values()
+             if isinstance(kind, type) and hasattr(kind, "_check")}
+    assert {type(record) for record in RECORDS} == found
+    assert all(kind.__bases__ == (tuple,) for kind in found)
 
 
 def wrong_calls(record):
@@ -134,7 +138,7 @@ def test_apply_overrides_runs_the_group_checks():
 
 def test_a_scenario_left_without_overrides_gets_a_read_only_mapping():
     built = [Scenario("a"), Scenario(name="b"), Scenario._make(["c"]),
-             replace(Scenario("d"), name="e")]
+             Scenario("d")._replace(name="e")]
     for scenario in built:
         assert scenario.overrides == {}
         # one mapping serves every scenario, so none may change it
@@ -144,8 +148,9 @@ def test_a_scenario_left_without_overrides_gets_a_read_only_mapping():
 
 
 def test_replace_rejects_an_unknown_field():
-    with pytest.raises(TypeError):
-        replace(DEFAULT_CLOCK, horizon=2040.0)
+    with pytest.raises(ValueError,
+                       match=r"^Got unexpected field names: \['horizon'\]$"):
+        DEFAULT_CLOCK._replace(horizon=2040.0)
 
 
 def test_records_compare_as_their_values():

@@ -15,7 +15,6 @@ from fitsim import (
     extreme_condition_suite,
     get_parameter,
     sensitivity_suite,
-    signatures_match,
     theil_decomposition,
 )
 from fitsim.validation import (
@@ -245,18 +244,6 @@ def test_classifier_input_guards():
         behavior_signature([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         behavior_signature([0.0, 1.0, 2.0], [1.0, 2.0])
-
-
-def test_signatures_match_semantics():
-    t, v = triangle()
-    peaked = behavior_signature(t, v)
-    grew = behavior_signature(t, t)
-    assert signatures_match(peaked, peaked)
-    assert not signatures_match(peaked, grew)
-    shifted = behavior_signature(t + 2.0, v)
-    assert signatures_match(peaked, shifted)
-    assert signatures_match(peaked, shifted, year_tolerance=3.0)
-    assert not signatures_match(peaked, shifted, year_tolerance=1.0)
 
 
 # === perturbation plumbing ===

@@ -79,7 +79,6 @@ from fitsim.engine import (  # noqa: E402
     ConfigurationError,
     SimulationClock,
     SimulationError,
-    replace,
 )
 from fitsim.model import (  # noqa: E402
     FitModel,
@@ -306,8 +305,8 @@ class Calibration:
             policy = scenario.policy
             for knob, name in KNOBS.items():
                 if scenario.name == name:
-                    policy = replace(policy, **{knob: values[knob]})
-            scenarios.append(replace(scenario, policy=policy))
+                    policy = policy._replace(**{knob: values[knob]})
+            scenarios.append(scenario._replace(policy=policy))
         return scenarios
 
     # --- margins ---
@@ -406,8 +405,8 @@ class Calibration:
             CRITERIA_BOUNDS["p1_tendency_collapse"] * float(tendency[0]))
 
         # criterion 07: the extreme conditions
-        crippled = FitModel(replace(params, econ=replace(
-            params.econ, remuneration_period=1.0))).simulate(QUARTER)
+        crippled = FitModel(params._replace(econ=params.econ._replace(
+            remuneration_period=1.0))).simulate(QUARTER)
         installed = crippled["installed_capacity"]
         budget = crippled["budget"]
         margins["remuneration_capacity_declines"] = _above(
@@ -417,8 +416,7 @@ class Calibration:
             CRITERIA_BOUNDS["remuneration_tendency"])
         margins["remuneration_fund_grows"] = _above(float(budget[-1]),
                                                     float(budget[0]))
-        indebted = FitModel(replace(params, econ=replace(
-            params.econ,
+        indebted = FitModel(params._replace(econ=params.econ._replace(
             initial_suna_debt=CRITERIA_BOUNDS["inherited_debt"]))).simulate(
             QUARTER)
         margins["inherited_debt_tendency_at_start"] = _below(
@@ -488,8 +486,8 @@ class Calibration:
     def criteria(self, values, params, base) -> dict[str, bool]:
         """Verdicts of the acceptance criteria that read the calibration,
         each run on this candidate instead of the shipped one."""
-        doc = replace(self.doc, params=params,
-                      scenarios=tuple(self.scenarios(values)))
+        doc = self.doc._replace(params=params,
+                                scenarios=tuple(self.scenarios(values)))
         fixtures = {"default_params": params, "base_run": base,
                     "default_doc": doc}
         verdicts = {}
