@@ -40,10 +40,10 @@ def main():
           f"{report.theil_um + report.theil_us + report.theil_uc:.3f})")
 
     print("\nextreme conditions:")
-    print(findings_text(extreme_condition_suite(doc.params)))
+    print(findings_text(extreme_condition_suite(doc.params, doc.clock)))
 
     print("\nsensitivity to the committed perturbation battery:")
-    print(findings_text(sensitivity_suite(doc.params)))
+    print(findings_text(sensitivity_suite(doc.params, clock=doc.clock)))
 
 
 if __name__ == "__main__":

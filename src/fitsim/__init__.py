@@ -12,7 +12,6 @@ suites.
 from .engine import (
     ClampEvent,
     ConfigurationError,
-    DEFAULT_CLOCK,
     LaggedSeries,
     LinearTrend,
     RunResult,

@@ -188,10 +188,8 @@ def main(argv=None) -> int:
                 "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, ValueError) as exc:
+    # a ConfigurationError is a ValueError
+    except (SimulationError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

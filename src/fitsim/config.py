@@ -18,10 +18,10 @@ implementation). Sections:
 * ``[scenario:NAME]`` one named run: a required ``policy`` id, optional
   knob overrides, and optional parameter overrides by registry name.
 
-Unknown sections or keys are rejected. A parameter left out takes the
-packaged config's value, a clock key ``DEFAULT_CLOCK``'s, and each such
-fallback is logged; the packaged config must define every parameter. A
-knob left out takes ``PolicyControl``'s neutral default, unlogged. Full
+Unknown sections or keys are rejected. A clock key or parameter left out
+takes the packaged config's value, and each such fallback is logged; the
+packaged config must define every clock key and parameter. A knob left
+out takes ``PolicyControl``'s neutral default, unlogged. Full
 line comments start with ``#``; the ``;`` is reserved for provenance.
 """
 
@@ -31,13 +31,12 @@ import configparser
 import os
 from typing import NamedTuple
 
-from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
+from .engine import ConfigurationError, SimulationClock
 from .model import (
     ModelParameters,
     PARAMETER_NAMES,
     PARAMETER_PATHS,
     build_parameters,
-    get_parameter,
 )
 from .policies import POLICY_IDS, PolicyControl, Scenario
 
@@ -177,27 +176,20 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
             section_entries[key] = ConfigEntry(value, source, note)
         return values
 
-    clock_values = read_section("clock", _CLOCK_KEYS)
-    for key in _CLOCK_KEYS:
-        if key not in clock_values:
-            log.append(f"clock.{key} defaulted to "
-                       f"{getattr(DEFAULT_CLOCK, key)!r}")
-    clock = DEFAULT_CLOCK._replace(**clock_values)
-
     values: dict[str, float] = {}
-    for section in _PARAMETER_SECTIONS:
-        values.update(read_section(section, _SCALAR_SECTIONS[section]))
     fallback = None
-    for section in _PARAMETER_SECTIONS:
+    for section in ("clock", *_PARAMETER_SECTIONS):
+        values.update(read_section(section, _SCALAR_SECTIONS[section]))
         for key in _SCALAR_SECTIONS[section]:
             if key in values:
                 continue
             if packaged:
                 raise ConfigurationError(
                     f"the packaged config lacks [{section}] {key}")
-            fallback = fallback or load_default_config().params
-            values[key] = get_parameter(fallback, key)
+            fallback = fallback or load_default_config().entries
+            values[key] = fallback[section][key].value
             log.append(f"{section}.{key} defaulted to {values[key]!r}")
+    clock = SimulationClock(*(values.pop(key) for key in _CLOCK_KEYS))
     params = build_parameters(values)
 
     # knobs left out here fall back to PolicyControl's own defaults

@@ -37,7 +37,6 @@ __all__ = [
     "ConfigurationError",
     "SimulationError",
     "SimulationClock",
-    "DEFAULT_CLOCK",
     "SigmoidEffect",
     "LinearTrend",
     "LaggedSeries",
@@ -88,7 +87,7 @@ class SimulationClock(NamedTuple):
 
     start_year: float
     end_year: float
-    dt: float = 0.25
+    dt: float
 
     def _check(self):
         for name, value in zip(self._fields, self):
@@ -119,10 +118,6 @@ class SimulationClock(NamedTuple):
         """All record times, start through end inclusive (n_steps + 1)."""
         return [self.start_year + self.dt * k
                 for k in range(self.n_steps + 1)]
-
-
-# the paper's horizon on a quarterly grid
-DEFAULT_CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
 
 
 @checked

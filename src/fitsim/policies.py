@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .engine import ConfigurationError, RunResult, SimulationClock, checked
@@ -113,13 +112,30 @@ def make_policy_fn(control: PolicyControl, base_tax: float) -> PolicyFn:
                              else apply_policy(control, shortage, base_tax))
 
 
+class _NoOverrides(Mapping):
+    """Read-only empty overrides that, unlike an empty ``mappingproxy``,
+    pickle and deep-copy."""
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self):
+        return 0
+
+    def __repr__(self):
+        return "{}"
+
+
 @checked
 class Scenario(NamedTuple):
     """One named run: parameter overrides plus a policy. Every scenario of
     a comparison runs on the clock given to :func:`run_scenario_suite`."""
 
     name: str
-    overrides: Mapping[str, float] = MappingProxyType({})
+    overrides: Mapping[str, float] = _NoOverrides()
     policy: PolicyControl = PolicyControl()
 
     def _check(self):
@@ -185,7 +201,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     p1 = report.runs["p1_higher_fit"]
     p2 = report.runs["p2_budget_adjusted_fit"]
     p3 = report.runs["p3_budget_adjusted_tax"]
-    end = f"{base.times[-1]:g}"  # every run ends on the same record
+    end = f"{base.times[-1]:.12g}"  # every run ends on the same record
     findings = []
 
     capacity = {name: report.runs[name].final("installed_capacity")

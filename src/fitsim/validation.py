@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .engine import DEFAULT_CLOCK, ConfigurationError, SimulationClock
+from .engine import ConfigurationError, SimulationClock
 from .model import FitModel, ModelParameters, apply_overrides, get_parameter
 
 __all__ = [
@@ -312,8 +312,7 @@ def _base_run(params: ModelParameters, clock: SimulationClock):
 
 
 def extreme_condition_suite(params: ModelParameters,
-                            clock: SimulationClock = DEFAULT_CLOCK
-                            ) -> list[Finding]:
+                            clock: SimulationClock) -> list[Finding]:
     """Run the model under deliberately broken conditions.
 
     (a) one-year remuneration: projects cannot pay back, so capacity must
@@ -383,7 +382,7 @@ def extreme_condition_suite(params: ModelParameters,
 
 def sensitivity_suite(params: ModelParameters,
                       perturbations: PerturbationSet = TABLE_PERTURBATIONS,
-                      clock: SimulationClock = DEFAULT_CLOCK) -> list[Finding]:
+                      *, clock: SimulationClock) -> list[Finding]:
     """Check that parameter perturbations keep the behavior modes.
 
     The base and perturbed runs are classified on installed capacity and

@@ -12,7 +12,6 @@ import numpy as np
 from fitsim import (
     FitModel,
     GROWTH_PEAK_DECLINE,
-    SimulationClock,
     annuity_factor,
     behavior_signature,
     extreme_condition_suite,
@@ -237,9 +236,9 @@ def test_criterion_06_policy_orderings(default_doc):
              f"tendency collapses ({elapsed:.1f} s)")
 
 
-def test_criterion_07_extreme_conditions(default_params):
+def test_criterion_07_extreme_conditions(default_doc):
     start = time.perf_counter()
-    findings = extreme_condition_suite(default_params)
+    findings = extreme_condition_suite(default_doc.params, default_doc.clock)
     elapsed = time.perf_counter() - start
     failed = [finding.name for finding in findings if not finding.passed]
     ok = not failed and elapsed < 5.0
@@ -248,9 +247,9 @@ def test_criterion_07_extreme_conditions(default_params):
              + f" ({elapsed:.1f} s)")
 
 
-def test_criterion_08_perturbation_keeps_behavior_modes(default_params):
+def test_criterion_08_perturbation_keeps_behavior_modes(default_doc):
     start = time.perf_counter()
-    findings = sensitivity_suite(default_params)
+    findings = sensitivity_suite(default_doc.params, clock=default_doc.clock)
     elapsed = time.perf_counter() - start
     failed = [str(finding) for finding in findings if not finding.passed]
     ok = not failed and elapsed < 10.0
@@ -260,11 +259,11 @@ def test_criterion_08_perturbation_keeps_behavior_modes(default_params):
              + f" ({elapsed:.1f} s)")
 
 
-def test_criterion_09_step_halving(default_params):
-    coarse = FitModel(default_params).simulate(
-        SimulationClock(2015.0, 2035.0, 0.25))
-    fine = FitModel(default_params).simulate(
-        SimulationClock(2015.0, 2035.0, 0.125))
+def test_criterion_09_step_halving(default_doc):
+    clock = default_doc.clock
+    coarse = FitModel(default_doc.params).simulate(clock)
+    fine = FitModel(default_doc.params).simulate(
+        clock._replace(dt=clock.dt / 2))
     stocks = ("installed_capacity", "depreciated_capacity", "suna_debt",
               "budget", "total_electricity_production", "total_fit_payment")
     worst = 0.0

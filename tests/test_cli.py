@@ -183,6 +183,14 @@ def test_compare_labels_its_findings_with_the_last_year(capsys):
     assert "2035" not in err
 
 
+def test_compare_labels_an_end_year_off_the_quarter_grid_exactly(capsys):
+    # five years are too short for the checks to hold; only labels matter
+    assert main(["compare", "--horizon", "2020.125", "--dt", "0.125"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL capacity_ordering: 2020.125 installed capacity (MW): " in err
+    assert "FAIL debt_ordering: 2020.125 debt ($): " in err
+
+
 def test_compare_is_byte_deterministic(tmp_path, capsys):
     first = tmp_path / "a"
     second = tmp_path / "b"

@@ -6,6 +6,7 @@ from fitsim import (
     ConfigurationError,
     PARAMETER_NAMES,
     PolicyControl,
+    SimulationClock,
     default_config_text,
     get_parameter,
     load_config,
@@ -155,9 +156,9 @@ def test_shipped_config_defines_the_canonical_suite(default_doc):
 def test_shipped_config_defines_every_parameter_and_knob(default_doc):
     # the packaged file is where a partial config's values come from, so
     # it must define all of them itself
-    defined = {key for section in ("parameters", "effects", "trends")
+    defined = {key for section in ("clock", "parameters", "effects", "trends")
                for key in default_doc.entries[section]}
-    assert defined == set(PARAMETER_NAMES)
+    assert defined == set(PARAMETER_NAMES) | set(SimulationClock._fields)
     knobs = set(PolicyControl._fields) - {"policy_id"}
     assert len(knobs) == 5
     assert set(default_doc.entries["policy"]) == knobs
@@ -165,7 +166,8 @@ def test_shipped_config_defines_every_parameter_and_knob(default_doc):
 
 
 @pytest.mark.parametrize("key", ["om_cost", "investor_trust_p",
-                                 "electricity_consumption_reference_year"])
+                                 "electricity_consumption_reference_year",
+                                 "dt"])
 def test_a_packaged_config_missing_a_parameter_names_it(monkeypatch, key):
     text = "".join(line for line in default_config_text().splitlines(True)
                    if not line.startswith(f"{key} = "))

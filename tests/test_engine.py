@@ -37,9 +37,9 @@ def test_clock_times_inclusive_of_both_ends():
 
 def test_clock_rejects_bad_windows():
     with pytest.raises(ConfigurationError):
-        SimulationClock(2020.0, 2020.0)
+        SimulationClock(2020.0, 2020.0, 0.25)
     with pytest.raises(ConfigurationError):
-        SimulationClock(2020.0, 2015.0)
+        SimulationClock(2020.0, 2015.0, 0.25)
     with pytest.raises(ConfigurationError):
         SimulationClock(2015.0, 2035.0, dt=-0.25)
     with pytest.raises(ConfigurationError):

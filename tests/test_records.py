@@ -7,6 +7,9 @@ same ``ConfigurationError`` for the same bad value, with the message
 pinned here word for word.
 """
 
+import copy
+import pickle
+
 import pytest
 
 import fitsim.engine
@@ -14,7 +17,6 @@ import fitsim.model
 import fitsim.policies
 from fitsim import (
     ConfigurationError,
-    DEFAULT_CLOCK,
     LaggedSeries,
     PolicyControl,
     PriceTaxOverrides,
@@ -26,10 +28,11 @@ from fitsim import (
 )
 
 PACKAGED = load_default_config().params
+CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
 
 # (a valid record, the field given a bad value, the value, the message)
 CHECKED = [
-    (DEFAULT_CLOCK, "dt", 0.0, "dt must be positive, got 0.0"),
+    (CLOCK, "dt", 0.0, "dt must be positive, got 0.0"),
     (SigmoidEffect(1.0, 0.5, 2.0), "x_50", -1.0,
      "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
     (PACKAGED.econ, "rejection_fraction", 1.5,
@@ -147,16 +150,40 @@ def test_a_scenario_left_without_overrides_gets_a_read_only_mapping():
     assert len({id(scenario.overrides) for scenario in built}) == 1
 
 
+@pytest.mark.parametrize(
+    "scenario", [Scenario("a"), *load_default_config().scenarios],
+    ids=lambda scenario: scenario.name)
+def test_a_scenario_survives_pickle_and_deepcopy(scenario):
+    # a process pool hands scenarios to its workers by pickling them
+    shared = scenario.overrides is Scenario("z").overrides
+    for copied in (pickle.loads(pickle.dumps(scenario)),
+                   copy.deepcopy(scenario)):
+        assert copied == scenario
+        assert type(copied) is Scenario
+        assert dict(copied.overrides) == dict(scenario.overrides)
+        if shared:
+            # a copy of the shared default stays read-only
+            with pytest.raises(TypeError):
+                copied.overrides["om_cost"] = 1.0
+
+
 def test_replace_rejects_an_unknown_field():
     with pytest.raises(ValueError,
                        match=r"^Got unexpected field names: \['horizon'\]$"):
-        DEFAULT_CLOCK._replace(horizon=2040.0)
+        CLOCK._replace(horizon=2040.0)
 
 
 def test_records_compare_as_their_values():
     # NamedTuple equality: the field values, in order, decide
-    assert SimulationClock(2015.0, 2035.0) == DEFAULT_CLOCK
-    assert DEFAULT_CLOCK == (2015.0, 2035.0, 0.25)
+    assert SimulationClock(dt=0.25, end_year=2035.0,
+                           start_year=2015.0) == CLOCK
+    assert CLOCK == (2015.0, 2035.0, 0.25)
     assert tuple(PriceTaxOverrides()) == (0.0, 1.0, None)
-    assert DEFAULT_CLOCK._asdict() == {"start_year": 2015.0,
-                                       "end_year": 2035.0, "dt": 0.25}
+    assert CLOCK._asdict() == {"start_year": 2015.0,
+                               "end_year": 2035.0, "dt": 0.25}
+
+
+def test_a_clock_has_no_default_step():
+    # the shipped step is the packaged config's [clock] dt, and only there
+    with pytest.raises(TypeError, match="'dt'"):
+        SimulationClock(2015.0, 2035.0)

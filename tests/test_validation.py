@@ -18,7 +18,6 @@ from fitsim import (
     theil_decomposition,
 )
 from fitsim.validation import (
-    DEFAULT_CLOCK,
     FLAT,
     GROWTH_PEAK_DECLINE,
     MONOTONE_DECLINE,
@@ -268,8 +267,8 @@ def test_committed_battery_contents():
 
 # === stress suites ===
 
-def test_extreme_condition_suite_passes(default_params):
-    findings = extreme_condition_suite(default_params)
+def test_extreme_condition_suite_passes(default_doc):
+    findings = extreme_condition_suite(default_doc.params, default_doc.clock)
     failed = [str(finding) for finding in findings if not finding.passed]
     assert not failed, failed
     names = {finding.name for finding in findings}
@@ -277,8 +276,9 @@ def test_extreme_condition_suite_passes(default_params):
     assert "inherited_debt_drains_budget" in names
 
 
-def test_sensitivity_suite_reports_both_signature_variables(default_params):
-    findings = sensitivity_suite(default_params)
+def test_sensitivity_suite_reports_both_signature_variables(default_doc):
+    default_params, clock = default_doc.params, default_doc.clock
+    findings = sensitivity_suite(default_params, clock=clock)
     by_name = {finding.name: finding for finding in findings}
     assert set(by_name) == {"sensitivity_installed_capacity",
                             "sensitivity_suna_debt"}
@@ -286,28 +286,41 @@ def test_sensitivity_suite_reports_both_signature_variables(default_params):
     assert by_name["sensitivity_installed_capacity"].passed
     # the debt verdict is whatever the classifier says about emergence; the
     # finding must agree with a direct classification
-    base = FitModel(default_params).simulate(DEFAULT_CLOCK)
+    base = FitModel(default_params).simulate(clock)
     pert = FitModel(TABLE_PERTURBATIONS.resolve(default_params)).simulate(
-        DEFAULT_CLOCK)
+        clock)
     base_sig = behavior_signature(base.times, base["suna_debt"])
     pert_sig = behavior_signature(pert.times, pert["suna_debt"])
     assert by_name["sensitivity_suna_debt"].passed == (
         base_sig.emerged == pert_sig.emerged)
 
 
-def test_sensitivity_zero_magnitude_perturbation_passes(default_params):
-    findings = sensitivity_suite(default_params, PerturbationSet(()))
+def test_sensitivity_zero_magnitude_perturbation_passes(default_doc):
+    findings = sensitivity_suite(default_doc.params, PerturbationSet(()),
+                                 clock=default_doc.clock)
     assert all(finding.passed for finding in findings)
 
 
-def test_sensitivity_flags_regime_change_as_out_of_band(default_params):
+def test_sensitivity_flags_regime_change_as_out_of_band(default_doc):
     # gutting the tariff kills growth entirely; that is a regime change,
     # not a signature mismatch
     throttled = PerturbationSet((("initial_fit_price", -0.9),))
-    findings = sensitivity_suite(default_params, throttled)
+    findings = sensitivity_suite(default_doc.params, throttled,
+                                 clock=default_doc.clock)
     assert len(findings) == 1
     assert findings[0].name == "sensitivity_out_of_band"
     assert findings[0].passed
+
+
+def test_each_suite_needs_a_clock(default_doc):
+    # the shipped clock lives in the config alone; no suite assumes one
+    with pytest.raises(TypeError):
+        extreme_condition_suite(default_doc.params)
+    with pytest.raises(TypeError):
+        sensitivity_suite(default_doc.params)
+    with pytest.raises(TypeError):
+        sensitivity_suite(default_doc.params, TABLE_PERTURBATIONS,
+                          default_doc.clock)
 
 
 # === historical series loading ===
@@ -334,3 +347,4 @@ def test_load_series_csv_guards(tmp_path):
     short.write_text("2015,1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_series_csv(short)
+

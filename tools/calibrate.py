@@ -11,13 +11,13 @@ acceptance criterion 01 reads them) and p3's levy and cap.
 A candidate counts when every structural demand the repository makes of the
 shipped calibration holds: the acceptance criteria that read the
 calibration (01 and 05 to 09, run as the functions of
-``tests/test_acceptance.py`` themselves), the five ``qualitative_checks`` at
-dt 0.25, 0.1 and 1/64, both computed sensitivity findings, base debt
-emerging after the 2021 target, no clamp event in the base run, no
-scenario at the penetration clamp, and no boom past that clamp in 16
-seeded draws from the +-20% box around the ``assumed`` model parameters
-nor anywhere up to ``CORNER`` of the way from the candidate to that box's
-growth corner.
+``tests/test_acceptance.py`` themselves), the five ``qualitative_checks`` on
+the shipped clock and at dt 0.1 and 1/64, both computed sensitivity
+findings, base debt emerging after the 2021 target, no clamp event in the
+base run, no scenario at the penetration clamp, and no boom past that
+clamp in 16 seeded draws from the +-20% box around the ``assumed`` model
+parameters nor anywhere up to ``CORNER`` of the way from the candidate to
+that box's growth corner.
 
 The search also needs to know how far each candidate is from failing, so
 each demand is scored by a dimensionless margin, positive when it holds.
@@ -75,7 +75,6 @@ import test_acceptance  # noqa: E402
 
 from fitsim.config import load_default_config, parse_config  # noqa: E402
 from fitsim.engine import (  # noqa: E402
-    DEFAULT_CLOCK,
     ConfigurationError,
     SimulationClock,
     SimulationError,
@@ -123,10 +122,11 @@ KNOBS = {key: section[len("scenario:"):]
          if section.startswith("scenario:")}
 KEYS = tuple(SEARCH_BOX)
 
-QUARTER = DEFAULT_CLOCK
-START, END = QUARTER.start_year, QUARTER.end_year
+SHIPPED = load_default_config().clock
+START, END = SHIPPED.start_year, SHIPPED.end_year
 HORIZON = END - START
-EIGHTH = SimulationClock(START, END, 0.125)
+# the halved step of criterion 09
+HALVED = SHIPPED._replace(dt=SHIPPED.dt / 2)
 TENTH = SimulationClock(START, END, 0.1)
 FINE = SimulationClock(START, END, 1.0 / 64.0)
 # the paper's funding crisis comes after the 2021 target; qualitative_checks
@@ -373,7 +373,7 @@ class Calibration:
         margins: dict[str, float] = {}
         gates: dict[str, bool] = {}
         params = self.params(values)
-        report = run_scenario_suite(params, self.scenarios(values), QUARTER)
+        report = run_scenario_suite(params, self.scenarios(values), SHIPPED)
         self._qualitative(report, margins, gates, "")
         base = report.runs["base"]
         p1 = report.runs["p1_higher_fit"]
@@ -406,7 +406,7 @@ class Calibration:
 
         # criterion 07: the extreme conditions
         crippled = FitModel(params._replace(econ=params.econ._replace(
-            remuneration_period=1.0))).simulate(QUARTER)
+            remuneration_period=1.0))).simulate(SHIPPED)
         installed = crippled["installed_capacity"]
         budget = crippled["budget"]
         margins["remuneration_capacity_declines"] = _above(
@@ -418,7 +418,7 @@ class Calibration:
                                                     float(budget[0]))
         indebted = FitModel(params._replace(econ=params.econ._replace(
             initial_suna_debt=CRITERIA_BOUNDS["inherited_debt"]))).simulate(
-            QUARTER)
+            SHIPPED)
         margins["inherited_debt_tendency_at_start"] = _below(
             float(indebted["tendency_to_invest"][0]),
             CRITERIA_BOUNDS["inherited_debt_tendency_at_start"])
@@ -432,7 +432,7 @@ class Calibration:
 
         # criterion 08: the committed perturbation
         perturbed = FitModel(TABLE_PERTURBATIONS.resolve(params)).simulate(
-            QUARTER)
+            SHIPPED)
         ic0 = float(base["installed_capacity"][0])
         margins["base_takes_off"] = _above(
             float(np.asarray(base["installed_capacity"]).max()),
@@ -454,7 +454,7 @@ class Calibration:
             margins["perturbed_debt_emerges"] = _dry_fund(perturbed)
 
         # criterion 09: step halving
-        fine = FitModel(params).simulate(EIGHTH)
+        fine = FitModel(params).simulate(HALVED)
         worst = 0.0
         for stock in FitModel.stock_names[:-1]:  # all but the perceived shortage
             scale = float(np.max(np.abs(fine[stock])))
@@ -476,7 +476,8 @@ class Calibration:
         gates["all_checks_run"] = True
         gates.update(self.criteria(values, params, base))
         gates["sensitivity_findings_computed"] = [
-            finding.name for finding in sensitivity_suite(params)] == [
+            finding.name for finding in sensitivity_suite(
+                params, clock=SHIPPED)] == [
             "sensitivity_installed_capacity", "sensitivity_suna_debt"]
         problems, peak = self.neighbourhood(values, 0, NEIGHBOURHOOD_PROBES)
         gates["neighbourhood_valid"] = not problems
@@ -516,7 +517,7 @@ class Calibration:
                 for key in self.assumed}
             try:
                 run = FitModel(apply_overrides(params, overrides)).simulate(
-                    QUARTER)
+                    SHIPPED)
             except SimulationError:
                 return False
             return bool(np.all(np.asarray(run["installed_capacity"])
@@ -554,7 +555,7 @@ class Calibration:
         for draw, overrides in enumerate(sample):
             try:
                 run = FitModel(apply_overrides(params, overrides)).simulate(
-                    QUARTER)
+                    SHIPPED)
             except (SimulationError, ValueError) as exc:
                 problems.append(f"draw {draw}: {exc}")
                 continue
