@@ -8,7 +8,8 @@ Three subcommands::
 
 ``run`` and ``compare`` write into the directory named by ``--out``, or
 stream the main CSV to stdout when it is ``-`` (the default). Exit codes:
-0 on success, 1 when a check fails, 2 on bad usage or configuration.
+0 on success, 1 when a check fails, 2 on bad usage or configuration;
+the process entry (``fitsim.__main__``) adds 141 for a closed stdout.
 Output is byte-deterministic for a given config and flag set.
 """
 
@@ -133,7 +134,15 @@ def _cmd_compare(args) -> int:
     if args.charts and args.out == "-":
         print("error: --charts needs --out DIR", file=sys.stderr)
         return 2
-    report = run_scenario_suite(doc.params, list(doc.scenarios), doc.clock)
+    # only the canonical four-scenario set has checks to run
+    checked = {scenario.name for scenario in doc.scenarios} >= set(POLICY_IDS)
+    clock = doc.clock
+    if checked and clock.n_steps < 2:  # the behavior classifier's minimum
+        raise ConfigurationError(
+            f"the structural checks need at least 3 records, got "
+            f"{clock.n_steps + 1} from {clock.start_year} to "
+            f"{clock.end_year} at dt {clock.dt}")
+    report = run_scenario_suite(doc.params, list(doc.scenarios), clock)
     if args.out == "-":
         emit_comparison_csv(report, sys.stdout)
     else:
@@ -147,8 +156,7 @@ def _cmd_compare(args) -> int:
         for item in written:
             print(f"wrote {item}", file=sys.stderr)
     print(outcome_table(report), file=sys.stderr)
-    if not report.runs.keys() >= set(POLICY_IDS):
-        # not the canonical four-scenario set; nothing to check
+    if not checked:
         return 0
     findings = qualitative_checks(report)
     print(findings_text(findings), file=sys.stderr)
@@ -188,11 +196,9 @@ def main(argv=None) -> int:
                 "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        raise  # a closed stdout; the process entry ends quietly on it
     # a ConfigurationError is a ValueError
     except (SimulationError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -195,14 +195,20 @@ def error_metrics(simulated, historical) -> ErrorReport:
 
 
 def load_series_csv(path) -> tuple[list[float], list[float]]:
-    """Read a two-column (year, value) CSV, header optional."""
+    """Read a two-column (year, value) CSV, header optional.
+
+    Blank lines and ``#`` comments are skipped anywhere; the first row
+    that is neither may be a header.
+    """
     years: list[float] = []
     values: list[float] = []
+    rows = 0
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            rows += 1
             parts = [part.strip() for part in line.split(",")]
             if len(parts) != 2:
                 raise ValueError(
@@ -210,7 +216,7 @@ def load_series_csv(path) -> tuple[list[float], list[float]]:
             try:
                 year, value = float(parts[0]), float(parts[1])
             except ValueError:
-                if lineno == 1:
+                if rows == 1:
                     continue  # header row
                 raise ValueError(
                     f"{path}:{lineno}: non-numeric row {line!r}") from None

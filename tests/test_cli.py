@@ -278,11 +278,24 @@ def test_validate_history_out_of_float_range_is_a_usage_error(tmp_path,
     assert captured.out == ""
 
 
-def test_compare_short_horizon_runs_its_checks_and_fails(tmp_path, capsys):
+def test_compare_refuses_a_clock_of_two_records_before_running(
+        no_runs, tmp_path, capsys):
     # two records are too few for the behavior classifier the checks use
+    out = tmp_path / "cmp"
     assert main(["compare", "--horizon", "2015.25",
-                 "--out", str(tmp_path / "cmp")]) == 2
-    assert "at least 3 points" in capsys.readouterr().err
+                 "--out", str(out), "--charts"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the structural checks need at least 3 records, got 2 "
+            "from 2015.0 to 2015.25 at dt 0.25\n")
+    assert not out.exists()
+
+
+def test_compare_runs_a_noncanonical_suite_on_two_records(tmp_path, capsys):
+    cfg = tmp_path / "solo.cfg"
+    cfg.write_text("[scenario:solo]\npolicy = base ; assumed\n",
+                   encoding="utf-8")
+    assert main(["compare", "--config", str(cfg), "--horizon", "2015.25"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
 
 def test_validate_short_horizon_is_a_configuration_error(capsys):

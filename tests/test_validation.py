@@ -334,6 +334,18 @@ def test_load_series_csv_round_trip(tmp_path):
     assert list(values) == [120.0, 150.5, 300.0]
 
 
+def test_load_series_csv_header_may_follow_comments(tmp_path):
+    path = tmp_path / "history.csv"
+    path.write_text("# observed\n\nyear,value\n2015,100\n2016,110\n",
+                    encoding="utf-8")
+    assert load_series_csv(path) == ([2015.0, 2016.0], [100.0, 110.0])
+    # only the first row may be a header
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write("# again\nyear,value\n")
+    with pytest.raises(ValueError, match="history.csv:7: non-numeric row"):
+        load_series_csv(path)
+
+
 def test_load_series_csv_guards(tmp_path):
     bad_columns = tmp_path / "bad.csv"
     bad_columns.write_text("2015,1,2\n2016,2,3\n", encoding="utf-8")
