@@ -115,6 +115,9 @@ def _cmd_run(args) -> int:
     model = scenario_model(doc.params, scenario)
     variables = [name.strip() for name in (args.variables or "").split(",")
                  if name.strip()]
+    if repeated := sorted({name for name in variables
+                           if variables.count(name) > 1}):
+        raise ConfigurationError(f"repeated variables {repeated}")
     _check_variables(model, [name for name in variables if name != "time"])
     result = model.simulate(doc.clock)
     if args.out == "-":
@@ -171,6 +174,10 @@ def _cmd_validate(args) -> int:
     if args.historical:
         _check_variables(model, [args.historical_variable])
         years, values = load_series_csv(args.historical)
+        start, end = doc.clock.start_year, doc.clock.end_year
+        if outside := [year for year in years if not start <= year <= end]:
+            raise ValueError(f"{args.historical}: year {outside[0]} lies "
+                             f"outside the simulated window [{start}, {end}]")
         result = model.simulate(doc.clock)
         simulated = [result.at_year(args.historical_variable, year)
                      for year in years]

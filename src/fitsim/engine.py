@@ -156,6 +156,7 @@ def eval_inverted_sigmoid(effect: SigmoidEffect, x: float) -> float:
     return effect.y_max / (1.0 + grown)
 
 
+@checked
 class LinearTrend(NamedTuple):
     """Exogenous driver ``value = intercept + slope * (t - reference_year)``."""
 
@@ -163,14 +164,21 @@ class LinearTrend(NamedTuple):
     slope: float
     reference_year: float
 
+    def _check(self):
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"LinearTrend.{name} must be finite, got {value}")
+
 
 def eval_linear_trend(trend: LinearTrend, t: float) -> float:
-    """Evaluate a trend at time ``t``; the result must stay positive."""
+    """Evaluate a trend at time ``t``; the result must stay positive and
+    finite, so an overflow fails here too."""
     value = trend.intercept + trend.slope * (t - trend.reference_year)
-    if value <= 0.0:
+    if not 0.0 < value < math.inf:
         raise ConfigurationError(
             f"linear trend evaluates to {value} at t={t}; exogenous drivers "
-            f"must stay positive over the horizon")
+            f"must stay positive and finite over the horizon")
     return value
 
 
@@ -275,8 +283,11 @@ class RunResult:
         return float(self.variables[name][-1])
 
     def at_year(self, name: str, year: float) -> float:
-        """Value of a variable at the record closest to ``year``."""
+        """Value of a variable at the record closest to a year in the run."""
         times = self.times
+        if not times[0] <= year <= times[-1]:
+            raise ValueError(f"year {year} lies outside the records, "
+                             f"{times[0]} to {times[-1]}")
         i = min(range(len(times)), key=lambda k: abs(times[k] - year))
         return float(self.variables[name][i])
 

@@ -512,8 +512,8 @@ class FitModel:
     def begin_run(self, clock: SimulationClock) -> None:
         """Reset per-run memory; reject a clock the run cannot complete.
 
-        A linear trend is positive on the whole window when it is positive
-        at both ends, so a bad trend fails here, before the first step. So
+        A linear trend is positive and finite on the whole window when it
+        is at both ends, so a bad trend fails here, before the first step. So
         does a step too coarse for the request lag: step 1 looks back one
         lag with only step 0 recorded, which ``LaggedSeries`` reads as a
         spacing of one lag, so it accepts a target at most half a lag past

@@ -32,7 +32,16 @@ from .model import (
     PriceTaxOverrides,
     apply_overrides,
 )
-from .validation import Finding, GROWTH_PEAK_DECLINE, behavior_signature
+from .validation import (
+    ACCEPTANCE_BOUNDS,
+    GROWTH_PEAK_DECLINE,
+    Finding,
+    _non_strict,
+    behavior_signature,
+    dry_fund_margin,
+    margin_above,
+    peak_decline_margin,
+)
 
 POLICY_IDS = (
     "base",
@@ -209,11 +218,18 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     ok = (capacity["p3_budget_adjusted_tax"] > capacity["base"]
           > capacity["p2_budget_adjusted_fit"]
           > capacity["p1_higher_fit"])
+    # gaps near zero are no margin: they count against at least the launch
+    # capacity, and for debt the launch fund
+    order = ("p3_budget_adjusted_tax", "base", "p2_budget_adjusted_fit",
+             "p1_higher_fit")
+    margin = min(margin_above(capacity[a], capacity[b],
+                              base["installed_capacity"][0])
+                 for a, b in zip(order, order[1:]))
     findings.append(Finding(
         "capacity_ordering", ok,
         f"{end} installed capacity (MW): "
         + ", ".join(f"{name}={capacity[name]:.1f}"
-                    for name in POLICY_IDS)))
+                    for name in POLICY_IDS), margin))
 
     debt = {name: report.runs[name].final("suna_debt")
             for name in POLICY_IDS}
@@ -221,48 +237,68 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     ok = (debt["p1_higher_fit"] > debt["base"]
           > debt["p2_budget_adjusted_fit"] > debt["p3_budget_adjusted_tax"]
           and p3_debt_peak <= 0.0)
+    fund = max(base["budget"][0], 1.0)
+    # p2 pays its debt down, so its gap to p3 at the horizon has no floor;
+    # p3 is debt-free by its lowest fund over the launch fund
+    margin = min(
+        margin_above(debt["p1_higher_fit"], debt["base"], fund),
+        margin_above(debt["base"], debt["p2_budget_adjusted_fit"], fund),
+        margin_above(debt["p2_budget_adjusted_fit"],
+                     debt["p3_budget_adjusted_tax"]),
+        _non_strict(min(p3["budget"]) / fund) if p3_debt_peak <= 0.0
+        else -1.0)
     findings.append(Finding(
         "debt_ordering", ok,
         f"{end} debt ($): "
         + ", ".join(f"{name}={debt[name]:.3g}"
                     for name in POLICY_IDS)
-        + f"; p3 peak debt={p3_debt_peak:.3g}"))
+        + f"; p3 peak debt={p3_debt_peak:.3g}", margin))
 
     signature = behavior_signature(base.times, base["installed_capacity"])
     debt_signature = behavior_signature(base.times, base["suna_debt"])
     emergence = debt_signature.first_positive_year
-    # Debt is expected after 2021; the classifier grants three years of
-    # timing slack around that reading.
+    after = ACCEPTANCE_BOUNDS["debt_emerges_after"]
     ok = (signature.shape == GROWTH_PEAK_DECLINE
           and emergence is not None
-          and emergence > 2018.0)
+          and emergence > after)
+    start = base.times[0]  # years count from the start
+    margin = min(
+        peak_decline_margin(base["installed_capacity"], signature.shape),
+        dry_fund_margin(base["budget"]) if emergence is None
+        else margin_above(emergence - start, after - start))
     findings.append(Finding(
         "base_debt_and_peak", ok,
         f"base: capacity {signature.shape} with peak at "
         f"{signature.peak_year}, debt emerges at "
-        f"{emergence if emergence is not None else 'never'}"))
+        f"{emergence if emergence is not None else 'never'}", margin))
 
     target = report.params["base"].econ.capacity_target
     t_p1 = _first_crossing_year(p1, "installed_capacity", target)
     t_base = _first_crossing_year(base, "installed_capacity", target)
     ok = math.isfinite(t_p1) and t_p1 <= t_base
+    # a year past the horizon stands for never; the lead over the horizon
+    late = base.times[-1] + 1.0
+    margin = min(
+        _non_strict(margin_above(max(p1["installed_capacity"]), target)),
+        _non_strict((min(t_base, late) - min(t_p1, late))
+                    / (base.times[-1] - start)))
     findings.append(Finding(
         "p1_reaches_target_first", ok,
-        f"first year at {target:.0f} MW: p1={t_p1}, base={t_base}"))
+        f"first year at {target:.0f} MW: p1={t_p1}, base={t_base}", margin))
 
     tendency = p2["tendency_to_invest"]
     trough = min(tendency)
     ok = tendency[-1] > trough
+    # a tendency ends at zero with the return, which tells how far off it is
+    margin = (min(0.0, p2.final("roi")) if tendency[-1] <= 0.0
+              else margin_above(tendency[-1], trough, tendency[0]))
     findings.append(Finding(
         "p2_tendency_recovers", ok,
-        f"p2 tendency trough={trough:.4f}, final={tendency[-1]:.4f}"))
+        f"p2 tendency trough={trough:.4f}, final={tendency[-1]:.4f}", margin))
     return findings
 
 
 def _first_crossing_year(run: RunResult, name: str,
                          threshold: float) -> float:
-    series = run[name]
-    for t, value in zip(run.times, series):
-        if value >= threshold:
-            return float(t)
-    return math.inf
+    return next((float(t) for t, value in zip(run.times, run[name])
+                 if value >= threshold), math.inf)

@@ -24,6 +24,7 @@ from .model import FitModel, ModelParameters, apply_overrides, get_parameter
 
 __all__ = [
     "Finding",
+    "ACCEPTANCE_BOUNDS",
     "ErrorReport",
     "error_metrics",
     "theil_decomposition",
@@ -37,11 +38,17 @@ __all__ = [
 
 
 class Finding(NamedTuple):
-    """Outcome of one structural check."""
+    """Outcome of one structural check, printed as its verdict and detail.
+
+    ``margin``, relative and dimensionless, tells how far the check is from
+    flipping and is positive exactly when it passes: the smallest of its
+    demands' margins, or ``math.inf`` for a flag that always passes.
+    """
 
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+    margin: float
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -289,6 +296,75 @@ def behavior_signature(times, values) -> BehaviorSignature:
                              first_positive_year, peak_year)
 
 
+# === the bounds of acceptance criteria 05 to 09, and margins ===
+
+# each bound written once, with its reason; the tests, the suites here,
+# qualitative_checks and tools/calibrate.py read it from here
+ACCEPTANCE_BOUNDS = {
+    # 05, check (c): the crisis follows the 2021 target, with 3 years' slack
+    "debt_emerges_after": 2018.0,
+    # 05: the boom takes years to peak, and must decline before 2035
+    "capacity_peak_window": (2018.0, 2033.0),
+    # 05: capacity grows from launch to the program's 2021 target year
+    "capacity_grows_from_to": (2015.0, 2021.0),
+    # 06: p1's unfunded tariff costs trust, so its tendency all but dies
+    "p1_tendency_collapse": 0.1,
+    # 07: no project pays back in a year: under 1% of the launch tendency
+    "remuneration_tendency": 0.01,
+    # 07: about half the launch fund, enough to delay payments from launch
+    "inherited_debt": 1.0e8,
+    # 07: that delay costs investor trust from the first step ...
+    "inherited_debt_tendency_at_start": 0.1,
+    # 07: ... and leaves the tendency all but dead three years in
+    "inherited_debt_tendency_year_3": 0.01,
+    # 07: debt service takes the fund's income: a fifth gone within a year
+    "inherited_debt_fund_year_1": 0.8,
+    # 08: a base run takes off when its capacity triples
+    "base_take_off": 3.0,
+    # 08: a perturbed run that grows less than half again has changed regime
+    "perturbed_take_off": 1.5,
+    # 09: the step's integration error stays well inside the shapes checked
+    "step_halving": 0.05,
+}
+
+
+def margin_above(a: float, b: float, floor: float = 0.0) -> float:
+    """Margin of ``a > b``: the gap over the larger magnitude, or over
+    ``floor`` if larger, so orderings near zero give no margin."""
+    scale = max(abs(a), abs(b), floor)
+    return (a - b) / scale if scale > 0.0 else 0.0
+
+
+def margin_below(x: float, bound: float) -> float:
+    """Margin of ``x < bound``, relative to a positive bound."""
+    if bound <= 0.0:
+        return -1.0 if x >= bound else 1.0
+    return (bound - x) / bound
+
+
+def _non_strict(margin: float) -> float:
+    """Margin of ``a >= b`` from that of ``a > b``: equality has the least."""
+    return margin or math.ulp(0.0)
+
+
+def peak_decline_margin(values, shape: str) -> float:
+    """Margin of the growth-peak-decline class, whose ``shape`` the
+    classifier read: the peak's height above both ends over the largest
+    magnitude, beyond the noise fraction, and at most zero off the class."""
+    scale = max(map(abs, values))
+    if scale == 0.0:
+        return -1.0
+    peak = max(values)
+    margin = margin_above(min(peak - values[0], peak - values[-1]) / scale,
+                          _SHAPE_MARGIN)
+    return margin if shape == GROWTH_PEAK_DECLINE else min(margin, 0.0)
+
+
+def dry_fund_margin(budget) -> float:
+    """Margin of a debt-free run towards debt: -final fund / launch fund."""
+    return -budget[-1] / max(budget[0], 1.0)
+
+
 # === stress suites ===
 
 class PerturbationSet(NamedTuple):
@@ -340,32 +416,37 @@ def extreme_condition_suite(params: ModelParameters,
     steps_per_year = max(1, round(1.0 / clock.dt))
     findings = []
 
-    crippled = params.econ._replace(remuneration_period=1.0)
-    run = _base_run(ModelParameters(crippled, params.effects,
-                                    params.exogenous), clock)
+    bound = ACCEPTANCE_BOUNDS
+    run = _base_run(params._replace(econ=params.econ._replace(
+        remuneration_period=1.0)), clock)
     installed = run["installed_capacity"]
     tendency = run["tendency_to_invest"]
     budget = run["budget"]
     findings.append(Finding(
         "remuneration_1yr_capacity_declines",
         installed[-1] < installed[0],
-        f"installed {installed[0]:.1f} -> {installed[-1]:.1f} MW"))
+        f"installed {installed[0]:.1f} -> {installed[-1]:.1f} MW",
+        margin_above(installed[0], installed[-1])))
     findings.append(Finding(
         "remuneration_1yr_no_tendency",
-        tendency[-1] < 0.01,
-        f"final tendency {tendency[-1]:.3g}"))
+        tendency[-1] < bound["remuneration_tendency"],
+        f"final tendency {tendency[-1]:.3g}",
+        margin_below(tendency[-1], bound["remuneration_tendency"])))
     later = budget[steps_per_year:]
-    slack = -1e-9 * max(1.0, max(later))
-    grows = all(b - a >= slack for a, b in zip(later, later[1:]))
+    scale = max(1.0, max(later))
+    steps = [b - a for a, b in zip(later, later[1:])]
+    grows = all(step >= -1e-9 * scale for step in steps)
+    margin = margin_above(budget[-1], budget[0])
+    if not grows:  # the worst fall past the slack, on the slack's scale
+        margin = min(margin, min(steps) / scale + 1e-9)
     findings.append(Finding(
         "remuneration_1yr_budget_grows",
         grows and budget[-1] > budget[0],
         f"budget {budget[0]:.3g} -> {budget[-1]:.3g}, "
-        f"monotone after year 1: {grows}"))
+        f"monotone after year 1: {grows}", margin))
 
-    indebted = params.econ._replace(initial_suna_debt=1.0e8)
-    run = _base_run(ModelParameters(indebted, params.effects,
-                                    params.exogenous), clock)
+    run = _base_run(params._replace(econ=params.econ._replace(
+        initial_suna_debt=bound["inherited_debt"])), clock)
     tendency = run["tendency_to_invest"]
     budget = run["budget"]
     t0 = tendency[0]
@@ -373,16 +454,21 @@ def extreme_condition_suite(params: ModelParameters,
     # The debt eventually clears out of levy income, so trust (and with it
     # the tendency) is allowed to recover late; the assertion is about the
     # collapse right after the start.
+    at_start = bound["inherited_debt_tendency_at_start"]
+    year_3 = bound["inherited_debt_tendency_year_3"]
     findings.append(Finding(
         "inherited_debt_kills_tendency",
-        t0 < 0.1 and t3 < 0.01,
-        f"tendency {t0:.3g} at start -> {t3:.3g} (year 3)"))
+        t0 < at_start and t3 < year_3,
+        f"tendency {t0:.3g} at start -> {t3:.3g} (year 3)",
+        min(margin_below(t0, at_start), margin_below(t3, year_3))))
     b0 = budget[0]
     b1 = run.at_year("budget", clock.start_year + 1.0)
+    drained = bound["inherited_debt_fund_year_1"] * b0
     findings.append(Finding(
         "inherited_debt_drains_budget",
-        b1 < 0.8 * b0,
-        f"budget {b0:.3g} -> {b1:.3g} within the first year"))
+        b1 < drained,
+        f"budget {b0:.3g} -> {b1:.3g} within the first year",
+        margin_below(b1, drained)))
     return findings
 
 
@@ -405,29 +491,44 @@ def sensitivity_suite(params: ModelParameters,
 
     base_ic = base["installed_capacity"]
     pert_ic = perturbed["installed_capacity"]
-    base_took_off = max(base_ic) >= 3.0 * base_ic[0]
-    pert_took_off = max(pert_ic) >= 1.5 * pert_ic[0]
+    base_took_off = (max(base_ic)
+                     >= ACCEPTANCE_BOUNDS["base_take_off"] * base_ic[0])
+    took_off = ACCEPTANCE_BOUNDS["perturbed_take_off"] * pert_ic[0]
+    pert_took_off = max(pert_ic) >= took_off
     if base_took_off and not pert_took_off:
         findings.append(Finding(
             "sensitivity_out_of_band", True,
             "perturbation suppresses growth entirely; regime change, "
-            "signatures not comparable"))
+            "signatures not comparable", math.inf))
         return findings
 
-    sig_base = behavior_signature(base.times, base["installed_capacity"])
-    sig_pert = behavior_signature(perturbed.times,
-                                  perturbed["installed_capacity"])
+    sig_base = behavior_signature(base.times, base_ic)
+    sig_pert = behavior_signature(perturbed.times, pert_ic)
+    # only the growth-peak-decline class has a measured margin; once the
+    # base run takes off, so has the distance from out of band
+    same = sig_base.shape == sig_pert.shape
+    margin = (peak_decline_margin(pert_ic, sig_pert.shape)
+              if sig_base.shape == GROWTH_PEAK_DECLINE
+              else math.inf if same else -1.0)
+    if base_took_off:
+        margin = min(margin, _non_strict(margin_above(max(pert_ic),
+                                                      took_off)))
     findings.append(Finding(
-        "sensitivity_installed_capacity",
-        sig_base.shape == sig_pert.shape,
+        "sensitivity_installed_capacity", same,
         f"base {sig_base.shape} (peak {sig_base.peak_year}), perturbed "
-        f"{sig_pert.shape} (peak {sig_pert.peak_year})"))
+        f"{sig_pert.shape} (peak {sig_pert.peak_year})", margin))
 
     debt_base = behavior_signature(base.times, base["suna_debt"])
     debt_pert = behavior_signature(perturbed.times, perturbed["suna_debt"])
+    if not debt_base.emerged:
+        margin = -1.0 if debt_pert.emerged else math.inf
+    elif debt_pert.emerged:  # the perturbed run's peak debt over the base's
+        margin = max(perturbed["suna_debt"]) / max(base["suna_debt"])
+    else:
+        margin = dry_fund_margin(perturbed["budget"])
     findings.append(Finding(
         "sensitivity_suna_debt",
         debt_base.emerged == debt_pert.emerged,
         f"base debt emerges {debt_base.first_positive_year}, perturbed "
-        f"{debt_pert.first_positive_year}"))
+        f"{debt_pert.first_positive_year}", margin))
     return findings

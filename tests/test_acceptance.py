@@ -20,6 +20,7 @@ from fitsim import (
     theil_decomposition,
 )
 from fitsim.cli import main
+from fitsim.validation import ACCEPTANCE_BOUNDS as BOUNDS
 from fitsim.model import (
     allocate_payments,
     compute_capital_cost,
@@ -184,6 +185,8 @@ def test_criterion_04_theil_identity():
 
 
 def test_criterion_05_committed_calibration_story(base_run):
+    peak_low, peak_high = BOUNDS["capacity_peak_window"]
+    first, then = BOUNDS["capacity_grows_from_to"]
     budget_sig = behavior_signature(base_run.times, base_run["budget"])
     debt_sig = behavior_signature(base_run.times, base_run["suna_debt"])
     capacity_sig = behavior_signature(base_run.times,
@@ -192,13 +195,14 @@ def test_criterion_05_committed_calibration_story(base_run):
     budget_ok = budget_sig.shape == GROWTH_PEAK_DECLINE
     debt_ok = (debt_sig.emerged
                and debt_sig.first_positive_year is not None
-               and debt_sig.first_positive_year >= 2018.0
+               and debt_sig.first_positive_year
+               >= BOUNDS["debt_emerges_after"]
                and base_run.final("suna_debt") > base_run.final("budget"))
     capacity_ok = (capacity_sig.shape == GROWTH_PEAK_DECLINE
                    and capacity_sig.peak_year is not None
-                   and 2018.0 <= capacity_sig.peak_year <= 2033.0
-                   and base_run.at_year("installed_capacity", 2021.0)
-                   > base_run.at_year("installed_capacity", 2015.0))
+                   and peak_low <= capacity_sig.peak_year <= peak_high
+                   and base_run.at_year("installed_capacity", then)
+                   > base_run.at_year("installed_capacity", first))
 
     ok = budget_ok and debt_ok and capacity_ok
     _verdict(5, ok, f"fund {budget_sig.shape}; debt emerges "
@@ -227,7 +231,8 @@ def test_criterion_06_policy_orderings(default_doc):
                >= debt["p3_budget_adjusted_tax"])
     p3_ok = p3_debt_peak == 0.0 and float(p3_tendency[-1]) > float(
         p3_tendency[0])
-    p1_ok = float(p1_tendency[-1]) < 0.1 * float(p1_tendency[0])
+    p1_ok = float(p1_tendency[-1]) < (BOUNDS["p1_tendency_collapse"]
+                                      * float(p1_tendency[0]))
 
     elapsed = time.perf_counter() - start
     ok = capacity_ok and debt_ok and p3_ok and p1_ok and elapsed < 10.0
@@ -274,9 +279,10 @@ def test_criterion_09_step_halving(default_doc):
         if scale == 0.0:
             continue
         worst = max(worst, float(np.max(np.abs(c - f))) / scale)
-    ok = worst < 0.05
-    _verdict(9, ok, "halving the step moves no accounted stock by 5% "
-             f"of its range (worst {100.0 * worst:.2f}%)")
+    ok = worst < BOUNDS["step_halving"]
+    _verdict(9, ok, "halving the step moves no accounted stock by "
+             f"{BOUNDS['step_halving']:.0%} of its range (worst "
+             f"{100.0 * worst:.2f}%)")
 
 
 def test_criterion_10_byte_deterministic_cli(tmp_path, capsys):

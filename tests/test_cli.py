@@ -41,6 +41,34 @@ def test_run_refuses_unknown_variables_before_running(no_runs, capsys):
     assert capsys.readouterr().err == UNKNOWN_BOGUS
 
 
+def test_run_refuses_repeated_variables_before_running(no_runs, capsys):
+    assert main(["run", "--variables",
+                 "time,installed_capacity,time,installed_capacity"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: repeated variables ['installed_capacity', 'time']\n")
+
+
+def test_validate_refuses_history_outside_the_clock_before_running(
+        no_runs, tmp_path, capsys):
+    history = tmp_path / "history.csv"
+    history.write_text("year,value\n2016,150\n2050,150\n2060,400\n",
+                       encoding="utf-8")
+    assert main(["validate", "--historical", str(history)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {history}: year 2050.0 lies outside the simulated "
+            f"window [2015.0, 2035.0]\n")
+
+
+def test_run_refuses_a_config_with_a_non_finite_trend(tmp_path, capsys):
+    config = tmp_path / "nan.cfg"
+    config.write_text(default_config_text().replace(
+        "electricity_consumption_slope = 2020000.0 ;",
+        "electricity_consumption_slope = nan ;"), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: LinearTrend.slope must be finite, got nan\n")
+
+
 def test_validate_refuses_an_unknown_historical_variable_before_running(
         no_runs, tmp_path, capsys):
     history = tmp_path / "history.csv"

@@ -92,6 +92,20 @@ def test_out_of_range_parameter_names_the_key():
         parse_config(text)
 
 
+@pytest.mark.parametrize("trend", ["total_generation_capacity",
+                                   "electricity_consumption"])
+@pytest.mark.parametrize("part", ["intercept", "slope", "reference_year"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_trend_value_is_refused(trend, part, value):
+    key = f"{trend}_{part}"
+    text = "".join(
+        f"{key} = {value} ; assumed\n" if line.startswith(f"{key} =")
+        else line for line in default_config_text().splitlines(True))
+    with pytest.raises(ConfigurationError,
+                       match=f"^LinearTrend.{part} must be finite, got "):
+        parse_config(text)
+
+
 def test_duplicate_section_is_a_syntax_error():
     with pytest.raises(ConfigurationError, match="config syntax error"):
         parse_config("[clock]\ndt = 0.25 ; assumed\n[clock]\ndt = 0.5 ; assumed\n")

@@ -136,6 +136,14 @@ def test_linear_trend_must_stay_positive():
         eval_linear_trend(trend, 2030.0)
 
 
+def test_linear_trend_must_stay_finite():
+    # finite fields whose value overflows at one end of the window
+    trend = LinearTrend(1e308, 1e308, reference_year=2015.0)
+    assert eval_linear_trend(trend, 2015.0) == 1e308
+    with pytest.raises(ConfigurationError, match="evaluates to inf"):
+        eval_linear_trend(trend, 2020.0)
+
+
 # === lagged series ===
 
 def test_lagged_series_falls_back_before_history():
@@ -390,6 +398,15 @@ def test_at_year_reads_nearest_record(base_run):
     assert base_run.at_year("installed_capacity", 2015.0) == 120.0
     direct = float(base_run["installed_capacity"][4])
     assert base_run.at_year("installed_capacity", 2016.1) == direct
+    assert base_run.at_year("installed_capacity", 2035.0) == float(
+        base_run["installed_capacity"][-1])
+
+
+@pytest.mark.parametrize("year", [2014.9, 2035.1, 2050.0, math.nan])
+def test_at_year_refuses_a_year_outside_the_records(base_run, year):
+    with pytest.raises(ValueError, match=f"year {year} lies outside the "
+                       r"records, 2015\.0 to 2035\.0"):
+        base_run.at_year("installed_capacity", year)
 
 
 # === Euler stepping and per-step checks ===

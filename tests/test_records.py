@@ -18,6 +18,7 @@ import fitsim.policies
 from fitsim import (
     ConfigurationError,
     LaggedSeries,
+    LinearTrend,
     PolicyControl,
     PriceTaxOverrides,
     Scenario,
@@ -35,6 +36,8 @@ CHECKED = [
     (CLOCK, "dt", 0.0, "dt must be positive, got 0.0"),
     (SigmoidEffect(1.0, 0.5, 2.0), "x_50", -1.0,
      "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
+    (LinearTrend(100.0, 10.0, 2015.0), "slope", float("inf"),
+     "LinearTrend.slope must be finite, got inf"),
     (PACKAGED.econ, "rejection_fraction", 1.5,
      "rejection_fraction must lie in [0, 1], got 1.5"),
     (PACKAGED.effects, "penetration_gain", -1.0,

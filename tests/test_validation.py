@@ -1,6 +1,7 @@
 """Error metrics, the Theil identity, behavior modes, stress suites."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,11 +10,17 @@ from hypothesis import given, strategies as st
 from fitsim import (
     FitModel,
     PerturbationSet,
+    SimulationClock,
     TABLE_PERTURBATIONS,
+    apply_overrides,
     behavior_signature,
+    default_config_text,
     error_metrics,
     extreme_condition_suite,
     get_parameter,
+    parse_config,
+    qualitative_checks,
+    run_scenario_suite,
     sensitivity_suite,
     theil_decomposition,
 )
@@ -23,6 +30,8 @@ from fitsim.validation import (
     MONOTONE_DECLINE,
     MONOTONE_GROWTH,
     load_series_csv,
+    margin_above,
+    peak_decline_margin,
 )
 
 
@@ -321,6 +330,95 @@ def test_each_suite_needs_a_clock(default_doc):
     with pytest.raises(TypeError):
         sensitivity_suite(default_doc.params, TABLE_PERTURBATIONS,
                           default_doc.clock)
+
+
+# === margins ===
+
+def all_findings(doc, clock, params=None, perturbations=TABLE_PERTURBATIONS):
+    """Every finding the three checks build for one calibration."""
+    params = doc.params if params is None else params
+    report = run_scenario_suite(params, list(doc.scenarios), clock)
+    return (qualitative_checks(report)
+            + extreme_condition_suite(params, clock)
+            + sensitivity_suite(params, perturbations, clock=clock))
+
+
+def disagreements(findings):
+    return [f"{finding} (margin {finding.margin!r})" for finding in findings
+            if finding.passed != (finding.margin > 0.0)]
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.1, 1.0 / 64.0])
+def test_each_shipped_finding_passes_exactly_when_its_margin_is_positive(
+        default_doc, dt):
+    findings = all_findings(default_doc, default_doc.clock._replace(dt=dt))
+    assert len(findings) == 12
+    assert all(finding.passed for finding in findings)
+    assert not disagreements(findings)
+
+
+def test_margins_agree_with_verdicts_across_the_assumed_box(default_doc):
+    # 50 seeded draws of the +-20% box around every assumed model parameter
+    keys = sorted(key for section in ("parameters", "effects", "trends")
+                  for key, entry in default_doc.entries[section].items()
+                  if entry.source == "assumed")
+    rng = random.Random(2026)
+    failed = set()
+    for _ in range(50):
+        params = apply_overrides(default_doc.params, {
+            key: get_parameter(default_doc.params, key)
+            * (1.0 + rng.uniform(-0.2, 0.2)) for key in keys})
+        findings = all_findings(default_doc, default_doc.clock, params)
+        assert not disagreements(findings)
+        failed |= {finding.name for finding in findings if not finding.passed}
+    assert failed  # the box reaches failing verdicts too
+
+
+def test_margins_agree_with_verdicts_where_checks_fail(default_doc):
+    short = SimulationClock(2015.0, 2020.0, 0.25)
+    # no run reaches the 5000 MW target by 2020
+    findings = all_findings(default_doc, short)
+    target = next(finding for finding in findings
+                  if finding.name == "p1_reaches_target_first")
+    assert not target.passed and target.margin < 0.0
+    assert not disagreements(findings)
+    # a gutted tariff is out of band: a flag that cannot fail
+    findings = all_findings(default_doc, default_doc.clock,
+                            perturbations=PerturbationSet(
+                                (("initial_fit_price", -0.9),)))
+    assert findings[-1].name == "sensitivity_out_of_band"
+    assert findings[-1].margin == math.inf
+    assert not disagreements(findings)
+    # a lower target, and no perturbation at all
+    doc = parse_config(default_config_text().replace(
+        "capacity_target = 5000.0 ;", "capacity_target = 4000.0 ;"))
+    assert not disagreements(all_findings(doc, doc.clock))
+    assert not disagreements(all_findings(default_doc, default_doc.clock,
+                                          perturbations=PerturbationSet(())))
+
+
+def test_a_non_strict_demand_holds_at_equality(default_doc):
+    # p1 and base cross the target in the same record when both start on it
+    doc = parse_config(default_config_text().replace(
+        "capacity_target = 5000.0 ;", "capacity_target = 120.0 ;"))
+    finding = next(finding for finding in qualitative_checks(
+        run_scenario_suite(doc.params, list(doc.scenarios), doc.clock))
+        if finding.name == "p1_reaches_target_first")
+    assert finding.detail == "first year at 120 MW: p1=2015.0, base=2015.0"
+    assert finding.passed and finding.margin == math.ulp(0.0)
+
+
+@given(st.lists(st.floats(0.0, 1e6), min_size=3, max_size=40))
+def test_peak_decline_margin_follows_the_classifier(values):
+    shape = behavior_signature(list(range(len(values))), values).shape
+    margin = peak_decline_margin(values, shape)
+    assert (margin > 0.0) == (shape == GROWTH_PEAK_DECLINE)
+
+
+def test_orderings_near_zero_count_against_the_floor():
+    assert margin_above(2.0, 1.0) == 0.5
+    assert margin_above(2.0, 1.0, floor=10.0) == 0.1
+    assert margin_above(0.0, 0.0) == 0.0
 
 
 # === historical series loading ===

@@ -19,21 +19,16 @@ clamp in 16 seeded draws from the +-20% box around the ``assumed`` model
 parameters nor anywhere up to ``CORNER`` of the way from the candidate to
 that box's growth corner.
 
-The search also needs to know how far each candidate is from failing, so
-each demand is scored by a dimensionless margin, positive when it holds.
-The margins of criteria 05 to 09 restate those criteria's bounds
-(``CRITERIA_BOUNDS``); they only rank candidates, because a candidate
-counts only once the criteria themselves pass. The margins are:
-
-* ``(a - b) / max(|a|, |b|, floor)`` for ``a > b``, where the floor is the
-  launch value of that kind of quantity (capacity, fund, tendency), so
-  that orderings between values near zero give no margin;
-* ``(bound - x) / bound`` for ``x < bound``;
-* for a timing window, the years to its nearer edge over half its width;
-* for booms, how much further than ``CORNER`` towards the growth corner
-  the base run stays below the penetration clamp, over the rest of the
-  way (booms are a cliff: a demand only that the point ``CORNER`` of the
-  way stays calm lets the search settle right at its edge).
+Each demand also has a dimensionless margin, positive when it holds,
+that tells how far a candidate is from failing. The findings of
+``qualitative_checks`` and of the two stress suites carry theirs (the
+script keeps the smallest over the three clocks); the demands that only
+the script or the criteria make are scored here against
+``fitsim.validation.ACCEPTANCE_BOUNDS``, a timing window by the years to
+its nearer edge over half its width, and booms by how much further than
+``CORNER`` towards the growth corner the base run stays calm, over the rest
+of the way (booms are a cliff: a demand only that ``CORNER`` stays calm
+lets the search settle at its edge).
 
 Demands that are only true or false are gates. Hill climbs of shrinking
 Gaussian steps in the box's unit coordinates look for the largest smallest
@@ -85,15 +80,17 @@ from fitsim.model import (  # noqa: E402
     get_parameter,
 )
 from fitsim.policies import (  # noqa: E402
-    POLICY_IDS,
     qualitative_checks,
     run_scenario_suite,
 )
 from fitsim.validation import (  # noqa: E402
-    GROWTH_PEAK_DECLINE,
-    TABLE_PERTURBATIONS,
-    _SHAPE_MARGIN,
+    ACCEPTANCE_BOUNDS as BOUNDS,
     behavior_signature,
+    dry_fund_margin,
+    extreme_condition_suite,
+    margin_above,
+    margin_below,
+    peak_decline_margin,
     sensitivity_suite,
 )
 
@@ -124,7 +121,6 @@ KEYS = tuple(SEARCH_BOX)
 
 SHIPPED = load_default_config().clock
 START, END = SHIPPED.start_year, SHIPPED.end_year
-HORIZON = END - START
 # the halved step of criterion 09
 HALVED = SHIPPED._replace(dt=SHIPPED.dt / 2)
 TENTH = SimulationClock(START, END, 0.1)
@@ -133,23 +129,6 @@ FINE = SimulationClock(START, END, 1.0 / 64.0)
 # grants three years of timing slack around that reading, so no later
 # than 2024
 DEBT_WINDOW = (2021.0, 2024.0)
-# the bounds of criteria 05 to 09 (tests/test_acceptance.py and the
-# extreme-condition suite of validation.py) that the margins measure
-# against; a copy that goes stale mis-ranks candidates but admits none,
-# because the criteria gate every candidate that counts
-CRITERIA_BOUNDS = {
-    "capacity_peak_window": (2018.0, 2033.0),       # 05
-    "capacity_grows_from_to": (2015.0, 2021.0),     # 05
-    "p1_tendency_collapse": 0.1,                    # 06, of its launch value
-    "remuneration_tendency": 0.01,                  # 07
-    "inherited_debt_tendency_at_start": 0.1,        # 07
-    "inherited_debt_tendency_year_3": 0.01,         # 07
-    "inherited_debt_fund_year_1": 0.8,              # 07, of its launch value
-    "inherited_debt": 1.0e8,                        # 07, $
-    "base_take_off": 3.0,                           # 08, of launch capacity
-    "perturbed_take_off": 1.5,                      # 08, of launch capacity
-    "step_halving": 0.05,                           # 09, of a stock's range
-}
 # the acceptance criteria that read the calibration
 CRITERIA = (
     "test_criterion_01_equation_oracles",
@@ -206,71 +185,21 @@ ANCHOR = {
 }
 
 
-def _above(a: float, b: float, floor: float = 0.0) -> float:
-    """Margin of ``a > b``: the gap over the larger magnitude, or over
-    ``floor`` when both are smaller."""
-    scale = max(abs(a), abs(b), floor)
-    return (a - b) / scale if scale > 0.0 else 0.0
-
-
-def _below(x: float, bound: float) -> float:
-    """Margin of ``x < bound``, relative to a positive bound."""
-    if bound <= 0.0:
-        return -1.0 if x >= bound else 1.0
-    return (bound - x) / bound
-
-
-def _peak_decline(times, values) -> float:
-    """Margin of the growth-peak-decline class: how far the peak stands
-    above both ends, over the largest magnitude, beyond the classifier's
-    noise fraction; at most zero unless ``behavior_signature`` classes the
-    series so (it smooths the series first)."""
-    values = np.asarray(values, dtype=float)
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return -1.0
-    peak = float(values.max())
-    margin = _above(min(peak - float(values[0]), peak - float(values[-1]))
-                    / scale, _SHAPE_MARGIN)
-    if behavior_signature(times, values).shape != GROWTH_PEAK_DECLINE:
-        return min(margin, 0.0)
-    return margin
-
-
 def _in_window(year: float, low: float, high: float) -> float:
     """Margin of ``low < year < high``: the nearer edge over half the width."""
     return min(year - low, high - year) / (0.5 * (high - low))
 
 
-def _dry_fund(run) -> float:
-    """Margin of a run without debt towards debt: minus the fund's final
-    level over its launch level, closer to zero the nearer it ends to dry."""
-    budget = run["budget"]
-    return -float(budget[-1]) / max(float(budget[0]), 1.0)
-
-
 def _emergence(run, window: tuple[float, float]) -> float:
     """Margin of debt emerging inside ``window``."""
     year = behavior_signature(run.times, run["suna_debt"]).first_positive_year
-    return _dry_fund(run) if year is None else _in_window(year, *window)
+    return (dry_fund_margin(run["budget"]) if year is None
+            else _in_window(year, *window))
 
 
-def _recovery(run) -> float:
-    """Margin of the tendency ending above its trough.
-
-    A tendency that ends at zero does so because the project's return
-    does, so the return, at or below zero, tells how far off recovery is.
-    """
-    tendency = np.asarray(run["tendency_to_invest"])
-    if float(tendency[-1]) <= 0.0:
-        return min(0.0, run.final("roi"))
-    return _above(float(tendency[-1]), float(tendency.min()),
-                  float(tendency[0]))
-
-
-def _first_crossing(run, threshold: float) -> float:
-    above = np.nonzero(np.asarray(run["installed_capacity"]) >= threshold)[0]
-    return float(run.times[above[0]]) if above.size else math.inf
+def _least(margins: dict[str, float], name: str, value: float) -> None:
+    """Keep the smallest margin of ``name`` over the clocks."""
+    margins[name] = min(margins.get(name, value), value)
 
 
 class Calibration:
@@ -278,7 +207,6 @@ class Calibration:
 
     def __init__(self):
         self.doc = load_default_config()
-        self.target = self.doc.params.econ.capacity_target
         # what the benchmark sweep perturbs: model parameters marked
         # assumed
         self.assumed = sorted(
@@ -312,56 +240,18 @@ class Calibration:
     # --- margins ---
 
     def _qualitative(self, report, margins, gates, suffix):
-        runs = report.runs
-        base, p1, p2, p3 = (runs[name] for name in POLICY_IDS)
-        ic = {name: runs[name].final("installed_capacity")
-              for name in POLICY_IDS}
-        debt = {name: runs[name].final("suna_debt") for name in POLICY_IDS}
-        # orderings between values near zero are no margin: gaps are
-        # measured against at least the launch capacity and fund
-        capacity0 = float(base["installed_capacity"][0])
-        fund0 = float(base["budget"][0])
-        entries = {
-            "capacity_p3_over_base": _above(ic["p3_budget_adjusted_tax"],
-                                            ic["base"], capacity0),
-            "capacity_base_over_p2": _above(ic["base"],
-                                            ic["p2_budget_adjusted_fit"],
-                                            capacity0),
-            "capacity_p2_over_p1": _above(ic["p2_budget_adjusted_fit"],
-                                          ic["p1_higher_fit"], capacity0),
-            "debt_p1_over_base": _above(debt["p1_higher_fit"], debt["base"],
-                                        fund0),
-            "debt_base_over_p2": _above(debt["base"],
-                                        debt["p2_budget_adjusted_fit"],
-                                        fund0),
-            # p2 pays its debt down, so what it keeps at the horizon is
-            # small by design; dt 0.1 and 1/64 check that it stays positive
-            "debt_p2_over_p3": _above(debt["p2_budget_adjusted_fit"],
-                                      debt["p3_budget_adjusted_tax"]),
-            "p3_debt_free": (float(np.asarray(p3["budget"]).min()) / fund0
-                             if float(np.asarray(p3["suna_debt"]).max()) == 0.0
-                             else -1.0),
-            "base_capacity_peak_decline": _peak_decline(
-                base.times, base["installed_capacity"]),
-            "base_debt_emerges_2021_to_2024": _emergence(base, DEBT_WINDOW),
-            "p1_reaches_target": _above(
-                float(np.asarray(p1["installed_capacity"]).max()),
-                self.target),
-            "p1_first_to_target": (
-                min(_first_crossing(base, self.target), END + 1.0)
-                - min(_first_crossing(p1, self.target), END + 1.0))
-            / HORIZON,
-            "p2_tendency_recovers": _recovery(p2),
-        }
-        for name, value in entries.items():
-            margins[name] = min(margins.get(name, value), value)
-        for name, run in runs.items():
+        findings = qualitative_checks(report)
+        for finding in findings:
+            _least(margins, finding.name, finding.margin)
+        _least(margins, "base_debt_emerges_2021_to_2024",
+               _emergence(report.runs["base"], DEBT_WINDOW))
+        for name, run in report.runs.items():
             share = (np.asarray(run["installed_capacity"])
                      / run["total_generation_capacity"])
             gates[f"no_penetration_clamp_{name}{suffix}"] = bool(
                 float(share.max()) <= 1.0)
         gates[f"qualitative_checks{suffix}"] = all(
-            finding.passed for finding in qualitative_checks(report))
+            finding.passed for finding in findings)
 
     def evaluate(self, values: dict[str, float], threshold: float = 0.0):
         """Margins and gates of one candidate.
@@ -381,77 +271,34 @@ class Calibration:
 
         # criterion 03 and 05: the base run's story
         gates["base_unclamped"] = base.clamp_events == ()
-        margins["fund_peak_decline"] = _peak_decline(base.times,
-                                                     base["budget"])
-        margins["debt_ends_above_fund"] = _above(
-            base.final("suna_debt"), base.final("budget"),
-            float(base["budget"][0]))
-        peak = behavior_signature(base.times,
-                                  base["installed_capacity"]).peak_year
+        budget = base["budget"]
+        margins["fund_peak_decline"] = peak_decline_margin(
+            budget, behavior_signature(base.times, budget).shape)
+        margins["debt_ends_above_fund"] = margin_above(
+            base.final("suna_debt"), base.final("budget"), budget[0])
+        capacity = base["installed_capacity"]
+        peak = behavior_signature(base.times, capacity).peak_year
         margins["capacity_peak_window"] = _in_window(
-            peak, *CRITERIA_BOUNDS["capacity_peak_window"])
-        first, then = CRITERIA_BOUNDS["capacity_grows_from_to"]
-        margins["capacity_grows_by_2021"] = _above(
+            peak, *BOUNDS["capacity_peak_window"])
+        first, then = BOUNDS["capacity_grows_from_to"]
+        margins["capacity_grows_by_2021"] = margin_above(
             base.at_year("installed_capacity", then),
             base.at_year("installed_capacity", first))
 
         # criterion 06 beyond the orderings
         tendency = p3["tendency_to_invest"]
-        margins["p3_tendency_rises"] = _above(float(tendency[-1]),
-                                              float(tendency[0]))
+        margins["p3_tendency_rises"] = margin_above(tendency[-1], tendency[0])
         tendency = p1["tendency_to_invest"]
-        margins["p1_tendency_collapses"] = _below(
-            float(tendency[-1]),
-            CRITERIA_BOUNDS["p1_tendency_collapse"] * float(tendency[0]))
+        margins["p1_tendency_collapses"] = margin_below(
+            tendency[-1], BOUNDS["p1_tendency_collapse"] * tendency[0])
 
-        # criterion 07: the extreme conditions
-        crippled = FitModel(params._replace(econ=params.econ._replace(
-            remuneration_period=1.0))).simulate(SHIPPED)
-        installed = crippled["installed_capacity"]
-        budget = crippled["budget"]
-        margins["remuneration_capacity_declines"] = _above(
-            float(installed[0]), float(installed[-1]))
-        margins["remuneration_no_tendency"] = _below(
-            crippled.final("tendency_to_invest"),
-            CRITERIA_BOUNDS["remuneration_tendency"])
-        margins["remuneration_fund_grows"] = _above(float(budget[-1]),
-                                                    float(budget[0]))
-        indebted = FitModel(params._replace(econ=params.econ._replace(
-            initial_suna_debt=CRITERIA_BOUNDS["inherited_debt"]))).simulate(
-            SHIPPED)
-        margins["inherited_debt_tendency_at_start"] = _below(
-            float(indebted["tendency_to_invest"][0]),
-            CRITERIA_BOUNDS["inherited_debt_tendency_at_start"])
-        margins["inherited_debt_tendency_year_3"] = _below(
-            indebted.at_year("tendency_to_invest", START + 3.0),
-            CRITERIA_BOUNDS["inherited_debt_tendency_year_3"])
-        margins["inherited_debt_drains_fund"] = _below(
-            indebted.at_year("budget", START + 1.0),
-            CRITERIA_BOUNDS["inherited_debt_fund_year_1"]
-            * float(indebted["budget"][0]))
-
-        # criterion 08: the committed perturbation
-        perturbed = FitModel(TABLE_PERTURBATIONS.resolve(params)).simulate(
-            SHIPPED)
-        ic0 = float(base["installed_capacity"][0])
-        margins["base_takes_off"] = _above(
-            float(np.asarray(base["installed_capacity"]).max()),
-            CRITERIA_BOUNDS["base_take_off"] * ic0)
-        margins["perturbed_takes_off"] = _above(
-            float(np.asarray(perturbed["installed_capacity"]).max()),
-            CRITERIA_BOUNDS["perturbed_take_off"] * ic0)
-        margins["perturbed_capacity_peak_decline"] = _peak_decline(
-            perturbed.times, perturbed["installed_capacity"])
-        if behavior_signature(perturbed.times,
-                              perturbed["suna_debt"]).emerged:
-            # perturbed peak debt over base peak debt; a base run without
-            # debt already fails its own emergence margin
-            base_peak = float(np.asarray(base["suna_debt"]).max())
-            margins["perturbed_debt_emerges"] = (
-                float(np.asarray(perturbed["suna_debt"]).max()) / base_peak
-                if base_peak > 0.0 else -1.0)
-        else:
-            margins["perturbed_debt_emerges"] = _dry_fund(perturbed)
+        # criteria 07 and 08 from their findings; the suite reads the base
+        # run's take-off only to tell a change of regime, not as a demand
+        sensitivity = sensitivity_suite(params, clock=SHIPPED)
+        for finding in extreme_condition_suite(params, SHIPPED) + sensitivity:
+            margins[finding.name] = finding.margin
+        margins["base_takes_off"] = margin_above(
+            max(capacity), BOUNDS["base_take_off"] * capacity[0])
 
         # criterion 09: step halving
         fine = FitModel(params).simulate(HALVED)
@@ -461,8 +308,7 @@ class Calibration:
             if scale > 0.0:
                 worst = max(worst, float(np.max(np.abs(
                     np.asarray(base[stock]) - fine[stock][::2]))) / scale)
-        margins["step_halving"] = _below(worst,
-                                         CRITERIA_BOUNDS["step_halving"])
+        margins["step_halving"] = margin_below(worst, BOUNDS["step_halving"])
         margins["calm_towards_growth_corner"] = (
             (self.calm_fraction(params) - CORNER) / (1.0 - CORNER))
 
@@ -476,12 +322,12 @@ class Calibration:
         gates["all_checks_run"] = True
         gates.update(self.criteria(values, params, base))
         gates["sensitivity_findings_computed"] = [
-            finding.name for finding in sensitivity_suite(
-                params, clock=SHIPPED)] == [
+            finding.name for finding in sensitivity] == [
             "sensitivity_installed_capacity", "sensitivity_suna_debt"]
         problems, peak = self.neighbourhood(values, 0, NEIGHBOURHOOD_PROBES)
         gates["neighbourhood_valid"] = not problems
-        margins["neighbourhood_below_penetration_clamp"] = _below(peak, 1.0)
+        margins["neighbourhood_below_penetration_clamp"] = margin_below(
+            peak, 1.0)
         return margins, gates
 
     def criteria(self, values, params, base) -> dict[str, bool]:
