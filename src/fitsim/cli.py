@@ -152,8 +152,8 @@ def _cmd_compare(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "comparison.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            emit_comparison_csv(report, handle)
-        written = [path] + write_plot_data(report, args.out)
+            texts = emit_comparison_csv(report, handle)
+        written = [path] + write_plot_data(report, args.out, texts)
         if args.charts:
             written += write_comparison_charts(report, args.out)
         for item in written:

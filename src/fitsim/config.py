@@ -21,8 +21,10 @@ implementation). Sections:
 Unknown sections or keys are rejected. A clock key or parameter left out
 takes the packaged config's value, and each such fallback is logged; the
 packaged config must define every clock key and parameter. A knob left
-out takes ``PolicyControl``'s neutral default, unlogged. Full
-line comments start with ``#``; the ``;`` is reserved for provenance.
+out takes ``PolicyControl``'s neutral default, unlogged. A parameter
+value its record refuses, a scenario's override included, fails the
+parse, named by its section and key. Full line comments start with
+``#``; the ``;`` is reserved for provenance.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .model import (
     ModelParameters,
     PARAMETER_NAMES,
     PARAMETER_PATHS,
+    apply_overrides,
     build_parameters,
 )
 from .policies import POLICY_IDS, PolicyControl, Scenario
@@ -131,6 +134,17 @@ def _parse_scalar(section: str, key: str, token: str) -> float:
             f"[{section}] {key}: not a number: {token!r}") from None
 
 
+def _check_each(params: ModelParameters, section: str, values) -> None:
+    """Apply each parameter of ``values`` alone on top of ``params``: every
+    parameter check reads one value, so the first one refused is named by
+    its section and key."""
+    for key, value in values.items():
+        try:
+            apply_overrides(params, {key: value})
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"[{section}] {key}: {exc}") from None
+
+
 def parse_config(text: str) -> ConfigDocument:
     """Parse and validate a configuration document."""
     return _parse(text, packaged=False)
@@ -190,7 +204,17 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
             values[key] = fallback[section][key].value
             log.append(f"{section}.{key} defaulted to {values[key]!r}")
     clock = SimulationClock(*(values.pop(key) for key in _CLOCK_KEYS))
-    params = build_parameters(values)
+    try:
+        params = build_parameters(values)
+    except ConfigurationError:
+        if packaged:  # the base every other file is checked on
+            raise
+        packaged_params = load_default_config().params
+        for section in _PARAMETER_SECTIONS:
+            _check_each(packaged_params, section, {
+                key: entry.value
+                for key, entry in entries.get(section, {}).items()})
+        raise
 
     # knobs left out here fall back to PolicyControl's own defaults
     knob_defaults = read_section("policy", _POLICY_KEYS)
@@ -224,6 +248,7 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
                 knobs[key] = value
             else:
                 overrides[key] = value
+        _check_each(params, section, overrides)
         control = PolicyControl(policy_id=values["policy"], **knobs)
         scenarios.append(Scenario(name=name, overrides=overrides,
                                   policy=control))

@@ -16,12 +16,11 @@ engine column), and since the text is a pure function of those bytes a
 key cannot hand back wrong text. :func:`emit_comparison_csv` formats each
 distinct column once (``time`` repeats in every scenario, the exogenous
 drivers in most), drops a column's text after the last scenario that
-reads it, and keeps the text of the plotted columns (``time`` and
-:data:`CHART_VARIABLES`) of the latest comparison for the next
-:func:`write_plot_data`, which takes that text, formats only what it does
-not find there and releases the rest. The x's of a comparison's charts
-are formatted once, into text that each series of each chart fills with
-its y's.
+reads it, and returns the text of the plotted columns (``time`` and
+:data:`CHART_VARIABLES`); :func:`write_plot_data` takes that text as an
+argument and formats only what it does not find there. The module keeps
+no state between calls. The x's of a comparison's charts are formatted
+once, into text that each series of each chart fills with its y's.
 """
 
 from __future__ import annotations
@@ -80,12 +79,6 @@ def _series(result: RunResult, name: str) -> memoryview:
     return result.times if name == "time" else result[name]
 
 
-# the text of the plotted columns of the latest comparison CSV, keyed by
-# the bytes of their doubles; replaced by each comparison and released
-# by the next write_plot_data
-_plot_text: dict[bytes, list[str]] = {}
-
-
 def _key(column) -> bytes:
     """The bytes of a float column's doubles, which determine its text."""
     try:
@@ -128,13 +121,15 @@ def emit_run_csv(result: RunResult, stream, variables=()) -> None:
                 [_text(_key(_series(result, name))) for name in columns])
 
 
-def emit_comparison_csv(report: ComparisonReport, stream,
-                        variables=()) -> None:
-    """Write all scenarios into one CSV with a leading scenario column."""
-    global _plot_text
-    _plot_text = {}
+def emit_comparison_csv(report: ComparisonReport,
+                        stream) -> dict[bytes, list[str]]:
+    """Write all scenarios into one CSV with a leading scenario column.
+
+    Returns the text of the plotted columns, keyed by the bytes of their
+    doubles, for :func:`write_plot_data`.
+    """
     names = list(report.runs)
-    columns = _columns(report.runs[names[0]], variables)
+    columns = report.runs[names[0]].column_order()
     keys = [[_key(_series(report.runs[name], column)) for column in columns]
             for name in names]
     plotted = {key for row in keys
@@ -148,7 +143,7 @@ def emit_comparison_csv(report: ComparisonReport, stream,
         for key in row:
             if last_read[key] == i and key not in plotted:
                 texts.pop(key, None)
-    _plot_text = {key: texts[key] for key in plotted}
+    return {key: texts[key] for key in plotted}
 
 
 def outcome_table(report: ComparisonReport) -> str:
@@ -190,22 +185,23 @@ def _shared_times(report: ComparisonReport, names) -> memoryview:
 
 
 def write_plot_data(report: ComparisonReport, directory,
-                    variables=CHART_VARIABLES) -> list[str]:
-    """One CSV per variable: a time column plus one column per scenario.
+                    texts: dict[bytes, list[str]] | None = None) -> list[str]:
+    """One CSV per chart variable: a time column plus one column per
+    scenario; ``texts``, the text an :func:`emit_comparison_csv` returned,
+    saves formatting the columns it holds.
 
     The layout suits external plotters; re-emission is byte-identical.
     Raises ``ValueError``, before writing anything, when the runs were
     recorded at different times.
     """
-    global _plot_text
     names = list(report.runs)
     times = _shared_times(report, names)
     os.makedirs(directory, exist_ok=True)
-    texts, _plot_text = _plot_text, {}
+    texts = dict(texts or ())  # the caller's text stays as it was
     header = ",".join(["time"] + names) + "\n"
     time_text = _text_of(_key(times), texts)
     paths = []
-    for variable in variables:
+    for variable in CHART_VARIABLES:
         columns = [time_text] + [_text_of(_key(report.runs[name][variable]),
                                           texts) for name in names]
         path = os.path.join(directory, f"{variable}.csv")
@@ -315,9 +311,9 @@ def _render_chart(times, series_by_label: dict[str, Sequence[float]],
     return "\n".join(parts) + "\n"
 
 
-def write_comparison_charts(report: ComparisonReport, directory,
-                            variables=CHART_VARIABLES) -> list[str]:
-    """One SVG per variable, all scenarios overlaid; returns the paths.
+def write_comparison_charts(report: ComparisonReport,
+                            directory) -> list[str]:
+    """One SVG per chart variable, all scenarios overlaid; returns the paths.
 
     Raises ``ValueError``, before writing anything, when the runs were
     recorded at different times.
@@ -327,7 +323,7 @@ def write_comparison_charts(report: ComparisonReport, directory,
     os.makedirs(directory, exist_ok=True)
     slots = _x_slots(times)  # the charts share their x texts
     paths = []
-    for variable in variables:
+    for variable in CHART_VARIABLES:
         series = {name: report.runs[name][variable] for name in names}
         svg = _render_chart(times, series, variable, slots)
         path = os.path.join(directory, f"{variable}.svg")

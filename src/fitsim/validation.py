@@ -131,17 +131,21 @@ def theil_decomposition(simulated, historical) -> tuple[float, float, float]:
     squared differences or deviations underflow, and when the products of
     the deviations overflow, leaving the correlation or a share not finite.
     """
-    # imported here: only ``validate --historical`` needs it
-    from statistics import StatisticsError, correlation, pstdev
-
     s, h = _as_series(simulated, historical)
     if s == h:
         raise ValueError("MSE is zero; decomposition undefined on a "
                          "perfect fit")
     mse = _sum_of_squares([a - b for a, b in zip(s, h)],
                           "differences") / len(s)
-    sigma_s = pstdev(s)
-    sigma_h = pstdev(h)
+    return _theil_shares(s, h, mse)
+
+
+def _theil_shares(s, h, mse: float) -> tuple[float, float, float]:
+    """Theil shares of checked series ``s`` and ``h``, whose MSE is ``mse``."""
+    # imported here: only ``validate --historical`` needs it
+    from statistics import StatisticsError, correlation, pstdev
+
+    sigma_s, sigma_h = pstdev(s), pstdev(h)
     um = (_mean(s, "simulated series")
           - _mean(h, "historical series")) ** 2 / mse
     us = (sigma_s - sigma_h) ** 2 / mse
@@ -196,9 +200,7 @@ def error_metrics(simulated, historical) -> ErrorReport:
                           "deviations of the historical series")
     r_squared = 1.0 - sse / sst
 
-    um, us, uc = theil_decomposition(s, h)
-    return ErrorReport(r_squared=r_squared, mse=mse, rmspe=rmspe,
-                       theil_um=um, theil_us=us, theil_uc=uc)
+    return ErrorReport(r_squared, mse, rmspe, *_theil_shares(s, h, mse))
 
 
 def load_series_csv(path) -> tuple[list[float], list[float]]:

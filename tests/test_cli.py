@@ -1,5 +1,7 @@
 """End-to-end command line checks, driven through main(argv)."""
 
+import sys
+
 import pytest
 
 from fitsim import FitModel, PARAMETER_NAMES, default_config_text
@@ -66,7 +68,8 @@ def test_run_refuses_a_config_with_a_non_finite_trend(tmp_path, capsys):
         "electricity_consumption_slope = nan ;"), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr() == (
-        "", "error: LinearTrend.slope must be finite, got nan\n")
+        "", "error: [trends] electricity_consumption_slope: "
+            "LinearTrend.slope must be finite, got nan\n")
 
 
 def test_validate_refuses_an_unknown_historical_variable_before_running(
@@ -340,3 +343,31 @@ def test_validate_refuses_a_horizon_before_year_three(no_runs, capsys):
     assert capsys.readouterr() == (
         "", "error: the extreme-condition suite needs a horizon of at least "
             "three years, got 2015.0 to 2017.0\n")
+
+
+def _package_state() -> dict:
+    """Every global of every loaded ``fitsim`` module: the object it names
+    and, for a dict, list or set, a copy of its contents."""
+    return {name: {key: (value, type(value)(value)
+                         if isinstance(value, (dict, list, set)) else None)
+                   for key, value in vars(module).items()}
+            for name, module in sorted(sys.modules.items())
+            if name == "fitsim" or name.startswith("fitsim.")}
+
+
+@pytest.mark.parametrize("argv", [["compare", "--out", "DIR", "--charts"],
+                                  ["compare", "--out", "-"]])
+def test_a_command_leaves_every_module_as_it_found_it(argv, tmp_path,
+                                                      capsys):
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+    before = _package_state()
+    assert main(argv) == 0
+    after = _package_state()
+    capsys.readouterr()
+    assert list(after) == list(before)
+    for module, names in before.items():
+        assert list(after[module]) == list(names), module
+        for key, (value, contents) in names.items():
+            now, now_contents = after[module][key]
+            assert now is value, f"{module}.{key} was rebound"
+            assert now_contents == contents, f"{module}.{key} changed"

@@ -13,6 +13,7 @@ from fitsim import (
     load_default_config,
     parse_config,
 )
+from fitsim.cli import main
 from fitsim.config import ConfigEntry
 
 MINIMAL = """\
@@ -88,7 +89,9 @@ def test_non_numeric_value_is_rejected():
 
 def test_out_of_range_parameter_names_the_key():
     text = "[parameters]\nrejection_fraction = 1.5 ; assumed\n"
-    with pytest.raises(ConfigurationError, match="rejection_fraction"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^\[parameters\] rejection_fraction: "
+                             r"rejection_fraction must lie in \[0, 1\]"):
         parse_config(text)
 
 
@@ -102,8 +105,52 @@ def test_a_non_finite_trend_value_is_refused(trend, part, value):
         f"{key} = {value} ; assumed\n" if line.startswith(f"{key} =")
         else line for line in default_config_text().splitlines(True))
     with pytest.raises(ConfigurationError,
-                       match=f"^LinearTrend.{part} must be finite, got "):
+                       match=rf"^\[trends\] {key}: "
+                             rf"LinearTrend.{part} must be finite, got "):
         parse_config(text)
+
+
+def refusing_config(section: str, key: str, value: str) -> str:
+    """The shipped config with ``key`` set to ``value`` in ``section``; a
+    scenario section is added after the shipped ones."""
+    text = default_config_text()
+    if section.startswith("scenario:"):
+        return (f"{text}\n[{section}]\npolicy = base ; paper\n"
+                f"{key} = {value} ; assumed\n")
+    return "".join(
+        f"{key} = {value} ; assumed\n" if line.startswith(f"{key} =")
+        else line for line in text.splitlines(True))
+
+
+# (section, key, value, what the record check says about the value)
+REFUSED_VALUES = [
+    ("trends", "electricity_consumption_slope", "nan",
+     "LinearTrend.slope must be finite, got nan"),
+    ("effects", "social_tolerance_x_50", "-1",
+     "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
+    ("scenario:a", "social_tolerance_x_50", "-1",
+     "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", REFUSED_VALUES)
+def test_a_refused_value_names_its_section_and_key(section, key, value,
+                                                    message):
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(refusing_config(section, key, value))
+    assert str(exc.value) == f"[{section}] {key}: {message}"
+
+
+@pytest.mark.parametrize("section, key, value, message", REFUSED_VALUES)
+def test_run_refuses_a_config_with_a_refused_value(section, key, value,
+                                                   message, tmp_path,
+                                                   capsys):
+    # a bad scenario fails every command, not only the ones that run it
+    config = tmp_path / "refused.cfg"
+    config.write_text(refusing_config(section, key, value), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--scenario", "base"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [{section}] {key}: {message}\n")
 
 
 def test_duplicate_section_is_a_syntax_error():

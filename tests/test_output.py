@@ -123,13 +123,16 @@ def test_comparison_csv_keys_text_by_bytes_not_value():
 
 def test_comparison_csv_layout(canonical_report):
     stream = io.StringIO()
-    emit_comparison_csv(canonical_report, stream,
-                        variables=("installed_capacity",))
+    emit_comparison_csv(canonical_report, stream)
     lines = stream.getvalue().splitlines()
-    assert lines[0] == "scenario,time,installed_capacity"
+    columns = canonical_report.runs["base"].column_order()
+    assert columns[0] == "time"
+    assert set(CHART_VARIABLES) < set(columns)
+    assert lines[0] == ",".join(["scenario"] + columns)
     assert len(lines) == 1 + 4 * 81
     assert lines[1].startswith("base,2015.0,")
     assert lines[82].startswith("p1_higher_fit,2015.0,")
+    assert {line.count(",") for line in lines} == {len(columns)}
 
 
 def test_outcome_table_mentions_every_scenario(canonical_report):
@@ -188,10 +191,15 @@ def _plot_bytes(directory):
 
 def test_plot_data_reuses_the_comparison_text_and_keeps_the_bytes(
         canonical_report, tmp_path, monkeypatch):
-    monkeypatch.setattr(fitsim.output, "_plot_text", {})
     write_plot_data(canonical_report, tmp_path / "alone")
 
-    emit_comparison_csv(canonical_report, io.StringIO())
+    texts = emit_comparison_csv(canonical_report, io.StringIO())
+    # the text handed over is that of exactly the plotted columns
+    key = fitsim.output._key
+    runs = canonical_report.runs.values()
+    assert set(texts) == {key(canonical_report.runs["base"].times)} | {
+        key(run[variable]) for run in runs for variable in CHART_VARIABLES}
+    handed = dict(texts)
     formatted = []
     text = fitsim.output._text
 
@@ -200,17 +208,16 @@ def test_plot_data_reuses_the_comparison_text_and_keeps_the_bytes(
         return text(column)
 
     monkeypatch.setattr(fitsim.output, "_text", counted_text)
-    write_plot_data(canonical_report, tmp_path / "after")
+    write_plot_data(canonical_report, tmp_path / "after", texts)
     # every plotted column was formatted by the comparison CSV
     assert formatted == []
-    # and the plot data released that text
-    assert fitsim.output._plot_text == {}
+    # and the plot data left the caller's text as it was
+    assert texts == handed
     assert _plot_bytes(tmp_path / "after") == _plot_bytes(tmp_path / "alone")
 
 
 def test_plot_data_after_another_comparison_keeps_its_own_bytes(
-        default_doc, canonical_report, tmp_path, monkeypatch):
-    monkeypatch.setattr(fitsim.output, "_plot_text", {})
+        default_doc, canonical_report, tmp_path):
     write_plot_data(canonical_report, tmp_path / "alone")
 
     scenarios = [scenario._replace(overrides={**scenario.overrides,
@@ -218,11 +225,11 @@ def test_plot_data_after_another_comparison_keeps_its_own_bytes(
                  for scenario in default_doc.scenarios]
     other = run_scenario_suite(default_doc.params, scenarios,
                                default_doc.clock)
-    emit_comparison_csv(canonical_report, io.StringIO())
-    emit_comparison_csv(other, io.StringIO())
-    write_plot_data(canonical_report, tmp_path / "after")
+    other_texts = emit_comparison_csv(other, io.StringIO())
+    # text is keyed by content, so another comparison's text is no wrong text
+    write_plot_data(canonical_report, tmp_path / "after", other_texts)
     assert _plot_bytes(tmp_path / "after") == _plot_bytes(tmp_path / "alone")
-    write_plot_data(other, tmp_path / "other")
+    write_plot_data(other, tmp_path / "other", other_texts)
     assert _plot_bytes(tmp_path / "other") != _plot_bytes(tmp_path / "alone")
 
 
@@ -251,12 +258,12 @@ def test_charts_refuse_runs_on_different_clocks(two_clock_report, tmp_path):
 
 
 def test_write_comparison_charts(canonical_report, tmp_path):
-    paths = write_comparison_charts(canonical_report, tmp_path,
-                                    variables=("installed_capacity",))
-    assert paths == [os.path.join(tmp_path, "installed_capacity.svg")]
-    content = (tmp_path / "installed_capacity.svg").read_text(
-        encoding="utf-8")
-    assert content.count("<polyline") == 4
+    paths = write_comparison_charts(canonical_report, tmp_path)
+    assert paths == [os.path.join(tmp_path, f"{variable}.svg")
+                     for variable in CHART_VARIABLES]
+    for variable in CHART_VARIABLES:
+        content = (tmp_path / f"{variable}.svg").read_text(encoding="utf-8")
+        assert content.count("<polyline") == 4
 
 
 def test_the_charts_of_a_comparison_format_their_x_once(

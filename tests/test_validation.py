@@ -112,6 +112,23 @@ def test_zero_history_tolerated_where_simulation_matches():
     assert np.isfinite(report.rmspe)
 
 
+def test_error_metrics_checks_and_sums_the_differences_once(monkeypatch):
+    import fitsim.validation as validation
+    calls = []
+    for name in ("_as_series", "_sum_of_squares"):
+        def counted(*args, real=getattr(validation, name)):
+            calls.append(args[-1] if isinstance(args[-1], str) else "series")
+            return real(*args)
+        monkeypatch.setattr(validation, name, counted)
+    s, h = [1.0, 2.5, 2.0, 4.0], [1.5, 2.0, 3.0, 3.5]
+    report = error_metrics(s, h)
+    assert calls.count("series") == 1
+    assert calls.count("differences") == 1
+    # and the shares are the public decomposition's, to the bit
+    assert (report.theil_um, report.theil_us,
+            report.theil_uc) == theil_decomposition(s, h)
+
+
 # === Theil decomposition ===
 
 def test_theil_shares_sum_to_one_on_random_pairs():
