@@ -21,16 +21,18 @@ implementation). Sections:
 Unknown sections or keys are rejected. A clock key or parameter left out
 takes the packaged config's value, and each such fallback is logged; the
 packaged config must define every clock key and parameter. A knob left
-out takes ``PolicyControl``'s neutral default, unlogged. A parameter
-value its record refuses, a scenario's override included, fails the
-parse, named by its section and key. Full line comments start with
-``#``; the ``;`` is reserved for provenance.
+out takes ``PolicyControl``'s neutral default, unlogged. A clock value,
+parameter or knob that its record refuses, in any section, fails the
+parse, named by its section and key, or by its section alone when only
+several values together are refused. Full line comments start with ``#``;
+the ``;`` is reserved for provenance.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
+from functools import partial
 from typing import NamedTuple
 
 from .engine import ConfigurationError, SimulationClock
@@ -134,15 +136,26 @@ def _parse_scalar(section: str, key: str, token: str) -> float:
             f"[{section}] {key}: not a number: {token!r}") from None
 
 
-def _check_each(params: ModelParameters, section: str, values) -> None:
-    """Apply each parameter of ``values`` alone on top of ``params``: every
-    parameter check reads one value, so the first one refused is named by
-    its section and key."""
+def _check_each(apply, section: str, values) -> None:
+    """Pass each item of ``values`` alone, as a one-key mapping, to
+    ``apply``, which sets it on a valid record, and name the first one
+    refused by its section and key. Every parameter check reads one value,
+    so ``partial(apply_overrides, params)`` names any refused parameter."""
     for key, value in values.items():
         try:
-            apply_overrides(params, {key: value})
+            apply({key: value})
         except ConfigurationError as exc:
             raise ConfigurationError(f"[{section}] {key}: {exc}") from None
+
+
+def _refusal(record, section: str, values,
+             exc: ConfigurationError) -> ConfigurationError:
+    """The refusal ``exc`` of ``values`` named by its place: a value that
+    the valid ``record`` refuses alone raises here by its section and key,
+    and a refusal that only several values make is returned by its
+    section."""
+    _check_each(lambda one: record._replace(**one), section, values)
+    return ConfigurationError(f"[{section}] {exc}")
 
 
 def parse_config(text: str) -> ConfigDocument:
@@ -203,7 +216,16 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
             fallback = fallback or load_default_config().entries
             values[key] = fallback[section][key].value
             log.append(f"{section}.{key} defaulted to {values[key]!r}")
-    clock = SimulationClock(*(values.pop(key) for key in _CLOCK_KEYS))
+    clock_values = {key: values.pop(key) for key in _CLOCK_KEYS}
+    try:
+        clock = SimulationClock(**clock_values)
+    except ConfigurationError as exc:
+        if packaged:
+            raise
+        # only a value the file gives can be refused
+        raise _refusal(load_default_config().clock, "clock",
+                       {key: clock_values[key] for key in entries["clock"]},
+                       exc) from None
     try:
         params = build_parameters(values)
     except ConfigurationError:
@@ -211,13 +233,19 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
             raise
         packaged_params = load_default_config().params
         for section in _PARAMETER_SECTIONS:
-            _check_each(packaged_params, section, {
+            _check_each(partial(apply_overrides, packaged_params), section, {
                 key: entry.value
                 for key, entry in entries.get(section, {}).items()})
         raise
 
-    # knobs left out here fall back to PolicyControl's own defaults
+    # knobs left out here fall back to PolicyControl's own defaults; they
+    # are checked here, for a file may have no scenario to use them
     knob_defaults = read_section("policy", _POLICY_KEYS)
+    try:
+        PolicyControl(**knob_defaults)
+    except ConfigurationError as exc:
+        raise _refusal(PolicyControl(), "policy", knob_defaults,
+                       exc) from None
 
     def parse_scenario_value(name: str, key: str, token: str):
         if key == "policy":
@@ -239,7 +267,7 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
         if "policy" not in values:
             raise ConfigurationError(f"[{section}] must declare a policy "
                                      f"(one of {POLICY_IDS})")
-        knobs = dict(knob_defaults)
+        knobs: dict[str, float] = {}
         overrides: dict[str, float] = {}
         for key, value in values.items():
             if key == "policy":
@@ -248,8 +276,12 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
                 knobs[key] = value
             else:
                 overrides[key] = value
-        _check_each(params, section, overrides)
-        control = PolicyControl(policy_id=values["policy"], **knobs)
+        _check_each(partial(apply_overrides, params), section, overrides)
+        defaults = PolicyControl(policy_id=values["policy"], **knob_defaults)
+        try:
+            control = defaults._replace(**knobs)
+        except ConfigurationError as exc:
+            raise _refusal(defaults, section, knobs, exc) from None
         scenarios.append(Scenario(name=name, overrides=overrides,
                                   policy=control))
 

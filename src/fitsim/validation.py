@@ -34,6 +34,9 @@ __all__ = [
     "TABLE_PERTURBATIONS",
     "extreme_condition_suite",
     "sensitivity_suite",
+    "calibration_story",
+    "policy_tendencies",
+    "step_halving",
 ]
 
 
@@ -362,9 +365,74 @@ def peak_decline_margin(values, shape: str) -> float:
     return margin if shape == GROWTH_PEAK_DECLINE else min(margin, 0.0)
 
 
+def margin_inside(x: float, low: float, high: float) -> float:
+    """Margin of ``low < x < high``: the nearer edge over half the width."""
+    return min(x - low, high - x) / (0.5 * (high - low))
+
+
 def dry_fund_margin(budget) -> float:
     """Margin of a debt-free run towards debt: -final fund / launch fund."""
     return -budget[-1] / max(budget[0], 1.0)
+
+
+def calibration_story(base) -> list[Finding]:
+    """Criterion 05 beyond check (c) of ``qualitative_checks``, on the base
+    run: the fund peaks and declines, and the debt ends above it; capacity
+    grows to the target year and peaks inside its window."""
+    budget = base["budget"]
+    shape = behavior_signature(base.times, budget).shape
+    debt, fund = base.final("suna_debt"), base.final("budget")
+    peak = behavior_signature(base.times, base["installed_capacity"]).peak_year
+    low, high = ACCEPTANCE_BOUNDS["capacity_peak_window"]
+    first, then = ACCEPTANCE_BOUNDS["capacity_grows_from_to"]
+    start, end = (base.at_year("installed_capacity", year)
+                  for year in (first, then))
+    return [
+        Finding("fund_peak_decline", shape == GROWTH_PEAK_DECLINE,
+                f"fund {shape}", peak_decline_margin(budget, shape)),
+        Finding("debt_ends_above_fund", debt > fund,
+                f"final debt {debt:.3g} $, fund {fund:.3g} $",
+                margin_above(debt, fund, budget[0])),
+        Finding("capacity_peak_window", low <= peak <= high,
+                f"capacity peaks at {peak}", margin_inside(peak, low, high)),
+        Finding("capacity_grows_by_2021", end > start,
+                f"capacity {start:.1f} -> {end:.1f} MW",
+                margin_above(end, start)),
+    ]
+
+
+def policy_tendencies(runs) -> list[Finding]:
+    """Criterion 06 beyond checks (a) and (b), on the runs by scenario name:
+    p3's tendency to invest ends above its start, and p1's collapses."""
+    p3 = runs["p3_budget_adjusted_tax"]["tendency_to_invest"]
+    p1 = runs["p1_higher_fit"]["tendency_to_invest"]
+    collapsed = ACCEPTANCE_BOUNDS["p1_tendency_collapse"] * p1[0]
+    return [
+        Finding("p3_tendency_rises", p3[-1] > p3[0],
+                f"p3 tendency {p3[0]:.4f} -> {p3[-1]:.4f}",
+                margin_above(p3[-1], p3[0])),
+        Finding("p1_tendency_collapses", p1[-1] < collapsed,
+                f"p1 tendency {p1[0]:.4f} -> {p1[-1]:.4f}",
+                margin_below(p1[-1], collapsed)),
+    ]
+
+
+def step_halving(coarse, fine) -> list[Finding]:
+    """Criterion 09: ``fine``, the model of ``coarse`` run at half its step,
+    moves no accounted stock at the coarse records by the bound's share of
+    its largest magnitude; ``ValueError`` if ``fine`` lacks a coarse record."""
+    if fine.times[::2] != coarse.times:
+        raise ValueError("fine must be the coarse run at half its step")
+    worst = 0.0
+    for stock in coarse.stock_names:
+        scale = max(map(abs, fine[stock]))
+        if scale > 0.0 and stock != "perceived_shortage":  # no ledger
+            worst = max(worst, max(
+                abs(a - b) for a, b in zip(coarse[stock], fine[stock][::2]))
+                / scale)
+    bound = ACCEPTANCE_BOUNDS["step_halving"]
+    return [Finding("step_halving", worst < bound,
+                    f"worst {100.0 * worst:.2f}%", margin_below(worst, bound))]
 
 
 # === stress suites ===

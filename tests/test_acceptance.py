@@ -11,16 +11,20 @@ import numpy as np
 
 from fitsim import (
     FitModel,
-    GROWTH_PEAK_DECLINE,
     annuity_factor,
-    behavior_signature,
     extreme_condition_suite,
+    qualitative_checks,
     run_scenario_suite,
     sensitivity_suite,
     theil_decomposition,
 )
 from fitsim.cli import main
-from fitsim.validation import ACCEPTANCE_BOUNDS as BOUNDS
+from fitsim.validation import (
+    ACCEPTANCE_BOUNDS as BOUNDS,
+    calibration_story,
+    policy_tendencies,
+    step_halving,
+)
 from fitsim.model import (
     allocate_payments,
     compute_capital_cost,
@@ -36,6 +40,14 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number:02d} {status}: {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def _findings_verdict(number: int, claim: str, findings,
+                      in_time: bool) -> None:
+    """The verdict of ``claim``, which holds when every finding passes in
+    the criterion's time budget."""
+    _verdict(number, in_time and all(finding.passed for finding in findings),
+             f"{claim}: " + "; ".join(map(str, findings)))
 
 
 def _close(a: float, b: float, rel: float = REL_TOL) -> bool:
@@ -184,30 +196,13 @@ def test_criterion_04_theil_identity():
              f"and pure variance ({elapsed * 1000:.0f} ms)")
 
 
-def test_criterion_05_committed_calibration_story(base_run):
-    peak_low, peak_high = BOUNDS["capacity_peak_window"]
-    first, then = BOUNDS["capacity_grows_from_to"]
-    budget_sig = behavior_signature(base_run.times, base_run["budget"])
-    debt_sig = behavior_signature(base_run.times, base_run["suna_debt"])
-    capacity_sig = behavior_signature(base_run.times,
-                                      base_run["installed_capacity"])
-
-    budget_ok = budget_sig.shape == GROWTH_PEAK_DECLINE
-    debt_ok = (debt_sig.emerged
-               and debt_sig.first_positive_year is not None
-               and debt_sig.first_positive_year
-               >= BOUNDS["debt_emerges_after"]
-               and base_run.final("suna_debt") > base_run.final("budget"))
-    capacity_ok = (capacity_sig.shape == GROWTH_PEAK_DECLINE
-                   and capacity_sig.peak_year is not None
-                   and peak_low <= capacity_sig.peak_year <= peak_high
-                   and base_run.at_year("installed_capacity", then)
-                   > base_run.at_year("installed_capacity", first))
-
-    ok = budget_ok and debt_ok and capacity_ok
-    _verdict(5, ok, f"fund {budget_sig.shape}; debt emerges "
-             f"{debt_sig.first_positive_year} and ends above the fund; "
-             f"capacity peaks {capacity_sig.peak_year} then declines")
+def test_criterion_05_committed_calibration_story(canonical_report):
+    findings = [finding for finding in qualitative_checks(canonical_report)
+                if finding.name == "base_debt_and_peak"]
+    findings += calibration_story(canonical_report.runs["base"])
+    _findings_verdict(5, "the fund and capacity grow, peak and decline, and "
+                      "debt emerges after the target and ends above the "
+                      "fund", findings, in_time=True)
 
 
 def test_criterion_06_policy_orderings(default_doc):
@@ -215,74 +210,40 @@ def test_criterion_06_policy_orderings(default_doc):
     report = run_scenario_suite(default_doc.params,
                                 list(default_doc.scenarios),
                                 default_doc.clock)
-    ic = {name: report.runs[name].final("installed_capacity")
-          for name in report.runs}
-    debt = {name: report.runs[name].final("suna_debt")
-            for name in report.runs}
-    p3_debt_peak = float(np.max(report.runs["p3_budget_adjusted_tax"]
-                                ["suna_debt"]))
-    p3_tendency = report.runs["p3_budget_adjusted_tax"]["tendency_to_invest"]
-    p1_tendency = report.runs["p1_higher_fit"]["tendency_to_invest"]
-
-    capacity_ok = (ic["p3_budget_adjusted_tax"] > ic["base"]
-                   > ic["p2_budget_adjusted_fit"] > ic["p1_higher_fit"])
-    debt_ok = (debt["p1_higher_fit"] > debt["base"]
-               > debt["p2_budget_adjusted_fit"]
-               >= debt["p3_budget_adjusted_tax"])
-    p3_ok = p3_debt_peak == 0.0 and float(p3_tendency[-1]) > float(
-        p3_tendency[0])
-    p1_ok = float(p1_tendency[-1]) < (BOUNDS["p1_tendency_collapse"]
-                                      * float(p1_tendency[0]))
-
+    findings = [finding for finding in qualitative_checks(report)
+                if finding.name in ("capacity_ordering", "debt_ordering")]
+    findings += policy_tendencies(report.runs)
     elapsed = time.perf_counter() - start
-    ok = capacity_ok and debt_ok and p3_ok and p1_ok and elapsed < 10.0
-    _verdict(6, ok, "2035 capacity p3>base>p2>p1 and debt p1>base>p2>=p3 "
-             f"with p3 debt-free throughout; p3 tendency rises, p1 "
-             f"tendency collapses ({elapsed:.1f} s)")
+    _findings_verdict(6, "2035 capacity p3>base>p2>p1 and debt p1>base>p2>p3 "
+                      "with p3 debt-free throughout; p3 tendency rises, p1 "
+                      f"tendency collapses ({elapsed:.1f} s)", findings,
+                      elapsed < 10.0)
 
 
 def test_criterion_07_extreme_conditions(default_doc):
     start = time.perf_counter()
     findings = extreme_condition_suite(default_doc.params, default_doc.clock)
     elapsed = time.perf_counter() - start
-    failed = [finding.name for finding in findings if not finding.passed]
-    ok = not failed and elapsed < 5.0
-    _verdict(7, ok, f"{len(findings)} extreme-condition checks "
-             + ("all hold" if not failed else f"failed: {failed}")
-             + f" ({elapsed:.1f} s)")
+    _findings_verdict(7, f"{len(findings)} extreme-condition checks hold "
+                      f"({elapsed:.1f} s)", findings, elapsed < 5.0)
 
 
 def test_criterion_08_perturbation_keeps_behavior_modes(default_doc):
     start = time.perf_counter()
     findings = sensitivity_suite(default_doc.params, clock=default_doc.clock)
     elapsed = time.perf_counter() - start
-    failed = [str(finding) for finding in findings if not finding.passed]
-    ok = not failed and elapsed < 10.0
-    _verdict(8, ok, "five-parameter perturbation keeps capacity and debt "
-             "behavior modes"
-             + (f"; failed: {failed}" if failed else "")
-             + f" ({elapsed:.1f} s)")
+    _findings_verdict(8, "five-parameter perturbation keeps capacity and debt "
+                      f"behavior modes ({elapsed:.1f} s)", findings,
+                      elapsed < 10.0)
 
 
-def test_criterion_09_step_halving(default_doc):
+def test_criterion_09_step_halving(default_doc, base_run):
     clock = default_doc.clock
-    coarse = FitModel(default_doc.params).simulate(clock)
     fine = FitModel(default_doc.params).simulate(
         clock._replace(dt=clock.dt / 2))
-    stocks = ("installed_capacity", "depreciated_capacity", "suna_debt",
-              "budget", "total_electricity_production", "total_fit_payment")
-    worst = 0.0
-    for stock in stocks:
-        c = np.asarray(coarse[stock])
-        f = fine[stock][::2]
-        scale = float(np.max(np.abs(fine[stock])))
-        if scale == 0.0:
-            continue
-        worst = max(worst, float(np.max(np.abs(c - f))) / scale)
-    ok = worst < BOUNDS["step_halving"]
-    _verdict(9, ok, "halving the step moves no accounted stock by "
-             f"{BOUNDS['step_halving']:.0%} of its range (worst "
-             f"{100.0 * worst:.2f}%)")
+    _findings_verdict(9, "halving the step moves no accounted stock by "
+                      f"{BOUNDS['step_halving']:.0%} of its range",
+                      step_halving(base_run, fine), in_time=True)
 
 
 def test_criterion_10_byte_deterministic_cli(tmp_path, capsys):

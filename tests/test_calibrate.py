@@ -1,7 +1,11 @@
-"""The calibration script's config writer, its keep-or-replace rule, and the
-one source of the values it calibrates (``tools/calibrate.py``)."""
+"""The calibration script's config writer, its keep-or-replace rule, its
+gates, and the one source of the values it calibrates
+(``tools/calibrate.py``)."""
 
 import importlib.util
+import itertools
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +48,17 @@ def test_the_incumbent_is_what_the_config_holds():
     assert tuple(incumbent) == calibrate.KEYS
     for key, (section, *_) in calibrate.SEARCH_BOX.items():
         assert incumbent[key] == doc.entries[section][key].value, key
+
+
+def test_the_gates_do_not_read_the_wall_clock(monkeypatch):
+    calibration = calibrate.Calibration()
+    incumbent = calibration.incumbent()
+    margins, gates = calibration.evaluate(incumbent, -math.inf)
+    assert all(gates.values())
+    # a host so slow that every timed call takes a minute
+    ticks = itertools.count(0.0, 60.0)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+    assert calibration.evaluate(incumbent, -math.inf) == (margins, gates)
 
 
 # === writing the config ===

@@ -130,6 +130,9 @@ REFUSED_VALUES = [
      "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
     ("scenario:a", "social_tolerance_x_50", "-1",
      "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
+    ("clock", "dt", "-1", "dt must be positive, got -1.0"),
+    ("scenario:a", "tax_floor", "-1",
+     "tax_floor must be non-negative and finite, got -1.0"),
 ]
 
 
@@ -151,6 +154,46 @@ def test_run_refuses_a_config_with_a_refused_value(section, key, value,
     assert main(["run", "--config", str(config), "--scenario", "base"]) == 2
     assert capsys.readouterr() == (
         "", f"error: [{section}] {key}: {message}\n")
+
+
+CAP = "need tax_floor <= tax_cap <= 0.1, got floor="
+# (config text, the whole refusal): a knob of a file without scenarios is
+# checked too, and a refusal that no value makes alone names its section
+PLACED_REFUSALS = {
+    "policy knob": (MINIMAL + "[policy]\ntax_cap = 0.5 ; assumed\n",
+                    f"[policy] tax_cap: {CAP}0.0, cap=0.5"),
+    "policy nan": (MINIMAL
+                   + "[policy]\nfit_controller_gain = nan ; assumed\n",
+                   "[policy] fit_controller_gain: fit_controller_gain must "
+                   "be non-negative and finite, got nan"),
+    "policy pair": (MINIMAL + "[policy]\ntax_floor = 0.05 ; assumed\n"
+                    "tax_cap = 0.02 ; assumed\n",
+                    f"[policy] {CAP}0.05, cap=0.02"),
+    "scenario pair": (MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
+                      "tax_floor = 0.05 ; assumed\n"
+                      "tax_cap = 0.02 ; assumed\n",
+                      f"[scenario:a] {CAP}0.05, cap=0.02"),
+    "scenario on policy": ("[policy]\ntax_floor = 0.05 ; assumed\n"
+                           "[scenario:a]\npolicy = base ; paper\n"
+                           "tax_cap = 0.02 ; assumed\n",
+                           f"[scenario:a] tax_cap: {CAP}0.05, cap=0.02"),
+    "clock pair": ("[clock]\nend_year = 2035.25 ; paper\n"
+                   "dt = 0.5 ; assumed\n",
+                   "[clock] horizon of 20.25 years is not a whole number of "
+                   "steps at dt=0.5"),
+}
+
+
+@pytest.mark.parametrize("text, message", PLACED_REFUSALS.values(),
+                         ids=PLACED_REFUSALS)
+def test_a_refusal_names_its_place(text, message, tmp_path, capsys):
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+    config = tmp_path / "refused.cfg"
+    config.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_duplicate_section_is_a_syntax_error():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from fitsim import (
     FitModel,
     PerturbationSet,
+    RunResult,
     SimulationClock,
     TABLE_PERTURBATIONS,
     apply_overrides,
@@ -29,9 +31,12 @@ from fitsim.validation import (
     GROWTH_PEAK_DECLINE,
     MONOTONE_DECLINE,
     MONOTONE_GROWTH,
+    calibration_story,
     load_series_csv,
     margin_above,
     peak_decline_margin,
+    policy_tendencies,
+    step_halving,
 )
 
 
@@ -436,6 +441,97 @@ def test_orderings_near_zero_count_against_the_floor():
     assert margin_above(2.0, 1.0) == 0.5
     assert margin_above(2.0, 1.0, floor=10.0) == 0.1
     assert margin_above(0.0, 0.0) == 0.0
+
+
+# === the findings of criteria 05, 06 and 09 on constructed runs ===
+
+YEARS = [2015.0 + year for year in range(21)]
+
+
+def constructed_run(times, **columns) -> RunResult:
+    """A run whose every column is a stock, laid out as the engine lays
+    its columns out."""
+    def view(values):
+        return memoryview(array("d", values))
+    return RunResult(view(times), {name: view(values)
+                                   for name, values in columns.items()},
+                     tuple(columns), (), ())
+
+
+def path(corners: dict[float, float]) -> list[float]:
+    """Piecewise linear through ``corners`` (year: value), on YEARS."""
+    points = sorted(corners.items())
+    values = []
+    for year in YEARS:
+        (t0, v0), (t1, v1) = next((a, b) for a, b in zip(points, points[1:])
+                                  if a[0] <= year <= b[0])
+        values.append(v0 + (v1 - v0) * (year - t0) / (t1 - t0))
+    return values
+
+
+STORY = {"budget": {2015: 100.0, 2020: 200.0, 2035: 20.0},
+         "suna_debt": {2015: 0.0, 2022: 0.0, 2035: 80.0},
+         "installed_capacity": {2015: 100.0, 2022: 300.0, 2035: 150.0}}
+
+
+@pytest.mark.parametrize("name, column, corners", [
+    ("fund_peak_decline", "budget", {2015: 200.0, 2035: 20.0}),
+    ("debt_ends_above_fund", "suna_debt", {2015: 0.0, 2022: 0.0, 2035: 10.0}),
+    ("capacity_peak_window", "installed_capacity",
+     {2015: 100.0, 2016: 300.0, 2035: 150.0}),
+    ("capacity_peak_window", "installed_capacity",
+     {2015: 100.0, 2034: 300.0, 2035: 290.0}),
+    ("capacity_grows_by_2021", "installed_capacity",
+     {2015: 100.0, 2021: 90.0, 2025: 300.0, 2035: 150.0}),
+])
+def test_calibration_story_fails_each_finding_alone(name, column, corners):
+    findings = calibration_story(constructed_run(
+        YEARS, **{key: path(value) for key, value in STORY.items()}))
+    assert all(finding.passed and finding.margin > 0.0
+               for finding in findings)
+    findings = calibration_story(constructed_run(YEARS, **{
+        key: path(corners if key == column else value)
+        for key, value in STORY.items()}))
+    assert [finding.name for finding in findings if not finding.passed] == [
+        name]
+    assert not disagreements(findings)
+
+
+def tendencies(p3_end: float, p1_end: float):
+    return {name: constructed_run([0.0, 1.0, 2.0],
+                                  tendency_to_invest=[1.0, 0.5, end])
+            for name, end in (("p3_budget_adjusted_tax", p3_end),
+                              ("p1_higher_fit", p1_end))}
+
+
+def test_policy_tendencies_pass_and_fail_apart():
+    for runs, failed in ((tendencies(1.2, 0.05), []),
+                         (tendencies(0.9, 0.05), ["p3_tendency_rises"]),
+                         (tendencies(1.2, 0.2), ["p1_tendency_collapses"])):
+        findings = policy_tendencies(runs)
+        assert len(findings) == 2
+        assert [finding.name for finding in findings
+                if not finding.passed] == failed
+        assert not disagreements(findings)
+
+
+def test_step_halving_reads_every_accounted_stock_at_the_coarse_records():
+    coarse = constructed_run([0.0, 1.0, 2.0],
+                             installed_capacity=[100.0, 110.0, 120.0],
+                             perceived_shortage=[0.0, 0.0, 0.0])
+    fine = constructed_run([0.0, 0.5, 1.0, 1.5, 2.0],
+                           installed_capacity=[100.0, 0.0, 111.0, 0.0, 121.0],
+                           perceived_shortage=[0.0, 9.0, 9.0, 9.0, 9.0])
+    (finding,) = step_halving(coarse, fine)
+    # 1 MW of 121 MW; the perceived shortage is not an accounted stock
+    assert finding.passed and finding.margin == (0.05 - 1.0 / 121.0) / 0.05
+    moved = constructed_run([0.0, 0.5, 1.0, 1.5, 2.0],
+                            installed_capacity=[100.0, 0.0, 130.0, 0.0, 121.0],
+                            perceived_shortage=[0.0] * 5)
+    (finding,) = step_halving(coarse, moved)
+    assert not finding.passed and finding.margin < 0.0
+    with pytest.raises(ValueError, match="half its step"):
+        step_halving(coarse, coarse)
 
 
 # === historical series loading ===

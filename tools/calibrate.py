@@ -9,37 +9,34 @@ so do ``initial_fit_price`` and ``fit_price_floor`` (the tariff oracle of
 acceptance criterion 01 reads them) and p3's levy and cap.
 
 A candidate counts when every structural demand the repository makes of the
-shipped calibration holds: the acceptance criteria that read the
-calibration (01 and 05 to 09, run as the functions of
-``tests/test_acceptance.py`` themselves), the five ``qualitative_checks`` on
-the shipped clock and at dt 0.1 and 1/64, both computed sensitivity
-findings, base debt emerging after the 2021 target, no clamp event in the
-base run, no scenario at the penetration clamp, and no boom past that
-clamp in 16 seeded draws from the +-20% box around the ``assumed`` model
-parameters nor anywhere up to ``CORNER`` of the way from the candidate to
-that box's growth corner.
+shipped calibration holds: the findings of acceptance criteria 05 to 09
+(``fitsim.validation``), the five ``qualitative_checks`` on the shipped
+clock and at dt 0.1 and 1/64, both computed sensitivity findings, base debt
+emerging after the 2021 target, no clamp event in the base run, no scenario
+at the penetration clamp, and no boom past that clamp in 16 seeded draws
+from the +-20% box around the ``assumed`` model parameters nor anywhere up
+to ``CORNER`` of the way from the candidate to that box's growth corner.
+No demand reads the wall clock.
 
-Each demand also has a dimensionless margin, positive when it holds,
-that tells how far a candidate is from failing. The findings of
-``qualitative_checks`` and of the two stress suites carry theirs (the
-script keeps the smallest over the three clocks); the demands that only
-the script or the criteria make are scored here against
-``fitsim.validation.ACCEPTANCE_BOUNDS``, a timing window by the years to
-its nearer edge over half its width, and booms by how much further than
-``CORNER`` towards the growth corner the base run stays calm, over the rest
-of the way (booms are a cliff: a demand only that ``CORNER`` stays calm
-lets the search settle at its edge).
+Each demand also has a dimensionless margin, positive when it holds, that
+tells how far a candidate is from failing: each finding's own (the smallest
+of ``qualitative_checks`` over the three clocks), a timing window's by
+``margin_inside``, and for booms how much further than ``CORNER`` towards
+the growth corner the base run stays calm, over the rest of the way (booms
+are a cliff: a demand only that ``CORNER`` stays calm lets the search
+settle at its edge). The bounds are ``fitsim.validation.ACCEPTANCE_BOUNDS``.
 
-Demands that are only true or false are gates. Hill climbs of shrinking
-Gaussian steps in the box's unit coordinates look for the largest smallest
-margin: ``CLIMBS`` from ``ANCHOR``, the hand calibration this search
-replaced, and one from the best of ``SAMPLES`` seeded points of the whole
-box. Among the candidates that count, the best wins once
-``NEIGHBOURHOOD_DRAWS`` seeded runs of the +-20% box finish with finite,
-non-negative stocks below the penetration clamp. Every value is rounded
-to three significant digits before it is evaluated, so what ``--write``
-puts into the config is exactly what was scored. Every draw comes from
-``SEED``, so every run prints the same values and margins.
+Demands that are only true or false, and each criterion's verdict, are
+gates. Hill climbs of shrinking Gaussian steps in the box's unit
+coordinates look for the largest smallest margin: ``CLIMBS`` from
+``ANCHOR``, the hand calibration this search replaced, and one from the
+best of ``SAMPLES`` seeded points of the whole box. Among the candidates
+that count, the best wins once ``NEIGHBOURHOOD_DRAWS`` seeded runs of the
++-20% box finish with finite, non-negative stocks below the penetration
+clamp. Every value is rounded to three significant digits before it is
+evaluated, so what ``--write`` puts into the config is exactly what was
+scored. Every draw comes from ``SEED``, so every run prints the same values
+and margins.
 
 The config's current values, the incumbent, are scored first by the same
 margins and gates and printed beside the winner's. ``--write`` replaces
@@ -51,8 +48,6 @@ calibration than the one it finds in the config.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import logging
 import math
 import random
@@ -64,16 +59,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "tests"))
-
-import test_acceptance  # noqa: E402
 
 from fitsim.config import load_default_config, parse_config  # noqa: E402
-from fitsim.engine import (  # noqa: E402
-    ConfigurationError,
-    SimulationClock,
-    SimulationError,
-)
+from fitsim.engine import ConfigurationError, SimulationError  # noqa: E402
 from fitsim.model import (  # noqa: E402
     FitModel,
     apply_overrides,
@@ -86,12 +74,15 @@ from fitsim.policies import (  # noqa: E402
 from fitsim.validation import (  # noqa: E402
     ACCEPTANCE_BOUNDS as BOUNDS,
     behavior_signature,
+    calibration_story,
     dry_fund_margin,
     extreme_condition_suite,
     margin_above,
     margin_below,
-    peak_decline_margin,
+    margin_inside,
+    policy_tendencies,
     sensitivity_suite,
+    step_halving,
 )
 
 CONFIG_PATH = ROOT / "src" / "fitsim" / "data" / "default.cfg"
@@ -120,24 +111,14 @@ KNOBS = {key: section[len("scenario:"):]
 KEYS = tuple(SEARCH_BOX)
 
 SHIPPED = load_default_config().clock
-START, END = SHIPPED.start_year, SHIPPED.end_year
 # the halved step of criterion 09
 HALVED = SHIPPED._replace(dt=SHIPPED.dt / 2)
-TENTH = SimulationClock(START, END, 0.1)
-FINE = SimulationClock(START, END, 1.0 / 64.0)
+TENTH = SHIPPED._replace(dt=0.1)
+FINE = SHIPPED._replace(dt=1.0 / 64.0)
 # the paper's funding crisis comes after the 2021 target; qualitative_checks
 # grants three years of timing slack around that reading, so no later
 # than 2024
 DEBT_WINDOW = (2021.0, 2024.0)
-# the acceptance criteria that read the calibration
-CRITERIA = (
-    "test_criterion_01_equation_oracles",
-    "test_criterion_05_committed_calibration_story",
-    "test_criterion_06_policy_orderings",
-    "test_criterion_07_extreme_conditions",
-    "test_criterion_08_perturbation_keeps_behavior_modes",
-    "test_criterion_09_step_halving",
-)
 
 NEIGHBOURHOOD = 0.2          # the benchmark sweep's +-20% box
 NEIGHBOURHOOD_DRAWS = 1000  # checked on the winner
@@ -185,16 +166,11 @@ ANCHOR = {
 }
 
 
-def _in_window(year: float, low: float, high: float) -> float:
-    """Margin of ``low < year < high``: the nearer edge over half the width."""
-    return min(year - low, high - year) / (0.5 * (high - low))
-
-
 def _emergence(run, window: tuple[float, float]) -> float:
     """Margin of debt emerging inside ``window``."""
     year = behavior_signature(run.times, run["suna_debt"]).first_positive_year
     return (dry_fund_margin(run["budget"]) if year is None
-            else _in_window(year, *window))
+            else margin_inside(year, *window))
 
 
 def _least(margins: dict[str, float], name: str, value: float) -> None:
@@ -256,7 +232,7 @@ class Calibration:
     def evaluate(self, values: dict[str, float], threshold: float = 0.0):
         """Margins and gates of one candidate.
 
-        The finer grids and the library cross-checks run only while every
+        The finer grids and the neighbourhood probes run only while every
         margin so far exceeds ``threshold``; a candidate cut short cannot
         beat it.
         """
@@ -266,49 +242,21 @@ class Calibration:
         report = run_scenario_suite(params, self.scenarios(values), SHIPPED)
         self._qualitative(report, margins, gates, "")
         base = report.runs["base"]
-        p1 = report.runs["p1_higher_fit"]
-        p3 = report.runs["p3_budget_adjusted_tax"]
-
-        # criterion 03 and 05: the base run's story
         gates["base_unclamped"] = base.clamp_events == ()
-        budget = base["budget"]
-        margins["fund_peak_decline"] = peak_decline_margin(
-            budget, behavior_signature(base.times, budget).shape)
-        margins["debt_ends_above_fund"] = margin_above(
-            base.final("suna_debt"), base.final("budget"), budget[0])
+        criteria = {"05": calibration_story(base),
+                    "06": policy_tendencies(report.runs),
+                    "07": extreme_condition_suite(params, SHIPPED),
+                    "08": sensitivity_suite(params, clock=SHIPPED),
+                    "09": step_halving(base,
+                                       FitModel(params).simulate(HALVED))}
+        for findings in criteria.values():
+            for finding in findings:
+                margins[finding.name] = finding.margin
+        # the sensitivity suite reads the base run's take-off only to tell a
+        # change of regime, not as a demand
         capacity = base["installed_capacity"]
-        peak = behavior_signature(base.times, capacity).peak_year
-        margins["capacity_peak_window"] = _in_window(
-            peak, *BOUNDS["capacity_peak_window"])
-        first, then = BOUNDS["capacity_grows_from_to"]
-        margins["capacity_grows_by_2021"] = margin_above(
-            base.at_year("installed_capacity", then),
-            base.at_year("installed_capacity", first))
-
-        # criterion 06 beyond the orderings
-        tendency = p3["tendency_to_invest"]
-        margins["p3_tendency_rises"] = margin_above(tendency[-1], tendency[0])
-        tendency = p1["tendency_to_invest"]
-        margins["p1_tendency_collapses"] = margin_below(
-            tendency[-1], BOUNDS["p1_tendency_collapse"] * tendency[0])
-
-        # criteria 07 and 08 from their findings; the suite reads the base
-        # run's take-off only to tell a change of regime, not as a demand
-        sensitivity = sensitivity_suite(params, clock=SHIPPED)
-        for finding in extreme_condition_suite(params, SHIPPED) + sensitivity:
-            margins[finding.name] = finding.margin
         margins["base_takes_off"] = margin_above(
             max(capacity), BOUNDS["base_take_off"] * capacity[0])
-
-        # criterion 09: step halving
-        fine = FitModel(params).simulate(HALVED)
-        worst = 0.0
-        for stock in FitModel.stock_names[:-1]:  # all but the perceived shortage
-            scale = float(np.max(np.abs(fine[stock])))
-            if scale > 0.0:
-                worst = max(worst, float(np.max(np.abs(
-                    np.asarray(base[stock]) - fine[stock][::2]))) / scale)
-        margins["step_halving"] = margin_below(worst, BOUNDS["step_halving"])
         margins["calm_towards_growth_corner"] = (
             (self.calm_fraction(params) - CORNER) / (1.0 - CORNER))
 
@@ -320,36 +268,17 @@ class Calibration:
             report = run_scenario_suite(params, self.scenarios(values), clock)
             self._qualitative(report, margins, gates, suffix)
         gates["all_checks_run"] = True
-        gates.update(self.criteria(values, params, base))
+        for number, findings in criteria.items():
+            gates[f"criterion_{number}"] = all(
+                finding.passed for finding in findings)
         gates["sensitivity_findings_computed"] = [
-            finding.name for finding in sensitivity] == [
+            finding.name for finding in criteria["08"]] == [
             "sensitivity_installed_capacity", "sensitivity_suna_debt"]
         problems, peak = self.neighbourhood(values, 0, NEIGHBOURHOOD_PROBES)
         gates["neighbourhood_valid"] = not problems
         margins["neighbourhood_below_penetration_clamp"] = margin_below(
             peak, 1.0)
         return margins, gates
-
-    def criteria(self, values, params, base) -> dict[str, bool]:
-        """Verdicts of the acceptance criteria that read the calibration,
-        each run on this candidate instead of the shipped one."""
-        doc = self.doc._replace(params=params,
-                                scenarios=tuple(self.scenarios(values)))
-        fixtures = {"default_params": params, "base_run": base,
-                    "default_doc": doc}
-        verdicts = {}
-        for name in CRITERIA:
-            criterion = getattr(test_acceptance, name)
-            argument = fixtures[criterion.__code__.co_varnames[0]]
-            try:
-                # each criterion prints its verdict line; only the
-                # verdict matters here
-                with contextlib.redirect_stdout(io.StringIO()):
-                    criterion(argument)
-                verdicts[name] = True
-            except AssertionError:
-                verdicts[name] = False
-        return verdicts
 
     def calm_fraction(self, params) -> float:
         """How far towards the growth corner of the +-20% box the base run
