@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigDocument, load_config, load_default_config
+from .config import ConfigDocument, _named, load_config, load_default_config
 from .engine import ConfigurationError, SimulationError
 from .output import (
     emit_comparison_csv,
@@ -43,6 +43,9 @@ from .validation import (
 )
 
 __all__ = ["main", "build_parser"]
+
+# the flag that sets each clock field, naming its refusals
+_FLAGS = {"end_year": "--horizon:", "dt": "--dt:"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,9 +99,8 @@ def _load_document(args) -> ConfigDocument:
         print(f"{args.config}: {line}", file=sys.stderr)
     given = {"end_year": args.horizon, "dt": args.dt}
     changes = {key: value for key, value in given.items() if value is not None}
-    if not changes:
-        return doc
-    return doc._replace(clock=doc.clock._replace(**changes))
+    return doc._replace(clock=_named(doc.clock._replace, changes, _FLAGS.get,
+                                     "--horizon with --dt:"))
 
 
 def _check_variables(model, names) -> None:

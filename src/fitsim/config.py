@@ -18,21 +18,23 @@ implementation). Sections:
 * ``[scenario:NAME]`` one named run: a required ``policy`` id, optional
   knob overrides, and optional parameter overrides by registry name.
 
-Unknown sections or keys are rejected. A clock key or parameter left out
-takes the packaged config's value, and each such fallback is logged; the
-packaged config must define every clock key and parameter. A knob left
-out takes ``PolicyControl``'s neutral default, unlogged. A clock value,
-parameter or knob that its record refuses, in any section, fails the
-parse, named by its section and key, or by its section alone when only
-several values together are refused. Full line comments start with ``#``;
-the ``;`` is reserved for provenance.
+Unknown sections or keys are rejected. A file is laid over the packaged
+config, which must define every clock key and parameter: a clock key or
+parameter left out keeps the packaged value, and each such fallback is
+logged. A knob left out takes ``PolicyControl``'s neutral default,
+unlogged. A clock value, parameter or knob that its record refuses, in
+any section, fails the parse. The refusal is named by the section and
+key of the first value that, laid alone over the same record, is refused
+in the same words, or else by its section alone, for only several values
+together are refused; the CLI names a refused ``--dt`` or ``--horizon``
+by its flag in the same way. Full line comments start with ``#``; the
+``;`` is reserved for provenance.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from functools import partial
 from typing import NamedTuple
 
 from .engine import ConfigurationError, SimulationClock
@@ -136,35 +138,38 @@ def _parse_scalar(section: str, key: str, token: str) -> float:
             f"[{section}] {key}: not a number: {token!r}") from None
 
 
-def _check_each(apply, section: str, values) -> None:
-    """Pass each item of ``values`` alone, as a one-key mapping, to
-    ``apply``, which sets it on a valid record, and name the first one
-    refused by its section and key. Every parameter check reads one value,
-    so ``partial(apply_overrides, params)`` names any refused parameter."""
+def _named(apply, values: dict, names, together: str):
+    """``apply(**values)``, which lays ``values`` over a valid record, with
+    its refusal named: by ``names(key)`` for the first value that, laid
+    alone over the same record, is refused in the same words, or else by
+    ``together``, for only several values together are refused."""
+    try:
+        return apply(**values)
+    except ConfigurationError as exc:
+        words = str(exc)
     for key, value in values.items():
         try:
-            apply({key: value})
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[{section}] {key}: {exc}") from None
+            apply(**{key: value})
+        except ConfigurationError as alone:
+            if str(alone) == words:
+                raise ConfigurationError(f"{names(key)} {words}") from None
+    raise ConfigurationError(f"{together} {words}")
 
 
-def _refusal(record, section: str, values,
-             exc: ConfigurationError) -> ConfigurationError:
-    """The refusal ``exc`` of ``values`` named by its place: a value that
-    the valid ``record`` refuses alone raises here by its section and key,
-    and a refusal that only several values make is returned by its
-    section."""
-    _check_each(lambda one: record._replace(**one), section, values)
-    return ConfigurationError(f"[{section}] {exc}")
+def _in_section(apply, section: str, values: dict):
+    """``_named`` for the values of one config section."""
+    return _named(apply, values, lambda key: f"[{section}] {key}:",
+                  f"[{section}]")
 
 
 def parse_config(text: str) -> ConfigDocument:
     """Parse and validate a configuration document."""
-    return _parse(text, packaged=False)
+    return _parse(text, load_default_config())
 
 
-def _parse(text: str, packaged: bool) -> ConfigDocument:
-    # the packaged file has no values to fall back on
+def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
+    """The document of ``text`` laid over the ``packaged`` one, or, for
+    the packaged file itself (``None``), built from its own values."""
     parser = configparser.ConfigParser(
         interpolation=None, delimiters=("=",),
         comment_prefixes=("#",), inline_comment_prefixes=None)
@@ -203,49 +208,33 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
             section_entries[key] = ConfigEntry(value, source, note)
         return values
 
-    values: dict[str, float] = {}
-    fallback = None
-    for section in ("clock", *_PARAMETER_SECTIONS):
-        values.update(read_section(section, _SCALAR_SECTIONS[section]))
+    given = {section: read_section(section, _SCALAR_SECTIONS[section])
+             for section in ("clock", *_PARAMETER_SECTIONS)}
+    for section, values in given.items():
         for key in _SCALAR_SECTIONS[section]:
             if key in values:
                 continue
-            if packaged:
+            if packaged is None:
                 raise ConfigurationError(
                     f"the packaged config lacks [{section}] {key}")
-            fallback = fallback or load_default_config().entries
-            values[key] = fallback[section][key].value
-            log.append(f"{section}.{key} defaulted to {values[key]!r}")
-    clock_values = {key: values.pop(key) for key in _CLOCK_KEYS}
-    try:
-        clock = SimulationClock(**clock_values)
-    except ConfigurationError as exc:
-        if packaged:
-            raise
-        # only a value the file gives can be refused
-        raise _refusal(load_default_config().clock, "clock",
-                       {key: clock_values[key] for key in entries["clock"]},
-                       exc) from None
-    try:
-        params = build_parameters(values)
-    except ConfigurationError:
-        if packaged:  # the base every other file is checked on
-            raise
-        packaged_params = load_default_config().params
+            log.append(f"{section}.{key} defaulted to "
+                       f"{packaged.entries[section][key].value!r}")
+    if packaged is None:  # the base every other file is laid over
+        clock = SimulationClock(**given.pop("clock"))
+        params = build_parameters({key: value for values in given.values()
+                                   for key, value in values.items()})
+    else:
+        clock = _in_section(packaged.clock._replace, "clock", given["clock"])
+        params = packaged.params
         for section in _PARAMETER_SECTIONS:
-            _check_each(partial(apply_overrides, packaged_params), section, {
-                key: entry.value
-                for key, entry in entries.get(section, {}).items()})
-        raise
+            params = _in_section(
+                lambda **changes: apply_overrides(params, changes), section,
+                given[section])
 
     # knobs left out here fall back to PolicyControl's own defaults; they
     # are checked here, for a file may have no scenario to use them
-    knob_defaults = read_section("policy", _POLICY_KEYS)
-    try:
-        PolicyControl(**knob_defaults)
-    except ConfigurationError as exc:
-        raise _refusal(PolicyControl(), "policy", knob_defaults,
-                       exc) from None
+    policy = _in_section(PolicyControl()._replace, "policy",
+                         read_section("policy", _POLICY_KEYS))
 
     def parse_scenario_value(name: str, key: str, token: str):
         if key == "policy":
@@ -267,23 +256,14 @@ def _parse(text: str, packaged: bool) -> ConfigDocument:
         if "policy" not in values:
             raise ConfigurationError(f"[{section}] must declare a policy "
                                      f"(one of {POLICY_IDS})")
-        knobs: dict[str, float] = {}
-        overrides: dict[str, float] = {}
-        for key, value in values.items():
-            if key == "policy":
-                continue
-            if key in _POLICY_KEYS:
-                knobs[key] = value
-            else:
-                overrides[key] = value
-        _check_each(partial(apply_overrides, params), section, overrides)
-        defaults = PolicyControl(policy_id=values["policy"], **knob_defaults)
-        try:
-            control = defaults._replace(**knobs)
-        except ConfigurationError as exc:
-            raise _refusal(defaults, section, knobs, exc) from None
-        scenarios.append(Scenario(name=name, overrides=overrides,
-                                  policy=control))
+        defaults = policy._replace(policy_id=values.pop("policy"))
+        knobs = {key: values.pop(key) for key in _POLICY_KEYS
+                 if key in values}
+        _in_section(lambda **changes: apply_overrides(params, changes),
+                    section, values)
+        scenarios.append(Scenario(
+            name=name, overrides=values,
+            policy=_in_section(defaults._replace, section, knobs)))
 
     if not scenarios:
         log.append("no [scenario:NAME] sections; synthesized neutral 'base'")
@@ -307,4 +287,4 @@ def default_config_text() -> str:
 
 
 def load_default_config() -> ConfigDocument:
-    return _parse(default_config_text(), packaged=True)
+    return _parse(default_config_text(), None)

@@ -84,10 +84,6 @@ class PolicyControl(NamedTuple):
                 f"floor={self.tax_floor}, cap={self.tax_cap}")
 
 
-# immutable, so one instance can serve every step of every base run
-_NEUTRAL_OVERRIDES = PriceTaxOverrides()
-
-
 def apply_policy(control: PolicyControl, shortage: float,
                  base_tax: float) -> PriceTaxOverrides:
     """Overrides for one step given the perceived budget shortfall in dollars.
@@ -95,7 +91,7 @@ def apply_policy(control: PolicyControl, shortage: float,
     A negative perceived shortfall reads as none.
     """
     if control.policy_id == "base":
-        return _NEUTRAL_OVERRIDES
+        return PriceTaxOverrides()
     shortage = max(0.0, shortage)
     if control.policy_id == "p1_higher_fit":
         return PriceTaxOverrides(fit_price_delta=control.fit_price_delta)

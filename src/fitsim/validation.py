@@ -393,7 +393,7 @@ def calibration_story(base) -> list[Finding]:
         Finding("debt_ends_above_fund", debt > fund,
                 f"final debt {debt:.3g} $, fund {fund:.3g} $",
                 margin_above(debt, fund, budget[0])),
-        Finding("capacity_peak_window", low <= peak <= high,
+        Finding("capacity_peak_window", low < peak < high,
                 f"capacity peaks at {peak}", margin_inside(peak, low, high)),
         Finding("capacity_grows_by_2021", end > start,
                 f"capacity {start:.1f} -> {end:.1f} MW",

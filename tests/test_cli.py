@@ -130,7 +130,22 @@ def test_non_finite_clock_override_is_a_configuration_error(flag, capsys):
 def test_dt_longer_than_the_horizon_is_a_configuration_error(capsys):
     assert main(["run", "--dt", "1e12"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: dt ")
+    assert err.startswith("error: --dt: dt ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--dt", "-1"], "--dt: dt must be positive, got -1.0"),
+    (["run", "--horizon", "2010"],
+     "--horizon: end_year must exceed start_year, got [2015.0, 2010.0]"),
+    (["validate", "--dt", "inf"], "--dt: dt must be finite, got inf"),
+    (["run", "--horizon", "2016", "--dt", "0.75"],
+     "--horizon with --dt: horizon of 1.0 years is not a whole number of "
+     "steps at dt=0.75"),
+])
+def test_a_refused_clock_flag_is_named(argv, message, capsys):
+    # a value refused alone in the same words names its flag, else both
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, dt", [

@@ -1,6 +1,9 @@
 """Config parsing: provenance markers, fallbacks, scenarios."""
 
+import contextlib
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fitsim import (
     ConfigurationError,
@@ -158,7 +161,8 @@ def test_run_refuses_a_config_with_a_refused_value(section, key, value,
 
 CAP = "need tax_floor <= tax_cap <= 0.1, got floor="
 # (config text, the whole refusal): a knob of a file without scenarios is
-# checked too, and a refusal that no value makes alone names its section
+# checked too, and a refusal that no value makes alone in the same words
+# names its section
 PLACED_REFUSALS = {
     "policy knob": (MINIMAL + "[policy]\ntax_cap = 0.5 ; assumed\n",
                     f"[policy] tax_cap: {CAP}0.0, cap=0.5"),
@@ -181,6 +185,10 @@ PLACED_REFUSALS = {
                    "dt = 0.5 ; assumed\n",
                    "[clock] horizon of 20.25 years is not a whole number of "
                    "steps at dt=0.5"),
+    "clock years": ("[clock]\nstart_year = 2040 ; assumed\n"
+                    "end_year = 2030 ; assumed\n",
+                    "[clock] end_year must exceed start_year, got "
+                    "[2040.0, 2030.0]"),
 }
 
 
@@ -194,6 +202,61 @@ def test_a_refusal_names_its_place(text, message, tmp_path, capsys):
     config.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+PACKAGED_LINES = default_config_text().splitlines(True)
+
+
+def fallback_lines() -> list[tuple[int, str, str]]:
+    """(line index, section, key) of every clock key and parameter of the
+    packaged file, in file order."""
+    found, section = [], None
+    for index, line in enumerate(PACKAGED_LINES):
+        if line.startswith("["):
+            section = line.strip()[1:-1]
+        elif section in ("clock", "parameters", "effects", "trends") and (
+                " = " in line):
+            found.append((index, section, line.split(" = ")[0]))
+    return found
+
+
+FALLBACK_LINES = fallback_lines()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(FALLBACK_LINES)))
+@example(set(FALLBACK_LINES))
+def test_a_partial_file_is_laid_over_the_packaged_one(dropped):
+    packaged = load_default_config()
+    gone = {index for index, _, _ in dropped}
+    doc = parse_config("".join(line for index, line
+                               in enumerate(PACKAGED_LINES)
+                               if index not in gone))
+    assert doc.clock == packaged.clock
+    assert doc.params == packaged.params
+    assert doc.scenarios == packaged.scenarios
+    assert doc.log == tuple(
+        f"{section}.{key} defaulted to "
+        f"{packaged.entries[section][key].value!r}"
+        for _, section, key in sorted(dropped))
+
+
+@pytest.mark.parametrize("text", [
+    MINIMAL,
+    "[clock]\ndt = -1 ; assumed\n",
+    "[parameters]\nrejection_fraction = 1.5 ; assumed\n",
+])
+def test_one_parse_reads_the_packaged_file_once(text, monkeypatch):
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return "".join(PACKAGED_LINES)
+
+    monkeypatch.setattr("fitsim.config.default_config_text", counted)
+    with contextlib.suppress(ConfigurationError):  # two of them are refused
+        parse_config(text)
+    assert len(reads) == 1
 
 
 def test_duplicate_section_is_a_syntax_error():

@@ -6,6 +6,8 @@ ledgers) rather than from the implementation itself.
 """
 
 import logging
+import math
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +20,7 @@ from fitsim import (
     SimulationClock,
     FitModel,
     LaggedSeries,
+    PolicyControl,
     annuity_factor,
     apply_overrides,
     compute_fit_price,
@@ -560,17 +563,22 @@ NEGATIVE_TARIFF = DOC.scenario("p1_higher_fit")._replace(
 SCENARIOS = DOC.scenarios + (NEGATIVE_TARIFF,)
 
 
-def run_outcome(model_class, params, scenario, dt):
+def outcome(model_class, params, policy, dt=0.25):
     """Every column's bytes and the clamp events, or the error raised."""
-    params = apply_overrides(params, scenario.overrides)
-    model = model_class(params, make_policy_fn(scenario.policy,
-                                               params.econ.res_tax_base))
+    model = model_class(params, policy)
     try:
         run = model.simulate(SimulationClock(2015.0, 2035.0, dt))
     except Exception as exc:
         return type(exc), str(exc)
     return ({name: bytes(column) for name, column in run.variables.items()},
             bytes(run.times), repr(run.clamp_events))
+
+
+def run_outcome(model_class, params, scenario, dt):
+    params = apply_overrides(params, scenario.overrides)
+    return outcome(model_class, params,
+                   make_policy_fn(scenario.policy, params.econ.res_tax_base),
+                   dt)
 
 
 def test_assumed_keys_come_from_the_provenance_markers():
@@ -598,3 +606,44 @@ def test_negative_tariff_stops_at_the_allocation_check():
                                     0.25)
         assert kind is ValueError
         assert message.startswith("allocation inputs must be non-negative")
+
+
+def levy(tax: float):
+    """A policy hook that sets the levy to ``tax`` at every step."""
+    overrides = PriceTaxOverrides(res_tax=tax)
+    return lambda shortage: overrides
+
+
+# (parameter overrides, policy hook, the error raised, or the columns that
+# read zero at every record because their sigmoid overflowed)
+STEP_EDGES = {
+    "nan levy": ({}, levy(math.nan),
+                 (ValueError, "sigmoid input must be finite, got nan")),
+    "learning": ({"learning_exponent": 1e6}, None,
+                 (ValueError, "capital_cost must be positive, got 0.0")),
+    "negative tariff": (
+        {}, make_policy_fn(PolicyControl("p1_higher_fit",
+                                         fit_price_delta=-100.0),
+                           PACKAGED.econ.res_tax_base),
+        (ValueError, "allocation inputs must be non-negative, got "
+                     "budget=228000000.0, suna_debt=0.0, "
+                     "desired_payment=-21150144.0")),
+    "huge levy": ({}, levy(1e100), ("social_acceptance",)),
+    "huge debt": ({"initial_suna_debt": 1e300}, None,
+                  ("investor_trust", "om_activity")),
+}
+
+
+@pytest.mark.parametrize("overrides, policy, expected", STEP_EDGES.values(),
+                         ids=STEP_EDGES)
+def test_step_matches_the_composed_links_at_its_edges(overrides, policy,
+                                                      expected):
+    # the step's error branches and its overflow fallbacks
+    params = apply_overrides(PACKAGED, overrides)
+    result = outcome(FitModel, params, policy)
+    assert result == outcome(ReferenceFitModel, params, policy)
+    if isinstance(expected[0], type):
+        assert result == expected
+        return
+    for name in expected:
+        assert set(array("d", result[0][name])) == {0.0}, name

@@ -481,6 +481,10 @@ STORY = {"budget": {2015: 100.0, 2020: 200.0, 2035: 20.0},
      {2015: 100.0, 2016: 300.0, 2035: 150.0}),
     ("capacity_peak_window", "installed_capacity",
      {2015: 100.0, 2034: 300.0, 2035: 290.0}),
+    ("capacity_peak_window", "installed_capacity",
+     {2015: 100.0, 2017: 200.0, 2018: 300.0, 2019: 200.0, 2035: 150.0}),
+    ("capacity_peak_window", "installed_capacity",
+     {2015: 100.0, 2032: 280.0, 2033: 300.0, 2035: 260.0}),
     ("capacity_grows_by_2021", "installed_capacity",
      {2015: 100.0, 2021: 90.0, 2025: 300.0, 2035: 150.0}),
 ])
