@@ -512,16 +512,18 @@ class FitModel:
     def begin_run(self, clock: SimulationClock) -> None:
         """Reset per-run memory; reject a clock the run cannot complete.
 
-        A linear trend is positive and finite on the whole window when it
-        is at both ends, so a bad trend fails here, before the first step. So
+        A linear trend is monotone in ``t``, in floating point too, so one
+        positive and finite at the first and last of ``clock.times()`` is so
+        at every step, and a bad trend fails here, before the first step. So
         does a step too coarse for the request lag: step 1 looks back one
         lag with only step 0 recorded, which ``LaggedSeries`` reads as a
         spacing of one lag, so it accepts a target at most half a lag past
         step 0, that is, a ``dt`` of at most 1.5 lags.
         """
         exog = self.params.exogenous
+        times = clock.times()
         for name, trend in zip(exog._fields, exog):
-            for year in (clock.start_year, clock.end_year):
+            for year in (times[0], times[-1]):
                 try:
                     eval_linear_trend(trend, year)
                 except ConfigurationError as exc:
@@ -571,9 +573,10 @@ class FitModel:
 
         The links above, inlined over the constants ``begin_run`` bound:
         each formula keeps its link's operation order, and each check a run
-        can reach stays, calling the link to raise its error. The reference
-        model in ``tests/test_model.py`` composes the links themselves and
-        must match this step bit for bit.
+        can reach stays, calling the link to raise its error; what
+        ``begin_run`` and the engine prove before step 0 is not re-checked.
+        The reference model in ``tests/test_model.py`` composes the links
+        themselves and must match this step bit for bit.
         """
         (gen_intercept, gen_slope, gen_year,
          use_intercept, use_slope, use_year,
@@ -591,13 +594,9 @@ class FitModel:
          total_payment, perceived) = stocks
 
         # --- exogenous drivers ---
+        # positive and finite: begin_run checked both at the record times
         generation_capacity = gen_intercept + gen_slope * (t - gen_year)
-        if generation_capacity <= 0.0:
-            eval_linear_trend(self.params.exogenous.total_generation_capacity,
-                              t)
         consumption = use_intercept + use_slope * (t - use_year)
-        if consumption <= 0.0:
-            eval_linear_trend(self.params.exogenous.electricity_consumption, t)
 
         # --- capacity ledger and learning ---
         cumulative = installed + depreciated
@@ -653,9 +652,7 @@ class FitModel:
             delay = debt / (DELAY_PAYMENT_EPSILON
                             if DELAY_PAYMENT_EPSILON > desired else desired)
 
-        if not 0.0 <= penetration <= 1.0:
-            compute_social_acceptance(penetration, res_tax,
-                                      self.params.effects)
+        # penetration is in [0, 1]: the engine clamps stocks at zero, this at 1
         if not 0.0 <= res_tax < math.inf:
             eval_inverted_sigmoid(self.params.effects.social_tolerance,
                                   res_tax)

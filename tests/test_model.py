@@ -32,6 +32,7 @@ from fitsim import (
     make_policy_fn,
     parse_config,
 )
+from fitsim.cli import main
 from fitsim.model import (
     KWH_PER_MWH,
     PriceTaxOverrides,
@@ -393,20 +394,42 @@ class _CountingModel(FitModel):
         return super().derivatives(state, t)
 
 
-@pytest.mark.parametrize("trend, line, year", [
+@pytest.mark.parametrize("clock, trend, lines, year", [
     # positive at launch, negative by the horizon
-    ("electricity_consumption", "slope = -2.5e6", 2035.0),
-    ("total_generation_capacity", "intercept = -1.0", 2015.0),
+    pytest.param(DOC.clock, "electricity_consumption", ["slope = -2.5e6"],
+                 2035.0, id="electricity_consumption-slope = -2.5e6-2035.0"),
+    pytest.param(DOC.clock, "total_generation_capacity",
+                 ["intercept = -1.0"], 2015.0,
+                 id="total_generation_capacity-intercept = -1.0-2015.0"),
+    # positive at end_year, negative at the last record, 2000.2 + 0.05 * 28,
+    # which lies past it
+    pytest.param(SimulationClock(2000.2, 2001.6, 0.05),
+                 "electricity_consumption",
+                 ["intercept = 1e-300", "slope = -1e10",
+                  "reference_year = 2001.6"],
+                 2001.6000000000001,
+                 id="electricity_consumption-off the grid-2001.6000000000001"),
 ])
-def test_trend_positivity_is_checked_before_the_first_step(trend, line, year):
-    doc = parse_config(f"[trends]\n{trend}_{line} ; assumed\n")
+def test_trend_positivity_is_checked_before_the_first_step(
+        clock, trend, lines, year, tmp_path, capsys):
+    text = "[clock]\n" + "".join(
+        f"{name} = {value!r} ; assumed\n"
+        for name, value in zip(clock._fields, clock))
+    text += "[trends]\n" + "".join(
+        f"{trend}_{line} ; assumed\n" for line in lines)
+    doc = parse_config(text)
+    assert doc.clock == clock
     model = _CountingModel(doc.params)
     with pytest.raises(ConfigurationError) as excinfo:
         model.simulate(doc.clock)
     assert model.calls == 0
     message = str(excinfo.value)
     assert message.startswith(f"{trend}: ")
-    assert f"t={year}" in message
+    assert f"t={year!r}" in message
+    config = tmp_path / "trend.cfg"
+    config.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
 
 @pytest.mark.parametrize("dt, end", [(2.0, 2035.0), (1.6, 2031.0)])
@@ -614,11 +637,26 @@ def levy(tax: float):
     return lambda shortage: overrides
 
 
+def launch_tariff_cut():
+    """A policy hook that takes the launch tariff off every step's tariff."""
+    econ = PACKAGED.econ
+    gap = ((econ.capacity_target - econ.initial_installed_capacity)
+           / econ.capacity_target)
+    overrides = PriceTaxOverrides(fit_price_delta=-(
+        econ.initial_fit_price * min(1.0, max(econ.fit_price_floor, gap))))
+    return lambda shortage: overrides
+
+
 # (parameter overrides, policy hook, the error raised, or the columns that
 # read zero at every record because their sigmoid overflowed)
 STEP_EDGES = {
     "nan levy": ({}, levy(math.nan),
                  (ValueError, "sigmoid input must be finite, got nan")),
+    # production overflows at a zero tariff: the desired payment is
+    # inf * 0, and the debt's delay over it NaN
+    "nan delay": ({"capacity_factor": 1e305, "initial_suna_debt": 1e6},
+                  launch_tariff_cut(),
+                  (ValueError, "sigmoid input must be finite, got nan")),
     "learning": ({"learning_exponent": 1e6}, None,
                  (ValueError, "capital_cost must be positive, got 0.0")),
     "negative tariff": (
@@ -647,3 +685,21 @@ def test_step_matches_the_composed_links_at_its_edges(overrides, policy,
         return
     for name in expected:
         assert set(array("d", result[0][name])) == {0.0}, name
+
+
+def test_the_penetration_clamp_warns_once_per_run(caplog):
+    # installed capacity outgrows this generation capacity at once; the clamp
+    # is what keeps the penetration in [0, 1], where the step reads it
+    params = apply_overrides(PACKAGED, {
+        "total_generation_capacity_intercept": 150.0,
+        "total_generation_capacity_slope": 1.0})
+    model = FitModel(params)
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fitsim.model"):
+            run = model.simulate(DOC.clock)
+        assert [record.name for record in caplog.records] == ["fitsim.model"]
+        assert list(run["penetration_rate"]).count(1.0) == 80
+        assert len(run.times) == 81
+    assert (outcome(FitModel, params, None)
+            == outcome(ReferenceFitModel, params, None))

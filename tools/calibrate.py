@@ -173,6 +173,13 @@ def _emergence(run, window: tuple[float, float]) -> float:
             else margin_inside(year, *window))
 
 
+def _peak_share(run) -> float:
+    """The largest share of generation capacity installed in ``run``; above
+    one, the run grew past the penetration clamp."""
+    return float(np.max(np.asarray(run["installed_capacity"])
+                        / run["total_generation_capacity"]))
+
+
 def _least(margins: dict[str, float], name: str, value: float) -> None:
     """Keep the smallest margin of ``name`` over the clocks."""
     margins[name] = min(margins.get(name, value), value)
@@ -222,10 +229,8 @@ class Calibration:
         _least(margins, "base_debt_emerges_2021_to_2024",
                _emergence(report.runs["base"], DEBT_WINDOW))
         for name, run in report.runs.items():
-            share = (np.asarray(run["installed_capacity"])
-                     / run["total_generation_capacity"])
-            gates[f"no_penetration_clamp_{name}{suffix}"] = bool(
-                float(share.max()) <= 1.0)
+            gates[f"no_penetration_clamp_{name}{suffix}"] = (
+                _peak_share(run) <= 1.0)
         gates[f"qualitative_checks{suffix}"] = all(
             finding.passed for finding in findings)
 
@@ -295,8 +300,7 @@ class Calibration:
                     SHIPPED)
             except SimulationError:
                 return False
-            return bool(np.all(np.asarray(run["installed_capacity"])
-                               <= run["total_generation_capacity"]))
+            return _peak_share(run) <= 1.0
 
         if calm(1.0):
             return 1.0
@@ -337,9 +341,7 @@ class Calibration:
             finals = [run.final(name) for name in run.stock_names]
             if not all(math.isfinite(v) and v >= 0.0 for v in finals):
                 problems.append(f"draw {draw}: stocks {finals}")
-            peak = max(peak, float(np.max(
-                np.asarray(run["installed_capacity"])
-                / run["total_generation_capacity"])))
+            peak = max(peak, _peak_share(run))
         return problems, peak
 
 
