@@ -19,11 +19,15 @@ primitive building blocks the models here are assembled from:
 Runs are deterministic and pure with respect to their inputs: integrating
 the same model twice yields bit-identical trajectories.
 
-The engine sees only a model's ``derivatives``. The fitsim model writes
-its step as its links inlined over per-run constants, tied to a composed
-reference by a property in ``tests/test_model.py``; the lagged series here
-likewise finds its records by index arithmetic, tied to a binary-search
-reference by a property in ``tests/test_engine.py``.
+:func:`run_simulation` sees only a model's ``derivatives``. It is the
+generic integrator and the reference: the fitsim model runs its own loop,
+its step inlined beside the Euler update, and a property in
+``tests/test_model.py`` holds that loop to a composed reference run
+through :func:`run_simulation`, columns, clamp events and errors alike.
+Both loops build their result with :meth:`RunResult.from_rows`, so the
+record layout lives here once. The lagged series likewise finds its
+records by index arithmetic, tied to a binary-search reference by a
+property in ``tests/test_engine.py``.
 """
 
 from __future__ import annotations
@@ -276,6 +280,24 @@ class RunResult:
         self.stock_names, self.flow_names = stock_names, flow_names
         self.aux_names, self.clamp_events = aux_names, clamp_events
 
+    @classmethod
+    def from_rows(cls, rows: array, stock_names: tuple[str, ...],
+                  aux_names: tuple[str, ...], flow_names: tuple[str, ...],
+                  clamp_events: list[ClampEvent]) -> RunResult:
+        """The result of a run whose records, each time, then the stocks in
+        ``stock_names`` order, then the auxiliaries in ``aux_names`` order,
+        were appended to ``rows``; every column is a read-only strided view
+        of it."""
+        names = stock_names + aux_names
+        width = 1 + len(names)
+        view = memoryview(rows).toreadonly()
+        columns = {name: view[i::width]
+                   for i, name in enumerate(names, start=1)}
+        aux_only = tuple(name for name in aux_names if name not in flow_names)
+        return cls(times=view[::width], variables=columns,
+                   stock_names=stock_names, flow_names=flow_names,
+                   aux_names=aux_only, clamp_events=tuple(clamp_events))
+
     def __getitem__(self, name: str) -> memoryview:
         return self.variables[name]
 
@@ -304,8 +326,8 @@ class RunResult:
 def _raise_first_non_finite(what: str, names, values, t: float) -> None:
     """Raise for the first non-finite entry of ``values``, if there is one.
 
-    Called once a set's sum came out non-finite; a set of finite values
-    whose sum merely overflowed passes.
+    Called once a set's sum came out non-finite, or once a step's new
+    stocks did; a set of finite values whose sum merely overflowed passes.
     """
     for name, value in zip(names, values):
         if not math.isfinite(value):
@@ -400,9 +422,5 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
                                                  attempted=values[i]))
                         values[i] = 0.0
 
-    view = memoryview(rows).toreadonly()
-    columns = {name: view[i::width] for i, name in enumerate(names, start=1)}
-    aux_only = tuple(name for name in aux_names if name not in flow_names)
-    return RunResult(times=view[::width], variables=columns,
-                     stock_names=stock_names, flow_names=flow_names,
-                     aux_names=aux_only, clamp_events=tuple(events))
+    return RunResult.from_rows(rows, stock_names, aux_names, flow_names,
+                               events)

@@ -35,28 +35,33 @@ Except where noted, prices and costs are in dollars per MWh; the levy
 
 Each link of the structure is a public function below (``annuity_factor``,
 ``compute_*``, ``allocate_payments``, ...), checked against oracles in the
-tests. ``FitModel.derivatives`` does not call them: it is the same links
-inlined as straight-line arithmetic over constants ``begin_run`` binds once
-per run, calling a link only to raise its error. ``ReferenceFitModel`` in
-``tests/test_model.py`` composes the links instead, and a property over the
-calibration box, the policies and the step sizes holds the two to the same
-bytes.
+tests. ``FitModel.simulate`` does not call them: its step is the same
+links inlined as straight-line arithmetic over constants bound once per
+run, calling a link only to raise its error, and the Euler update follows
+in the same loop. ``ReferenceFitModel`` in ``tests/test_model.py`` composes
+the links instead and runs through the generic
+:func:`~fitsim.engine.run_simulation`, and a property over the calibration
+box, the policies and the step sizes holds the two to the same bytes.
 """
 
 import math
-from typing import Callable, NamedTuple, Sequence
+import struct
+from array import array
+from typing import Callable, NamedTuple
 
 from .engine import (
+    ClampEvent,
     ConfigurationError,
     LaggedSeries,
     LinearTrend,
     RunResult,
     SigmoidEffect,
     SimulationClock,
+    SimulationError,
+    _raise_first_non_finite,
     checked,
     eval_inverted_sigmoid,
     eval_linear_trend,
-    run_simulation,
 )
 
 ANNUAL_HOURS = 8760.0
@@ -457,8 +462,26 @@ def apply_overrides(params: ModelParameters,
 
 # === the wired model ===
 
+def _settle(stocks: list[float], rates: tuple[float, ...], t: float,
+            t_next: float, events: list[ClampEvent]) -> list[float]:
+    """Finish an Euler update whose new ``stocks`` are not all finite and
+    non-negative, as ``run_simulation`` does: name the first non-finite
+    rate at ``t``, else clamp the negative stocks in stock order, then name
+    the first stock still non-finite (an overflow) at the next record time.
+    """
+    names = FitModel.stock_names
+    _raise_first_non_finite("non-finite rate", names, rates, t)
+    for i, name in enumerate(names):
+        if stocks[i] < 0.0:
+            events.append(ClampEvent(time=t, variable=name,
+                                     attempted=stocks[i]))
+            stocks[i] = 0.0
+    _raise_first_non_finite("non-finite stock", names, stocks, t_next)
+    return stocks
+
+
 class FitModel:
-    """Wires the operations above into a derivative function over the stocks.
+    """Wires the operations above into one integration loop over the stocks.
 
     A policy hook may be attached: ``policy(perceived_shortage)`` returning
     :class:`PriceTaxOverrides`. Without one the base rules apply unchanged.
@@ -475,9 +498,10 @@ class FitModel:
         "total_fit_payment",
         "perceived_shortage",
     )
+    # every stock is clamped at zero
     non_negative = frozenset(stock_names)
-    # the order of the values ``derivatives`` returns, one line of names per
-    # line of values there; the first four lines are the flows
+    # the order of each record's auxiliaries, one line of names per line of
+    # values in ``simulate``; the first four lines are the flows
     aux_names = (
         "construction_rate", "depreciation",
         "debt_creation", "debt_payment",
@@ -495,6 +519,8 @@ class FitModel:
         "total_generation_capacity",
     )
     flow_names = aux_names[:8]
+    # one record: time, the stocks, the auxiliaries
+    _record = struct.Struct(f"{1 + len(stock_names) + len(aux_names)}d")
 
     def __init__(self, params: ModelParameters,
                  policy: PolicyFn | None = None):
@@ -513,216 +539,249 @@ class FitModel:
         """Reset per-run memory; reject a clock the run cannot complete.
 
         A linear trend is monotone in ``t``, in floating point too, so one
-        positive and finite at the first and last of ``clock.times()`` is so
-        at every step, and a bad trend fails here, before the first step. So
-        does a step too coarse for the request lag: step 1 looks back one
-        lag with only step 0 recorded, which ``LaggedSeries`` reads as a
-        spacing of one lag, so it accepts a target at most half a lag past
-        step 0, that is, a ``dt`` of at most 1.5 lags.
+        positive and finite at the first and last record times (the last,
+        ``start_year + dt * n_steps``, can lie a rounding past ``end_year``)
+        is so at every step, and a bad trend fails here, before the first
+        step. So does a step too coarse for the request lag: step 1 looks
+        back one lag with only step 0 recorded, which ``LaggedSeries`` reads
+        as a spacing of one lag, so it accepts a target at most half a lag
+        past step 0, that is, a ``dt`` of at most 1.5 lags.
         """
         exog = self.params.exogenous
-        times = clock.times()
+        start = clock.start_year
         for name, trend in zip(exog._fields, exog):
-            for year in (times[0], times[-1]):
+            for year in (start, start + clock.dt * clock.n_steps):
                 try:
                     eval_linear_trend(trend, year)
                 except ConfigurationError as exc:
                     raise ConfigurationError(f"{name}: {exc}") from None
         self._requests = LaggedSeries(
             lag=1.0, initial_value=self.params.econ.initial_annual_requests)
-        lag, start = self._requests.lag, clock.start_year
+        lag = self._requests.lag
         # the look-ahead test of the lookup at step 1, term for term
         if (start + clock.dt) - lag > start + 0.5 * lag:
             raise ConfigurationError(
                 f"dt must not exceed 1.5 times the one-year request lag, "
                 f"got {clock.dt}")
         self._penetration_warned = False
-        econ = self.params.econ
-        effects = self.params.effects
-        generation = exog.total_generation_capacity
-        use = exog.electricity_consumption
-        tolerance = effects.social_tolerance
-        trust = effects.investor_trust
-        activity = effects.om_activity
-        # the order ``derivatives`` unpacks them in
-        self._constants = (
-            generation.intercept, generation.slope, generation.reference_year,
-            use.intercept, use.slope, use.reference_year,
-            econ.initial_installed_capacity, econ.initial_capital_cost,
-            -econ.learning_exponent,
-            econ.capacity_target, econ.fit_price_floor,
-            econ.initial_fit_price, econ.res_tax_base,
-            econ.capacity_factor * ANNUAL_HOURS, econ.om_cost,
-            annuity_factor(econ.interest_rate, econ.remuneration_period),
-            econ.capacity_factor,
-            effects.penetration_gain,
-            tolerance.y_max, tolerance.x_50, tolerance.p,
-            trust.y_max, trust.x_50, trust.p,
-            activity.y_max, activity.x_50, activity.p,
-            1.0 - econ.rejection_fraction, econ.time_to_build,
-            econ.normal_equipment_lifetime,
-            econ.shortage_smoothing_time,
-        )
 
     def simulate(self, clock: SimulationClock) -> RunResult:
-        return run_simulation(self, clock)
+        """Integrate the model over ``clock`` and record the full trajectory.
 
-    def derivatives(self, stocks: Sequence[float], t: float
-                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Rates and auxiliaries, in ``stock_names``/``aux_names`` order.
-
-        The links above, inlined over the constants ``begin_run`` bound:
-        each formula keeps its link's operation order, and each check a run
-        can reach stays, calling the link to raise its error; what
-        ``begin_run`` and the engine prove before step 0 is not re-checked.
-        The reference model in ``tests/test_model.py`` composes the links
-        themselves and must match this step bit for bit.
+        Each step is the links above inlined over constants bound once per
+        run: each formula keeps its link's operation order, and each check
+        a run can reach stays, calling the link to raise its error; what
+        ``begin_run`` and the parameter records prove before step 0 is not
+        re-checked. The Euler update is written out per stock, beside the
+        step, with every check of :func:`~fitsim.engine.run_simulation` in
+        its words, variable and time: non-finite auxiliaries, non-finite
+        rates and stocks (one test of the new stocks' sum, settled by
+        ``_settle`` when it fails), and the clamp at zero with its
+        :class:`~fitsim.engine.ClampEvent` records. The reference model in
+        ``tests/test_model.py`` composes the links and runs through
+        ``run_simulation``; this loop must match it bit for bit, in every
+        column, clamp event and error.
         """
-        (gen_intercept, gen_slope, gen_year,
-         use_intercept, use_slope, use_year,
-         initial_installed, initial_cost, learning,
-         target, price_floor, initial_price, base_tax,
-         margin_scale, om_cost, annuity,
-         capacity_factor,
-         gain, tol_max, tol_x50, tol_p,
-         trust_max, trust_x50, trust_p,
-         om_max, om_x50, om_p,
-         approval, build_time, normal_lifetime,
-         smoothing) = self._constants
+        self.begin_run(clock)
+        econ, effects, exog = self.params
+        generation, use = exog
+        gen_intercept, gen_slope, gen_year = generation
+        use_intercept, use_slope, use_year = use
+        initial_installed = econ.initial_installed_capacity
+        initial_cost = econ.initial_capital_cost
+        learning = -econ.learning_exponent
+        target, price_floor = econ.capacity_target, econ.fit_price_floor
+        initial_price, base_tax = econ.initial_fit_price, econ.res_tax_base
+        margin_scale = econ.capacity_factor * ANNUAL_HOURS
+        om_cost = econ.om_cost
+        annuity = annuity_factor(econ.interest_rate, econ.remuneration_period)
+        capacity_factor = econ.capacity_factor
+        gain = effects.penetration_gain
+        tol_max, tol_x50, tol_p = effects.social_tolerance
+        trust_max, trust_x50, trust_p = effects.investor_trust
+        om_max, om_x50, om_p = effects.om_activity
+        approval = 1.0 - econ.rejection_fraction
+        build_time = econ.time_to_build
+        normal_lifetime = econ.normal_equipment_lifetime
+        smoothing = econ.shortage_smoothing_time
+        policy = self.policy
+        lookup, record = self._requests.lookup, self._requests.record
+        isfinite, inf = math.isfinite, math.inf
 
+        # finite and non-negative: the parameter records check them
         (installed, depreciated, debt, budget, total_production,
-         total_payment, perceived) = stocks
+         total_payment, perceived) = self.initial_state()
+        times = clock.times()
+        n_steps, dt = clock.n_steps, clock.dt
+        pack = self._record.pack
+        rows = array("d")
+        events: list[ClampEvent] = []
 
-        # --- exogenous drivers ---
-        # positive and finite: begin_run checked both at the record times
-        generation_capacity = gen_intercept + gen_slope * (t - gen_year)
-        consumption = use_intercept + use_slope * (t - use_year)
+        for k, t in enumerate(times):
+            # --- exogenous drivers ---
+            # positive and finite: begin_run checked both at the record times
+            generation_capacity = gen_intercept + gen_slope * (t - gen_year)
+            consumption = use_intercept + use_slope * (t - use_year)
 
-        # --- capacity ledger and learning ---
-        cumulative = installed + depreciated
-        # max(a, b) and min(a, b) are written as the builtins evaluate them
-        built = (initial_installed if initial_installed > cumulative
-                 else cumulative)
-        capital_cost = initial_cost * (built / initial_installed) ** learning
+            # --- capacity ledger and learning ---
+            cumulative = installed + depreciated
+            # max(a, b) and min(a, b) are written as the builtins evaluate
+            # them
+            built = (initial_installed if initial_installed > cumulative
+                     else cumulative)
+            capital_cost = (initial_cost
+                            * (built / initial_installed) ** learning)
 
-        # --- policy overrides, price, levy ---
-        overrides = (self.policy(perceived)
-                     if self.policy is not None else None)
-        gap_fraction = (target - installed) / target
-        multiplier = (gap_fraction if gap_fraction > price_floor
-                      else price_floor)
-        multiplier = multiplier if multiplier < 1.0 else 1.0
-        fit_price = initial_price * multiplier
-        res_tax = base_tax
-        if overrides is not None:
-            fit_price = (fit_price * overrides.fit_price_multiplier
-                         + overrides.fit_price_delta)
-            if overrides.res_tax is not None:
-                res_tax = overrides.res_tax
+            # --- policy overrides, price, levy ---
+            overrides = policy(perceived) if policy is not None else None
+            gap_fraction = (target - installed) / target
+            multiplier = (gap_fraction if gap_fraction > price_floor
+                          else price_floor)
+            multiplier = multiplier if multiplier < 1.0 else 1.0
+            fit_price = initial_price * multiplier
+            res_tax = base_tax
+            if overrides is not None:
+                fit_price = (fit_price * overrides.fit_price_multiplier
+                             + overrides.fit_price_delta)
+                if overrides.res_tax is not None:
+                    res_tax = overrides.res_tax
+            # the base rule's tariff is positive, so only a policy's delta
+            # can take it below zero
+            if fit_price < 0.0:
+                raise SimulationError(
+                    f"tariff must be non-negative, got {fit_price}",
+                    variable="fit_price", time=t)
 
-        # --- investment climate ---
-        if capital_cost <= 0.0:
-            compute_roi(self.params.econ, fit_price, capital_cost)
-        roi = ((margin_scale * (fit_price - om_cost) * annuity - capital_cost)
-               / capital_cost)
-        penetration = installed / generation_capacity
-        if penetration > 1.0:
-            if not self._penetration_warned:
-                # imported when the clamp first binds, so that start-up
-                # does not load logging
-                import logging
-                logging.getLogger(__name__).warning(
-                    "installed capacity %.1f MW exceeds total generation "
-                    "capacity %.1f MW at t=%.2f; penetration clamped",
-                    installed, generation_capacity, t)
-                self._penetration_warned = True
-            penetration = 1.0
+            # --- investment climate ---
+            if capital_cost <= 0.0:
+                compute_roi(econ, fit_price, capital_cost)
+            roi = ((margin_scale * (fit_price - om_cost) * annuity
+                    - capital_cost) / capital_cost)
+            penetration = installed / generation_capacity
+            if penetration > 1.0:
+                if not self._penetration_warned:
+                    # imported when the clamp first binds, so that start-up
+                    # does not load logging
+                    import logging
+                    logging.getLogger(__name__).warning(
+                        "installed capacity %.1f MW exceeds total generation "
+                        "capacity %.1f MW at t=%.2f; penetration clamped",
+                        installed, generation_capacity, t)
+                    self._penetration_warned = True
+                penetration = 1.0
 
-        # --- production and the payment it entitles ---
-        production = installed * capacity_factor * ANNUAL_HOURS
-        if total_production <= 0.0 or total_payment <= 0.0:
-            average_price = fit_price
-        else:
-            average_price = total_payment / total_production
-        desired = production * average_price
-        inflow = production * fit_price
-        if debt <= 0.0:
-            delay = 0.0
-        else:
-            delay = debt / (DELAY_PAYMENT_EPSILON
-                            if DELAY_PAYMENT_EPSILON > desired else desired)
+            # --- production and the payment it entitles ---
+            production = installed * capacity_factor * ANNUAL_HOURS
+            if total_production <= 0.0 or total_payment <= 0.0:
+                average_price = fit_price
+            else:
+                average_price = total_payment / total_production
+            desired = production * average_price
+            inflow = production * fit_price
+            if debt <= 0.0:
+                delay = 0.0
+            else:
+                delay = debt / (DELAY_PAYMENT_EPSILON
+                                if DELAY_PAYMENT_EPSILON > desired
+                                else desired)
 
-        # penetration is in [0, 1]: the engine clamps stocks at zero, this at 1
-        if not 0.0 <= res_tax < math.inf:
-            eval_inverted_sigmoid(self.params.effects.social_tolerance,
-                                  res_tax)
-        try:
-            tolerance = tol_max / (1.0 + (res_tax / tol_x50) ** tol_p)
-        except OverflowError:
-            tolerance = 0.0
-        acceptance = (1.0 + gain * penetration) * tolerance
-        if not 0.0 <= delay < math.inf:
-            eval_inverted_sigmoid(self.params.effects.investor_trust, delay)
-        try:
-            trust = trust_max / (1.0 + (delay / trust_x50) ** trust_p)
-        except OverflowError:
-            trust = 0.0
-        tendency = (roi if roi > 0.0 else 0.0) * acceptance * trust
+            # penetration is in [0, 1]: the stocks are clamped at zero, it
+            # at 1
+            if not 0.0 <= res_tax < inf:
+                eval_inverted_sigmoid(effects.social_tolerance, res_tax)
+            try:
+                tolerance = tol_max / (1.0 + (res_tax / tol_x50) ** tol_p)
+            except OverflowError:
+                tolerance = 0.0
+            acceptance = (1.0 + gain * penetration) * tolerance
+            if not 0.0 <= delay < inf:
+                eval_inverted_sigmoid(effects.investor_trust, delay)
+            try:
+                trust = trust_max / (1.0 + (delay / trust_x50) ** trust_p)
+            except OverflowError:
+                trust = 0.0
+            tendency = (roi if roi > 0.0 else 0.0) * acceptance * trust
 
-        # --- request pipeline (annual information delay) ---
-        requests = self._requests
-        annual_requests = requests.lookup(t) * tendency
-        approved = annual_requests * approval
-        construction = approved / build_time
-        requests.record(t, annual_requests)
+            # --- request pipeline (annual information delay) ---
+            annual_requests = lookup(t) * tendency
+            approved = annual_requests * approval
+            construction = approved / build_time
+            record(t, annual_requests)
 
-        try:
-            activity = om_max / (1.0 + (delay / om_x50) ** om_p)
-        except OverflowError:
-            activity = 0.0
-        lifetime = normal_lifetime * activity
-        if not lifetime > MINIMUM_LIFETIME:
-            lifetime = MINIMUM_LIFETIME
-        depreciation = installed / lifetime
+            try:
+                activity = om_max / (1.0 + (delay / om_x50) ** om_p)
+            except OverflowError:
+                activity = 0.0
+            lifetime = normal_lifetime * activity
+            if not lifetime > MINIMUM_LIFETIME:
+                lifetime = MINIMUM_LIFETIME
+            depreciation = installed / lifetime
 
-        # --- fund allocation with debt priority ---
-        if budget < 0.0 or debt < 0.0 or desired < 0.0:
-            allocate_payments(budget, debt, desired)
-        whole_desired = debt + desired
-        available = whole_desired if whole_desired < budget else budget
-        debt_payment = debt if debt < available else available
-        unreserved = available - debt
-        if 0.0 > unreserved:
-            unreserved = 0.0
-        actual = desired if desired < unreserved else unreserved
-        debt_creation = desired - actual
-        budget_increase = consumption * res_tax * KWH_PER_MWH
-        budget_decrease = debt_payment + actual
-        shortage = whole_desired - available
+            # --- fund allocation with debt priority ---
+            # budget and debt are clamped stocks and the tariff is not
+            # negative, so the allocation's inputs are not either
+            whole_desired = debt + desired
+            available = whole_desired if whole_desired < budget else budget
+            debt_payment = debt if debt < available else available
+            unreserved = available - debt
+            if 0.0 > unreserved:
+                unreserved = 0.0
+            actual = desired if desired < unreserved else unreserved
+            debt_creation = desired - actual
+            budget_increase = consumption * res_tax * KWH_PER_MWH
+            budget_decrease = debt_payment + actual
+            shortage = whole_desired - available
 
-        rates = (
-            construction - depreciation,
-            depreciation,
-            debt_creation - debt_payment,
-            budget_increase - budget_decrease,
-            production,
-            inflow,
-            (shortage - perceived) / smoothing,
-        )
-        aux = (
-            construction, depreciation,
-            debt_creation, debt_payment,
-            budget_increase, budget_decrease,
-            production, inflow,
-            cumulative, capital_cost,
-            fit_price, res_tax, roi,
-            penetration, acceptance, trust,
-            activity, lifetime, tendency,
-            annual_requests, approved,
-            average_price, desired,
-            whole_desired, available,
-            actual, delay,
-            shortage, consumption,
-            generation_capacity,
-        )
-        return rates, aux
+            # --- the record ---
+            aux = (
+                construction, depreciation,
+                debt_creation, debt_payment,
+                budget_increase, budget_decrease,
+                production, inflow,
+                cumulative, capital_cost,
+                fit_price, res_tax, roi,
+                penetration, acceptance, trust,
+                activity, lifetime, tendency,
+                annual_requests, approved,
+                average_price, desired,
+                whole_desired, available,
+                actual, delay,
+                shortage, consumption,
+                generation_capacity,
+            )
+            if not isfinite(sum(aux)):
+                _raise_first_non_finite("non-finite auxiliary",
+                                        self.aux_names, aux, t)
+            rows.frombytes(pack(t, installed, depreciated, debt, budget,
+                                total_production, total_payment, perceived,
+                                *aux))
+            if k == n_steps:
+                break
+
+            # --- the Euler update, stock by stock ---
+            shortage_rate = (shortage - perceived) / smoothing
+            installed += (construction - depreciation) * dt
+            depreciated += depreciation * dt
+            debt += (debt_creation - debt_payment) * dt
+            budget += (budget_increase - budget_decrease) * dt
+            total_production += production * dt
+            total_payment += inflow * dt
+            perceived += shortage_rate * dt
+            # non-negative stocks with a finite sum are all finite
+            if not (installed >= 0.0 and depreciated >= 0.0 and debt >= 0.0
+                    and budget >= 0.0 and total_production >= 0.0
+                    and total_payment >= 0.0 and perceived >= 0.0
+                    and installed + depreciated + debt + budget
+                    + total_production + total_payment + perceived < inf):
+                (installed, depreciated, debt, budget, total_production,
+                 total_payment, perceived) = _settle(
+                    [installed, depreciated, debt, budget, total_production,
+                     total_payment, perceived],
+                    (construction - depreciation, depreciation,
+                     debt_creation - debt_payment,
+                     budget_increase - budget_decrease,
+                     production, inflow, shortage_rate),
+                    t, times[k + 1], events)
+
+        return RunResult.from_rows(rows, self.stock_names, self.aux_names,
+                                   self.flow_names, events)

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fitsim import (
+    ClampEvent,
     ConfigurationError,
     PARAMETER_NAMES,
     SimulationClock,
     FitModel,
     LaggedSeries,
     PolicyControl,
+    SimulationError,
     annuity_factor,
     apply_overrides,
     compute_fit_price,
@@ -31,6 +33,7 @@ from fitsim import (
     load_default_config,
     make_policy_fn,
     parse_config,
+    run_simulation,
 )
 from fitsim.cli import main
 from fitsim.model import (
@@ -386,12 +389,14 @@ def test_total_payment_ledger_matches_price_times_production(base_run):
     assert np.allclose(inflow, production * price, rtol=1e-12)
 
 
-class _CountingModel(FitModel):
+class _CountingPolicy:
+    """A neutral policy hook that counts its calls, one per step."""
+
     calls = 0
 
-    def derivatives(self, state, t):
+    def __call__(self, shortage):
         self.calls += 1
-        return super().derivatives(state, t)
+        return PriceTaxOverrides()
 
 
 @pytest.mark.parametrize("clock, trend, lines, year", [
@@ -419,10 +424,10 @@ def test_trend_positivity_is_checked_before_the_first_step(
         f"{trend}_{line} ; assumed\n" for line in lines)
     doc = parse_config(text)
     assert doc.clock == clock
-    model = _CountingModel(doc.params)
+    policy = _CountingPolicy()
     with pytest.raises(ConfigurationError) as excinfo:
-        model.simulate(doc.clock)
-    assert model.calls == 0
+        FitModel(doc.params, policy).simulate(doc.clock)
+    assert policy.calls == 0
     message = str(excinfo.value)
     assert message.startswith(f"{trend}: ")
     assert f"t={year!r}" in message
@@ -435,10 +440,10 @@ def test_trend_positivity_is_checked_before_the_first_step(
 @pytest.mark.parametrize("dt, end", [(2.0, 2035.0), (1.6, 2031.0)])
 def test_a_step_too_coarse_for_the_request_lag_fails_before_the_first_step(
         dt, end):
-    model = _CountingModel(PACKAGED)
+    policy = _CountingPolicy()
     with pytest.raises(ConfigurationError) as excinfo:
-        model.simulate(SimulationClock(2015.0, end, dt))
-    assert model.calls == 0
+        FitModel(PACKAGED, policy).simulate(SimulationClock(2015.0, end, dt))
+    assert policy.calls == 0
     assert str(excinfo.value) == (
         f"dt must not exceed 1.5 times the one-year request lag, got {dt}")
 
@@ -460,21 +465,25 @@ def test_the_coarse_step_check_is_the_lookups_own_rule(start, dt):
         lookahead = False
     except RuntimeError:
         lookahead = True
-    model = _CountingModel(PACKAGED)
+    policy = _CountingPolicy()
     try:
-        model.simulate(clock)
+        FitModel(PACKAGED, policy).simulate(clock)
         rejected = False
     except ConfigurationError:
         rejected = True
     assert rejected == lookahead
-    assert model.calls == (0 if rejected else 3)
+    assert policy.calls == (0 if rejected else 3)
 
 
-# === the inlined step against the composed links ===
+# === the fused loop against the composed links on the generic engine ===
 
 class ReferenceFitModel(FitModel):
-    """The step as a composition of the link functions: the reference that
-    ``FitModel.derivatives`` must match bit for bit."""
+    """The step as a composition of the link functions, integrated by the
+    generic ``run_simulation``: the reference that ``FitModel.simulate``
+    must match bit for bit."""
+
+    def simulate(self, clock):
+        return run_simulation(self, clock)
 
     def derivatives(self, stocks: Sequence[float], t: float
                     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -500,6 +509,10 @@ class ReferenceFitModel(FitModel):
         overrides = (self.policy(perceived)
                      if self.policy is not None else None)
         fit_price = compute_fit_price(installed, econ, overrides)
+        if fit_price < 0.0:
+            raise SimulationError(
+                f"tariff must be non-negative, got {fit_price}",
+                variable="fit_price", time=t)
         res_tax = econ.res_tax_base
         if overrides is not None and overrides.res_tax is not None:
             res_tax = overrides.res_tax
@@ -578,19 +591,19 @@ ASSUMED_KEYS = sorted(
     for section in ("parameters", "effects", "trends")
     for key, entry in DOC.entries.get(section, {}).items()
     if entry.source == "assumed")
-# the four canonical scenarios, plus a p1 whose negative tariff reaches the
-# allocation check
+# the four canonical scenarios, plus a p1 whose tariff is negative from
+# the first step
 NEGATIVE_TARIFF = DOC.scenario("p1_higher_fit")._replace(
     policy=DOC.scenario("p1_higher_fit").policy._replace(
         fit_price_delta=-30.0))
 SCENARIOS = DOC.scenarios + (NEGATIVE_TARIFF,)
 
 
-def outcome(model_class, params, policy, dt=0.25):
+def outcome(model_class, params, policy, clock=DOC.clock):
     """Every column's bytes and the clamp events, or the error raised."""
     model = model_class(params, policy)
     try:
-        run = model.simulate(SimulationClock(2015.0, 2035.0, dt))
+        run = model.simulate(clock)
     except Exception as exc:
         return type(exc), str(exc)
     return ({name: bytes(column) for name, column in run.variables.items()},
@@ -601,7 +614,7 @@ def run_outcome(model_class, params, scenario, dt):
     params = apply_overrides(params, scenario.overrides)
     return outcome(model_class, params,
                    make_policy_fn(scenario.policy, params.econ.res_tax_base),
-                   dt)
+                   SimulationClock(2015.0, 2035.0, dt))
 
 
 def test_assumed_keys_come_from_the_provenance_markers():
@@ -623,12 +636,35 @@ def test_step_matches_the_composed_links(shifts, scenario, dt):
             == run_outcome(ReferenceFitModel, params, scenario, dt))
 
 
-def test_negative_tariff_stops_at_the_allocation_check():
+def test_negative_tariff_is_refused_where_the_tariff_is_computed(tmp_path,
+                                                                capsys):
     for model_class in (FitModel, ReferenceFitModel):
         kind, message = run_outcome(model_class, DOC.params, NEGATIVE_TARIFF,
                                     0.25)
-        assert kind is ValueError
-        assert message.startswith("allocation inputs must be non-negative")
+        assert kind is SimulationError
+        assert message == ("tariff must be non-negative, got -10.48 "
+                           "(variable='fit_price', t=2015.0)")
+    # from a config: a delta of -100 takes the tariff below zero at once,
+    # and the run exits 2 naming it; -6 leaves it positive, and it runs
+    config = tmp_path / "tariff.cfg"
+    for delta in (-100, -6):
+        config.write_text(f"[scenario:x]\npolicy = p1_higher_fit ; assumed\n"
+                          f"fit_price_delta = {delta} ; assumed\n",
+                          encoding="utf-8")
+        code = main(["run", "--config", str(config), "--scenario", "x",
+                     "--variables", "fit_price"])
+        out, err = capsys.readouterr()
+        if delta == -100:
+            assert code == 2
+            assert err.splitlines()[-1] == (
+                "error: tariff must be non-negative, got -80.48 "
+                "(variable='fit_price', t=2015.0)")
+            continue
+        assert code == 0
+        tariffs = [float(line.split(",")[1])
+                   for line in out.splitlines()[1:]]
+        assert len(tariffs) == 81
+        assert 12.64 < min(tariffs) < max(tariffs) <= 13.52
 
 
 def levy(tax: float):
@@ -647,41 +683,70 @@ def launch_tariff_cut():
     return lambda shortage: overrides
 
 
-# (parameter overrides, policy hook, the error raised, or the columns that
-# read zero at every record because their sigmoid overflowed)
+# (parameter overrides, policy hook, clock, and the error raised, the clamp
+# events, or the columns that read zero at every record because their
+# sigmoid overflowed)
 STEP_EDGES = {
-    "nan levy": ({}, levy(math.nan),
+    "nan levy": ({}, levy(math.nan), DOC.clock,
                  (ValueError, "sigmoid input must be finite, got nan")),
     # production overflows at a zero tariff: the desired payment is
     # inf * 0, and the debt's delay over it NaN
     "nan delay": ({"capacity_factor": 1e305, "initial_suna_debt": 1e6},
-                  launch_tariff_cut(),
+                  launch_tariff_cut(), DOC.clock,
                   (ValueError, "sigmoid input must be finite, got nan")),
-    "learning": ({"learning_exponent": 1e6}, None,
+    "learning": ({"learning_exponent": 1e6}, None, DOC.clock,
                  (ValueError, "capital_cost must be positive, got 0.0")),
     "negative tariff": (
         {}, make_policy_fn(PolicyControl("p1_higher_fit",
                                          fit_price_delta=-100.0),
-                           PACKAGED.econ.res_tax_base),
-        (ValueError, "allocation inputs must be non-negative, got "
-                     "budget=228000000.0, suna_debt=0.0, "
-                     "desired_payment=-21150144.0")),
-    "huge levy": ({}, levy(1e100), ("social_acceptance",)),
-    "huge debt": ({"initial_suna_debt": 1e300}, None,
+                           PACKAGED.econ.res_tax_base), DOC.clock,
+        (SimulationError, "tariff must be non-negative, got -80.48 "
+                          "(variable='fit_price', t=2015.0)")),
+    "huge levy": ({}, levy(1e100), DOC.clock, ("social_acceptance",)),
+    "huge debt": ({"initial_suna_debt": 1e300}, None, DOC.clock,
                   ("investor_trust", "om_activity")),
+    # production overflows, and the record's auxiliaries with it
+    "auxiliary overflow": ({"capacity_factor": 1e305}, None, DOC.clock,
+                           (SimulationError, "non-finite auxiliary (variable="
+                                             "'construction_rate', "
+                                             "t=2015.0)")),
+    # the shortage's rate overflows while every stock stays finite
+    "rate overflow": ({"shortage_smoothing_time": 1e-305,
+                       "initial_budget": 0.0}, None, DOC.clock,
+                      (SimulationError, "non-finite rate (variable="
+                                        "'perceived_shortage', t=2015.0)")),
+    # every rate stays finite until a stock overflows: named at the next
+    # record, after the clamp
+    "stock overflow": ({"capacity_factor": 1e302}, launch_tariff_cut(),
+                       DOC.clock,
+                       (SimulationError, "non-finite stock (variable="
+                                         "'total_electricity_production', "
+                                         "t=2017.0)")),
+    "clamp": ({"initial_budget": 1.0, "res_tax_base": 0.0}, None,
+              SimulationClock(2015.0, 2033.0, 1.5),
+              (ClampEvent(2015.0, "budget", -0.5),
+               ClampEvent(2025.5, "installed_capacity", -841.5695008153414),
+               ClampEvent(2028.5, "installed_capacity",
+                          -4.806751852433679e-34),
+               ClampEvent(2031.5, "installed_capacity",
+                          -1.0258664800438845e-97))),
 }
 
 
-@pytest.mark.parametrize("overrides, policy, expected", STEP_EDGES.values(),
-                         ids=STEP_EDGES)
+@pytest.mark.parametrize("overrides, policy, clock, expected",
+                         STEP_EDGES.values(), ids=STEP_EDGES)
 def test_step_matches_the_composed_links_at_its_edges(overrides, policy,
-                                                      expected):
-    # the step's error branches and its overflow fallbacks
+                                                      clock, expected):
+    # the step's error branches, its overflow fallbacks, and the Euler
+    # update's checks and clamp
     params = apply_overrides(PACKAGED, overrides)
-    result = outcome(FitModel, params, policy)
-    assert result == outcome(ReferenceFitModel, params, policy)
+    result = outcome(FitModel, params, policy, clock)
+    assert result == outcome(ReferenceFitModel, params, policy, clock)
     if isinstance(expected[0], type):
         assert result == expected
+        return
+    if isinstance(expected[0], ClampEvent):
+        assert result[2] == repr(expected)
         return
     for name in expected:
         assert set(array("d", result[0][name])) == {0.0}, name
