@@ -12,7 +12,6 @@ suites.
 from .engine import (
     ClampEvent,
     ConfigurationError,
-    LaggedSeries,
     LinearTrend,
     RunResult,
     SigmoidEffect,
@@ -20,6 +19,7 @@ from .engine import (
     SimulationError,
     eval_inverted_sigmoid,
     eval_linear_trend,
+    lag_indices,
     run_simulation,
 )
 from .model import (

@@ -36,6 +36,7 @@ from .policies import (
     scenario_model,
 )
 from .validation import (
+    check_extreme_horizon,
     error_metrics,
     extreme_condition_suite,
     load_series_csv,
@@ -177,6 +178,8 @@ def _cmd_validate(args) -> int:
     doc = _load_document(args)
     scenario = doc.scenario(args.scenario)
     model = scenario_model(doc.params, scenario)
+    # refused before the fit against history prints anything
+    check_extreme_horizon(doc.clock)
 
     if args.historical:
         _check_variables(model, [args.historical_variable])

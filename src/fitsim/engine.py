@@ -13,8 +13,8 @@ primitive building blocks the models here are assembled from:
 * an inverted sigmoid response ``y = y_max / (1 + (x / x_50) ** p)``, used
   for saturating social and institutional effects,
 * a linear trend for exogenous drivers,
-* a lagged series with a constant-time nearest-step lookup, used for
-  annual information delays on a sub-annual grid.
+* a table of lag indices, the record nearest a fixed delay back from each
+  record, used for annual information delays on a sub-annual grid.
 
 Runs are deterministic and pure with respect to their inputs: integrating
 the same model twice yields bit-identical trajectories.
@@ -25,9 +25,8 @@ its step inlined beside the Euler update, and a property in
 ``tests/test_model.py`` holds that loop to a composed reference run
 through :func:`run_simulation`, columns, clamp events and errors alike.
 Both loops build their result with :meth:`RunResult.from_rows`, so the
-record layout lives here once. The lagged series likewise finds its
-records by index arithmetic, tied to a binary-search reference by a
-property in ``tests/test_engine.py``.
+record layout lives here once. A property in ``tests/test_engine.py``
+holds the lag indices to a recorded history searched by bisection.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from __future__ import annotations
 import math
 import struct
 from array import array
+from bisect import bisect_left
 from typing import NamedTuple
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "SimulationClock",
     "SigmoidEffect",
     "LinearTrend",
-    "LaggedSeries",
+    "lag_indices",
     "ClampEvent",
     "RunResult",
     "checked",
@@ -119,9 +119,11 @@ class SimulationClock(NamedTuple):
         return round((self.end_year - self.start_year) / self.dt)
 
     def times(self) -> list[float]:
-        """All record times, start through end inclusive (n_steps + 1)."""
-        return [self.start_year + self.dt * k
-                for k in range(self.n_steps + 1)]
+        """All record times (n_steps + 1): ``start_year + dt * k`` for each
+        step, then ``end_year`` itself, which the last product can miss by a
+        rounding."""
+        start, dt = self.start_year, self.dt
+        return [start + dt * k for k in range(self.n_steps)] + [self.end_year]
 
 
 @checked
@@ -186,71 +188,31 @@ def eval_linear_trend(trend: LinearTrend, t: float) -> float:
     return value
 
 
-class LaggedSeries:
-    """Recorded history with a fixed information delay.
+def lag_indices(times: list[float], lag: float) -> list[int]:
+    """Where each record of a run reads a value delayed by ``lag`` years.
 
-    ``record`` appends one value per step of a regular grid; ``lookup``
-    reads the value nearest to ``t - lag`` (ties resolve toward the earlier
-    step) and falls back to ``initial_value`` for targets before the first
-    record. The lookup finds the records around the target by index
-    arithmetic on the grid, in constant time; a target a step or more from
-    either end takes one range test before the nearest-record comparison.
-    Looking ahead raises ``RuntimeError``: a target may lie at most half a
-    spacing past the last record, and with one record the spacing is taken
-    to be the lag.
+    The run keeps a history whose entry 0 is the value before the first
+    record and whose entry ``j + 1`` is the value recorded at ``times[j]``.
+    Entry ``k`` of the result is 0 while ``times[k] - lag`` lies before the
+    first record, else ``j + 1`` for the record ``j < k`` nearest to that
+    target, a tie going to the earlier record. So a run that, at record
+    ``k``, reads the history at entry ``k`` of the result and then appends
+    that record's value reads only what it has recorded. ``lag`` must be
+    positive.
     """
-
-    def __init__(self, lag: float, initial_value: float):
-        if not (lag > 0.0):
-            raise ConfigurationError(f"lag must be positive, got {lag}")
-        self.lag, self.initial_value = lag, initial_value
-        self._times, self._values = [], []
-
-    def record(self, t: float, value: float) -> None:
-        times = self._times
-        if times and t <= times[-1]:
-            if t < times[-1]:
-                raise RuntimeError(
-                    f"record at t={t} after t={times[-1]}; history must be "
-                    f"appended in time order")
-            # re-evaluation at the same step overwrites, never duplicates
-            self._values[-1] = value
-            return
-        times.append(t)
-        self._values.append(value)
-
-    def lookup(self, t: float) -> float:
-        target = t - self.lag
-        times = self._times
-        last = len(times) - 1
-        # the target's position in steps from the first record; with fewer
-        # than three records every target is at an end
-        x = ((target - times[0]) / (times[-1] - times[-2]) if last > 1
-             else -1.0)
-        if 1.0 <= x < last - 1:
-            # a step or more past the first record and over a step before
-            # the last: neither the fallback nor the look-ahead check applies
-            i = int(x)
-        else:
-            if last < 0 or target < times[0]:
-                return self.initial_value
-            spacing = times[-1] - times[-2] if last else self.lag
-            if target > times[-1] + 0.5 * spacing:
-                raise RuntimeError(
-                    f"lag lookup at t={t} needs history up to {target}, but "
-                    f"recording stops at {times[-1]}")
-            if not last:
-                return self._values[0]
-            # past the last record, the pair before it picks the last
-            i = int((target - times[0]) / spacing)
-            if i >= last:
-                i = last - 1
-        # the pair of records around target. Near a record the index may be
-        # one off, but either pair then picks that record. Ties toward the
-        # earlier step: strictly-closer wins, equality keeps i
-        if (target - times[i]) <= (times[i + 1] - target):
-            return self._values[i]
-        return self._values[i + 1]
+    back = []
+    for k, t in enumerate(times):
+        target = t - lag
+        if target < times[0]:
+            back.append(0)
+            continue
+        i = bisect_left(times, target, 0, k)
+        # of the records before k, the pair around the target picks the
+        # nearer; strictly-closer wins, equality keeps the earlier
+        if i == k or (i and target - times[i - 1] <= times[i] - target):
+            i -= 1
+        back.append(i + 1)
+    return back
 
 
 class ClampEvent(NamedTuple):
@@ -265,8 +227,8 @@ class RunResult:
     """Full trajectory of one run: every stock, flow, and auxiliary.
 
     ``variables`` maps each name to a column aligned with ``times``
-    (n_steps + 1 records; the final record carries a diagnostic derivative
-    evaluation so auxiliaries are defined there too). ``times`` and the
+    (n_steps + 1 records; the final record's auxiliaries are computed from
+    its stocks like every other's, and no step follows it). ``times`` and the
     columns are read-only ``memoryview`` slices of one buffer of doubles:
     they index, iterate and ``tolist()`` as Python floats, and array
     libraries read them through the buffer protocol without a copy.

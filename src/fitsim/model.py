@@ -52,7 +52,6 @@ from typing import Callable, NamedTuple
 from .engine import (
     ClampEvent,
     ConfigurationError,
-    LaggedSeries,
     LinearTrend,
     RunResult,
     SigmoidEffect,
@@ -62,6 +61,7 @@ from .engine import (
     checked,
     eval_inverted_sigmoid,
     eval_linear_trend,
+    lag_indices,
 )
 
 ANNUAL_HOURS = 8760.0
@@ -70,6 +70,8 @@ KWH_PER_MWH = 1000.0
 DELAY_PAYMENT_EPSILON = 1.0  # dollars/year
 # retirement can accelerate when maintenance stalls, but never below this
 MINIMUM_LIFETIME = 1.0  # years
+# investors file requests on last year's level
+REQUEST_LAG = 1.0  # years
 
 
 @checked
@@ -485,8 +487,9 @@ class FitModel:
 
     A policy hook may be attached: ``policy(perceived_shortage)`` returning
     :class:`PriceTaxOverrides`. Without one the base rules apply unchanged.
-    Instances are reusable; per-run memory (the request lag and the
-    penetration warning latch) is reset by ``begin_run``.
+    An instance holds only its parameters and policy; each run keeps its
+    own memory (the request history and the penetration warning latch) in
+    ``simulate``, so instances are reusable.
     """
 
     stock_names = (
@@ -526,8 +529,6 @@ class FitModel:
                  policy: PolicyFn | None = None):
         self.params = params
         self.policy = policy
-        self._requests: LaggedSeries | None = None
-        self._penetration_warned = False
 
     def initial_state(self) -> tuple[float, ...]:
         """The stocks at launch, in ``stock_names`` order."""
@@ -536,34 +537,30 @@ class FitModel:
                 econ.initial_budget, 0.0, 0.0, 0.0)
 
     def begin_run(self, clock: SimulationClock) -> None:
-        """Reset per-run memory; reject a clock the run cannot complete.
+        """Reject a clock the run cannot complete, before the first step.
 
         A linear trend is monotone in ``t``, in floating point too, so one
-        positive and finite at the first and last record times (the last,
-        ``start_year + dt * n_steps``, can lie a rounding past ``end_year``)
-        is so at every step, and a bad trend fails here, before the first
-        step. So does a step too coarse for the request lag: step 1 looks
-        back one lag with only step 0 recorded, which ``LaggedSeries`` reads
-        as a spacing of one lag, so it accepts a target at most half a lag
-        past step 0, that is, a ``dt`` of at most 1.5 lags.
+        positive and finite at ``start_year`` and ``end_year``, the first
+        and last record times, is so at every step, and a bad trend fails
+        here. So does a step too coarse for the request lag: step 1 reads
+        one lag back, where only step 0 is recorded, and that target may lie
+        at most half a lag past step 0, so ``dt`` may be at most 1.5 lags.
+        The test is made on ``start_year + dt`` in floating point, so a
+        rounding that puts step 1 past the bound is refused too.
         """
         exog = self.params.exogenous
         start = clock.start_year
         for name, trend in zip(exog._fields, exog):
-            for year in (start, start + clock.dt * clock.n_steps):
+            for year in (start, clock.end_year):
                 try:
                     eval_linear_trend(trend, year)
                 except ConfigurationError as exc:
                     raise ConfigurationError(f"{name}: {exc}") from None
-        self._requests = LaggedSeries(
-            lag=1.0, initial_value=self.params.econ.initial_annual_requests)
-        lag = self._requests.lag
-        # the look-ahead test of the lookup at step 1, term for term
+        lag = REQUEST_LAG
         if (start + clock.dt) - lag > start + 0.5 * lag:
             raise ConfigurationError(
                 f"dt must not exceed 1.5 times the one-year request lag, "
                 f"got {clock.dt}")
-        self._penetration_warned = False
 
     def simulate(self, clock: SimulationClock) -> RunResult:
         """Integrate the model over ``clock`` and record the full trajectory.
@@ -605,7 +602,6 @@ class FitModel:
         normal_lifetime = econ.normal_equipment_lifetime
         smoothing = econ.shortage_smoothing_time
         policy = self.policy
-        lookup, record = self._requests.lookup, self._requests.record
         isfinite, inf = math.isfinite, math.inf
 
         # finite and non-negative: the parameter records check them
@@ -616,6 +612,11 @@ class FitModel:
         pack = self._record.pack
         rows = array("d")
         events: list[ClampEvent] = []
+        # the requests filed before launch, then one entry per record, read
+        # one lag back through the index table
+        history = [econ.initial_annual_requests]
+        back = lag_indices(times, REQUEST_LAG)
+        warned = False
 
         for k, t in enumerate(times):
             # --- exogenous drivers ---
@@ -659,7 +660,7 @@ class FitModel:
                     - capital_cost) / capital_cost)
             penetration = installed / generation_capacity
             if penetration > 1.0:
-                if not self._penetration_warned:
+                if not warned:
                     # imported when the clamp first binds, so that start-up
                     # does not load logging
                     import logging
@@ -667,7 +668,7 @@ class FitModel:
                         "installed capacity %.1f MW exceeds total generation "
                         "capacity %.1f MW at t=%.2f; penetration clamped",
                         installed, generation_capacity, t)
-                    self._penetration_warned = True
+                    warned = True
                 penetration = 1.0
 
             # --- production and the payment it entitles ---
@@ -703,10 +704,10 @@ class FitModel:
             tendency = (roi if roi > 0.0 else 0.0) * acceptance * trust
 
             # --- request pipeline (annual information delay) ---
-            annual_requests = lookup(t) * tendency
+            annual_requests = history[back[k]] * tendency
             approved = annual_requests * approval
             construction = approved / build_time
-            record(t, annual_requests)
+            history.append(annual_requests)
 
             try:
                 activity = om_max / (1.0 + (delay / om_x50) ** om_p)

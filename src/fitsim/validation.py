@@ -32,6 +32,7 @@ __all__ = [
     "behavior_signature",
     "PerturbationSet",
     "TABLE_PERTURBATIONS",
+    "check_extreme_horizon",
     "extreme_condition_suite",
     "sensitivity_suite",
     "calibration_story",
@@ -463,6 +464,15 @@ def _base_run(params: ModelParameters, clock: SimulationClock):
     return FitModel(params, policy=None).simulate(clock)
 
 
+def check_extreme_horizon(clock: SimulationClock) -> None:
+    """Refuse a clock that ends before the last year
+    :func:`extreme_condition_suite` reads, three years in."""
+    if clock.end_year < clock.start_year + 3.0:
+        raise ConfigurationError(
+            f"the extreme-condition suite needs a horizon of at least three "
+            f"years, got {clock.start_year} to {clock.end_year}")
+
+
 def extreme_condition_suite(params: ModelParameters,
                             clock: SimulationClock) -> list[Finding]:
     """Run the model under deliberately broken conditions.
@@ -476,12 +486,10 @@ def extreme_condition_suite(params: ModelParameters,
 
     Check (b) reads the tendency three years in, the last year the suite
     reads, so a clock that ends before then raises
-    :class:`ConfigurationError` before any run starts.
+    :class:`ConfigurationError` before any run starts
+    (:func:`check_extreme_horizon`).
     """
-    if clock.end_year < clock.start_year + 3.0:
-        raise ConfigurationError(
-            f"the extreme-condition suite needs a horizon of at least three "
-            f"years, got {clock.start_year} to {clock.end_year}")
+    check_extreme_horizon(clock)
     # three years hold a year of steps, which check (a) reads past
     steps_per_year = max(1, round(1.0 / clock.dt))
     findings = []

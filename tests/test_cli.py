@@ -352,12 +352,32 @@ def test_validate_short_horizon_is_a_configuration_error(capsys):
     assert captured.out == ""
 
 
-def test_validate_refuses_a_horizon_before_year_three(no_runs, capsys):
-    # the inherited-debt check reads the tendency three years in
-    assert main(["validate", "--horizon", "2017"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: the extreme-condition suite needs a horizon of at least "
-            "three years, got 2015.0 to 2017.0\n")
+def test_validate_refuses_a_horizon_before_year_three(no_runs, tmp_path,
+                                                      capsys):
+    # the inherited-debt check reads the tendency three years in; the
+    # refusal comes before the fit against history is printed
+    history = tmp_path / "history.csv"
+    history.write_text("2015,120\n2016,300\n", encoding="utf-8")
+    for extra in ([], ["--historical", str(history)]):
+        assert main(["validate", "--horizon", "2017", *extra]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the extreme-condition suite needs a horizon of at "
+                "least three years, got 2015.0 to 2017.0\n")
+
+
+def test_validate_reads_history_at_an_off_grid_end_year(tmp_path, capsys):
+    # 2015.1 + 0.1 * 33 is 2018.3999999999999; the last record is 2018.4
+    config = tmp_path / "clock.cfg"
+    config.write_text("[clock]\nstart_year = 2015.1 ; assumed\n"
+                      "end_year = 2018.4 ; assumed\ndt = 0.1 ; assumed\n",
+                      encoding="utf-8")
+    history = tmp_path / "history.csv"
+    history.write_text("2015.1,120\n2018.4,900\n", encoding="utf-8")
+    assert main(["validate", "--config", str(config),
+                 "--historical", str(history)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"fit of installed_capacity against {history} "
+                          f"(2 points):\n")
 
 
 def _package_state() -> dict:

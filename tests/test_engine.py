@@ -5,22 +5,22 @@ from array import array
 
 import numpy as np
 import pytest
-from bisect import bisect_left
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fitsim import (
     ClampEvent,
     ConfigurationError,
-    LaggedSeries,
     LinearTrend,
     SigmoidEffect,
     SimulationClock,
     SimulationError,
     eval_inverted_sigmoid,
     eval_linear_trend,
+    lag_indices,
     run_simulation,
 )
+from lag_reference import BisectLaggedSeries
 
 
 # === clock ===
@@ -33,6 +33,22 @@ def test_clock_times_inclusive_of_both_ends():
     assert times[0] == 2015.0
     assert times[-1] == 2035.0
     assert np.allclose(np.diff(times), 0.25)
+
+
+@given(st.builds(lambda start, dt, n: SimulationClock(start, start + dt * n,
+                                                      dt),
+                 st.floats(min_value=1900.0, max_value=2100.0),
+                 st.floats(min_value=0.01, max_value=2.0),
+                 st.integers(min_value=1, max_value=400)))
+# 2020.2 + 0.05 * 28 and 2015.1 + 0.1 * 33 miss the end year by a rounding
+@example(SimulationClock(2020.2, 2021.6, 0.05))
+@example(SimulationClock(2015.1, 2018.4, 0.1))
+def test_clock_times_increase_to_the_end_year(clock):
+    times = clock.times()
+    assert len(times) == clock.n_steps + 1
+    assert times[0] == clock.start_year
+    assert times[-1] == clock.end_year
+    assert all(a < b for a, b in zip(times, times[1:]))
 
 
 def test_clock_rejects_bad_windows():
@@ -144,132 +160,79 @@ def test_linear_trend_must_stay_finite():
         eval_linear_trend(trend, 2020.0)
 
 
-# === lagged series ===
+# === lag indices ===
 
 def test_lagged_series_falls_back_before_history():
-    series = LaggedSeries(lag=1.0, initial_value=400.0)
-    assert series.lookup(2015.0) == 400.0
-    series.record(2015.0, 500.0)
-    # target 2015.25 is after the first record, so nearest wins
-    assert series.lookup(2015.5) == 400.0
-    assert series.lookup(2016.25) == 500.0
+    # the value before launch, then the one recorded at 2015.0
+    history = [400.0, 500.0]
+    reads = [history[i] for i in lag_indices([2015.0, 2015.5, 2016.25], 1.0)]
+    # targets 2014.0 and 2014.5 come before the first record; 2015.25 is
+    # after it, so nearest wins
+    assert reads == [400.0, 400.0, 500.0]
 
 
 def test_lagged_series_nearest_with_tie_toward_earlier():
-    series = LaggedSeries(lag=1.0, initial_value=0.0)
-    for t, value in ((0.0, 10.0), (0.25, 11.0), (0.5, 12.0), (0.75, 13.0)):
-        series.record(t, value)
-    assert series.lookup(1.25) == 11.0
+    history = [0.0, 10.0, 11.0, 12.0, 13.0]
+    reads = [history[i] for i in lag_indices(
+        [0.0, 0.25, 0.5, 0.75, 1.125, 1.25], 1.0)]
+    assert reads[5] == 11.0
     # target 1.125 - 1.0 = 0.125 sits exactly between records 0.0 and 0.25
-    assert series.lookup(1.125) == 10.0
+    assert reads[4] == 10.0
 
 
-def test_lagged_series_same_time_overwrites():
-    series = LaggedSeries(lag=1.0, initial_value=0.0)
-    series.record(0.0, 1.0)
-    series.record(0.0, 2.0)
-    assert series.lookup(1.0) == 2.0
-
-
-def test_lagged_series_rejects_time_reversal_and_lookahead():
-    series = LaggedSeries(lag=1.0, initial_value=0.0)
-    series.record(0.0, 1.0)
-    series.record(0.25, 2.0)
-    with pytest.raises(RuntimeError):
-        series.record(0.1, 3.0)
-    with pytest.raises(RuntimeError):
-        series.lookup(2.0)  # needs history up to t=1.0, far past records
-    with pytest.raises(ConfigurationError):
-        LaggedSeries(lag=0.0, initial_value=0.0)
-
-
-class BisectLaggedSeries(LaggedSeries):
-    """The lookup as a binary search over the records: the reference that
-    the index arithmetic of ``LaggedSeries.lookup`` must reproduce."""
-
-    def lookup(self, t: float) -> float:
-        target = t - self.lag
-        if not self._times or target < self._times[0]:
-            return self.initial_value
-        spacing = (self._times[-1] - self._times[-2]
-                   if len(self._times) > 1 else self.lag)
-        if target > self._times[-1] + 0.5 * spacing:
-            raise RuntimeError(
-                f"lag lookup at t={t} needs history up to {target}, but "
-                f"recording stops at {self._times[-1]}")
-        i = bisect_left(self._times, target)
-        if i == len(self._times):
-            return self._values[-1]
-        if i == 0:
-            return self._values[0]
-        before, after = self._times[i - 1], self._times[i]
-        # ties toward the earlier step: strictly-closer wins, equality keeps i-1
-        if (target - before) <= (after - target):
-            return self._values[i - 1]
-        return self._values[i]
-
-
-def naive_offset_lookup(series, t):
+def naive_offset_indices(times, lag):
     """Reads ``round(lag / dt)`` records back from the next record, without
     the comparison; the property must reject it."""
-    if not series._times or t - series.lag < series._times[0]:
-        return series.initial_value
-    dt = series._times[1] - series._times[0]
-    return series._values[len(series._times) - round(series.lag / dt)]
+    dt = times[1] - times[0]
+    return [0 if t - lag < times[0] else k + 1 - round(lag / dt)
+            for k, t in enumerate(times)]
 
 
-def lookup_outcome(lookup, series, t):
-    try:
-        return lookup(series, t)
-    except RuntimeError as exc:
-        return str(exc)
+def first_lookup_mismatch(indices, start, dt, n_steps):
+    """First time at which a history read through ``indices`` disagrees
+    with the bisect form.
 
-
-def first_lookup_mismatch(lookup, start, dt, n_steps, fractions=()):
-    """First time at which ``lookup`` disagrees with the bisect form.
-
-    Each step looks up before it records, as a model does; then each
-    fraction is one lookup anywhere in and just past the recorded window.
+    Each step reads before it records, as a model does. Where the
+    reference refuses to look ahead, the table has no rule to match: the
+    model refuses, before step 0, a grid whose step 1 looks ahead
+    (``tests/test_model.py``), so a grid's first look-ahead must be step 1's.
     """
-    series = LaggedSeries(lag=1.0, initial_value=-1.0)
-    reference = BisectLaggedSeries(lag=1.0, initial_value=-1.0)
     times = [start + dt * k for k in range(n_steps + 1)]
-    for k, t in enumerate(times):
-        if (lookup_outcome(lookup, series, t)
-                != lookup_outcome(BisectLaggedSeries.lookup, reference, t)):
-            return t
-        series.record(t, float(k))
+    reference = BisectLaggedSeries(lag=1.0, initial_value=-1.0)
+    history = [-1.0]
+    refused = False
+    for k, (t, index) in enumerate(zip(times, indices(times, 1.0))):
+        try:
+            if history[index] != reference.lookup(t):
+                return t
+        except RuntimeError:
+            if not refused and k != 1:
+                return t
+            refused = True
         reference.record(t, float(k))
-    for fraction in fractions:
-        t = times[0] + fraction * (times[-1] + 2.0 * dt - times[0])
-        if (lookup_outcome(lookup, series, t)
-                != lookup_outcome(BisectLaggedSeries.lookup, reference, t)):
-            return t
+        history.append(float(k))
     return None
 
 
 # dt 0.4 puts lag / dt at 2.5: every lag target is a tie between two records.
 # The coarse grids reach the single-record branch at the second step: dt 1.0
-# finds the first record, 1.5 sits on the look-ahead bound and 2.0 raises
+# finds the first record, 1.5 sits on the look-ahead bound and 2.0 is past it
 LAG_GRIDS = st.sampled_from([0.1, 0.25, 0.4, 1 / 64, 1.0, 1.5, 2.0])
 
 
 @settings(max_examples=300)
 @given(LAG_GRIDS, st.floats(min_value=1900.0, max_value=2100.0),
-       st.integers(min_value=1, max_value=160),
-       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
-def test_lagged_lookup_matches_the_bisect_form(dt, start, n_steps,
-                                               fractions):
-    assert first_lookup_mismatch(LaggedSeries.lookup, start, dt, n_steps,
-                                 fractions) is None
+       st.integers(min_value=1, max_value=160))
+def test_lagged_lookup_matches_the_bisect_form(dt, start, n_steps):
+    assert first_lookup_mismatch(lag_indices, start, dt, n_steps) is None
 
 
 def test_naive_offset_fails_the_lookup_property():
     # the float rounding of each tie decides it, so a fixed offset of
     # round(2.5) = 2 records disagrees with the nearest-record rule
-    assert first_lookup_mismatch(naive_offset_lookup, 2015.0, 0.4, 50)
+    assert first_lookup_mismatch(naive_offset_indices, 2015.0, 0.4, 50)
     for dt in (0.1, 0.25, 1 / 64):
-        assert first_lookup_mismatch(naive_offset_lookup, 2015.0, dt,
+        assert first_lookup_mismatch(naive_offset_indices, 2015.0, dt,
                                      round(3.0 / dt)) is None
 
 

@@ -20,7 +20,6 @@ from fitsim import (
     PARAMETER_NAMES,
     SimulationClock,
     FitModel,
-    LaggedSeries,
     PolicyControl,
     SimulationError,
     annuity_factor,
@@ -38,6 +37,7 @@ from fitsim import (
 from fitsim.cli import main
 from fitsim.model import (
     KWH_PER_MWH,
+    REQUEST_LAG,
     PriceTaxOverrides,
     RequestPipeline,
     allocate_payments,
@@ -52,6 +52,7 @@ from fitsim.model import (
     effective_lifetime,
     lifetime_at_activity,
 )
+from lag_reference import BisectLaggedSeries
 
 
 DOC = load_default_config()
@@ -379,6 +380,8 @@ def test_model_instance_is_reusable(default_params):
     a = model.simulate(clock)
     b = model.simulate(clock)
     assert np.array_equal(a["installed_capacity"], b["installed_capacity"])
+    # a run keeps its memory to itself
+    assert vars(model).keys() == {"params", "policy"}
 
 
 def test_total_payment_ledger_matches_price_times_production(base_run):
@@ -406,14 +409,6 @@ class _CountingPolicy:
     pytest.param(DOC.clock, "total_generation_capacity",
                  ["intercept = -1.0"], 2015.0,
                  id="total_generation_capacity-intercept = -1.0-2015.0"),
-    # positive at end_year, negative at the last record, 2000.2 + 0.05 * 28,
-    # which lies past it
-    pytest.param(SimulationClock(2000.2, 2001.6, 0.05),
-                 "electricity_consumption",
-                 ["intercept = 1e-300", "slope = -1e10",
-                  "reference_year = 2001.6"],
-                 2001.6000000000001,
-                 id="electricity_consumption-off the grid-2001.6000000000001"),
 ])
 def test_trend_positivity_is_checked_before_the_first_step(
         clock, trend, lines, year, tmp_path, capsys):
@@ -437,6 +432,24 @@ def test_trend_positivity_is_checked_before_the_first_step(
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
 
+def test_an_off_grid_clock_ends_at_its_end_year(tmp_path, capsys):
+    # 2000.2 + 0.05 * 28 is 2001.6000000000001, where this trend is
+    # negative; the last record is 2001.6 itself, where it is positive
+    config = tmp_path / "off_grid.cfg"
+    config.write_text(
+        "[clock]\nstart_year = 2000.2 ; assumed\n"
+        "end_year = 2001.6 ; assumed\ndt = 0.05 ; assumed\n[trends]\n"
+        "electricity_consumption_intercept = 1e-300 ; assumed\n"
+        "electricity_consumption_slope = -1e10 ; assumed\n"
+        "electricity_consumption_reference_year = 2001.6 ; assumed\n",
+        encoding="utf-8")
+    assert main(["run", "--config", str(config),
+                 "--variables", "electricity_consumption"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 29
+    assert lines[-1] == "2001.6,1e-300"
+
+
 @pytest.mark.parametrize("dt, end", [(2.0, 2035.0), (1.6, 2031.0)])
 def test_a_step_too_coarse_for_the_request_lag_fails_before_the_first_step(
         dt, end):
@@ -457,7 +470,7 @@ def test_the_coarse_step_check_is_the_lookups_own_rule(start, dt):
     # near dt = 1.5 the rounding of the step times decides; the check must
     # fail exactly the clocks whose second step's lookup would
     clock = SimulationClock(start, start + 2 * dt, dt)
-    series = LaggedSeries(lag=1.0, initial_value=0.0)
+    series = BisectLaggedSeries(lag=REQUEST_LAG, initial_value=0.0)
     t0, t1 = clock.times()[:2]
     series.record(t0, 0.0)
     try:
@@ -480,7 +493,16 @@ def test_the_coarse_step_check_is_the_lookups_own_rule(start, dt):
 class ReferenceFitModel(FitModel):
     """The step as a composition of the link functions, integrated by the
     generic ``run_simulation``: the reference that ``FitModel.simulate``
-    must match bit for bit."""
+    must match bit for bit. Its run memory lives on the instance, reset by
+    ``begin_run``: the request history is the bisect reference, and the
+    penetration warning latch a flag."""
+
+    def begin_run(self, clock):
+        super().begin_run(clock)
+        self._requests = BisectLaggedSeries(
+            lag=REQUEST_LAG,
+            initial_value=self.params.econ.initial_annual_requests)
+        self._penetration_warned = False
 
     def simulate(self, clock):
         return run_simulation(self, clock)

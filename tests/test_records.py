@@ -17,7 +17,6 @@ import fitsim.model
 import fitsim.policies
 from fitsim import (
     ConfigurationError,
-    LaggedSeries,
     LinearTrend,
     PolicyControl,
     PriceTaxOverrides,
@@ -121,15 +120,6 @@ def test_checked_records_stay_immutable():
             setattr(record, field, value)
         with pytest.raises(AttributeError):
             record.extra = value
-
-
-def test_the_lagged_series_checks_its_lag():
-    # a mutable history, built only by its constructor
-    for build in (lambda: LaggedSeries(0.0, 1.0),
-                  lambda: LaggedSeries(lag=0.0, initial_value=1.0)):
-        with pytest.raises(ConfigurationError,
-                           match=r"^lag must be positive, got 0\.0$"):
-            build()
 
 
 def test_apply_overrides_runs_the_group_checks():
