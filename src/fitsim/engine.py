@@ -14,7 +14,8 @@ primitive building blocks the models here are assembled from:
   for saturating social and institutional effects,
 * a linear trend for exogenous drivers,
 * a table of lag indices, the record nearest a fixed delay back from each
-  record, used for annual information delays on a sub-annual grid.
+  record, used for annual information delays on a sub-annual grid; the
+  fitsim model computes it once per clock (``model.record_grid``).
 
 Runs are deterministic and pure with respect to their inputs: integrating
 the same model twice yields bit-identical trajectories.
@@ -35,6 +36,7 @@ import math
 import struct
 from array import array
 from bisect import bisect_left
+from functools import lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -250,13 +252,11 @@ class RunResult:
         ``stock_names`` order, then the auxiliaries in ``aux_names`` order,
         were appended to ``rows``; every column is a read-only strided view
         of it."""
-        names = stock_names + aux_names
-        width = 1 + len(names)
+        time_slice, names, slices, aux_only = _layout(stock_names, aux_names,
+                                                      flow_names)
         view = memoryview(rows).toreadonly()
-        columns = {name: view[i::width]
-                   for i, name in enumerate(names, start=1)}
-        aux_only = tuple(name for name in aux_names if name not in flow_names)
-        return cls(times=view[::width], variables=columns,
+        return cls(times=view[time_slice],
+                   variables=dict(zip(names, map(view.__getitem__, slices))),
                    stock_names=stock_names, flow_names=flow_names,
                    aux_names=aux_only, clamp_events=tuple(clamp_events))
 
@@ -283,6 +283,18 @@ class RunResult:
         """Canonical emission order: time, stocks, flows, auxiliaries."""
         return (["time"] + sorted(self.stock_names)
                 + sorted(self.flow_names) + sorted(self.aux_names))
+
+
+@lru_cache(maxsize=32)
+def _layout(stock_names: tuple[str, ...], aux_names: tuple[str, ...],
+            flow_names: tuple[str, ...]) -> tuple:
+    """The times' slice, the column names and slices, and the auxiliaries
+    that are not flows, of a record layout: once per layout, not per run."""
+    names = stock_names + aux_names
+    width = 1 + len(names)
+    return (slice(None, None, width), names,
+            tuple(slice(i, None, width) for i in range(1, width)),
+            tuple(name for name in aux_names if name not in flow_names))
 
 
 def _raise_first_non_finite(what: str, names, values, t: float) -> None:

@@ -47,6 +47,7 @@ box, the policies and the step sizes holds the two to the same bytes.
 import math
 import struct
 from array import array
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .engine import (
@@ -464,6 +465,20 @@ def apply_overrides(params: ModelParameters,
 
 # === the wired model ===
 
+def record_grid(clock: SimulationClock) -> tuple[tuple, tuple]:
+    """The record times of ``clock`` and their request-lag table, as tuples,
+    once per clock. Equal clocks can record different times (``2035`` or
+    ``2035.0``, ``-0.0`` or ``0.0``): the key holds each field's ``repr``
+    too."""
+    return _record_grid(tuple(map(repr, clock)), clock)
+
+
+@lru_cache(maxsize=32)
+def _record_grid(key: tuple, clock: SimulationClock) -> tuple[tuple, tuple]:
+    times = tuple(clock.times())
+    return times, tuple(lag_indices(times, REQUEST_LAG))
+
+
 def _settle(stocks: list[float], rates: tuple[float, ...], t: float,
             t_next: float, events: list[ClampEvent]) -> list[float]:
     """Finish an Euler update whose new ``stocks`` are not all finite and
@@ -545,8 +560,8 @@ class FitModel:
         here. So does a step too coarse for the request lag: step 1 reads
         one lag back, where only step 0 is recorded, and that target may lie
         at most half a lag past step 0, so ``dt`` may be at most 1.5 lags.
-        The test is made on ``start_year + dt`` in floating point, so a
-        rounding that puts step 1 past the bound is refused too.
+        The test is made on the first two record times in floating point,
+        so a rounding that puts step 1 past the bound is refused too.
         """
         exog = self.params.exogenous
         start = clock.start_year
@@ -557,7 +572,8 @@ class FitModel:
                 except ConfigurationError as exc:
                     raise ConfigurationError(f"{name}: {exc}") from None
         lag = REQUEST_LAG
-        if (start + clock.dt) - lag > start + 0.5 * lag:
+        times = record_grid(clock)[0]
+        if times[1] - lag > times[0] + 0.5 * lag:
             raise ConfigurationError(
                 f"dt must not exceed 1.5 times the one-year request lag, "
                 f"got {clock.dt}")
@@ -569,11 +585,15 @@ class FitModel:
         run: each formula keeps its link's operation order, and each check
         a run can reach stays, calling the link to raise its error; what
         ``begin_run`` and the parameter records prove before step 0 is not
-        re-checked. The Euler update is written out per stock, beside the
-        step, with every check of :func:`~fitsim.engine.run_simulation` in
-        its words, variable and time: non-finite auxiliaries, non-finite
-        rates and stocks (one test of the new stocks' sum, settled by
-        ``_settle`` when it fails), and the clamp at zero with its
+        re-checked. The record times and the request-lag table depend on
+        the clock alone and come from :func:`record_grid`. The tolerance at
+        the base levy is computed once per run, and a levy override goes
+        through the sigmoid itself. The Euler update is written out per
+        stock, beside the step, with every check of
+        :func:`~fitsim.engine.run_simulation` in its words, variable and
+        time: non-finite auxiliaries, non-finite rates and stocks (one test
+        of the new stocks' sum, settled by ``_settle`` when it fails), and
+        the clamp at zero with its
         :class:`~fitsim.engine.ClampEvent` records. The reference model in
         ``tests/test_model.py`` composes the links and runs through
         ``run_simulation``; this loop must match it bit for bit, in every
@@ -594,7 +614,7 @@ class FitModel:
         annuity = annuity_factor(econ.interest_rate, econ.remuneration_period)
         capacity_factor = econ.capacity_factor
         gain = effects.penetration_gain
-        tol_max, tol_x50, tol_p = effects.social_tolerance
+        base_tolerance = effects.social_tolerance(base_tax)
         trust_max, trust_x50, trust_p = effects.investor_trust
         om_max, om_x50, om_p = effects.om_activity
         approval = 1.0 - econ.rejection_fraction
@@ -607,7 +627,7 @@ class FitModel:
         # finite and non-negative: the parameter records check them
         (installed, depreciated, debt, budget, total_production,
          total_payment, perceived) = self.initial_state()
-        times = clock.times()
+        times, back = record_grid(clock)
         n_steps, dt = clock.n_steps, clock.dt
         pack = self._record.pack
         rows = array("d")
@@ -615,7 +635,6 @@ class FitModel:
         # the requests filed before launch, then one entry per record, read
         # one lag back through the index table
         history = [econ.initial_annual_requests]
-        back = lag_indices(times, REQUEST_LAG)
         warned = False
 
         for k, t in enumerate(times):
@@ -688,12 +707,11 @@ class FitModel:
 
             # penetration is in [0, 1]: the stocks are clamped at zero, it
             # at 1
-            if not 0.0 <= res_tax < inf:
-                eval_inverted_sigmoid(effects.social_tolerance, res_tax)
-            try:
-                tolerance = tol_max / (1.0 + (res_tax / tol_x50) ** tol_p)
-            except OverflowError:
-                tolerance = 0.0
+            if res_tax == base_tax:
+                tolerance = base_tolerance
+            else:
+                tolerance = eval_inverted_sigmoid(effects.social_tolerance,
+                                                  res_tax)
             acceptance = (1.0 + gain * penetration) * tolerance
             if not 0.0 <= delay < inf:
                 eval_inverted_sigmoid(effects.investor_trust, delay)

@@ -267,17 +267,22 @@ def behavior_signature(times, values) -> BehaviorSignature:
     of it back is growth-peak-decline; otherwise it is monotone growth,
     monotone decline, or flat. "Meaningful" is a fixed fraction of the
     series scale, so uniform positive scaling leaves the result unchanged.
+    The values are classified as Python numbers: a numpy array goes
+    through ``tolist()``, so a float32 series is smoothed in double
+    precision.
     """
     if len(times) != len(values) or len(values) < 3:
         raise ValueError("need matching 1-d series of at least 3 points")
 
-    v = values
+    # Python floats, converted at once from a buffer (a run's column)
+    v = values.tolist() if hasattr(values, "tolist") else list(values)
     smooth = ([v[0]] + [(a + b + c) / 3.0 for a, b, c in zip(v, v[1:], v[2:])]
               + [v[-1]])
-    scale = max(map(abs, smooth))
+    high, low = max(smooth), min(smooth)
+    scale = max(abs(high), abs(low))
     margin = _SHAPE_MARGIN * scale if scale > 0.0 else 0.0
 
-    peak_index = smooth.index(max(smooth))  # the first maximum
+    peak_index = smooth.index(high)  # the first maximum
     rise = smooth[peak_index] - smooth[0]
     fall = smooth[peak_index] - smooth[-1]
     if rise > margin and fall > margin:

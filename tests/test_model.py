@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fitsim.model
 from fitsim import (
     ClampEvent,
     ConfigurationError,
@@ -29,6 +30,7 @@ from fitsim import (
     eval_inverted_sigmoid,
     eval_linear_trend,
     get_parameter,
+    lag_indices,
     load_default_config,
     make_policy_fn,
     parse_config,
@@ -51,6 +53,7 @@ from fitsim.model import (
     compute_tendency_to_invest,
     effective_lifetime,
     lifetime_at_activity,
+    record_grid,
 )
 from lag_reference import BisectLaggedSeries
 
@@ -450,15 +453,29 @@ def test_an_off_grid_clock_ends_at_its_end_year(tmp_path, capsys):
     assert lines[-1] == "2001.6,1e-300"
 
 
-@pytest.mark.parametrize("dt, end", [(2.0, 2035.0), (1.6, 2031.0)])
+@pytest.mark.parametrize("dt, end", [
+    (2.0, 2035.0), (1.6, 2031.0),
+    # one step, whose end_year the whole-steps tolerance lets lie 1e-9
+    # years past start_year + dt: step 1's lag target is past the bound
+    (1.5, 2016.500000001)])
 def test_a_step_too_coarse_for_the_request_lag_fails_before_the_first_step(
         dt, end):
+    clock = SimulationClock(2015.0, end, dt)
+    # the lookup's own rule: step 1 would read past the history
+    series = BisectLaggedSeries(lag=REQUEST_LAG, initial_value=0.0)
+    t0, t1 = clock.times()[:2]
+    series.record(t0, 0.0)
+    with pytest.raises(RuntimeError):
+        series.lookup(t1)
     policy = _CountingPolicy()
     with pytest.raises(ConfigurationError) as excinfo:
-        FitModel(PACKAGED, policy).simulate(SimulationClock(2015.0, end, dt))
-    assert policy.calls == 0
+        FitModel(PACKAGED, policy).simulate(clock)
     assert str(excinfo.value) == (
         f"dt must not exceed 1.5 times the one-year request lag, got {dt}")
+    # the reference shares begin_run, so this shows only that it runs it
+    assert (outcome(ReferenceFitModel, PACKAGED, policy, clock)
+            == (ConfigurationError, str(excinfo.value)))
+    assert policy.calls == 0
 
 
 @given(st.floats(min_value=2014.0, max_value=2048.0),
@@ -774,6 +791,15 @@ def test_step_matches_the_composed_links_at_its_edges(overrides, policy,
         assert set(array("d", result[0][name])) == {0.0}, name
 
 
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+def test_a_levy_override_reads_the_tolerance_at_its_own_value(scale):
+    # the run computes the tolerance at the base levy once, and a step
+    # reads it only when its levy is the base levy
+    policy = levy(PACKAGED.econ.res_tax_base * scale)
+    assert (outcome(FitModel, PACKAGED, policy)
+            == outcome(ReferenceFitModel, PACKAGED, policy))
+
+
 def test_the_penetration_clamp_warns_once_per_run(caplog):
     # installed capacity outgrows this generation capacity at once; the clamp
     # is what keeps the penetration in [0, 1], where the step reads it
@@ -790,3 +816,54 @@ def test_the_penetration_clamp_warns_once_per_run(caplog):
         assert len(run.times) == 81
     assert (outcome(FitModel, params, None)
             == outcome(ReferenceFitModel, params, None))
+
+
+# === the record grid, computed once per clock ===
+
+@given(st.builds(lambda start, dt, n: SimulationClock(start, start + dt * n,
+                                                      dt),
+                 st.floats(min_value=1900.0, max_value=2100.0),
+                 st.floats(min_value=0.01, max_value=2.0),
+                 st.integers(min_value=1, max_value=400))
+       | st.builds(lambda start, n, dt: SimulationClock(start, start + n, dt),
+                   st.integers(min_value=1900, max_value=2100),
+                   st.integers(min_value=1, max_value=40),
+                   st.sampled_from([1, 0.5, 0.25, 0.1])))
+@example(SimulationClock(2015, 2035, 0.25))
+@example(SimulationClock(-1.0, -0.0, 0.25))
+def test_the_record_grid_is_the_clocks_own(clock):
+    times = clock.times()
+    for _ in range(2):  # computed, then read from the cache
+        grid = record_grid(clock)
+        assert grid == (tuple(times), tuple(lag_indices(times, REQUEST_LAG)))
+        assert list(map(repr, grid[0])) == list(map(repr, times))
+
+
+# equal clocks that record different times: the last is 2017 or 2017.0,
+# where this run's first non-finite stock is named, or -0.0 or 0.0
+EQUAL_CLOCKS = {
+    "int and float": ({"capacity_factor": 1e302}, launch_tariff_cut(),
+                      SimulationClock(2015, 2017, 0.25),
+                      SimulationClock(2015.0, 2017.0, 0.25)),
+    "negative and positive zero": (
+        {"total_generation_capacity_reference_year": 0.0,
+         "electricity_consumption_reference_year": 0.0}, None,
+        SimulationClock(-1.0, -0.0, 0.25), SimulationClock(-1.0, 0.0, 0.25)),
+}
+
+
+@pytest.mark.parametrize("overrides, policy, first, second",
+                         EQUAL_CLOCKS.values(), ids=EQUAL_CLOCKS)
+def test_equal_clocks_keep_their_own_grids(overrides, policy, first, second):
+    assert first == second and hash(first) == hash(second)
+    params = apply_overrides(PACKAGED, overrides)
+    outcomes = []
+    for order in ((first, second), (second, first)):
+        fitsim.model._record_grid.cache_clear()
+        outcomes.append({repr(clock): outcome(FitModel, params, policy, clock)
+                         for clock in order})
+    assert outcomes[0] == outcomes[1]
+    a, b = (outcomes[0][repr(clock)] for clock in (first, second))
+    assert a != b
+    assert a == outcome(ReferenceFitModel, params, policy, first)
+    assert b == outcome(ReferenceFitModel, params, policy, second)

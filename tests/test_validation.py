@@ -6,7 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fitsim import (
     FitModel,
@@ -31,6 +31,7 @@ from fitsim.validation import (
     GROWTH_PEAK_DECLINE,
     MONOTONE_DECLINE,
     MONOTONE_GROWTH,
+    _SHAPE_MARGIN,
     calibration_story,
     load_series_csv,
     margin_above,
@@ -267,6 +268,74 @@ def test_classifier_peak_is_the_first_maximum(values, leading_nan):
     times = [2015.0 + 0.25 * k for k in range(len(values))]
     assert (behavior_signature(times, values).peak_year
             == key_form_peak_year(times, values))
+
+
+def former_behavior_signature(times, values):
+    """The classifier as it was before it converted its input to a list:
+    the reference the classifier is held to."""
+    v = values
+    smooth = ([v[0]] + [(a + b + c) / 3.0 for a, b, c in zip(v, v[1:], v[2:])]
+              + [v[-1]])
+    scale = max(map(abs, smooth))
+    margin = _SHAPE_MARGIN * scale if scale > 0.0 else 0.0
+    peak_index = smooth.index(max(smooth))
+    rise = smooth[peak_index] - smooth[0]
+    fall = smooth[peak_index] - smooth[-1]
+    if rise > margin and fall > margin:
+        shape = GROWTH_PEAK_DECLINE
+    elif smooth[-1] - smooth[0] > margin:
+        shape = MONOTONE_GROWTH
+    elif smooth[0] - smooth[-1] > margin:
+        shape = MONOTONE_DECLINE
+    else:
+        shape = FLAT
+    peak_year = float(times[peak_index]) if scale > 0.0 else None
+    first_positive_year = None
+    top = max(v)
+    if top > 0.0:
+        floor = 1e-9 * top
+        for ti, vi in zip(times, v):
+            if vi > floor:
+                first_positive_year = float(ti)
+                break
+    return (shape, first_positive_year is not None, first_positive_year,
+            peak_year)
+
+
+def strided_column(values):
+    """``values`` as a read-only strided memoryview, as a run's column is."""
+    rows = array("d")
+    for value in values:
+        rows.extend((-1.0, value))
+    return memoryview(rows).toreadonly()[1::2]
+
+
+@pytest.mark.parametrize("container", [list, np.array, strided_column])
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+                | st.floats(min_value=-1e300, max_value=1e300),
+                min_size=3, max_size=40))
+@example([0.0] * 5)
+@example([-3.0, -1.0, -2.0, -5.0])
+@example([-0.0] * 4)
+@example([0.0, -0.0, -0.0, 0.0])
+@example([2.0] * 6)
+def test_classifier_matches_its_former_formula(container, values):
+    times = container([2015.0 + 0.25 * k for k in range(len(values))])
+    series = container(values)
+    assert (behavior_signature(times, series)
+            == former_behavior_signature(times, series))
+
+
+def test_a_float32_series_is_classified_in_double_precision():
+    # the classifier works on the values as Python floats; in float32 the
+    # two interior means round apart the other way, moving the peak
+    times = np.array([2015.0, 2015.25, 2015.5, 2015.75], dtype=np.float32)
+    values = np.array([0.05, 3.0, 0.051, 0.05], dtype=np.float32)
+    signature = behavior_signature(times, values)
+    assert signature.peak_year == 2015.25
+    assert signature == former_behavior_signature(times.tolist(),
+                                                  values.tolist())
+    assert former_behavior_signature(times, values)[3] == 2015.5
 
 
 def test_classifier_input_guards():
