@@ -100,6 +100,14 @@ class ConfigDocument(NamedTuple):
     def scenario_names(self) -> tuple[str, ...]:
         return tuple(scenario.name for scenario in self.scenarios)
 
+    @property
+    def assumed_keys(self) -> tuple[str, ...]:
+        """The model parameters marked ``assumed``, sorted."""
+        return tuple(sorted(
+            key for section in _PARAMETER_SECTIONS
+            for key, entry in self.entries.get(section, {}).items()
+            if entry.source == "assumed"))
+
     def scenario(self, name: str) -> Scenario:
         for scenario in self.scenarios:
             if scenario.name == name:

@@ -20,6 +20,9 @@ primitive building blocks the models here are assembled from:
 Runs are deterministic and pure with respect to their inputs: integrating
 the same model twice yields bit-identical trajectories.
 
+A checked record (:func:`checked`) declares each float field's bound
+beside the field: ``Positive``, ``NonNegative`` or ``Finite``.
+
 :func:`run_simulation` sees only a model's ``derivatives``. It is the
 generic integrator and the reference: the fitsim model runs its own loop,
 its step inlined beside the Euler update, and a property in
@@ -37,7 +40,7 @@ import struct
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Annotated, NamedTuple, get_type_hints
 
 __all__ = [
     "ConfigurationError",
@@ -49,6 +52,9 @@ __all__ = [
     "ClampEvent",
     "RunResult",
     "checked",
+    "Positive",
+    "NonNegative",
+    "Finite",
     "eval_inverted_sigmoid",
     "eval_linear_trend",
     "run_simulation",
@@ -71,18 +77,58 @@ class SimulationError(RuntimeError):
         self.time = time
 
 
+# a float field's bound in a checked record; the metadata is its refusal
+Positive = Annotated[float, "positive and finite"]
+NonNegative = Annotated[float, "non-negative and finite"]
+Finite = Annotated[float, "finite"]
+
+
 def checked(cls):
-    """Make the ``NamedTuple`` class ``cls`` a checked record: its
-    ``_check``, which raises :class:`ConfigurationError`, runs on every
-    construction path, ``_make`` and ``_replace`` included."""
-    new = cls.__new__
+    """Make the ``NamedTuple`` class ``cls`` a checked record: every
+    construction path, ``_make`` and ``_replace`` included, refuses with a
+    :class:`ConfigurationError` the first field that is not a number within
+    its bound (positive, then non-negative, then finite fields, each kind
+    in declaration order), named ``<record>.<field>`` if the class sets
+    ``_qualified``, then runs the class's ``_check`` if it has one: the
+    rules that one field cannot state alone."""
+    hints = get_type_hints(cls, include_extras=True)
+    positive, non_negative, finite = (
+        tuple(i for i, name in enumerate(cls._fields) if hints[name] == bound)
+        for bound in (Positive, NonNegative, Finite))
+    prefix = f"{cls.__name__}." if getattr(cls, "_qualified", False) else ""
+    check, new, inf = getattr(cls, "_check", None), cls.__new__, math.inf
+
+    def refusal(self, i):
+        name = self._fields[i]
+        return ConfigurationError(f"{prefix}{name} must be "
+                                  f"{hints[name].__metadata__[0]}, "
+                                  f"got {self[i]}")
 
     def __new__(kind, *args, **kwargs):
         self = new(kind, *args, **kwargs)
-        self._check()
+        try:
+            for i in positive:
+                if not 0.0 < self[i] < inf:
+                    raise refusal(self, i)
+            for i in non_negative:
+                if not 0.0 <= self[i] < inf:
+                    raise refusal(self, i)
+            for i in finite:
+                if not -inf < self[i] < inf:
+                    raise refusal(self, i)
+        except TypeError:  # field i is not a number
+            raise refusal(self, i) from None
+        if check is not None:
+            check(self)
         return self
 
-    cls.__new__ = staticmethod(__new__)
+    def unbounded_new(kind, *args, **kwargs):
+        self = new(kind, *args, **kwargs)
+        check(self)
+        return self
+
+    bounded = positive or non_negative or finite
+    cls.__new__ = staticmethod(__new__ if bounded else unbounded_new)
     cls._make = classmethod(lambda kind, iterable: kind(*iterable))
     return cls
 
@@ -91,14 +137,11 @@ def checked(cls):
 class SimulationClock(NamedTuple):
     """Integration window and step size, in calendar years."""
 
-    start_year: float
-    end_year: float
-    dt: float
+    start_year: Finite
+    end_year: Finite
+    dt: Finite
 
     def _check(self):
-        for name, value in zip(self._fields, self):
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
         if not (self.end_year > self.start_year):
             raise ConfigurationError(
                 f"end_year must exceed start_year, got "
@@ -136,16 +179,11 @@ class SigmoidEffect(NamedTuple):
     as x grows; larger ``p`` sharpens the transition.
     """
 
-    y_max: float
-    x_50: float
-    p: float
+    y_max: Positive
+    x_50: Positive
+    p: Positive
 
-    def _check(self):
-        for name, value in zip(self._fields, self):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigurationError(
-                    f"SigmoidEffect.{name} must be positive and finite, "
-                    f"got {value}")
+    _qualified = True  # a part of an effect, whose config key it cannot know
 
     def __call__(self, x: float) -> float:
         return eval_inverted_sigmoid(self, x)
@@ -168,15 +206,11 @@ def eval_inverted_sigmoid(effect: SigmoidEffect, x: float) -> float:
 class LinearTrend(NamedTuple):
     """Exogenous driver ``value = intercept + slope * (t - reference_year)``."""
 
-    intercept: float
-    slope: float
-    reference_year: float
+    intercept: Finite
+    slope: Finite
+    reference_year: Finite
 
-    def _check(self):
-        for name, value in zip(self._fields, self):
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"LinearTrend.{name} must be finite, got {value}")
+    _qualified = True  # a part of a trend, whose config key it cannot know
 
 
 def eval_linear_trend(trend: LinearTrend, t: float) -> float:

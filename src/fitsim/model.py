@@ -33,6 +33,9 @@ perceived_shortage              dollars  first-order perception of the
 Except where noted, prices and costs are in dollars per MWh; the levy
 (``res_tax``) is in dollars per kWh and is converted at the budget boundary.
 
+Float parameters declare their bounds beside them (see ``engine.checked``);
+``_check`` keeps the ranges and the remuneration period's one-year floor.
+
 Each link of the structure is a public function below (``annuity_factor``,
 ``compute_*``, ``allocate_payments``, ...), checked against oracles in the
 tests. ``FitModel.simulate`` does not call them: its step is the same
@@ -54,6 +57,8 @@ from .engine import (
     ClampEvent,
     ConfigurationError,
     LinearTrend,
+    NonNegative,
+    Positive,
     RunResult,
     SigmoidEffect,
     SimulationClock,
@@ -79,46 +84,26 @@ REQUEST_LAG = 1.0  # years
 class EconomicParameters(NamedTuple):
     """Scalar constants of the program: economics, pipeline, initial state."""
 
-    capacity_factor: float             # fraction of nameplate output
-    initial_fit_price: float           # $/MWh, tariff offered at launch
-    om_cost: float                     # $/MWh, operation and maintenance
-    interest_rate: float               # per year, investor discount rate
-    remuneration_period: float         # years of guaranteed purchase
-    initial_capital_cost: float        # $/MW at the initial build level
-    learning_exponent: float           # capital-cost learning strength
-    time_to_build: float               # years from approval to operation
-    normal_equipment_lifetime: float   # years, with healthy maintenance
-    rejection_fraction: float          # share of requests turned down
-    capacity_target: float             # MW, program goal
-    res_tax_base: float                # $/kWh, electricity levy
-    initial_annual_requests: float     # MW/year filed before launch
-    fit_price_floor: float             # minimum multiplier of the launch tariff
-    shortage_smoothing_time: float     # years, shortfall perception delay
-    initial_installed_capacity: float  # MW
-    initial_budget: float              # dollars
-    initial_suna_debt: float           # dollars
+    capacity_factor: Positive             # fraction of nameplate output
+    initial_fit_price: Positive           # $/MWh, tariff offered at launch
+    om_cost: NonNegative                  # $/MWh, operation and maintenance
+    interest_rate: Positive               # per year, investor discount rate
+    remuneration_period: Positive         # years of guaranteed purchase
+    initial_capital_cost: Positive        # $/MW at the initial build level
+    learning_exponent: NonNegative        # capital-cost learning strength
+    time_to_build: Positive               # years from approval to operation
+    normal_equipment_lifetime: Positive   # years, with healthy maintenance
+    rejection_fraction: float             # share of requests turned down
+    capacity_target: Positive             # MW, program goal
+    res_tax_base: NonNegative             # $/kWh, electricity levy
+    initial_annual_requests: Positive     # MW/year filed before launch
+    fit_price_floor: float                # minimum multiplier of the launch tariff
+    shortage_smoothing_time: Positive     # years, shortfall perception delay
+    initial_installed_capacity: Positive  # MW
+    initial_budget: NonNegative           # dollars
+    initial_suna_debt: NonNegative        # dollars
 
     def _check(self):
-        positive = (
-            "capacity_factor", "initial_fit_price", "interest_rate",
-            "remuneration_period", "initial_capital_cost", "time_to_build",
-            "normal_equipment_lifetime", "capacity_target",
-            "initial_annual_requests", "shortage_smoothing_time",
-            "initial_installed_capacity",
-        )
-        for name in positive:
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0.0):
-                raise ConfigurationError(
-                    f"{name} must be positive and finite, got {value}")
-        non_negative = ("om_cost", "learning_exponent", "res_tax_base",
-                        "initial_budget", "initial_suna_debt")
-        for name in non_negative:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigurationError(
-                    f"{name} must be non-negative and finite, got {value}")
         if self.remuneration_period < 1.0:
             raise ConfigurationError(
                 f"remuneration_period must be at least one year, "
@@ -145,14 +130,7 @@ class SocialEffectSet(NamedTuple):
     social_tolerance: SigmoidEffect  # x: $/kWh
     investor_trust: SigmoidEffect    # x: years
     om_activity: SigmoidEffect       # x: years
-    penetration_gain: float          # slope of acceptance in penetration
-
-    def _check(self):
-        if not (math.isfinite(self.penetration_gain)
-                and self.penetration_gain >= 0.0):
-            raise ConfigurationError(
-                f"penetration_gain must be non-negative, "
-                f"got {self.penetration_gain}")
+    penetration_gain: NonNegative    # slope of acceptance in penetration
 
 
 class ExogenousInputs(NamedTuple):
@@ -304,23 +282,6 @@ def compute_request_pipeline(previous_requests: float, tendency: float,
 def lifetime_at_activity(activity: float, econ: EconomicParameters) -> float:
     """Equipment lifetime at a maintenance activity level, floored at one year."""
     return max(MINIMUM_LIFETIME, econ.normal_equipment_lifetime * activity)
-
-
-def effective_lifetime(delay_in_debt_payment: float, econ: EconomicParameters,
-                       effects: SocialEffectSet) -> float:
-    """Equipment lifetime shortened by stalled maintenance, floored at one year."""
-    return lifetime_at_activity(
-        eval_inverted_sigmoid(effects.om_activity, delay_in_debt_payment),
-        econ)
-
-
-def compute_depreciation(installed_capacity: float,
-                         delay_in_debt_payment: float,
-                         econ: EconomicParameters,
-                         effects: SocialEffectSet) -> float:
-    """Retirement flow, MW/year."""
-    return installed_capacity / effective_lifetime(delay_in_debt_payment,
-                                                   econ, effects)
 
 
 # === fund accounting ===

@@ -24,7 +24,14 @@ import math
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .engine import ConfigurationError, RunResult, SimulationClock, checked
+from .engine import (
+    ConfigurationError,
+    Finite,
+    NonNegative,
+    RunResult,
+    SimulationClock,
+    checked,
+)
 from .model import (
     FitModel,
     ModelParameters,
@@ -58,26 +65,17 @@ class PolicyControl(NamedTuple):
     """Knobs of one policy; zeroed knobs make every policy the base run."""
 
     policy_id: str = "base"
-    fit_price_delta: float = 0.0       # $/MWh, p1
-    fit_controller_gain: float = 0.0   # 1/$ of perceived shortage, p2
-    tax_controller_gain: float = 0.0   # ($/kWh) per $ of perceived shortage, p3
-    tax_floor: float = 0.0             # $/kWh, p3 clamp
-    tax_cap: float = MAX_RES_TAX       # $/kWh, p3 clamp
+    fit_price_delta: Finite = 0.0            # $/MWh, p1
+    fit_controller_gain: NonNegative = 0.0   # 1/$ of perceived shortage, p2
+    tax_controller_gain: NonNegative = 0.0   # ($/kWh) per $ of perceived shortage, p3
+    tax_floor: NonNegative = 0.0             # $/kWh, p3 clamp
+    tax_cap: float = MAX_RES_TAX             # $/kWh, p3 clamp
 
     def _check(self):
         if self.policy_id not in POLICY_IDS:
             raise ConfigurationError(
                 f"unknown policy_id {self.policy_id!r}; "
                 f"expected one of {POLICY_IDS}")
-        for name in ("fit_controller_gain", "tax_controller_gain",
-                     "tax_floor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigurationError(
-                    f"{name} must be non-negative and finite, got {value}")
-        if not math.isfinite(self.fit_price_delta):
-            raise ConfigurationError(
-                f"fit_price_delta must be finite, got {self.fit_price_delta}")
         if not self.tax_floor <= self.tax_cap <= MAX_RES_TAX:
             raise ConfigurationError(
                 f"need tax_floor <= tax_cap <= {MAX_RES_TAX}, got "

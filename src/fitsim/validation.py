@@ -500,8 +500,8 @@ def extreme_condition_suite(params: ModelParameters,
     findings = []
 
     bound = ACCEPTANCE_BOUNDS
-    run = _base_run(params._replace(econ=params.econ._replace(
-        remuneration_period=1.0)), clock)
+    run = _base_run(apply_overrides(params, {"remuneration_period": 1.0}),
+                    clock)
     installed = run["installed_capacity"]
     tendency = run["tendency_to_invest"]
     budget = run["budget"]
@@ -528,8 +528,8 @@ def extreme_condition_suite(params: ModelParameters,
         f"budget {budget[0]:.3g} -> {budget[-1]:.3g}, "
         f"monotone after year 1: {grows}", margin))
 
-    run = _base_run(params._replace(econ=params.econ._replace(
-        initial_suna_debt=bound["inherited_debt"])), clock)
+    run = _base_run(apply_overrides(
+        params, {"initial_suna_debt": bound["inherited_debt"]}), clock)
     tendency = run["tendency_to_invest"]
     budget = run["budget"]
     t0 = tendency[0]

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` points the CLI's and the suites' module-level
 names at traced wrappers, resolving each by ``getattr`` with no default.
 A refactor that moves or renames one of them breaks every traced run, so
-the names are checked here, without running the harness.
+the names are checked here, without running the harness. The sweep's own
+derivation of the ``assumed`` keys is held to the library's here too.
 """
 
 import importlib
@@ -16,16 +17,22 @@ import pytest
 import fitsim
 import fitsim.model
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    """The harness module ``perfbench/<name>.py``, read without running it
+    as a script."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracing")
 
 
 def test_every_traced_cli_call_resolves(tracing):
@@ -49,3 +56,10 @@ def test_every_module_that_builds_the_model_is_a_traced_model_user(tracing):
     assert builders <= set(tracing.MODEL_USERS)
     for module_name in tracing.MODEL_USERS:
         importlib.import_module(module_name)
+
+
+def test_the_sweep_draws_the_librarys_assumed_keys():
+    # the harness derives the keys itself; its copy must not drift from
+    # the library's
+    doc = fitsim.load_default_config()
+    assert load("worker").assumed_keys(doc) == list(doc.assumed_keys)

@@ -46,12 +46,10 @@ from fitsim.model import (
     average_fit_price,
     compute_capital_cost,
     compute_delay_in_debt_payment,
-    compute_depreciation,
     compute_production_and_price,
     compute_request_pipeline,
     compute_social_acceptance,
     compute_tendency_to_invest,
-    effective_lifetime,
     lifetime_at_activity,
     record_grid,
 )
@@ -205,19 +203,23 @@ def test_request_pipeline_trace():
     assert pipeline == RequestPipeline(100.0, 50.0, 25.0)
 
 
+def lifetime(delay, params=PACKAGED):
+    """Equipment lifetime at a payment delay, as ``ReferenceFitModel``
+    composes it: maintenance activity, then the floored lifetime."""
+    return lifetime_at_activity(
+        eval_inverted_sigmoid(params.effects.om_activity, delay), params.econ)
+
+
 def test_effective_lifetime_halves_at_the_sigmoid_midpoint():
-    params = PACKAGED
-    assert effective_lifetime(0.0, params.econ, params.effects) == 20.0
-    assert effective_lifetime(5.0, params.econ,
-                              params.effects) == pytest.approx(10.0)
+    assert lifetime(0.0) == 20.0
+    assert lifetime(5.0) == pytest.approx(10.0)
     # the floor stops retirement from becoming instantaneous
-    assert effective_lifetime(50.0, params.econ, params.effects) == 1.0
+    assert lifetime(50.0) == 1.0
 
 
 def test_depreciation_flow():
-    params = PACKAGED
-    assert compute_depreciation(120.0, 5.0, params.econ,
-                                params.effects) == pytest.approx(12.0)
+    # retirement is the installed base over the lifetime
+    assert 120.0 / lifetime(5.0) == pytest.approx(12.0)
 
 
 # === fund allocation ===
@@ -625,11 +627,7 @@ class ReferenceFitModel(FitModel):
 
 
 # the box the calibration and the sweep search: every `assumed` model value
-ASSUMED_KEYS = sorted(
-    key
-    for section in ("parameters", "effects", "trends")
-    for key, entry in DOC.entries.get(section, {}).items()
-    if entry.source == "assumed")
+ASSUMED_KEYS = DOC.assumed_keys
 # the four canonical scenarios, plus a p1 whose tariff is negative from
 # the first step
 NEGATIVE_TARIFF = DOC.scenario("p1_higher_fit")._replace(

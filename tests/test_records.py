@@ -8,7 +8,9 @@ pinned here word for word.
 """
 
 import copy
+import math
 import pickle
+from typing import ForwardRef, get_type_hints
 
 import pytest
 
@@ -26,6 +28,7 @@ from fitsim import (
     apply_overrides,
     load_default_config,
 )
+from fitsim.engine import Finite, NonNegative, Positive
 
 PACKAGED = load_default_config().params
 CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
@@ -40,7 +43,7 @@ CHECKED = [
     (PACKAGED.econ, "rejection_fraction", 1.5,
      "rejection_fraction must lie in [0, 1], got 1.5"),
     (PACKAGED.effects, "penetration_gain", -1.0,
-     "penetration_gain must be non-negative, got -1.0"),
+     "penetration_gain must be non-negative and finite, got -1.0"),
     (PriceTaxOverrides(), "fit_price_multiplier", 0.0,
      "fit_price_multiplier must lie in (0, 1], got 0.0"),
     (PolicyControl(), "tax_cap", 0.5,
@@ -84,13 +87,114 @@ def test_every_construction_path_runs_the_check(record, field, value,
 RECORDS = [case[0] for case in CHECKED]
 
 
+def is_checked(kind):
+    # engine.checked gives a checked record a constructor of its own
+    return (isinstance(kind, type) and issubclass(kind, tuple)
+            and kind.__new__.__qualname__.startswith("checked."))
+
+
 def test_every_checked_record_is_listed():
-    # a checked record is one NamedTuple class with a _check
     found = {kind for module in (fitsim.engine, fitsim.model, fitsim.policies)
-             for kind in vars(module).values()
-             if isinstance(kind, type) and hasattr(kind, "_check")}
+             for kind in vars(module).values() if is_checked(kind)}
     assert {type(record) for record in RECORDS} == found
     assert all(kind.__bases__ == (tuple,) for kind in found)
+
+
+# each bound's words in a refusal
+BOUND_WORDS = {Positive: "positive and finite",
+               NonNegative: "non-negative and finite", Finite: "finite"}
+# values outside each bound; a string is no number at all
+OUTSIDE = {Positive: [0.0, -1.0, -math.inf, math.inf, math.nan, "x"],
+           NonNegative: [-1.0, -math.inf, math.inf, math.nan, "x"],
+           Finite: [-math.inf, math.inf, math.nan, "x"]}
+# a record whose fields are parts of a config key names itself too
+QUALIFIED = (SigmoidEffect, LinearTrend)
+
+
+def bounds(kind):
+    """The bound each bounded field of ``kind`` declares, by field."""
+    hints = get_type_hints(kind, include_extras=True)
+    return {name: hints[name] for name in kind._fields
+            if hints[name] in BOUND_WORDS}
+
+
+BOUNDED = [(record, field, bound) for record in RECORDS
+           for field, bound in bounds(type(record)).items()]
+
+
+@pytest.mark.parametrize(
+    "record, field, bound", BOUNDED,
+    ids=[f"{type(record).__name__}.{field}" for record, field, _ in BOUNDED])
+def test_every_bounded_field_is_refused_by_name(record, field, bound):
+    prefix = f"{type(record).__name__}." if type(record) in QUALIFIED else ""
+    for value in OUTSIDE[bound]:
+        message = f"{prefix}{field} must be {BOUND_WORDS[bound]}, got {value}"
+        for path, build in build_paths(record, field, value).items():
+            with pytest.raises(ConfigurationError) as raised:
+                build()
+            assert str(raised.value) == message, (path, value)
+
+
+def test_the_first_refused_kind_then_field_is_named():
+    # several bad values: positive fields, then non-negative, then finite,
+    # each kind in declaration order, and all before the record's _check
+    econ = PACKAGED.econ._asdict()
+    cases = [
+        (lambda: type(PACKAGED.econ)(**{**econ, "om_cost": -1.0,
+                                         "capacity_target": -1.0}),
+         "capacity_target must be positive and finite, got -1.0"),
+        (lambda: type(PACKAGED.econ)(**{**econ, "initial_budget": math.nan,
+                                         "om_cost": math.nan}),
+         "om_cost must be non-negative and finite, got nan"),
+        (lambda: type(PACKAGED.econ)(**{**econ, "remuneration_period": 0.5,
+                                         "initial_suna_debt": -1.0}),
+         "initial_suna_debt must be non-negative and finite, got -1.0"),
+        (lambda: PolicyControl(fit_price_delta=math.nan, tax_floor=-1.0),
+         "tax_floor must be non-negative and finite, got -1.0"),
+        (lambda: PolicyControl(policy_id="x", tax_floor="y"),
+         "tax_floor must be non-negative and finite, got y"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ConfigurationError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
+# every checked field without a bound, and why it has none
+UNBOUNDED = {
+    # ranges that the record's _check tests
+    "EconomicParameters.rejection_fraction": "lies in [0, 1]",
+    "EconomicParameters.fit_price_floor": "lies in (0, 1]",
+    "PriceTaxOverrides.fit_price_multiplier": "lies in (0, 1]",
+    "PolicyControl.tax_cap": "tax_floor <= tax_cap <= MAX_RES_TAX",
+    # a policy's step adjustments, which the run itself checks
+    "PriceTaxOverrides.fit_price_delta":
+        "may be any number; a negative tariff fails in the step",
+    "PriceTaxOverrides.res_tax": "None keeps the base levy",
+    # names
+    "PolicyControl.policy_id": "one of POLICY_IDS, tested by _check",
+    "Scenario.name": "any label",
+    "Scenario.overrides": "a mapping, tested by _check; apply_overrides "
+                          "checks its values",
+    # nested records, which check their own fields
+    "SocialEffectSet.social_tolerance": "a SigmoidEffect",
+    "SocialEffectSet.investor_trust": "a SigmoidEffect",
+    "SocialEffectSet.om_activity": "a SigmoidEffect",
+    "Scenario.policy": "a PolicyControl",
+}
+
+
+def test_every_checked_field_declares_a_bound_or_a_reason():
+    fields = set()
+    for kind in {type(record) for record in RECORDS}:
+        hints = get_type_hints(kind, include_extras=True)
+        for name in kind._fields:
+            # what engine.checked reads: a bound it cannot resolve would
+            # go unchecked
+            assert not isinstance(hints[name], (str, ForwardRef)), name
+            if hints[name] not in BOUND_WORDS:
+                fields.add(f"{kind.__name__}.{name}")
+    assert fields == set(UNBOUNDED)
 
 
 def wrong_calls(record):
@@ -130,6 +234,10 @@ def test_apply_overrides_runs_the_group_checks():
     with pytest.raises(ConfigurationError,
                        match=r"^SigmoidEffect\.p must be positive"):
         apply_overrides(PACKAGED, {"investor_trust_p": 0.0})
+    with pytest.raises(ConfigurationError,
+                       match=r"^om_cost must be non-negative and finite, "
+                             r"got x$"):
+        apply_overrides(PACKAGED, {"om_cost": "x"})
 
 
 def test_a_scenario_left_without_overrides_gets_a_read_only_mapping():

@@ -450,9 +450,7 @@ def test_each_shipped_finding_passes_exactly_when_its_margin_is_positive(
 
 def test_margins_agree_with_verdicts_across_the_assumed_box(default_doc):
     # 50 seeded draws of the +-20% box around every assumed model parameter
-    keys = sorted(key for section in ("parameters", "effects", "trends")
-                  for key, entry in default_doc.entries[section].items()
-                  if entry.source == "assumed")
+    keys = default_doc.assumed_keys
     rng = random.Random(2026)
     failed = set()
     for _ in range(50):

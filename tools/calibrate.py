@@ -192,10 +192,7 @@ class Calibration:
         self.doc = load_default_config()
         # what the benchmark sweep perturbs: model parameters marked
         # assumed
-        self.assumed = sorted(
-            key for section in ("parameters", "effects", "trends")
-            for key, entry in self.doc.entries.get(section, {}).items()
-            if entry.source == "assumed")
+        self.assumed = self.doc.assumed_keys
 
     def incumbent(self) -> dict[str, float]:
         """The config's current values of the searched keys."""
