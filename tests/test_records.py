@@ -10,6 +10,8 @@ pinned here word for word.
 import copy
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 from typing import ForwardRef, get_type_hints
 
 import pytest
@@ -103,10 +105,12 @@ def test_every_checked_record_is_listed():
 # each bound's words in a refusal
 BOUND_WORDS = {Positive: "positive and finite",
                NonNegative: "non-negative and finite", Finite: "finite"}
-# values outside each bound; a string is no number at all
-OUTSIDE = {Positive: [0.0, -1.0, -math.inf, math.inf, math.nan, "x"],
-           NonNegative: [-1.0, -math.inf, math.inf, math.nan, "x"],
-           Finite: [-math.inf, math.inf, math.nan, "x"]}
+# values outside each bound; a string is no number at all, and a Decimal
+# or a Fraction is a number but neither an int nor a float
+NOT_REAL = ["x", Decimal(1), Fraction(1)]
+OUTSIDE = {Positive: [0.0, -1.0, -math.inf, math.inf, math.nan, *NOT_REAL],
+           NonNegative: [-1.0, -math.inf, math.inf, math.nan, *NOT_REAL],
+           Finite: [-math.inf, math.inf, math.nan, *NOT_REAL]}
 # a record whose fields are parts of a config key names itself too
 QUALIFIED = (SigmoidEffect, LinearTrend)
 
