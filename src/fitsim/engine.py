@@ -21,7 +21,11 @@ Runs are deterministic and pure with respect to their inputs: integrating
 the same model twice yields bit-identical trajectories.
 
 A checked record (:func:`checked`) declares each float field's bound
-beside the field: ``Positive``, ``NonNegative`` or ``Finite``.
+beside the field: ``Positive``, ``NonNegative``, ``Finite``, ``Share``
+(``[0, 1]``) or ``PositiveShare`` (``(0, 1]``). One loop checks them all;
+``_check`` keeps the one-year remuneration floor, the clock's ``dt > 0``
+and the rules over several fields. A step too small for a finite step
+count is refused.
 
 :func:`run_simulation` sees only a model's ``derivatives``. It is the
 generic integrator and the reference: the fitsim model runs its own loop,
@@ -55,6 +59,8 @@ __all__ = [
     "Positive",
     "NonNegative",
     "Finite",
+    "Share",
+    "PositiveShare",
     "eval_inverted_sigmoid",
     "eval_linear_trend",
     "run_simulation",
@@ -77,51 +83,48 @@ class SimulationError(RuntimeError):
         self.time = time
 
 
-# a float field's bound in a checked record; the metadata is its refusal
-Positive = Annotated[float, "positive and finite"]
-NonNegative = Annotated[float, "non-negative and finite"]
-Finite = Annotated[float, "finite"]
+# a float field's bound in a checked record: the closed interval its value
+# lies in, an open end being the next float inward, and its refusal words
+_TINY, _HUGE = math.nextafter(0.0, 1.0), math.nextafter(math.inf, 0.0)
+Positive = Annotated[float, _TINY, _HUGE, "be positive and finite"]
+NonNegative = Annotated[float, 0.0, _HUGE, "be non-negative and finite"]
+Finite = Annotated[float, -_HUGE, _HUGE, "be finite"]
+Share = Annotated[float, 0.0, 1.0, "lie in [0, 1]"]
+PositiveShare = Annotated[float, _TINY, 1.0, "lie in (0, 1]"]
+_BOUNDS = (Positive, NonNegative, Finite, Share, PositiveShare)
 
 
 def checked(cls):
     """Make the ``NamedTuple`` class ``cls`` a checked record: every
     construction path, ``_make`` and ``_replace`` included, refuses with a
     :class:`ConfigurationError` the first field that is not an ``int`` or
-    ``float`` within its bound (positive, then non-negative, then finite
-    fields, each kind in declaration order), named ``<record>.<field>`` if
-    the class sets ``_qualified``, then runs the class's ``_check`` if it
-    has one: the rules that one field cannot state alone."""
+    ``float`` within its bound (positive, non-negative, finite, ``[0, 1]``
+    then ``(0, 1]`` fields, each kind in declaration order), named
+    ``<record>.<field>`` if the class sets ``_qualified``, then runs the
+    class's ``_check`` if it has one: the rules over several fields or
+    non-numbers, the one-year remuneration floor and the clock's ``dt > 0``
+    (after its span test)."""
     hints = get_type_hints(cls, include_extras=True)
-    positive, non_negative, finite = (
-        tuple(i for i, name in enumerate(cls._fields) if hints[name] == bound)
-        for bound in (Positive, NonNegative, Finite))
+    bounded = tuple((i, *hints[name].__metadata__[:2]) for bound in _BOUNDS
+                    for i, name in enumerate(cls._fields)
+                    if hints[name] == bound)
     prefix = f"{cls.__name__}." if getattr(cls, "_qualified", False) else ""
     check, new = getattr(cls, "_check", None), cls.__new__
-    real, inf = (int, float), math.inf
 
     def refusal(self, i):
         name = self._fields[i]
-        return ConfigurationError(f"{prefix}{name} must be "
-                                  f"{hints[name].__metadata__[0]}, "
+        return ConfigurationError(f"{prefix}{name} must "
+                                  f"{hints[name].__metadata__[2]}, "
                                   f"got {self[i]}")
 
     def __new__(kind, *args, **kwargs):
         self = new(kind, *args, **kwargs)
-        # most values are floats: ``type(v) is float`` spares the isinstance
-        for i in positive:
+        # most values are floats: ``type(v) is float`` spares the isinstance;
+        # an int compares exactly, so one too large for a float is refused
+        for i, low, high in bounded:
             v = self[i]
-            if not ((type(v) is float or isinstance(v, real))
-                    and 0.0 < v < inf):
-                raise refusal(self, i)
-        for i in non_negative:
-            v = self[i]
-            if not ((type(v) is float or isinstance(v, real))
-                    and 0.0 <= v < inf):
-                raise refusal(self, i)
-        for i in finite:
-            v = self[i]
-            if not ((type(v) is float or isinstance(v, real))
-                    and -inf < v < inf):
+            if not ((type(v) is float or isinstance(v, (int, float)))
+                    and low <= v <= high):
                 raise refusal(self, i)
         if check is not None:
             check(self)
@@ -149,6 +152,9 @@ class SimulationClock(NamedTuple):
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         span = self.end_year - self.start_year
         steps = span / self.dt
+        if not math.isfinite(steps):
+            raise ConfigurationError(f"horizon of {span} years is not a "
+                                     f"finite number of steps at dt={self.dt}")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
                 f"horizon of {span} years is not a whole number of "

@@ -33,8 +33,9 @@ perceived_shortage              dollars  first-order perception of the
 Except where noted, prices and costs are in dollars per MWh; the levy
 (``res_tax``) is in dollars per kWh and is converted at the budget boundary.
 
-Float parameters declare their bounds beside them (see ``engine.checked``);
-``_check`` keeps the ranges and the remuneration period's one-year floor.
+Float parameters declare their bounds beside them, ranges included (see
+``engine.checked``); ``_check`` keeps only the remuneration period's
+one-year floor.
 
 Each link of the structure is a public function below (``annuity_factor``,
 ``compute_*``, ``allocate_payments``, ...), checked against oracles in the
@@ -56,10 +57,13 @@ from typing import Callable, NamedTuple
 from .engine import (
     ClampEvent,
     ConfigurationError,
+    Finite,
     LinearTrend,
     NonNegative,
     Positive,
+    PositiveShare,
     RunResult,
+    Share,
     SigmoidEffect,
     SimulationClock,
     SimulationError,
@@ -93,11 +97,11 @@ class EconomicParameters(NamedTuple):
     learning_exponent: NonNegative        # capital-cost learning strength
     time_to_build: Positive               # years from approval to operation
     normal_equipment_lifetime: Positive   # years, with healthy maintenance
-    rejection_fraction: float             # share of requests turned down
+    rejection_fraction: Share             # share of requests turned down
     capacity_target: Positive             # MW, program goal
     res_tax_base: NonNegative             # $/kWh, electricity levy
     initial_annual_requests: Positive     # MW/year filed before launch
-    fit_price_floor: float                # minimum multiplier of the launch tariff
+    fit_price_floor: PositiveShare        # minimum multiplier of the launch tariff
     shortage_smoothing_time: Positive     # years, shortfall perception delay
     initial_installed_capacity: Positive  # MW
     initial_budget: NonNegative           # dollars
@@ -108,14 +112,6 @@ class EconomicParameters(NamedTuple):
             raise ConfigurationError(
                 f"remuneration_period must be at least one year, "
                 f"got {self.remuneration_period}")
-        if not 0.0 <= self.rejection_fraction <= 1.0:
-            raise ConfigurationError(
-                f"rejection_fraction must lie in [0, 1], "
-                f"got {self.rejection_fraction}")
-        if not 0.0 < self.fit_price_floor <= 1.0:
-            raise ConfigurationError(
-                f"fit_price_floor must lie in (0, 1], "
-                f"got {self.fit_price_floor}")
 
 
 @checked
@@ -156,15 +152,9 @@ class PriceTaxOverrides(NamedTuple):
     the base run bit-exactly unchanged.
     """
 
-    fit_price_delta: float = 0.0       # $/MWh, added after the base rule
-    fit_price_multiplier: float = 1.0  # in (0, 1], scales the base rule
-    res_tax: float | None = None       # $/kWh, replaces the base levy
-
-    def _check(self):
-        if not 0.0 < self.fit_price_multiplier <= 1.0:
-            raise ConfigurationError(
-                f"fit_price_multiplier must lie in (0, 1], "
-                f"got {self.fit_price_multiplier}")
+    fit_price_delta: Finite = 0.0              # $/MWh, added after the rule
+    fit_price_multiplier: PositiveShare = 1.0  # scales the base rule
+    res_tax: float | None = None               # $/kWh, replaces the base levy
 
 
 # the policy hook: perceived budget shortage ($) -> overrides for this step

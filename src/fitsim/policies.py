@@ -69,7 +69,7 @@ class PolicyControl(NamedTuple):
     fit_controller_gain: NonNegative = 0.0   # 1/$ of perceived shortage, p2
     tax_controller_gain: NonNegative = 0.0   # ($/kWh) per $ of perceived shortage, p3
     tax_floor: NonNegative = 0.0             # $/kWh, p3 clamp
-    tax_cap: float = MAX_RES_TAX             # $/kWh, p3 clamp
+    tax_cap: Finite = MAX_RES_TAX            # $/kWh, p3 clamp
 
     def _check(self):
         if self.policy_id not in POLICY_IDS:

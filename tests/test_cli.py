@@ -141,6 +141,12 @@ def test_dt_longer_than_the_horizon_is_a_configuration_error(capsys):
     (["run", "--horizon", "2016", "--dt", "0.75"],
      "--horizon with --dt: horizon of 1.0 years is not a whole number of "
      "steps at dt=0.75"),
+    (["run", "--dt", "1e-320"],
+     "--dt: horizon of 20.0 years is not a finite number of steps at "
+     "dt=1e-320"),
+    (["validate", "--horizon", "1e308"],
+     "--horizon: horizon of 1e+308 years is not a finite number of steps "
+     "at dt=0.25"),
 ])
 def test_a_refused_clock_flag_is_named(argv, message, capsys):
     # a value refused alone in the same words names its flag, else both

@@ -62,6 +62,10 @@ def test_clock_rejects_bad_windows():
         SimulationClock(2015.0, 2035.0, dt=0.3)  # not a whole step count
     with pytest.raises(ConfigurationError, match="dt"):
         SimulationClock(2015.0, 2035.0, dt=1e12)  # no step at all
+    with pytest.raises(ConfigurationError,
+                       match=r"^horizon of 20\.0 years is not a finite "
+                             r"number of steps at dt=1e-310$"):
+        SimulationClock(2015.0, 2035.0, 1e-310)  # 20 / 1e-310 overflows
 
     for field, window in (("start_year", (-math.inf, 2035.0, 0.25)),
                           ("start_year", (math.nan, 2035.0, 0.25)),

@@ -10,9 +10,10 @@ pinned here word for word.
 import copy
 import math
 import pickle
+import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import ForwardRef, get_type_hints
+from typing import ForwardRef, NamedTuple, get_type_hints
 
 import pytest
 
@@ -30,7 +31,8 @@ from fitsim import (
     apply_overrides,
     load_default_config,
 )
-from fitsim.engine import Finite, NonNegative, Positive
+from fitsim.engine import (Finite, NonNegative, Positive, PositiveShare,
+                           Share, checked)
 
 PACKAGED = load_default_config().params
 CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
@@ -103,14 +105,19 @@ def test_every_checked_record_is_listed():
 
 
 # each bound's words in a refusal
-BOUND_WORDS = {Positive: "positive and finite",
-               NonNegative: "non-negative and finite", Finite: "finite"}
-# values outside each bound; a string is no number at all, and a Decimal
-# or a Fraction is a number but neither an int nor a float
-NOT_REAL = ["x", Decimal(1), Fraction(1)]
-OUTSIDE = {Positive: [0.0, -1.0, -math.inf, math.inf, math.nan, *NOT_REAL],
-           NonNegative: [-1.0, -math.inf, math.inf, math.nan, *NOT_REAL],
-           Finite: [-math.inf, math.inf, math.nan, *NOT_REAL]}
+BOUND_WORDS = {Positive: "be positive and finite",
+               NonNegative: "be non-negative and finite", Finite: "be finite",
+               Share: "lie in [0, 1]", PositiveShare: "lie in (0, 1]"}
+# values outside each bound; an int too large for a float is none, a
+# string is no number at all, and a Decimal or a Fraction is a number but
+# neither an int nor a float
+NOT_REAL = [10**400, "x", Decimal(1), Fraction(1)]
+NOT_FINITE = [-math.inf, math.inf, math.nan, *NOT_REAL]
+OUTSIDE = {Positive: [0.0, -1.0, *NOT_FINITE],
+           NonNegative: [-1.0, *NOT_FINITE],
+           Finite: NOT_FINITE,
+           Share: [-1.0, 1.5, *NOT_FINITE],
+           PositiveShare: [0.0, -0.0, -1.0, 1.5, *NOT_FINITE]}
 # a record whose fields are parts of a config key names itself too
 QUALIFIED = (SigmoidEffect, LinearTrend)
 
@@ -132,16 +139,34 @@ BOUNDED = [(record, field, bound) for record in RECORDS
 def test_every_bounded_field_is_refused_by_name(record, field, bound):
     prefix = f"{type(record).__name__}." if type(record) in QUALIFIED else ""
     for value in OUTSIDE[bound]:
-        message = f"{prefix}{field} must be {BOUND_WORDS[bound]}, got {value}"
+        message = f"{prefix}{field} must {BOUND_WORDS[bound]}, got {value}"
         for path, build in build_paths(record, field, value).items():
             with pytest.raises(ConfigurationError) as raised:
                 build()
             assert str(raised.value) == message, (path, value)
 
 
+# values inside each bound, its ends among them
+HUGE = sys.float_info.max
+INSIDE = {Positive: [math.ulp(0.0), 1, HUGE],
+          NonNegative: [0.0, -0.0, 0, HUGE],
+          Finite: [-HUGE, 0, True, HUGE],
+          Share: [0.0, -0.0, 1, 1.0],
+          PositiveShare: [math.ulp(0.0), 1.0]}
+
+
+@pytest.mark.parametrize("bound", list(INSIDE),
+                         ids=lambda bound: BOUND_WORDS[bound])
+def test_a_bound_keeps_its_ends(bound):
+    kind = checked(NamedTuple("Record", [("value", bound)]))
+    for value in INSIDE[bound]:
+        assert kind(value).value is value
+
+
 def test_the_first_refused_kind_then_field_is_named():
-    # several bad values: positive fields, then non-negative, then finite,
-    # each kind in declaration order, and all before the record's _check
+    # several bad values: positive fields, then non-negative, finite,
+    # [0, 1] and (0, 1], each kind in declaration order, and all before the
+    # record's _check
     econ = PACKAGED.econ._asdict()
     cases = [
         (lambda: type(PACKAGED.econ)(**{**econ, "om_cost": -1.0,
@@ -157,6 +182,16 @@ def test_the_first_refused_kind_then_field_is_named():
          "tax_floor must be non-negative and finite, got -1.0"),
         (lambda: PolicyControl(policy_id="x", tax_floor="y"),
          "tax_floor must be non-negative and finite, got y"),
+        (lambda: type(PACKAGED.econ)(**{**econ, "remuneration_period": 0.5,
+                                         "fit_price_floor": 0.0}),
+         "fit_price_floor must lie in (0, 1], got 0.0"),
+        (lambda: type(PACKAGED.econ)(**{**econ, "fit_price_floor": 0.0,
+                                         "rejection_fraction": 1.5,
+                                         "capacity_target": -1.0}),
+         "capacity_target must be positive and finite, got -1.0"),
+        (lambda: type(PACKAGED.econ)(**{**econ, "fit_price_floor": 0.0,
+                                         "rejection_fraction": 1.5}),
+         "rejection_fraction must lie in [0, 1], got 1.5"),
     ]
     for build, message in cases:
         with pytest.raises(ConfigurationError) as raised:
@@ -166,14 +201,7 @@ def test_the_first_refused_kind_then_field_is_named():
 
 # every checked field without a bound, and why it has none
 UNBOUNDED = {
-    # ranges that the record's _check tests
-    "EconomicParameters.rejection_fraction": "lies in [0, 1]",
-    "EconomicParameters.fit_price_floor": "lies in (0, 1]",
-    "PriceTaxOverrides.fit_price_multiplier": "lies in (0, 1]",
-    "PolicyControl.tax_cap": "tax_floor <= tax_cap <= MAX_RES_TAX",
-    # a policy's step adjustments, which the run itself checks
-    "PriceTaxOverrides.fit_price_delta":
-        "may be any number; a negative tariff fails in the step",
+    # a policy's step levy, which the run itself checks
     "PriceTaxOverrides.res_tax": "None keeps the base levy",
     # names
     "PolicyControl.policy_id": "one of POLICY_IDS, tested by _check",
@@ -242,6 +270,26 @@ def test_apply_overrides_runs_the_group_checks():
                        match=r"^om_cost must be non-negative and finite, "
                              r"got x$"):
         apply_overrides(PACKAGED, {"om_cost": "x"})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: apply_overrides(PACKAGED, {"rejection_fraction": "x"}),
+     "rejection_fraction must lie in [0, 1], got x"),
+    (lambda: apply_overrides(PACKAGED, {"fit_price_floor": "x"}),
+     "fit_price_floor must lie in (0, 1], got x"),
+    (lambda: PriceTaxOverrides(fit_price_multiplier="x"),
+     "fit_price_multiplier must lie in (0, 1], got x"),
+    (lambda: PolicyControl(tax_cap="x"), "tax_cap must be finite, got x"),
+    (lambda: apply_overrides(PACKAGED, {"capacity_target": 10**400}),
+     f"capacity_target must be positive and finite, got {10**400}"),
+], ids=["rejection_fraction", "fit_price_floor", "fit_price_multiplier",
+        "tax_cap", "capacity_target"])
+def test_a_non_number_or_an_int_beyond_floats_is_refused_by_name(build,
+                                                                 message):
+    # library calls only: config and CLI values are always floats
+    with pytest.raises(ConfigurationError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_a_scenario_left_without_overrides_gets_a_read_only_mapping():
