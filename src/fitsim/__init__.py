@@ -20,7 +20,6 @@ from .engine import (
     eval_inverted_sigmoid,
     eval_linear_trend,
     lag_indices,
-    run_simulation,
 )
 from .model import (
     EconomicParameters,

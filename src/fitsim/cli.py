@@ -20,7 +20,7 @@ import os
 import sys
 
 from .config import ConfigDocument, _named, load_config, load_default_config
-from .engine import ConfigurationError, SimulationError
+from .engine import MAX_STEPS, ConfigurationError, SimulationError
 from .output import (
     emit_comparison_csv,
     emit_run_csv,
@@ -62,7 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "request lag. Sterman (2000, App. A) puts dt at "
                              "1/4 to 1/10 of the shortest time constant, one "
                              "year here: halving dt 0.25 moves p2's stocks "
-                             "by 15.8%%, and at dt 0.4 compare exits 1")
+                             "by 15.8%%, and at dt 0.4 compare exits 1. A "
+                             f"clock of more than {MAX_STEPS} steps is "
+                             "refused: a run holds 304 bytes of records per "
+                             "step, about 80 MB at that ceiling")
     common.add_argument("--horizon", type=float, metavar="YEAR",
                         help="override the end year")
 
@@ -206,9 +209,22 @@ def _cmd_validate(args) -> int:
     return 0 if all(finding.passed for finding in findings) else 1
 
 
+def _attach_clock_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--dt X`` and ``--horizon X`` written ``--dt=X``:
+    a clock flag takes whatever follows it, where argparse would read
+    ``-inf`` or ``-1e-3`` as an option and refuse the flag unnamed."""
+    attached = []
+    for arg in argv:
+        if attached and attached[-1] in ("--dt", "--horizon"):
+            attached[-1] += f"={arg}"
+        else:
+            attached.append(arg)
+    return attached
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_clock_values(sys.argv[1:] if argv is None else argv))
     handlers = {"run": _cmd_run, "compare": _cmd_compare,
                 "validate": _cmd_validate}
     try:

@@ -1,14 +1,14 @@
 """Discrete-time stock-flow simulation kernel.
 
-The engine advances a model's stocks with explicit Euler steps. The model
-declares its stock and auxiliary names once; each step hands it the stocks
-in that order, records the stocks and the auxiliaries it returns in theirs,
-then applies ``stock += rate * dt``, clamping the stocks the model declares
-non-negative at zero (:func:`run_simulation` lists the checks). Each
-record (time, stocks, auxiliaries) is written with one ``struct`` pack
-into a single buffer of doubles, and every column of the result is a
-read-only view of it. Besides the integrator it provides the three
-primitive building blocks the models here are assembled from:
+A model's run advances its stocks with explicit Euler steps over the
+record times of a :class:`SimulationClock`, applying ``stock += rate * dt``
+and clamping at zero the stocks that must stay non-negative
+(``FitModel.simulate`` is the loop). It appends each record (time, stocks,
+auxiliaries) as doubles to one flat ``array("d")`` and builds its
+:class:`RunResult` with :meth:`RunResult.from_rows`, so every column is a
+read-only view of that buffer and the record layout lives here once.
+Besides the clock and the result it provides the three primitive building
+blocks the models here are assembled from:
 
 * an inverted sigmoid response ``y = y_max / (1 + (x / x_50) ** p)``, used
   for saturating social and institutional effects,
@@ -24,23 +24,20 @@ A checked record (:func:`checked`) declares each float field's bound
 beside the field: ``Positive``, ``NonNegative``, ``Finite``, ``Share``
 (``[0, 1]``) or ``PositiveShare`` (``(0, 1]``). One loop checks them all;
 ``_check`` keeps the one-year remuneration floor, the clock's ``dt > 0``
-and the rules over several fields. A step too small for a finite step
-count is refused.
+and the rules over several fields. A clock of more than ``MAX_STEPS``
+steps is refused before anything is built.
 
-:func:`run_simulation` sees only a model's ``derivatives``. It is the
-generic integrator and the reference: the fitsim model runs its own loop,
-its step inlined beside the Euler update, and a property in
-``tests/test_model.py`` holds that loop to a composed reference run
-through :func:`run_simulation`, columns, clamp events and errors alike.
-Both loops build their result with :meth:`RunResult.from_rows`, so the
-record layout lives here once. A property in ``tests/test_engine.py``
-holds the lag indices to a recorded history searched by bisection.
+The generic integrator over a model that only hands back rates and
+auxiliaries is a reference in the tests (``tests/engine_reference.py``): a
+property in ``tests/test_model.py`` holds the fitsim loop to the links
+composed and run through it, columns, clamp events and errors alike. A
+property in ``tests/test_engine.py`` holds the lag indices to a recorded
+history searched by bisection.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
@@ -63,7 +60,7 @@ __all__ = [
     "PositiveShare",
     "eval_inverted_sigmoid",
     "eval_linear_trend",
-    "run_simulation",
+    "MAX_STEPS",
 ]
 
 
@@ -135,6 +132,13 @@ def checked(cls):
     return cls
 
 
+# the most steps a clock may take: a fitsim record is 38 doubles, so one run
+# at the ceiling holds about 80 MB of records, and a four-scenario compare
+# four times that; dt 1/8192 is the finest power of two it admits over the
+# shipped 20 years
+MAX_STEPS = 2 ** 18
+
+
 @checked
 class SimulationClock(NamedTuple):
     """Integration window and step size, in calendar years."""
@@ -155,6 +159,10 @@ class SimulationClock(NamedTuple):
         if not math.isfinite(steps):
             raise ConfigurationError(f"horizon of {span} years is not a "
                                      f"finite number of steps at dt={self.dt}")
+        if round(steps) > MAX_STEPS:
+            raise ConfigurationError(
+                f"horizon of {span} years is {steps:.6g} steps at "
+                f"dt={self.dt}, more than the {MAX_STEPS} a run may take")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
                 f"horizon of {span} years is not a whole number of "
@@ -345,95 +353,3 @@ def _raise_first_non_finite(what: str, names, values, t: float) -> None:
     for name, value in zip(names, values):
         if not math.isfinite(value):
             raise SimulationError(what, variable=name, time=t)
-
-
-def run_simulation(model, clock: SimulationClock) -> RunResult:
-    """Integrate ``model`` over ``clock`` and record the full trajectory.
-
-    The model declares ``stock_names`` and ``aux_names`` (every flow and
-    auxiliary to record) as tuples, and may declare ``flow_names`` (aux
-    entries reported as flows) and ``non_negative`` (stocks clamped at
-    zero). ``initial_state()`` returns the stocks in ``stock_names`` order;
-    ``derivatives(stocks, t)`` takes them in that order and returns
-    ``(rates, aux)``, sequences aligned with ``stock_names`` and
-    ``aux_names``. An optional ``begin_run(clock)`` resets per-run memory
-    and makes the checks that must fail before the first step.
-
-    The declarations are checked once, before step 0: names unique across
-    stocks and auxiliaries, flows among the auxiliaries, one initial value
-    per stock. ``derivatives`` is looked up on the model at every step, so
-    a subclass override or an instrumented wrapper sees every call. Each
-    step checks that the stocks are finite, that one rate per stock and one
-    value per auxiliary came back, and that the auxiliaries and, before the
-    Euler update, the rates are finite; a failure raises
-    :class:`SimulationError` naming the first offending variable and the
-    time. Each record (time, stocks, then auxiliaries) is packed with one
-    ``struct.Struct(f"{width}d").pack`` built per run, as native doubles
-    exactly as ``array("d")`` stores them, and appended to one flat
-    ``array("d")`` by ``frombytes``; every column of the result is a
-    read-only strided view of it. A value the pack cannot convert raises
-    what ``array("d")`` raises for it.
-    """
-    begin = getattr(model, "begin_run", None)
-    if begin is not None:
-        begin(clock)
-    stock_names = tuple(model.stock_names)
-    aux_names = tuple(model.aux_names)
-    flow_names = tuple(getattr(model, "flow_names", ()))
-    names = stock_names + aux_names
-    if len(set(names)) != len(names):
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise SimulationError("name declared twice among stocks and "
-                                      "auxiliaries", variable=name)
-    for name in flow_names:
-        if name not in aux_names:
-            raise SimulationError("flow is not a declared auxiliary",
-                                  variable=name)
-    values = list(model.initial_state())
-    n_stocks, n_aux = len(stock_names), len(aux_names)
-    if len(values) != n_stocks:
-        raise SimulationError(
-            f"initial state has {len(values)} values for {n_stocks} stocks")
-    non_negative = getattr(model, "non_negative", ())
-    clamped = [(i, name) for i, name in enumerate(stock_names)
-               if name in non_negative]
-    n_steps, dt = clock.n_steps, clock.dt
-    width = 1 + len(names)
-    pack = struct.Struct(f"{width}d").pack
-    rows = array("d")
-    events: list[ClampEvent] = []
-
-    for k, t in enumerate(clock.times()):
-        if not math.isfinite(sum(values)):
-            _raise_first_non_finite("non-finite stock", stock_names, values, t)
-        rates, aux = model.derivatives(values, t)
-        if len(rates) != n_stocks:
-            raise SimulationError(
-                f"{len(rates)} rates returned for {n_stocks} stocks", time=t)
-        if len(aux) != n_aux:
-            raise SimulationError(
-                f"{len(aux)} auxiliaries returned, {n_aux} declared", time=t)
-        if not math.isfinite(sum(aux)):
-            _raise_first_non_finite("non-finite auxiliary", aux_names, aux, t)
-        try:
-            rows.frombytes(pack(t, *values, *aux))
-        except struct.error:
-            # raise what array("d") raises for a value it cannot store
-            array("d", values), array("d", aux)
-            raise
-
-        if k < n_steps:
-            if not math.isfinite(sum(rates)):
-                _raise_first_non_finite("non-finite rate", stock_names,
-                                        rates, t)
-            values = [stock + rate * dt for stock, rate in zip(values, rates)]
-            if clamped and min(values) < 0.0:
-                for i, name in clamped:
-                    if values[i] < 0.0:
-                        events.append(ClampEvent(time=t, variable=name,
-                                                 attempted=values[i]))
-                        values[i] = 0.0
-
-    return RunResult.from_rows(rows, stock_names, aux_names, flow_names,
-                               events)

@@ -43,9 +43,9 @@ tests. ``FitModel.simulate`` does not call them: its step is the same
 links inlined as straight-line arithmetic over constants bound once per
 run, calling a link only to raise its error, and the Euler update follows
 in the same loop. ``ReferenceFitModel`` in ``tests/test_model.py`` composes
-the links instead and runs through the generic
-:func:`~fitsim.engine.run_simulation`, and a property over the calibration
-box, the policies and the step sizes holds the two to the same bytes.
+the links instead and runs through the generic integrator of
+``tests/engine_reference.py``, and a property over the calibration box, the
+policies and the step sizes holds the two to the same bytes.
 """
 
 import math
@@ -433,9 +433,10 @@ def _record_grid(key: tuple, clock: SimulationClock) -> tuple[tuple, tuple]:
 def _settle(stocks: list[float], rates: tuple[float, ...], t: float,
             t_next: float, events: list[ClampEvent]) -> list[float]:
     """Finish an Euler update whose new ``stocks`` are not all finite and
-    non-negative, as ``run_simulation`` does: name the first non-finite
-    rate at ``t``, else clamp the negative stocks in stock order, then name
-    the first stock still non-finite (an overflow) at the next record time.
+    non-negative, as the reference integrator in ``tests/engine_reference.py``
+    does: name the first non-finite rate at ``t``, else clamp the negative
+    stocks in stock order, then name the first stock still non-finite (an
+    overflow) at the next record time.
     """
     names = FitModel.stock_names
     _raise_first_non_finite("non-finite rate", names, rates, t)
@@ -467,8 +468,6 @@ class FitModel:
         "total_fit_payment",
         "perceived_shortage",
     )
-    # every stock is clamped at zero
-    non_negative = frozenset(stock_names)
     # the order of each record's auxiliaries, one line of names per line of
     # values in ``simulate``; the first four lines are the flows
     aux_names = (
@@ -540,15 +539,15 @@ class FitModel:
         the clock alone and come from :func:`record_grid`. The tolerance at
         the base levy is computed once per run, and a levy override goes
         through the sigmoid itself. The Euler update is written out per
-        stock, beside the step, with every check of
-        :func:`~fitsim.engine.run_simulation` in its words, variable and
-        time: non-finite auxiliaries, non-finite rates and stocks (one test
-        of the new stocks' sum, settled by ``_settle`` when it fails), and
-        the clamp at zero with its
+        stock, beside the step, with every check of the reference
+        integrator (``tests/engine_reference.py``) in its words, variable
+        and time: non-finite auxiliaries, non-finite rates and stocks (one
+        test of the new stocks' sum, settled by ``_settle`` when it fails),
+        and the clamp at zero, on every stock, with its
         :class:`~fitsim.engine.ClampEvent` records. The reference model in
-        ``tests/test_model.py`` composes the links and runs through
-        ``run_simulation``; this loop must match it bit for bit, in every
-        column, clamp event and error.
+        ``tests/test_model.py`` composes the links and runs through that
+        integrator; this loop must match it bit for bit, in every column,
+        clamp event and error.
         """
         self.begin_run(clock)
         econ, effects, exog = self.params

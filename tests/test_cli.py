@@ -4,16 +4,23 @@ import sys
 
 import pytest
 
-from fitsim import FitModel, PARAMETER_NAMES, default_config_text
+from fitsim import (
+    FitModel,
+    PARAMETER_NAMES,
+    default_config_text,
+    load_default_config,
+)
 from fitsim.cli import main
 
+# the shipped clock, whose step a refused --horizon alone is named with
+SHIPPED = load_default_config().clock
 PLOT_FILES = ("installed_capacity.csv", "penetration_rate.csv",
               "suna_debt.csv", "delay_in_debt_payment.csv", "budget.csv",
               "roi.csv", "tendency_to_invest.csv", "social_acceptance.csv")
 
 
 def test_run_streams_csv_to_stdout(capsys):
-    assert main(["run"]) == 0
+    assert main(["run", "--dt", "0.25"]) == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[0].startswith("time,")
@@ -85,7 +92,7 @@ def test_validate_refuses_an_unknown_historical_variable_before_running(
 
 def test_run_writes_into_out_dir(tmp_path, capsys):
     out = tmp_path / "results"
-    assert main(["run", "--scenario", "p1_higher_fit",
+    assert main(["run", "--scenario", "p1_higher_fit", "--dt", "0.25",
                  "--out", str(out)]) == 0
     path = out / "p1_higher_fit.csv"
     assert path.exists()
@@ -98,9 +105,9 @@ def test_run_writes_into_out_dir(tmp_path, capsys):
                                   "p3_budget_adjusted_tax"])
 def test_run_matches_its_block_of_compare(name, capsys):
     # run and compare wire a scenario into the model the same way
-    assert main(["compare"]) == 0
+    assert main(["compare", "--dt", "0.25"]) == 0
     compared = capsys.readouterr().out.splitlines()
-    assert main(["run", "--scenario", name]) == 0
+    assert main(["run", "--scenario", name, "--dt", "0.25"]) == 0
     run = capsys.readouterr().out.splitlines()
     header = compared[0].removeprefix("scenario,")
     rows = [line.removeprefix(f"{name},") for line in compared[1:]
@@ -146,7 +153,20 @@ def test_dt_longer_than_the_horizon_is_a_configuration_error(capsys):
      "dt=1e-320"),
     (["validate", "--horizon", "1e308"],
      "--horizon: horizon of 1e+308 years is not a finite number of steps "
-     "at dt=0.25"),
+     f"at dt={SHIPPED.dt}"),
+    # a negative value is the flag's, not an option
+    (["run", "--dt", "-inf"], "--dt: dt must be finite, got -inf"),
+    (["run", "--dt", "-1e-3"], "--dt: dt must be positive, got -0.001"),
+    (["run", "--horizon", "-inf"],
+     "--horizon: end_year must be finite, got -inf"),
+    # a step count over the ceiling is refused before anything is built
+    (["run", "--dt", "1e-9"],
+     "--dt: horizon of 20.0 years is 2e+10 steps at dt=1e-09, more than "
+     "the 262144 a run may take"),
+    (["compare", "--horizon", "1e12"],
+     f"--horizon: horizon of {1e12 - SHIPPED.start_year} years is "
+     f"{(1e12 - SHIPPED.start_year) / SHIPPED.dt:.6g} steps at "
+     f"dt={SHIPPED.dt}, more than the 262144 a run may take"),
 ])
 def test_a_refused_clock_flag_is_named(argv, message, capsys):
     # a value refused alone in the same words names its flag, else both
@@ -222,7 +242,9 @@ def test_compare_charts_refuse_before_running_the_suite(monkeypatch, capsys):
 ])
 def test_compare_runs_every_scenario_on_the_overridden_clock(
         flag, value, n_records, capsys):
-    assert main(["compare", flag, value]) != 2
+    # on the quarterly grid, unless the case sets its own step
+    step = [] if flag == "--dt" else ["--dt", "0.25"]
+    assert main(["compare", flag, value, *step]) != 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + 4 * n_records
 
@@ -334,7 +356,7 @@ def test_compare_refuses_a_clock_of_two_records_before_running(
         no_runs, tmp_path, capsys):
     # two records are too few for the behavior classifier the checks use
     out = tmp_path / "cmp"
-    assert main(["compare", "--horizon", "2015.25",
+    assert main(["compare", "--horizon", "2015.25", "--dt", "0.25",
                  "--out", str(out), "--charts"]) == 2
     assert capsys.readouterr() == (
         "", "error: the structural checks need at least 3 records, got 2 "
@@ -346,7 +368,8 @@ def test_compare_runs_a_noncanonical_suite_on_two_records(tmp_path, capsys):
     cfg = tmp_path / "solo.cfg"
     cfg.write_text("[scenario:solo]\npolicy = base ; assumed\n",
                    encoding="utf-8")
-    assert main(["compare", "--config", str(cfg), "--horizon", "2015.25"]) == 0
+    assert main(["compare", "--config", str(cfg), "--horizon", "2015.25",
+                 "--dt", "0.25"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
 

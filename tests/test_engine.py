@@ -18,8 +18,9 @@ from fitsim import (
     eval_inverted_sigmoid,
     eval_linear_trend,
     lag_indices,
-    run_simulation,
 )
+from fitsim.engine import MAX_STEPS
+from engine_reference import run_simulation
 from lag_reference import BisectLaggedSeries
 
 
@@ -76,6 +77,23 @@ def test_clock_rejects_bad_windows():
         with pytest.raises(ConfigurationError) as exc:
             SimulationClock(*window)
         assert str(exc.value).startswith(f"{field} must be finite")
+
+
+def test_clock_refuses_a_step_count_over_the_ceiling():
+    # a clock at the ceiling is built; one step more is refused before any
+    # record time is, and so is a step that would take 2e10
+    assert SimulationClock(0.0, MAX_STEPS * 0.25, 0.25).n_steps == 2 ** 18
+    assert SimulationClock(2015.0, 2035.0, 1 / 8192).n_steps == 163840
+    with pytest.raises(ConfigurationError,
+                       match=r"^horizon of 65536\.25 years is 262145 steps "
+                             r"at dt=0\.25, more than the 262144 a run may "
+                             r"take$"):
+        SimulationClock(0.0, (MAX_STEPS + 1) * 0.25, 0.25)
+    with pytest.raises(ConfigurationError,
+                       match=r"^horizon of 20\.0 years is 2e\+10 steps at "
+                             r"dt=1e-09, more than the 262144 a run may "
+                             r"take$"):
+        SimulationClock(2015.0, 2035.0, 1e-9)
 
 
 # === inverted sigmoid ===
@@ -361,9 +379,11 @@ def test_run_aborts_on_non_finite_stock():
     assert "non-finite stock" in str(exc.value)
 
 
-def test_at_year_reads_nearest_record(base_run):
+def test_at_year_reads_nearest_record(base_run, default_doc):
     assert base_run.at_year("installed_capacity", 2015.0) == 120.0
-    direct = float(base_run["installed_capacity"][4])
+    # 2016.1 is nearest the record 1.1 years in on the shipped step
+    direct = float(base_run["installed_capacity"][
+        round(1.1 / default_doc.clock.dt)])
     assert base_run.at_year("installed_capacity", 2016.1) == direct
     assert base_run.at_year("installed_capacity", 2035.0) == float(
         base_run["installed_capacity"][-1])

@@ -8,6 +8,7 @@ ledgers) rather than from the implementation itself.
 import logging
 import math
 from array import array
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,6 @@ from fitsim import (
     load_default_config,
     make_policy_fn,
     parse_config,
-    run_simulation,
 )
 from fitsim.cli import main
 from fitsim.model import (
@@ -53,11 +53,14 @@ from fitsim.model import (
     lifetime_at_activity,
     record_grid,
 )
+from engine_reference import run_simulation
 from lag_reference import BisectLaggedSeries
 
 
 DOC = load_default_config()
 PACKAGED = DOC.params
+# the grid of the cases whose counts, times and clamp events are quarterly
+QUARTERLY = SimulationClock(2015.0, 2035.0, 0.25)
 
 
 def dcf_annuity(rate, years):
@@ -345,7 +348,7 @@ def stock_ledger_residual(run, stock, inflow, outflow, dt):
 
 
 def test_base_run_conserves_money_and_capacity(base_run):
-    dt = 0.25
+    dt = DOC.clock.dt
     assert stock_ledger_residual(base_run, "budget", "budget_increase",
                                  "budget_decrease", dt) < 1e-9
     assert stock_ledger_residual(base_run, "suna_debt", "debt_creation",
@@ -366,7 +369,7 @@ def test_base_run_stocks_stay_non_negative(base_run):
 
 
 def test_base_run_has_expected_record_count(base_run):
-    assert base_run.n_records == 81
+    assert base_run.n_records == round(20.0 / DOC.clock.dt) + 1
     assert base_run.times[0] == 2015.0
     assert base_run.times[-1] == 2035.0
 
@@ -511,10 +514,14 @@ def test_the_coarse_step_check_is_the_lookups_own_rule(start, dt):
 
 class ReferenceFitModel(FitModel):
     """The step as a composition of the link functions, integrated by the
-    generic ``run_simulation``: the reference that ``FitModel.simulate``
-    must match bit for bit. Its run memory lives on the instance, reset by
-    ``begin_run``: the request history is the bisect reference, and the
-    penetration warning latch a flag."""
+    generic ``run_simulation`` of ``tests/engine_reference.py``: the
+    reference that ``FitModel.simulate`` must match bit for bit. Its run
+    memory lives on the instance, reset by ``begin_run``: the request
+    history is the bisect reference, and the penetration warning latch a
+    flag."""
+
+    # every stock is clamped at zero
+    non_negative = frozenset(FitModel.stock_names)
 
     def begin_run(self, clock):
         super().begin_run(clock)
@@ -689,7 +696,7 @@ def test_negative_tariff_is_refused_where_the_tariff_is_computed(tmp_path,
                           f"fit_price_delta = {delta} ; assumed\n",
                           encoding="utf-8")
         code = main(["run", "--config", str(config), "--scenario", "x",
-                     "--variables", "fit_price"])
+                     "--dt", "0.25", "--variables", "fit_price"])
         out, err = capsys.readouterr()
         if delta == -100:
             assert code == 2
@@ -755,7 +762,7 @@ STEP_EDGES = {
     # every rate stays finite until a stock overflows: named at the next
     # record, after the clamp
     "stock overflow": ({"capacity_factor": 1e302}, launch_tariff_cut(),
-                       DOC.clock,
+                       QUARTERLY,
                        (SimulationError, "non-finite stock (variable="
                                          "'total_electricity_production', "
                                          "t=2017.0)")),
@@ -808,12 +815,12 @@ def test_the_penetration_clamp_warns_once_per_run(caplog):
     for _ in range(2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="fitsim.model"):
-            run = model.simulate(DOC.clock)
+            run = model.simulate(QUARTERLY)
         assert [record.name for record in caplog.records] == ["fitsim.model"]
         assert list(run["penetration_rate"]).count(1.0) == 80
         assert len(run.times) == 81
-    assert (outcome(FitModel, params, None)
-            == outcome(ReferenceFitModel, params, None))
+    assert (outcome(FitModel, params, None, QUARTERLY)
+            == outcome(ReferenceFitModel, params, None, QUARTERLY))
 
 
 # === the record grid, computed once per clock ===
@@ -865,3 +872,51 @@ def test_equal_clocks_keep_their_own_grids(overrides, policy, first, second):
     assert a != b
     assert a == outcome(ReferenceFitModel, params, policy, first)
     assert b == outcome(ReferenceFitModel, params, policy, second)
+
+
+# === the module's constants: unit conversions and modelling choices ===
+
+# every module-level number of model.py. A unit conversion gives its value
+# and unit. A modelling choice gives its value, unit and reason, and the
+# step of ROADMAP.md that gives it a provenance: the config's provenance
+# markers cover only the parameter records.
+UNIT_CONVERSIONS = {
+    "ANNUAL_HOURS": (8760.0, "h/yr, 365 days of 24 hours"),
+    "KWH_PER_MWH": (1000.0, "kWh/MWh"),
+}
+MODELLING_CHOICES = {
+    "DELAY_PAYMENT_EPSILON": (
+        1.0, "$/yr",
+        "a numerical guard: the least desired payment the debt's delay is "
+        "divided by, for obligations that vanish while debt remains; from 1 "
+        "to 1e6 it moves no scenario's 2035 capacity",
+        "item 22 step 2 keeps it a constant, with this reason"),
+    "MINIMUM_LIFETIME": (
+        1.0, "years",
+        "the shortest equipment lifetime when maintenance stalls; from "
+        "2027.25 it sets the retirements of p1's whole fleet, and the "
+        "capacity ordering passes only while it lies below a value between "
+        "6 and 7 years",
+        "item 22 step 2: [parameters] minimum_equipment_lifetime, assumed"),
+    "REQUEST_LAG": (
+        1.0, "years",
+        "investors file requests on last year's level, an annual "
+        "information delay",
+        "item 22 step 2, unless item 4 replaces the annual pipeline"),
+}
+
+
+def test_every_model_constant_is_a_unit_conversion_or_a_listed_choice():
+    numbers = {name: value for name, value in vars(fitsim.model).items()
+               if type(value) in (int, float)}
+    assert numbers == {name: entry[0] for name, entry in
+                       {**UNIT_CONVERSIONS, **MODELLING_CHOICES}.items()}
+    for _, unit, reason, provenance in MODELLING_CHOICES.values():
+        assert unit and reason and provenance
+
+
+def test_the_readme_states_every_modelling_choice():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    for name, (value, unit, *_) in MODELLING_CHOICES.items():
+        assert f"`{name}` = {value} {unit}" in readme, name

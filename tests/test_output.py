@@ -72,13 +72,14 @@ def test_run_csv_rejects_unknown_variables(toy_result):
         emit_run_csv(toy_result, io.StringIO(), variables=("bogus",))
 
 
-def test_run_csv_reemission_is_byte_identical(base_run):
+def test_run_csv_reemission_is_byte_identical(base_run, default_doc):
     first, second = io.StringIO(), io.StringIO()
     emit_run_csv(base_run, first)
     emit_run_csv(base_run, second)
     assert first.getvalue() == second.getvalue()
     lines = first.getvalue().splitlines()
-    assert len(lines) == 1 + base_run.n_records == 82
+    assert len(lines) == 1 + base_run.n_records
+    assert base_run.n_records == default_doc.clock.n_steps + 1
     assert lines[0].split(",") == base_run.column_order()
 
 
@@ -121,7 +122,8 @@ def test_comparison_csv_keys_text_by_bytes_not_value():
                                  "z,0.0,-0.0\nz,1.0,1.5\n")
 
 
-def test_comparison_csv_layout(canonical_report):
+def test_comparison_csv_layout(canonical_report, default_doc):
+    records = default_doc.clock.n_steps + 1
     stream = io.StringIO()
     emit_comparison_csv(canonical_report, stream)
     lines = stream.getvalue().splitlines()
@@ -129,9 +131,9 @@ def test_comparison_csv_layout(canonical_report):
     assert columns[0] == "time"
     assert set(CHART_VARIABLES) < set(columns)
     assert lines[0] == ",".join(["scenario"] + columns)
-    assert len(lines) == 1 + 4 * 81
+    assert len(lines) == 1 + 4 * records
     assert lines[1].startswith("base,2015.0,")
-    assert lines[82].startswith("p1_higher_fit,2015.0,")
+    assert lines[1 + records].startswith("p1_higher_fit,2015.0,")
     assert {line.count(",") for line in lines} == {len(columns)}
 
 
@@ -163,14 +165,14 @@ def test_chart_svg_handles_constant_series():
     assert "<polyline" in svg
 
 
-def test_write_plot_data_layout(canonical_report, tmp_path):
+def test_write_plot_data_layout(canonical_report, default_doc, tmp_path):
     paths = write_plot_data(canonical_report, tmp_path)
     assert [os.path.basename(path) for path in paths] == [
         f"{variable}.csv" for variable in CHART_VARIABLES]
     with open(paths[0], encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     assert lines[0] == "time," + ",".join(SCENARIO_NAMES)
-    assert len(lines) == 82
+    assert len(lines) == 2 + default_doc.clock.n_steps
 
 
 def test_write_plot_data_reruns_byte_identical(canonical_report, tmp_path):
