@@ -212,10 +212,14 @@ def _cmd_validate(args) -> int:
 def _attach_clock_values(argv: list[str]) -> list[str]:
     """``argv`` with each ``--dt X`` and ``--horizon X`` written ``--dt=X``:
     a clock flag takes whatever follows it, where argparse would read
-    ``-inf`` or ``-1e-3`` as an option and refuse the flag unnamed."""
+    ``-inf`` or ``-1e-3`` as an option and refuse the flag unnamed. A flag
+    abbreviated to three characters or more (``--d``, ``--hor``) counts,
+    and argparse resolves it; ``--h`` stays ambiguous with ``--help``."""
     attached = []
     for arg in argv:
-        if attached and attached[-1] in ("--dt", "--horizon"):
+        if attached and len(attached[-1]) >= 3 and any(
+                flag.startswith(attached[-1])
+                for flag in ("--dt", "--horizon")):
             attached[-1] += f"={arg}"
         else:
             attached.append(arg)

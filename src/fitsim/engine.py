@@ -29,8 +29,9 @@ steps is refused before anything is built.
 
 The generic integrator over a model that only hands back rates and
 auxiliaries is a reference in the tests (``tests/engine_reference.py``): a
-property in ``tests/test_model.py`` holds the fitsim loop to the links
-composed and run through it, columns, clamp events and errors alike. A
+property in ``tests/test_model.py`` holds the fitsim loop to
+``model.LINKS`` evaluated and run through it, columns, clamp events and
+errors alike. A
 property in ``tests/test_engine.py`` holds the lag indices to a recorded
 history searched by bisection.
 """

@@ -4,7 +4,9 @@ The model tracks a national renewable-energy support program: investors file
 requests for guaranteed-price contracts, approved projects become installed
 capacity, production is paid out of a dedicated fund fed by an electricity
 levy, and unpaid obligations accumulate as agency debt. Four feedback loops
-shape the trajectories:
+shape the trajectories, each a cycle of ``LINKS`` below that
+``test_the_docstring_loops_are_cycles_of_the_links`` in
+``tests/test_model.py`` names node by node:
 
 * reinforcing adoption: more capacity raises penetration and social
   acceptance, which raises the tendency to invest and future requests;
@@ -39,11 +41,13 @@ one-year floor.
 
 Each link of the structure is a public function below (``annuity_factor``,
 ``compute_*``, ``allocate_payments``, ...), checked against oracles in the
-tests. ``FitModel.simulate`` does not call them: its step is the same
-links inlined as straight-line arithmetic over constants bound once per
+tests. ``LINKS`` wires them into the step, one entry per auxiliary in
+evaluation order with the names it reads, and ``RATES`` gives each stock's
+rate over those names. ``FitModel.simulate`` reads neither: its step is the
+same links inlined as straight-line arithmetic over constants bound once per
 run, calling a link only to raise its error, and the Euler update follows
-in the same loop. ``ReferenceFitModel`` in ``tests/test_model.py`` composes
-the links instead and runs through the generic integrator of
+in the same loop. ``ReferenceFitModel`` in ``tests/test_model.py`` evaluates
+``LINKS`` and ``RATES`` instead and runs through the generic integrator of
 ``tests/engine_reference.py``, and a property over the calibration box, the
 policies and the step sizes holds the two to the same bytes.
 """
@@ -254,21 +258,6 @@ def compute_tendency_to_invest(roi: float, acceptance: float,
     return max(0.0, roi) * acceptance * trust
 
 
-class RequestPipeline(NamedTuple):
-    annual_requests: float     # MW/year filed this year
-    approved_requests: float   # MW/year surviving review
-    construction_rate: float   # MW/year entering operation
-
-
-def compute_request_pipeline(previous_requests: float, tendency: float,
-                             econ: EconomicParameters) -> RequestPipeline:
-    """Requests compound on last year's level; approvals spread over the build time."""
-    annual = previous_requests * tendency
-    approved = annual * (1.0 - econ.rejection_fraction)
-    construction = approved / econ.time_to_build
-    return RequestPipeline(annual, approved, construction)
-
-
 def lifetime_at_activity(activity: float, econ: EconomicParameters) -> float:
     """Equipment lifetime at a maintenance activity level, floored at one year."""
     return max(MINIMUM_LIFETIME, econ.normal_equipment_lifetime * activity)
@@ -318,25 +307,145 @@ def average_fit_price(total_fit_payment: float,
     return total_fit_payment / total_electricity_production
 
 
-class ProductionPayment(NamedTuple):
-    electricity_production: float       # MWh/year
-    average_price: float                # $/MWh
-    desired_payment: float              # $/year owed for this production
-    payment_inflow: float               # $/year added to the payout ledger
+# === the causal table ===
+
+class Link(NamedTuple):
+    """One node of the step: an auxiliary, or the rate of a stock.
+
+    ``fn(params, *values)`` computes it from the ``ModelParameters`` and the
+    values of ``inputs``, which name stocks, ``t`` and earlier entries of
+    ``LINKS``. ``state`` marks the three nodes that keep run memory or call
+    out:
+
+    * ``"policy"``: the first input is the policy hook's argument, and
+      ``fn`` gets the hook's answer in its place (``None`` without a hook);
+      the hook is called once per step;
+    * ``"lag"``: ``fn`` gets first the node's own value ``REQUEST_LAG``
+      years back, from the run's history (``initial_annual_requests``
+      before the first record), and the run records the new value;
+    * ``"clamp"``: a value above 1 reads as 1, and the first time in a run
+      that it binds, a warning names the inputs and ``t``.
+    """
+
+    name: str
+    inputs: tuple[str, ...]
+    fn: Callable[..., float]
+    state: str = ""
 
 
-def compute_production_and_price(installed_capacity: float,
-                                 total_electricity_production: float,
-                                 total_fit_payment: float,
-                                 fit_price: float,
-                                 econ: EconomicParameters) -> ProductionPayment:
-    """Production of the installed base and the payment it entitles."""
-    production = installed_capacity * econ.capacity_factor * ANNUAL_HOURS
-    average = average_fit_price(total_fit_payment,
-                                total_electricity_production, fit_price)
-    desired = production * average
-    inflow = production * fit_price
-    return ProductionPayment(production, average, desired, inflow)
+def _tariff(p: ModelParameters, overrides: PriceTaxOverrides | None,
+            installed: float, t: float) -> float:
+    """The goal-gap tariff under the policy's overrides; a negative one is
+    refused where it is computed, naming ``t``."""
+    price = compute_fit_price(installed, p.econ, overrides)
+    if price < 0.0:
+        raise SimulationError(f"tariff must be non-negative, got {price}",
+                              variable="fit_price", time=t)
+    return price
+
+
+# the step's wiring, one entry per ``FitModel.aux_names`` entry, in the
+# order a step evaluates them. ``FitModel.simulate`` inlines the same links
+# and does not read it; ``ReferenceFitModel`` in ``tests/test_model.py``
+# evaluates it, and the tests find the feedback loops in it.
+LINKS: tuple[Link, ...] = (
+    Link("total_generation_capacity", ("t",), lambda p, t: eval_linear_trend(
+        p.exogenous.total_generation_capacity, t)),
+    Link("electricity_consumption", ("t",), lambda p, t: eval_linear_trend(
+        p.exogenous.electricity_consumption, t)),
+    Link("cumulative_installed_capacity",
+         ("installed_capacity", "depreciated_capacity"),
+         lambda p, installed, depreciated: installed + depreciated),
+    Link("capital_cost", ("cumulative_installed_capacity",),
+         lambda p, built: compute_capital_cost(
+             max(built, p.econ.initial_installed_capacity), p.econ)),
+    Link("fit_price", ("perceived_shortage", "installed_capacity", "t"),
+         _tariff, "policy"),
+    Link("res_tax", ("perceived_shortage",), lambda p, overrides: (
+        p.econ.res_tax_base if overrides is None or overrides.res_tax is None
+        else overrides.res_tax), "policy"),
+    Link("roi", ("fit_price", "capital_cost"),
+         lambda p, price, cost: compute_roi(p.econ, price, cost)),
+    Link("penetration_rate",
+         ("installed_capacity", "total_generation_capacity"),
+         lambda p, installed, generation: installed / generation, "clamp"),
+    Link("electricity_production", ("installed_capacity",),
+         lambda p, installed: installed * p.econ.capacity_factor
+         * ANNUAL_HOURS),
+    Link("average_fit_price",
+         ("total_fit_payment", "total_electricity_production", "fit_price"),
+         lambda p, *ledger: average_fit_price(*ledger)),
+    Link("desired_production_payment",
+         ("electricity_production", "average_fit_price"),
+         lambda p, production, price: production * price),
+    Link("fit_payment_inflow", ("electricity_production", "fit_price"),
+         lambda p, production, price: production * price),
+    Link("delay_in_debt_payment", ("suna_debt", "desired_production_payment"),
+         lambda p, *ledger: compute_delay_in_debt_payment(*ledger)),
+    Link("social_acceptance", ("penetration_rate", "res_tax"),
+         lambda p, share, tax: compute_social_acceptance(share, tax,
+                                                         p.effects)),
+    Link("investor_trust", ("delay_in_debt_payment",),
+         lambda p, delay: eval_inverted_sigmoid(p.effects.investor_trust,
+                                                delay)),
+    Link("tendency_to_invest",
+         ("roi", "social_acceptance", "investor_trust"),
+         lambda p, *climate: compute_tendency_to_invest(*climate)),
+    # requests compound on last year's level; approvals spread over the
+    # build time
+    Link("annual_fit_requests", ("tendency_to_invest",),
+         lambda p, previous, tendency: previous * tendency, "lag"),
+    Link("approved_fit_requests", ("annual_fit_requests",),
+         lambda p, filed: filed * (1.0 - p.econ.rejection_fraction)),
+    Link("construction_rate", ("approved_fit_requests",),
+         lambda p, approved: approved / p.econ.time_to_build),
+    Link("om_activity", ("delay_in_debt_payment",),
+         lambda p, delay: eval_inverted_sigmoid(p.effects.om_activity,
+                                                delay)),
+    Link("effective_lifetime", ("om_activity",),
+         lambda p, activity: lifetime_at_activity(activity, p.econ)),
+    Link("depreciation", ("installed_capacity", "effective_lifetime"),
+         lambda p, installed, lifetime: installed / lifetime),
+    # the fund's split with debt priority, one entry per field
+    *(Link(field, ("budget", "suna_debt", "desired_production_payment"),
+           lambda p, *ledger, field=field: getattr(allocate_payments(*ledger),
+                                                   field))
+      for field in PaymentAllocation._fields),
+    Link("budget_increase", ("electricity_consumption", "res_tax"),
+         lambda p, use, tax: use * tax * KWH_PER_MWH),
+    Link("budget_decrease", ("debt_payment", "actual_production_payment"),
+         lambda p, debt, production: debt + production),
+    Link("whole_desired_payment", ("suna_debt", "desired_production_payment"),
+         lambda p, debt, desired: debt + desired),
+    Link("budget_shortage",
+         ("whole_desired_payment", "available_whole_payment"),
+         lambda p, desired, available: desired - available),
+)
+
+
+def _net(p: ModelParameters, inflow: float, outflow: float) -> float:
+    return inflow - outflow
+
+
+def _inflow(p: ModelParameters, inflow: float) -> float:
+    return inflow
+
+
+# each stock's rate over the names of ``LINKS``, in ``FitModel.stock_names``
+# order
+RATES: tuple[Link, ...] = (
+    Link("installed_capacity", ("construction_rate", "depreciation"), _net),
+    Link("depreciated_capacity", ("depreciation",), _inflow),
+    Link("suna_debt", ("debt_creation", "debt_payment"), _net),
+    Link("budget", ("budget_increase", "budget_decrease"), _net),
+    Link("total_electricity_production", ("electricity_production",),
+         _inflow),
+    Link("total_fit_payment", ("fit_payment_inflow",), _inflow),
+    # a first-order perception of the shortfall
+    Link("perceived_shortage", ("budget_shortage", "perceived_shortage"),
+         lambda p, shortage, perceived: (shortage - perceived)
+         / p.econ.shortage_smoothing_time),
+)
 
 
 # === parameter registry (config keys and sensitivity targets) ===

@@ -167,11 +167,26 @@ def test_dt_longer_than_the_horizon_is_a_configuration_error(capsys):
      f"--horizon: horizon of {1e12 - SHIPPED.start_year} years is "
      f"{(1e12 - SHIPPED.start_year) / SHIPPED.dt:.6g} steps at "
      f"dt={SHIPPED.dt}, more than the 262144 a run may take"),
+    # a value after an abbreviated clock flag is that flag's too
+    (["run", "--hor", "-inf"],
+     "--horizon: end_year must be finite, got -inf"),
+    (["run", "--d", "-1e-3"], "--dt: dt must be positive, got -0.001"),
+    (["compare", "--ho", "-inf"],
+     "--horizon: end_year must be finite, got -inf"),
 ])
 def test_a_refused_clock_flag_is_named(argv, message, capsys):
     # a value refused alone in the same words names its flag, else both
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_an_ambiguous_clock_flag_is_argparses_error(capsys):
+    # --h could be --help or --horizon, and in validate --historical too
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--h", "-inf"])
+    assert exc.value.code == 2
+    assert ("error: ambiguous option: --h=-inf could match --help, "
+            "--horizon, --historical" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, dt", [

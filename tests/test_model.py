@@ -9,7 +9,6 @@ import logging
 import math
 from array import array
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import pytest
@@ -28,8 +27,6 @@ from fitsim import (
     apply_overrides,
     compute_fit_price,
     compute_roi,
-    eval_inverted_sigmoid,
-    eval_linear_trend,
     get_parameter,
     lag_indices,
     load_default_config,
@@ -38,19 +35,16 @@ from fitsim import (
 )
 from fitsim.cli import main
 from fitsim.model import (
-    KWH_PER_MWH,
+    LINKS,
+    RATES,
     REQUEST_LAG,
     PriceTaxOverrides,
-    RequestPipeline,
     allocate_payments,
     average_fit_price,
     compute_capital_cost,
     compute_delay_in_debt_payment,
-    compute_production_and_price,
-    compute_request_pipeline,
     compute_social_acceptance,
     compute_tendency_to_invest,
-    lifetime_at_activity,
     record_grid,
 )
 from engine_reference import run_simulation
@@ -61,6 +55,15 @@ DOC = load_default_config()
 PACKAGED = DOC.params
 # the grid of the cases whose counts, times and clamp events are quarterly
 QUARTERLY = SimulationClock(2015.0, 2035.0, 0.25)
+
+
+def link_values(params=PACKAGED, **values):
+    """``values`` and every stateless entry of ``model.LINKS`` whose inputs
+    they hold, evaluated in table order."""
+    for link in LINKS:
+        if not link.state and values.keys() >= set(link.inputs):
+            values[link.name] = link.fn(params, *map(values.get, link.inputs))
+    return values
 
 
 def dcf_annuity(rate, years):
@@ -201,16 +204,22 @@ def test_tendency_floors_negative_roi_at_zero():
 # === request pipeline and retirement ===
 
 def test_request_pipeline_trace():
-    econ = PACKAGED.econ._replace(rejection_fraction=0.5, time_to_build=2.0)
-    pipeline = compute_request_pipeline(100.0, 1.0, econ)
-    assert pipeline == RequestPipeline(100.0, 50.0, 25.0)
+    # requests compound on last year's level; approvals spread over the
+    # build time
+    params = apply_overrides(PACKAGED, {"rejection_fraction": 0.5,
+                                        "time_to_build": 2.0})
+    filed = next(link for link in LINKS if link.state == "lag").fn(
+        params, 100.0, 1.0)
+    values = link_values(params, annual_fit_requests=filed)
+    assert (filed, values["approved_fit_requests"],
+            values["construction_rate"]) == (100.0, 50.0, 25.0)
 
 
 def lifetime(delay, params=PACKAGED):
-    """Equipment lifetime at a payment delay, as ``ReferenceFitModel``
-    composes it: maintenance activity, then the floored lifetime."""
-    return lifetime_at_activity(
-        eval_inverted_sigmoid(params.effects.om_activity, delay), params.econ)
+    """Equipment lifetime at a payment delay, as ``model.LINKS`` composes
+    it: maintenance activity, then the floored lifetime."""
+    return link_values(params, delay_in_debt_payment=delay)[
+        "effective_lifetime"]
 
 
 def test_effective_lifetime_halves_at_the_sigmoid_midpoint():
@@ -272,27 +281,27 @@ def test_average_fit_price_forms():
 
 
 def test_production_and_payment_entitlement():
-    econ = PACKAGED.econ
-    out = compute_production_and_price(
-        installed_capacity=100.0, total_electricity_production=0.0,
-        total_fit_payment=0.0, fit_price=20.0, econ=econ)
-    assert out.electricity_production == pytest.approx(100.0 * 0.25 * 8760.0)
-    assert out.average_price == 20.0  # no history yet, tariff stands in
-    assert out.desired_payment == pytest.approx(out.electricity_production
-                                                * 20.0)
-    assert out.payment_inflow == pytest.approx(out.desired_payment)
+    out = link_values(installed_capacity=100.0,
+                      total_electricity_production=0.0,
+                      total_fit_payment=0.0, fit_price=20.0)
+    production = out["electricity_production"]
+    assert production == pytest.approx(100.0 * 0.25 * 8760.0)
+    assert out["average_fit_price"] == 20.0  # no history yet, tariff stands in
+    assert out["desired_production_payment"] == pytest.approx(production
+                                                              * 20.0)
+    assert out["fit_payment_inflow"] == pytest.approx(
+        out["desired_production_payment"])
 
 
 def test_desired_payment_uses_contracted_average_not_current_price():
-    econ = PACKAGED.econ
-    out = compute_production_and_price(
-        installed_capacity=100.0, total_electricity_production=1000.0,
-        total_fit_payment=18000.0, fit_price=5.0, econ=econ)
-    assert out.average_price == pytest.approx(18.0)
-    assert out.desired_payment == pytest.approx(out.electricity_production
-                                                * 18.0)
-    assert out.payment_inflow == pytest.approx(out.electricity_production
-                                               * 5.0)
+    out = link_values(installed_capacity=100.0,
+                      total_electricity_production=1000.0,
+                      total_fit_payment=18000.0, fit_price=5.0)
+    production = out["electricity_production"]
+    assert out["average_fit_price"] == pytest.approx(18.0)
+    assert out["desired_production_payment"] == pytest.approx(production
+                                                              * 18.0)
+    assert out["fit_payment_inflow"] == pytest.approx(production * 5.0)
 
 
 # === parameter registry ===
@@ -510,15 +519,15 @@ def test_the_coarse_step_check_is_the_lookups_own_rule(start, dt):
     assert policy.calls == (0 if rejected else 3)
 
 
-# === the fused loop against the composed links on the generic engine ===
+# === the fused loop against model.LINKS evaluated on the generic engine ===
 
 class ReferenceFitModel(FitModel):
-    """The step as a composition of the link functions, integrated by the
-    generic ``run_simulation`` of ``tests/engine_reference.py``: the
-    reference that ``FitModel.simulate`` must match bit for bit. Its run
-    memory lives on the instance, reset by ``begin_run``: the request
-    history is the bisect reference, and the penetration warning latch a
-    flag."""
+    """The step as ``model.LINKS`` and ``model.RATES`` evaluated in table
+    order, integrated by the generic ``run_simulation`` of
+    ``tests/engine_reference.py``: the reference that ``FitModel.simulate``
+    must match bit for bit. Its run memory lives on the instance, reset by
+    ``begin_run``: the request history is the bisect reference, and the
+    penetration warning latch a flag."""
 
     # every stock is clamped at zero
     non_negative = frozenset(FitModel.stock_names)
@@ -533,104 +542,109 @@ class ReferenceFitModel(FitModel):
     def simulate(self, clock):
         return run_simulation(self, clock)
 
-    def derivatives(self, stocks: Sequence[float], t: float
-                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    def derivatives(self, stocks, t):
         """Rates and auxiliaries, in ``stock_names``/``aux_names`` order."""
-        econ = self.params.econ
-        effects = self.params.effects
-        exog = self.params.exogenous
+        values = dict(zip(self.stock_names, stocks), t=t)
+        asked = False  # the policy hook is asked once per step
+        for link in LINKS:
+            inputs = [values[name] for name in link.inputs]
+            if link.state == "policy":
+                if not asked:
+                    overrides = (self.policy(inputs[0])
+                                 if self.policy is not None else None)
+                    asked = True
+                inputs[0] = overrides
+            elif link.state == "lag":
+                inputs.insert(0, self._requests.lookup(t))
+            value = link.fn(self.params, *inputs)
+            if link.state == "lag":
+                self._requests.record(t, value)
+            elif link.state == "clamp" and value > 1.0:
+                if not self._penetration_warned:
+                    logging.getLogger("fitsim.model").warning(
+                        "installed capacity %.1f MW exceeds total generation "
+                        "capacity %.1f MW at t=%.2f; penetration clamped",
+                        *inputs, t)
+                    self._penetration_warned = True
+                value = 1.0
+            values[link.name] = value
+        return (tuple(rate.fn(self.params, *map(values.get, rate.inputs))
+                      for rate in RATES),
+                tuple(map(values.get, self.aux_names)))
 
-        (installed, depreciated, debt, budget, total_production,
-         total_payment, perceived) = stocks
 
-        # --- exogenous drivers ---
-        generation_capacity = eval_linear_trend(
-            exog.total_generation_capacity, t)
-        consumption = eval_linear_trend(exog.electricity_consumption, t)
+# === the causal table: its order, its names and its feedback loops ===
 
-        # --- capacity ledger and learning ---
-        cumulative = installed + depreciated
-        capital_cost = compute_capital_cost(
-            max(cumulative, econ.initial_installed_capacity), econ)
+def test_every_link_reads_stocks_t_or_earlier_links():
+    known = {"t", *FitModel.stock_names}
+    for link in LINKS:
+        assert known >= set(link.inputs), link.name
+        known.add(link.name)
+    names = [link.name for link in LINKS]
+    assert sorted(names) == sorted(FitModel.aux_names)
+    assert len(set(names)) == len(names)
+    assert tuple(rate.name for rate in RATES) == FitModel.stock_names
+    for rate in RATES:
+        assert known - {"t"} >= set(rate.inputs), rate.name
+    assert {link.name: link.state for link in LINKS if link.state} == {
+        "fit_price": "policy", "res_tax": "policy",
+        "penetration_rate": "clamp", "annual_fit_requests": "lag"}
 
-        # --- policy overrides, price, levy ---
-        overrides = (self.policy(perceived)
-                     if self.policy is not None else None)
-        fit_price = compute_fit_price(installed, econ, overrides)
-        if fit_price < 0.0:
-            raise SimulationError(
-                f"tariff must be non-negative, got {fit_price}",
-                variable="fit_price", time=t)
-        res_tax = econ.res_tax_base
-        if overrides is not None and overrides.res_tax is not None:
-            res_tax = overrides.res_tax
 
-        # --- investment climate ---
-        roi = compute_roi(econ, fit_price, capital_cost)
-        penetration = installed / generation_capacity
-        if penetration > 1.0:
-            if not self._penetration_warned:
-                logging.getLogger("fitsim.model").warning(
-                    "installed capacity %.1f MW exceeds total generation "
-                    "capacity %.1f MW at t=%.2f; penetration clamped",
-                    installed, generation_capacity, t)
-                self._penetration_warned = True
-            penetration = 1.0
+def elementary_cycles(readers):
+    """Every elementary cycle of the graph ``readers`` (node -> the nodes
+    that read it), each once, from its first node in ``readers``' order: a
+    depth-first search from each node through the nodes after it."""
+    order = {node: i for i, node in enumerate(readers)}
+    cycles = []
 
-        # --- production and the payment it entitles ---
-        production = compute_production_and_price(
-            installed, total_production, total_payment, fit_price, econ)
-        delay = compute_delay_in_debt_payment(debt,
-                                              production.desired_payment)
+    def walk(path):
+        for node in readers[path[-1]]:
+            if node == path[0]:
+                cycles.append(tuple(path))
+            elif order[node] > order[path[0]] and node not in path:
+                walk(path + [node])
 
-        acceptance = compute_social_acceptance(penetration, res_tax, effects)
-        trust = eval_inverted_sigmoid(effects.investor_trust, delay)
-        tendency = compute_tendency_to_invest(roi, acceptance, trust)
+    for node in readers:
+        walk([node])
+    return cycles
 
-        # --- request pipeline (annual information delay) ---
-        previous_requests = self._requests.lookup(t)
-        pipeline = compute_request_pipeline(previous_requests, tendency, econ)
-        self._requests.record(t, pipeline.annual_requests)
 
-        activity = eval_inverted_sigmoid(effects.om_activity, delay)
-        lifetime = lifetime_at_activity(activity, econ)
-        depreciation = installed / lifetime
+PIPELINE = ("tendency_to_invest", "annual_fit_requests",
+            "approved_fit_requests", "construction_rate")
+FUND = ("installed_capacity", "electricity_production",
+        "desired_production_payment", "actual_production_payment",
+        "budget_decrease", "budget", "debt_creation", "suna_debt",
+        "delay_in_debt_payment")
+# the module docstring's four loops, from installed capacity back to it
+DOCSTRING_LOOPS = {
+    "adoption": ("installed_capacity", "penetration_rate",
+                 "social_acceptance", *PIPELINE),
+    "learning": ("installed_capacity", "cumulative_installed_capacity",
+                 "capital_cost", "roi", *PIPELINE),
+    "price control": ("installed_capacity", "fit_price", "roi", *PIPELINE),
+    "budget stress through trust": (*FUND, "investor_trust", *PIPELINE),
+    "budget stress through maintenance": (
+        *FUND, "om_activity", "effective_lifetime", "depreciation"),
+}
 
-        # --- fund allocation with debt priority ---
-        allocation = allocate_payments(budget, debt,
-                                       production.desired_payment)
-        budget_increase = consumption * res_tax * KWH_PER_MWH
-        budget_decrease = (allocation.debt_payment
-                           + allocation.actual_production_payment)
-        whole_desired = debt + production.desired_payment
-        shortage = whole_desired - allocation.available_whole_payment
 
-        rates = (
-            pipeline.construction_rate - depreciation,
-            depreciation,
-            allocation.debt_creation - allocation.debt_payment,
-            budget_increase - budget_decrease,
-            production.electricity_production,
-            production.payment_inflow,
-            (shortage - perceived) / econ.shortage_smoothing_time,
-        )
-        aux = (
-            pipeline.construction_rate, depreciation,
-            allocation.debt_creation, allocation.debt_payment,
-            budget_increase, budget_decrease,
-            production.electricity_production, production.payment_inflow,
-            cumulative, capital_cost,
-            fit_price, res_tax, roi,
-            penetration, acceptance, trust,
-            activity, lifetime, tendency,
-            pipeline.annual_requests, pipeline.approved_requests,
-            production.average_price, production.desired_payment,
-            whole_desired, allocation.available_whole_payment,
-            allocation.actual_production_payment, delay,
-            shortage, consumption,
-            generation_capacity,
-        )
-        return rates, aux
+def test_the_docstring_loops_are_cycles_of_the_links():
+    readers = {name: [] for name in FitModel.stock_names}
+    for link in LINKS + RATES:
+        readers.setdefault(link.name, [])
+        for name in link.inputs:
+            if name != "t":
+                readers[name].append(link.name)
+    cycles = elementary_cycles(readers)
+    for name, loop in DOCSTRING_LOOPS.items():
+        assert loop in cycles, name
+    # each runs through a stock, so no step reads its own value
+    assert all(set(cycle) & set(FitModel.stock_names) for cycle in cycles)
+    # any change to the wiring shows here; 236 of them run through the
+    # policy hook's input, the perceived shortage
+    assert len(cycles) == 338
+    assert sum("perceived_shortage" in cycle for cycle in cycles) == 236
 
 
 # the box the calibration and the sweep search: every `assumed` model value
