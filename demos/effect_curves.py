@@ -36,10 +36,9 @@ def main():
           [1.0, 5.0, 10.0, 20.0, 24.0],
           lambda n: annuity_factor(0.10, n), "years", "factor")
 
-    econ = params.econ
     table("Capital cost vs cumulative build (MW)",
           [120.0, 240.0, 500.0, 1000.0, 2500.0, 5000.0],
-          lambda c: compute_capital_cost(c, econ) / 1000.0,
+          lambda c: compute_capital_cost(params, c) / 1000.0,
           "built", "k$/MW")
 
 

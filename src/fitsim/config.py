@@ -269,9 +269,9 @@ def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
                  if key in values}
         _in_section(lambda **changes: apply_overrides(params, changes),
                     section, values)
-        scenarios.append(Scenario(
-            name=name, overrides=values,
-            policy=_in_section(defaults._replace, section, knobs)))
+        control = _in_section(defaults._replace, section, knobs)
+        scenarios.append(_in_section(lambda: Scenario(
+            name=name, overrides=values, policy=control), section, {}))
 
     if not scenarios:
         log.append("no [scenario:NAME] sections; synthesized neutral 'base'")

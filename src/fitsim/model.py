@@ -39,17 +39,18 @@ Float parameters declare their bounds beside them, ranges included (see
 ``engine.checked``); ``_check`` keeps only the remuneration period's
 one-year floor.
 
-Each link of the structure is a public function below (``annuity_factor``,
-``compute_*``, ``allocate_payments``, ...), checked against oracles in the
-tests. ``LINKS`` wires them into the step, one entry per auxiliary in
-evaluation order with the names it reads, and ``RATES`` gives each stock's
-rate over those names. ``FitModel.simulate`` reads neither: its step is the
-same links inlined as straight-line arithmetic over constants bound once per
-run, calling a link only to raise its error, and the Euler update follows
-in the same loop. ``ReferenceFitModel`` in ``tests/test_model.py`` evaluates
-``LINKS`` and ``RATES`` instead and runs through the generic integrator of
-``tests/engine_reference.py``, and a property over the calibration box, the
-policies and the step sizes holds the two to the same bytes.
+Each link of the structure is a function in the table's convention,
+``fn(params, *inputs)``: ``compute_*`` or ``allocate_payments`` where it
+refuses an input or branches, else a lambda in its entry of ``LINKS``, which
+lists the auxiliaries in evaluation order with the names each reads;
+``RATES`` gives each stock's rate over those names. The tests check each
+link against oracles. ``FitModel.simulate`` reads neither table: its step
+inlines the same links over constants bound once per run, calling a link
+only to raise its error, and the Euler update follows in the same loop.
+``ReferenceFitModel`` in ``tests/test_model.py`` evaluates the tables and
+runs through the generic integrator of ``tests/engine_reference.py``; a
+property over the calibration box, the policies and the step sizes holds
+the two to the same bytes.
 """
 
 import math
@@ -183,105 +184,71 @@ def annuity_factor(interest_rate: float, n_years: float) -> float:
     return (compound - 1.0) / (interest_rate * compound)
 
 
-def compute_roi(econ: EconomicParameters, fit_price: float,
+def compute_roi(p: ModelParameters, fit_price: float,
                 capital_cost: float) -> float:
-    """Return on investment of a one-MW project at the offered tariff.
-
-    Annual margin per MW is ``capacity_factor * 8760 * (price - om_cost)``;
-    its present value over the remuneration period is set against the
-    capital cost: ``(margin * annuity - capital) / capital``.
-    """
+    """Return on investment of a one-MW project at the offered tariff: the
+    annual margin per MW, ``capacity_factor * 8760 * (price - om_cost)``,
+    discounted over the remuneration period and set against the capital
+    cost, ``(margin * annuity - capital) / capital``."""
     if capital_cost <= 0.0:
         raise ValueError(f"capital_cost must be positive, got {capital_cost}")
-    annual_margin = econ.capacity_factor * ANNUAL_HOURS * (fit_price
-                                                           - econ.om_cost)
-    discounted = annual_margin * annuity_factor(econ.interest_rate,
-                                                econ.remuneration_period)
-    return (discounted - capital_cost) / capital_cost
+    econ = p.econ
+    margin = econ.capacity_factor * ANNUAL_HOURS * (fit_price - econ.om_cost)
+    annuity = annuity_factor(econ.interest_rate, econ.remuneration_period)
+    return (margin * annuity - capital_cost) / capital_cost
 
 
-def compute_capital_cost(cumulative_capacity: float,
-                         econ: EconomicParameters) -> float:
+def compute_capital_cost(p: ModelParameters, cumulative: float) -> float:
     """Learning curve: capital cost falls as cumulative build grows.
 
-    ``initial_capital_cost * (cumulative / initial_build) ** (-exponent)``,
-    normalized to the installed base at launch.
+    ``initial_capital_cost * (built / launch_base) ** (-exponent)``, where
+    ``built`` is the cumulative build, floored at the launch base.
     """
-    if cumulative_capacity <= 0.0:
+    if cumulative <= 0.0:
         raise ValueError(
-            f"cumulative_capacity must be positive, got {cumulative_capacity}")
-    ratio = cumulative_capacity / econ.initial_installed_capacity
+            f"cumulative_capacity must be positive, got {cumulative}")
+    econ, base = p.econ, p.econ.initial_installed_capacity
+    ratio = max(cumulative, base) / base
     return econ.initial_capital_cost * ratio ** (-econ.learning_exponent)
 
 
-def compute_fit_price(installed_capacity: float, econ: EconomicParameters,
-                      overrides: PriceTaxOverrides | None = None) -> float:
-    """Offered tariff under the goal-gap rule, with policy adjustments.
-
-    The launch tariff is scaled by the remaining fraction of the capacity
-    target, never below ``fit_price_floor`` of its launch value. Policy
-    overrides then scale (multiplier) and shift (delta) the result.
-    """
+def compute_fit_price(p: ModelParameters,
+                      overrides: PriceTaxOverrides | None,
+                      installed_capacity: float, t: float) -> float:
+    """Offered tariff: the launch tariff scaled by the remaining fraction
+    of the capacity target, never below ``fit_price_floor`` of its launch
+    value, then scaled and shifted by the policy's overrides. A negative
+    tariff is refused as a ``SimulationError`` naming ``t``."""
+    econ = p.econ
     gap_fraction = (econ.capacity_target - installed_capacity) / econ.capacity_target
     multiplier = min(1.0, max(econ.fit_price_floor, gap_fraction))
     price = econ.initial_fit_price * multiplier
     if overrides is not None:
         price = price * overrides.fit_price_multiplier + overrides.fit_price_delta
+    if price < 0.0:
+        raise SimulationError(f"tariff must be non-negative, got {price}",
+                              variable="fit_price", time=t)
     return price
 
 
-def compute_social_acceptance(penetration: float, res_tax: float,
-                              effects: SocialEffectSet) -> float:
-    """Social acceptance of the program.
-
-    A linear base term grows with renewable penetration; the levy burden
-    discounts it through the tolerance sigmoid.
-    """
+def compute_social_acceptance(p: ModelParameters, penetration: float,
+                              res_tax: float) -> float:
+    """Social acceptance of the program: a linear base term grows with
+    renewable penetration, and the levy discounts it through the tolerance
+    sigmoid."""
     if not 0.0 <= penetration <= 1.0:
         raise ValueError(
             f"penetration must lie in [0, 1], got {penetration}")
-    base = 1.0 + effects.penetration_gain * penetration
-    return base * eval_inverted_sigmoid(effects.social_tolerance, res_tax)
+    base = 1.0 + p.effects.penetration_gain * penetration
+    return base * eval_inverted_sigmoid(p.effects.social_tolerance, res_tax)
 
 
-def compute_delay_in_debt_payment(suna_debt: float,
-                                  desired_payment: float) -> float:
-    """Years the current debt would take to settle at the desired pace."""
-    if suna_debt <= 0.0:
-        return 0.0
-    return suna_debt / max(desired_payment, DELAY_PAYMENT_EPSILON)
-
-
-def compute_tendency_to_invest(roi: float, acceptance: float,
-                               trust: float) -> float:
-    """Annual multiplier on investment requests; negative ROI contributes 0."""
-    return max(0.0, roi) * acceptance * trust
-
-
-def lifetime_at_activity(activity: float, econ: EconomicParameters) -> float:
-    """Equipment lifetime at a maintenance activity level, floored at one year."""
-    return max(MINIMUM_LIFETIME, econ.normal_equipment_lifetime * activity)
-
-
-# === fund accounting ===
-
-class PaymentAllocation(NamedTuple):
-    """One year's split of the fund between old debt and new obligations."""
-
-    available_whole_payment: float      # $/yr the fund can release
-    debt_payment: float                 # $/yr settling old debt first
-    actual_production_payment: float    # $/yr paid for current production
-    debt_creation: float                # $/yr of new unpaid obligations
-
-
-def allocate_payments(budget: float, suna_debt: float,
-                      desired_payment: float) -> PaymentAllocation:
-    """Allocate the fund with debt priority.
-
-    The fund releases at most the whole desired payment (old debt plus the
-    desired production payment). Debt is settled first; whatever remains
-    goes to production, and the unpaid remainder becomes new debt.
-    """
+def allocate_payments(p: ModelParameters, budget: float, suna_debt: float,
+                      desired_payment: float) -> tuple[float, ...]:
+    """The fund's split with debt priority, in $/yr and in the order of its
+    ``LINKS``: what it releases, at most the old debt plus the desired
+    production payment; the debt it settles first; what remains for
+    production; and the unpaid remainder, which becomes new debt."""
     if budget < 0.0 or suna_debt < 0.0 or desired_payment < 0.0:
         raise ValueError(
             f"allocation inputs must be non-negative, got budget={budget}, "
@@ -290,21 +257,7 @@ def allocate_payments(budget: float, suna_debt: float,
     available = min(budget, whole_desired)
     debt_payment = min(available, suna_debt)
     actual = min(max(available - suna_debt, 0.0), desired_payment)
-    return PaymentAllocation(available, debt_payment, actual,
-                             desired_payment - actual)
-
-
-def average_fit_price(total_fit_payment: float,
-                      total_electricity_production: float,
-                      fallback_price: float) -> float:
-    """Average tariff actually contracted so far, $/MWh.
-
-    Lifetime payout divided by lifetime production; before any production
-    exists the current tariff stands in.
-    """
-    if total_electricity_production <= 0.0 or total_fit_payment <= 0.0:
-        return fallback_price
-    return total_fit_payment / total_electricity_production
+    return available, debt_payment, actual, desired_payment - actual
 
 
 # === the causal table ===
@@ -333,17 +286,6 @@ class Link(NamedTuple):
     state: str = ""
 
 
-def _tariff(p: ModelParameters, overrides: PriceTaxOverrides | None,
-            installed: float, t: float) -> float:
-    """The goal-gap tariff under the policy's overrides; a negative one is
-    refused where it is computed, naming ``t``."""
-    price = compute_fit_price(installed, p.econ, overrides)
-    if price < 0.0:
-        raise SimulationError(f"tariff must be non-negative, got {price}",
-                              variable="fit_price", time=t)
-    return price
-
-
 # the step's wiring, one entry per ``FitModel.aux_names`` entry, in the
 # order a step evaluates them. ``FitModel.simulate`` inlines the same links
 # and does not read it; ``ReferenceFitModel`` in ``tests/test_model.py``
@@ -357,15 +299,13 @@ LINKS: tuple[Link, ...] = (
          ("installed_capacity", "depreciated_capacity"),
          lambda p, installed, depreciated: installed + depreciated),
     Link("capital_cost", ("cumulative_installed_capacity",),
-         lambda p, built: compute_capital_cost(
-             max(built, p.econ.initial_installed_capacity), p.econ)),
+         compute_capital_cost),
     Link("fit_price", ("perceived_shortage", "installed_capacity", "t"),
-         _tariff, "policy"),
+         compute_fit_price, "policy"),
     Link("res_tax", ("perceived_shortage",), lambda p, overrides: (
         p.econ.res_tax_base if overrides is None or overrides.res_tax is None
         else overrides.res_tax), "policy"),
-    Link("roi", ("fit_price", "capital_cost"),
-         lambda p, price, cost: compute_roi(p.econ, price, cost)),
+    Link("roi", ("fit_price", "capital_cost"), compute_roi),
     Link("penetration_rate",
          ("installed_capacity", "total_generation_capacity"),
          lambda p, installed, generation: installed / generation, "clamp"),
@@ -374,23 +314,26 @@ LINKS: tuple[Link, ...] = (
          * ANNUAL_HOURS),
     Link("average_fit_price",
          ("total_fit_payment", "total_electricity_production", "fit_price"),
-         lambda p, *ledger: average_fit_price(*ledger)),
+         # the contracted average so far; the tariff before any production
+         lambda p, paid, produced, price: (
+             price if produced <= 0.0 or paid <= 0.0 else paid / produced)),
     Link("desired_production_payment",
          ("electricity_production", "average_fit_price"),
          lambda p, production, price: production * price),
     Link("fit_payment_inflow", ("electricity_production", "fit_price"),
          lambda p, production, price: production * price),
     Link("delay_in_debt_payment", ("suna_debt", "desired_production_payment"),
-         lambda p, *ledger: compute_delay_in_debt_payment(*ledger)),
+         lambda p, debt, desired: 0.0 if debt <= 0.0 else debt / max(
+             desired, DELAY_PAYMENT_EPSILON)),
     Link("social_acceptance", ("penetration_rate", "res_tax"),
-         lambda p, share, tax: compute_social_acceptance(share, tax,
-                                                         p.effects)),
+         compute_social_acceptance),
     Link("investor_trust", ("delay_in_debt_payment",),
          lambda p, delay: eval_inverted_sigmoid(p.effects.investor_trust,
                                                 delay)),
     Link("tendency_to_invest",
          ("roi", "social_acceptance", "investor_trust"),
-         lambda p, *climate: compute_tendency_to_invest(*climate)),
+         lambda p, roi, acceptance, trust: max(0.0, roi) * acceptance
+         * trust),
     # requests compound on last year's level; approvals spread over the
     # build time
     Link("annual_fit_requests", ("tendency_to_invest",),
@@ -403,14 +346,16 @@ LINKS: tuple[Link, ...] = (
          lambda p, delay: eval_inverted_sigmoid(p.effects.om_activity,
                                                 delay)),
     Link("effective_lifetime", ("om_activity",),
-         lambda p, activity: lifetime_at_activity(activity, p.econ)),
+         lambda p, activity: max(
+             MINIMUM_LIFETIME, p.econ.normal_equipment_lifetime * activity)),
     Link("depreciation", ("installed_capacity", "effective_lifetime"),
          lambda p, installed, lifetime: installed / lifetime),
     # the fund's split with debt priority, one entry per field
     *(Link(field, ("budget", "suna_debt", "desired_production_payment"),
-           lambda p, *ledger, field=field: getattr(allocate_payments(*ledger),
-                                                   field))
-      for field in PaymentAllocation._fields),
+           lambda p, *ledger, i=i: allocate_payments(p, *ledger)[i])
+      for i, field in enumerate(("available_whole_payment", "debt_payment",
+                                 "actual_production_payment",
+                                 "debt_creation"))),
     Link("budget_increase", ("electricity_consumption", "res_tax"),
          lambda p, use, tax: use * tax * KWH_PER_MWH),
     Link("budget_decrease", ("debt_payment", "actual_production_payment"),
@@ -733,7 +678,7 @@ class FitModel:
 
             # --- investment climate ---
             if capital_cost <= 0.0:
-                compute_roi(econ, fit_price, capital_cost)
+                compute_roi(self.params, fit_price, capital_cost)
             roi = ((margin_scale * (fit_price - om_cost) * annuity
                     - capital_cost) / capital_cost)
             penetration = installed / generation_capacity

@@ -135,13 +135,21 @@ class _NoOverrides(Mapping):
 @checked
 class Scenario(NamedTuple):
     """One named run: parameter overrides plus a policy. Every scenario of
-    a comparison runs on the clock given to :func:`run_scenario_suite`."""
+    a comparison runs on the clock given to :func:`run_scenario_suite`.
+    The name becomes a file name and a CSV and SVG field, so it is refused
+    unless it is non-empty letters, digits, ``_``, ``-`` and ``.``."""
 
     name: str
     overrides: Mapping[str, float] = _NoOverrides()
     policy: PolicyControl = PolicyControl()
 
     def _check(self):
+        name = self.name
+        if not (isinstance(name, str) and name
+                and all(c.isalnum() or c in "_-." for c in name)):
+            raise ConfigurationError(
+                f"scenario name must be non-empty letters, digits, '_', '-' "
+                f"and '.', got {name!r}")
         if not isinstance(self.overrides, Mapping):
             raise ConfigurationError(
                 f"scenario {self.name!r}: overrides must be a mapping of "
@@ -174,6 +182,8 @@ def run_scenario_suite(params: ModelParameters, scenarios: list[Scenario],
     same report. This implementation runs them sequentially.
     """
     names = [scenario.name for scenario in scenarios]
+    if not names:
+        raise ConfigurationError("a scenario suite needs a scenario")
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate scenario names in {names}")
     runs: dict[str, RunResult] = {}

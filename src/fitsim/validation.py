@@ -211,12 +211,13 @@ def load_series_csv(path) -> tuple[list[float], list[float]]:
     """Read a two-column (year, value) CSV, header optional.
 
     Blank lines and ``#`` comments are skipped anywhere; the first row
-    that is neither may be a header.
+    that is neither is a header if neither of its fields reads as a number.
+    A non-numeric or non-finite row is refused by ``path:line``.
     """
     years: list[float] = []
     values: list[float] = []
     rows = 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -226,13 +227,19 @@ def load_series_csv(path) -> tuple[list[float], list[float]]:
             if len(parts) != 2:
                 raise ValueError(
                     f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            try:
-                year, value = float(parts[0]), float(parts[1])
-            except ValueError:
-                if rows == 1:
+            numbers = []
+            for part in parts:
+                try:
+                    numbers.append(float(part))
+                except ValueError:
+                    pass
+            if len(numbers) != 2:
+                if rows == 1 and not numbers:
                     continue  # header row
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric row {line!r}") from None
+                raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}")
+            year, value = numbers
+            if not (math.isfinite(year) and math.isfinite(value)):
+                raise ValueError(f"{path}:{lineno}: non-finite row {line!r}")
             years.append(year)
             values.append(value)
     if len(years) < 2:

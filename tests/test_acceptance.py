@@ -72,8 +72,9 @@ def test_criterion_01_equation_oracles(default_params):
         if not _close(annuity_factor(rate, float(years)), oracle):
             ok, details = False, details + [f"annuity({rate},{years})"]
 
-    project = econ._replace(capacity_factor=0.25, om_cost=10.0,
-                            interest_rate=0.10, remuneration_period=20.0)
+    project = default_params._replace(econ=econ._replace(
+        capacity_factor=0.25, om_cost=10.0, interest_rate=0.10,
+        remuneration_period=20.0))
     capital = 1.5e6
     margin = 0.25 * 8760.0 * (100.0 - 10.0)
     roi_oracle = (margin * _discounted_dollar_stream(0.10, 20)
@@ -82,31 +83,30 @@ def test_criterion_01_equation_oracles(default_params):
         ok, details = False, details + ["roi"]
 
     cost_oracle = econ.initial_capital_cost * 2.0 ** (-econ.learning_exponent)
-    if not _close(compute_capital_cost(240.0, econ), cost_oracle):
+    if not _close(compute_capital_cost(default_params, 240.0), cost_oracle):
         ok, details = False, details + ["learning curve"]
-    if not _close(compute_capital_cost(econ.initial_installed_capacity, econ),
+    if not _close(compute_capital_cost(default_params,
+                                       econ.initial_installed_capacity),
                   econ.initial_capital_cost):
         ok, details = False, details + ["learning curve at launch"]
 
     for installed, expected in ((0.0, 20.0), (2500.0, 10.0),
                                 (4000.0, 5.0), (20000.0, 5.0)):
-        if not _close(compute_fit_price(installed, econ), expected):
+        if not _close(compute_fit_price(default_params, None, installed,
+                                        2015.0), expected):
             ok, details = False, details + [f"fit price @ {installed}"]
 
-    effects = default_params.effects
-    if not _close(compute_social_acceptance(0.1, 0.0, effects), 1.5):
+    if not _close(compute_social_acceptance(default_params, 0.1, 0.0), 1.5):
         ok, details = False, details + ["acceptance vs penetration"]
-    if not _close(compute_social_acceptance(0.0, 0.05, effects), 0.5):
+    if not _close(compute_social_acceptance(default_params, 0.0, 0.05), 0.5):
         ok, details = False, details + ["acceptance vs levy"]
 
     for budget, debt, desired, expected in (
             (100.0, 30.0, 50.0, (80.0, 30.0, 50.0, 0.0)),
             (40.0, 30.0, 50.0, (40.0, 30.0, 10.0, 40.0)),
             (20.0, 30.0, 50.0, (20.0, 20.0, 0.0, 50.0))):
-        got = allocate_payments(budget, debt, desired)
-        tuple_got = (got.available_whole_payment, got.debt_payment,
-                     got.actual_production_payment, got.debt_creation)
-        if not all(_close(g, e) for g, e in zip(tuple_got, expected)):
+        got = allocate_payments(default_params, budget, debt, desired)
+        if not all(_close(g, e) for g, e in zip(got, expected)):
             ok, details = False, details + [f"allocation {budget}"]
 
     elapsed = time.perf_counter() - start

@@ -160,6 +160,7 @@ def test_run_refuses_a_config_with_a_refused_value(section, key, value,
 
 
 CAP = "need tax_floor <= tax_cap <= 0.1, got floor="
+NAME = "scenario name must be non-empty letters, digits, '_', '-' and '.', got "
 # (config text, the whole refusal): a knob of a file without scenarios is
 # checked too, and a refusal that no value makes alone in the same words
 # names its section
@@ -181,6 +182,16 @@ PLACED_REFUSALS = {
                            "[scenario:a]\npolicy = base ; paper\n"
                            "tax_cap = 0.02 ; assumed\n",
                            f"[scenario:a] tax_cap: {CAP}0.05, cap=0.02"),
+    # a scenario's name becomes a CSV and SVG field and a file name
+    "scenario name markup": (
+        MINIMAL + "[scenario:a,<b>&c]\npolicy = base ; paper\n",
+        f"[scenario:a,<b>&c] {NAME}'a,<b>&c'"),
+    "scenario name path": (
+        MINIMAL + "[scenario:../escaped]\npolicy = base ; paper\n",
+        f"[scenario:../escaped] {NAME}'../escaped'"),
+    "scenario name space": (
+        MINIMAL + "[scenario:a b]\npolicy = base ; paper\n",
+        f"[scenario:a b] {NAME}'a b'"),
     "clock pair": ("[clock]\nend_year = 2035.25 ; paper\n"
                    "dt = 0.5 ; assumed\n",
                    "[clock] horizon of 20.25 years is not a whole number of "

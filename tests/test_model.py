@@ -40,11 +40,8 @@ from fitsim.model import (
     REQUEST_LAG,
     PriceTaxOverrides,
     allocate_payments,
-    average_fit_price,
     compute_capital_cost,
-    compute_delay_in_debt_payment,
     compute_social_acceptance,
-    compute_tendency_to_invest,
     record_grid,
 )
 from engine_reference import run_simulation
@@ -102,20 +99,21 @@ def test_annuity_rejects_bad_arguments():
 
 
 def test_roi_matches_discounted_cash_flow_oracle():
-    econ = PACKAGED.econ._replace(capacity_factor=0.25, om_cost=10.0,
-                                  interest_rate=0.10, remuneration_period=20.0)
+    params = apply_overrides(PACKAGED, {
+        "capacity_factor": 0.25, "om_cost": 10.0, "interest_rate": 0.10,
+        "remuneration_period": 20.0})
     price, capital = 100.0, 1.5e6
     margin = 0.25 * 8760.0 * (price - 10.0)
     oracle = (margin * dcf_annuity(0.10, 20) - capital) / capital
-    assert compute_roi(econ, price, capital) == pytest.approx(oracle, rel=1e-9)
+    assert compute_roi(params, price, capital) == pytest.approx(oracle,
+                                                                rel=1e-9)
     assert oracle == pytest.approx(0.118682, abs=5e-7)
 
 
 def test_roi_is_linear_in_price_above_om():
-    econ = PACKAGED.econ
     capital = 1.4e5
-    r1 = compute_roi(econ, 10.0, capital)
-    r2 = compute_roi(econ, 11.0, capital)
+    r1 = compute_roi(PACKAGED, 10.0, capital)
+    r2 = compute_roi(PACKAGED, 11.0, capital)
     # one extra dollar per MWh adds cf * 8760 * annuity / capital
     slope = 0.25 * 8760.0 * annuity_factor(0.10, 20.0) / capital
     assert r2 - r1 == pytest.approx(slope, rel=1e-9)
@@ -123,53 +121,58 @@ def test_roi_is_linear_in_price_above_om():
 
 def test_roi_rejects_non_positive_capital():
     with pytest.raises(ValueError):
-        compute_roi(PACKAGED.econ, 20.0, 0.0)
+        compute_roi(PACKAGED, 20.0, 0.0)
 
 
 # === learning curve ===
 
 def test_capital_cost_learning_fixture():
-    econ = PACKAGED.econ._replace(initial_capital_cost=1.5e6,
-                                  learning_exponent=0.15)
+    params = apply_overrides(PACKAGED, {"initial_capital_cost": 1.5e6,
+                                        "learning_exponent": 0.15})
     # doubling cumulative build from the launch base
-    assert compute_capital_cost(240.0, econ) == pytest.approx(
+    assert compute_capital_cost(params, 240.0) == pytest.approx(
         1.5e6 * 2.0 ** -0.15, rel=1e-12)
-    assert compute_capital_cost(120.0, econ) == pytest.approx(1.5e6)
+    assert compute_capital_cost(params, 120.0) == pytest.approx(1.5e6)
 
 
 def test_capital_cost_is_monotone_decreasing():
-    econ = PACKAGED.econ
-    costs = [compute_capital_cost(c, econ)
+    costs = [compute_capital_cost(PACKAGED, c)
              for c in (120.0, 240.0, 1000.0, 5000.0)]
     assert all(a > b for a, b in zip(costs, costs[1:]))
 
 
 def test_capital_cost_flat_when_learning_disabled():
-    econ = PACKAGED.econ._replace(learning_exponent=0.0)
-    assert compute_capital_cost(5000.0, econ) == econ.initial_capital_cost
+    params = apply_overrides(PACKAGED, {"learning_exponent": 0.0})
+    assert (compute_capital_cost(params, 5000.0)
+            == params.econ.initial_capital_cost)
 
 
 def test_capital_cost_rejects_non_positive_build():
     with pytest.raises(ValueError):
-        compute_capital_cost(0.0, PACKAGED.econ)
+        compute_capital_cost(PACKAGED, 0.0)
 
 
 # === tariff rule ===
 
 def test_fit_price_tracks_remaining_target_gap():
-    econ = PACKAGED.econ
-    assert compute_fit_price(0.0, econ) == pytest.approx(20.0)
-    assert compute_fit_price(2500.0, econ) == pytest.approx(10.0)
+    def price(installed):
+        return compute_fit_price(PACKAGED, None, installed, 2015.0)
+
+    assert price(0.0) == pytest.approx(20.0)
+    assert price(2500.0) == pytest.approx(10.0)
     # floor: a quarter of the launch tariff, even past the target
-    assert compute_fit_price(5000.0, econ) == pytest.approx(5.0)
-    assert compute_fit_price(20000.0, econ) == pytest.approx(5.0)
+    assert price(5000.0) == pytest.approx(5.0)
+    assert price(20000.0) == pytest.approx(5.0)
 
 
 def test_fit_price_policy_overrides_scale_then_shift():
-    econ = PACKAGED.econ
     overrides = PriceTaxOverrides(fit_price_delta=4.0,
                                   fit_price_multiplier=0.5)
-    assert compute_fit_price(0.0, econ, overrides) == pytest.approx(14.0)
+    assert compute_fit_price(PACKAGED, overrides, 0.0,
+                             2015.0) == pytest.approx(14.0)
+    with pytest.raises(SimulationError, match=r"variable='fit_price', t=2015"):
+        compute_fit_price(PACKAGED, PriceTaxOverrides(fit_price_delta=-30.0),
+                          0.0, 2015.0)
     with pytest.raises(ConfigurationError):
         PriceTaxOverrides(fit_price_multiplier=0.0)
     with pytest.raises(ConfigurationError):
@@ -179,26 +182,34 @@ def test_fit_price_policy_overrides_scale_then_shift():
 # === social responses ===
 
 def test_social_acceptance_fixture():
-    effects = PACKAGED.effects
     # tax-free levy keeps full tolerance; penetration adds its linear bonus
-    assert compute_social_acceptance(0.1, 0.0, effects) == pytest.approx(1.5)
-    assert compute_social_acceptance(0.0, 0.05, effects) == pytest.approx(0.5)
+    assert compute_social_acceptance(PACKAGED, 0.1, 0.0) == pytest.approx(1.5)
+    assert compute_social_acceptance(PACKAGED, 0.0, 0.05) == pytest.approx(
+        0.5)
     with pytest.raises(ValueError):
-        compute_social_acceptance(1.2, 0.0, effects)
+        compute_social_acceptance(PACKAGED, 1.2, 0.0)
     with pytest.raises(ValueError):
-        compute_social_acceptance(-0.1, 0.0, effects)
+        compute_social_acceptance(PACKAGED, -0.1, 0.0)
 
 
 def test_delay_in_debt_payment():
-    assert compute_delay_in_debt_payment(0.0, 100.0) == 0.0
-    assert compute_delay_in_debt_payment(50.0, 100.0) == pytest.approx(0.5)
+    def delay(debt, desired):
+        return link_values(suna_debt=debt, desired_production_payment=desired)[
+            "delay_in_debt_payment"]
+
+    assert delay(0.0, 100.0) == 0.0
+    assert delay(50.0, 100.0) == pytest.approx(0.5)
     # obligations below the epsilon guard cannot blow the ratio up
-    assert compute_delay_in_debt_payment(50.0, 0.0) == pytest.approx(50.0)
+    assert delay(50.0, 0.0) == pytest.approx(50.0)
 
 
 def test_tendency_floors_negative_roi_at_zero():
-    assert compute_tendency_to_invest(-0.5, 2.0, 1.0) == 0.0
-    assert compute_tendency_to_invest(0.5, 2.0, 0.5) == pytest.approx(0.5)
+    def tendency(roi, acceptance, trust):
+        return link_values(roi=roi, social_acceptance=acceptance,
+                           investor_trust=trust)["tendency_to_invest"]
+
+    assert tendency(-0.5, 2.0, 1.0) == 0.0
+    assert tendency(0.5, 2.0, 0.5) == pytest.approx(0.5)
 
 
 # === request pipeline and retirement ===
@@ -242,42 +253,43 @@ def test_depreciation_flow():
     (20.0, 30.0, 50.0, (20.0, 20.0, 0.0, 50.0)),
 ])
 def test_allocation_ledger_traces(budget, debt, desired, expected):
-    allocation = allocate_payments(budget, debt, desired)
-    assert (allocation.available_whole_payment,
-            allocation.debt_payment,
-            allocation.actual_production_payment,
-            allocation.debt_creation) == pytest.approx(expected)
+    assert allocate_payments(PACKAGED, budget, debt,
+                             desired) == pytest.approx(expected)
 
 
 def test_allocation_invariants_hold_on_random_ledgers():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         budget, debt, desired = rng.uniform(0.0, 1e8, size=3)
-        a = allocate_payments(budget, debt, desired)
-        assert a.available_whole_payment <= budget + 1e-9
-        assert a.available_whole_payment <= debt + desired + 1e-9
-        assert 0.0 <= a.debt_payment <= debt + 1e-9
-        assert 0.0 <= a.actual_production_payment <= desired + 1e-9
+        available, paid, actual, created = allocate_payments(
+            PACKAGED, budget, debt, desired)
+        assert available <= budget + 1e-9
+        assert available <= debt + desired + 1e-9
+        assert 0.0 <= paid <= debt + 1e-9
+        assert 0.0 <= actual <= desired + 1e-9
         # debt is settled before any production dollar flows
-        if a.actual_production_payment > 0.0:
-            assert a.debt_payment == pytest.approx(debt)
-        assert a.debt_payment + a.actual_production_payment == pytest.approx(
-            a.available_whole_payment)
-        assert a.actual_production_payment + a.debt_creation == pytest.approx(
-            desired)
+        if actual > 0.0:
+            assert paid == pytest.approx(debt)
+        assert paid + actual == pytest.approx(available)
+        assert actual + created == pytest.approx(desired)
 
 
 def test_allocation_rejects_negative_inputs():
     with pytest.raises(ValueError):
-        allocate_payments(-1.0, 0.0, 0.0)
+        allocate_payments(PACKAGED, -1.0, 0.0, 0.0)
 
 
 # === vintage-average price and production ===
 
 def test_average_fit_price_forms():
-    assert average_fit_price(0.0, 0.0, fallback_price=20.0) == 20.0
-    assert average_fit_price(200.0, 10.0, 20.0) == pytest.approx(20.0)
-    assert average_fit_price(150.0, 10.0, 20.0) == pytest.approx(15.0)
+    def average(paid, produced, fallback_price):
+        return link_values(total_fit_payment=paid,
+                           total_electricity_production=produced,
+                           fit_price=fallback_price)["average_fit_price"]
+
+    assert average(0.0, 0.0, fallback_price=20.0) == 20.0
+    assert average(200.0, 10.0, 20.0) == pytest.approx(20.0)
+    assert average(150.0, 10.0, 20.0) == pytest.approx(15.0)
 
 
 def test_production_and_payment_entitlement():

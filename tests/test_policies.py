@@ -176,10 +176,18 @@ def test_suite_rejects_duplicate_names(default_params):
         run_scenario_suite(default_params, scenarios, SHORT_CLOCK)
 
 
-def test_empty_suite_gives_empty_report(default_params):
-    report = run_scenario_suite(default_params, [], SHORT_CLOCK)
-    assert report.runs == {}
-    assert report.params == {}
+def test_an_empty_suite_is_refused(default_params):
+    with pytest.raises(ConfigurationError, match="needs a scenario"):
+        run_scenario_suite(default_params, [], SHORT_CLOCK)
+
+
+@pytest.mark.parametrize("name", ["", "a,<b>&c", "../escaped", "a b", 5])
+def test_a_name_that_breaks_the_outputs_is_refused(name):
+    with pytest.raises(ConfigurationError, match="scenario name must be"):
+        Scenario(name=name)
+    with pytest.raises(ConfigurationError, match="scenario name must be"):
+        Scenario(name="ok")._replace(name=name)
+    assert Scenario(name="p1.v-2_é").name == "p1.v-2_é"
 
 
 def test_single_scenario_report(default_params):

@@ -641,4 +641,18 @@ def test_load_series_csv_guards(tmp_path):
     short.write_text("2015,1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_series_csv(short)
+    # a header has no numeric field: a mistyped year is refused, not skipped
+    typo = tmp_path / "typo.csv"
+    typo.write_text("2O16,100\n2017,110\n2018,120\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="typo.csv:1: non-numeric row"):
+        load_series_csv(typo)
+    for row in ("2018,inf", "nan,120"):
+        infinite = tmp_path / "infinite.csv"
+        infinite.write_text(f"2016,100\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="infinite.csv:2: non-finite row"):
+            load_series_csv(infinite)
+    # a byte order mark is not part of the first year
+    marked = tmp_path / "marked.csv"
+    marked.write_text("2015,1\n2016,2\n", encoding="utf-8-sig")
+    assert load_series_csv(marked) == ([2015.0, 2016.0], [1.0, 2.0])
 
