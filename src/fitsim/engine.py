@@ -294,14 +294,14 @@ class RunResult:
 
     @classmethod
     def from_rows(cls, rows: array, stock_names: tuple[str, ...],
-                  aux_names: tuple[str, ...], flow_names: tuple[str, ...],
+                  flow_names: tuple[str, ...], aux_names: tuple[str, ...],
                   clamp_events: list[ClampEvent]) -> RunResult:
         """The result of a run whose records, each time, then the stocks in
         ``stock_names`` order, then the auxiliaries in ``aux_names`` order,
         were appended to ``rows``; every column is a read-only strided view
         of it."""
-        time_slice, names, slices, aux_only = _layout(stock_names, aux_names,
-                                                      flow_names)
+        time_slice, names, slices, aux_only = _layout(stock_names, flow_names,
+                                                      aux_names)
         view = memoryview(rows).toreadonly()
         return cls(times=view[time_slice],
                    variables=dict(zip(names, map(view.__getitem__, slices))),
@@ -334,8 +334,8 @@ class RunResult:
 
 
 @lru_cache(maxsize=32)
-def _layout(stock_names: tuple[str, ...], aux_names: tuple[str, ...],
-            flow_names: tuple[str, ...]) -> tuple:
+def _layout(stock_names: tuple[str, ...], flow_names: tuple[str, ...],
+            aux_names: tuple[str, ...]) -> tuple:
     """The times' slice, the column names and slices, and the auxiliaries
     that are not flows, of a record layout: once per layout, not per run."""
     names = stock_names + aux_names

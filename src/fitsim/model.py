@@ -44,7 +44,8 @@ Each link of the structure is a function in the table's convention,
 refuses an input or branches, else a lambda in its entry of ``LINKS``, which
 lists the auxiliaries in evaluation order with the names each reads;
 ``RATES`` gives each stock's rate over those names. The tests check each
-link against oracles. ``FitModel.simulate`` reads neither table: its step
+link against oracles. ``FitModel`` takes its stock, auxiliary and flow names
+from the two tables, and records each step in their order. Its step
 inlines the same links over constants bound once per run, calling a link
 only to raise its error, and the Euler update follows in the same loop.
 ``ReferenceFitModel`` in ``tests/test_model.py`` evaluates the tables and
@@ -286,10 +287,11 @@ class Link(NamedTuple):
     state: str = ""
 
 
-# the step's wiring, one entry per ``FitModel.aux_names`` entry, in the
-# order a step evaluates them. ``FitModel.simulate`` inlines the same links
-# and does not read it; ``ReferenceFitModel`` in ``tests/test_model.py``
-# evaluates it, and the tests find the feedback loops in it.
+# the step's wiring, one entry per auxiliary, in the order a step evaluates
+# them: ``FitModel`` records its auxiliaries in this order and
+# ``FitModel.simulate`` inlines the same links; ``ReferenceFitModel`` in
+# ``tests/test_model.py`` evaluates it, and the tests find the feedback
+# loops in it.
 LINKS: tuple[Link, ...] = (
     Link("total_generation_capacity", ("t",), lambda p, t: eval_linear_trend(
         p.exogenous.total_generation_capacity, t)),
@@ -376,8 +378,8 @@ def _inflow(p: ModelParameters, inflow: float) -> float:
     return inflow
 
 
-# each stock's rate over the names of ``LINKS``, in ``FitModel.stock_names``
-# order
+# each stock's rate over the names of ``LINKS``, in the stocks' order in
+# each record and in ``FitModel.initial_state``
 RATES: tuple[Link, ...] = (
     Link("installed_capacity", ("construction_rate", "depreciation"), _net),
     Link("depreciated_capacity", ("depreciation",), _inflow),
@@ -513,34 +515,13 @@ class FitModel:
     ``simulate``, so instances are reusable.
     """
 
-    stock_names = (
-        "installed_capacity",
-        "depreciated_capacity",
-        "suna_debt",
-        "budget",
-        "total_electricity_production",
-        "total_fit_payment",
-        "perceived_shortage",
-    )
-    # the order of each record's auxiliaries, one line of names per line of
-    # values in ``simulate``; the first four lines are the flows
-    aux_names = (
-        "construction_rate", "depreciation",
-        "debt_creation", "debt_payment",
-        "budget_increase", "budget_decrease",
-        "electricity_production", "fit_payment_inflow",
-        "cumulative_installed_capacity", "capital_cost",
-        "fit_price", "res_tax", "roi",
-        "penetration_rate", "social_acceptance", "investor_trust",
-        "om_activity", "effective_lifetime", "tendency_to_invest",
-        "annual_fit_requests", "approved_fit_requests",
-        "average_fit_price", "desired_production_payment",
-        "whole_desired_payment", "available_whole_payment",
-        "actual_production_payment", "delay_in_debt_payment",
-        "budget_shortage", "electricity_consumption",
-        "total_generation_capacity",
-    )
-    flow_names = aux_names[:8]
+    stock_names = tuple(rate.name for rate in RATES)
+    aux_names = tuple(link.name for link in LINKS)
+    # the auxiliaries that a ledger's rate moves, in first-read order; the
+    # perceived shortage's rate is a perception, not a ledger
+    flow_names = tuple(dict.fromkeys(
+        name for rate in RATES if rate.fn in (_net, _inflow)
+        for name in rate.inputs))
     # one record: time, the stocks, the auxiliaries
     _record = struct.Struct(f"{1 + len(stock_names) + len(aux_names)}d")
 
@@ -755,22 +736,15 @@ class FitModel:
             budget_decrease = debt_payment + actual
             shortage = whole_desired - available
 
-            # --- the record ---
+            # --- the record, the auxiliaries in ``LINKS`` order ---
             aux = (
-                construction, depreciation,
-                debt_creation, debt_payment,
-                budget_increase, budget_decrease,
-                production, inflow,
-                cumulative, capital_cost,
-                fit_price, res_tax, roi,
-                penetration, acceptance, trust,
-                activity, lifetime, tendency,
-                annual_requests, approved,
-                average_price, desired,
-                whole_desired, available,
-                actual, delay,
-                shortage, consumption,
-                generation_capacity,
+                generation_capacity, consumption, cumulative, capital_cost,
+                fit_price, res_tax, roi, penetration, production,
+                average_price, desired, inflow, delay, acceptance, trust,
+                tendency, annual_requests, approved, construction, activity,
+                lifetime, depreciation, available, debt_payment, actual,
+                debt_creation, budget_increase, budget_decrease,
+                whole_desired, shortage,
             )
             if not isfinite(sum(aux)):
                 _raise_first_non_finite("non-finite auxiliary",
@@ -806,5 +780,5 @@ class FitModel:
                      production, inflow, shortage_rate),
                     t, times[k + 1], events)
 
-        return RunResult.from_rows(rows, self.stock_names, self.aux_names,
-                                   self.flow_names, events)
+        return RunResult.from_rows(rows, self.stock_names, self.flow_names,
+                                   self.aux_names, events)

@@ -212,7 +212,8 @@ def load_series_csv(path) -> tuple[list[float], list[float]]:
 
     Blank lines and ``#`` comments are skipped anywhere; the first row
     that is neither is a header if neither of its fields reads as a number.
-    A non-numeric or non-finite row is refused by ``path:line``.
+    A non-numeric or non-finite row, or a year not after the year before,
+    is refused by ``path:line``.
     """
     years: list[float] = []
     values: list[float] = []
@@ -240,6 +241,9 @@ def load_series_csv(path) -> tuple[list[float], list[float]]:
             year, value = numbers
             if not (math.isfinite(year) and math.isfinite(value)):
                 raise ValueError(f"{path}:{lineno}: non-finite row {line!r}")
+            if years and year <= years[-1]:
+                raise ValueError(f"{path}:{lineno}: year {year} does not "
+                                 f"follow {years[-1]}")
             years.append(year)
             values.append(value)
     if len(years) < 2:

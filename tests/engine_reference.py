@@ -104,5 +104,5 @@ def run_simulation(model, clock: SimulationClock) -> RunResult:
                                                  attempted=values[i]))
                         values[i] = 0.0
 
-    return RunResult.from_rows(rows, stock_names, aux_names, flow_names,
+    return RunResult.from_rows(rows, stock_names, flow_names, aux_names,
                                events)

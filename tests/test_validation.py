@@ -651,6 +651,16 @@ def test_load_series_csv_guards(tmp_path):
         infinite.write_text(f"2016,100\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="infinite.csv:2: non-finite row"):
             load_series_csv(infinite)
+    # the years must increase: a repeat or a step back is refused
+    for rows, words in (
+            ("2018,100\n2016,110\n2016,120\n", "2: year 2016.0 does not "
+                                                 "follow 2018.0"),
+            ("year,value\n2016,100\n2016,110\n", "3: year 2016.0 does not "
+                                                  "follow 2016.0")):
+        unordered = tmp_path / "h3.csv"
+        unordered.write_text(rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"h3.csv:{words}"):
+            load_series_csv(unordered)
     # a byte order mark is not part of the first year
     marked = tmp_path / "marked.csv"
     marked.write_text("2015,1\n2016,2\n", encoding="utf-8-sig")
