@@ -46,7 +46,7 @@ def main():
                      "suna_debt", "tendency_to_invest"):
         print(f"  {variable:<28} {run.final(variable):.4g}")
 
-    target = doc.params.econ.capacity_target
+    target = doc.params.capacity_target
     peak = max(run["installed_capacity"])
     print(f"\ncapacity peaked at {peak:.0f} MW against a "
           f"{target:.0f} MW goal ({100.0 * peak / target:.0f}%)")

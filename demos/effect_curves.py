@@ -18,19 +18,18 @@ def table(title, xs, f, x_label, y_label):
 
 def main():
     params = load_default_config().params
-    effects = params.effects
 
     table("Levy tolerance vs renewable tax ($/kWh)",
           [0.0, 0.01, 0.025, 0.05, 0.075, 0.1],
-          effects.social_tolerance, "tax", "tolerance")
+          params.social_tolerance, "tax", "tolerance")
 
     table("Investor trust vs payment delay (years)",
           [0.0, 1.0, 2.5, 5.0, 7.5, 10.0],
-          effects.investor_trust, "delay", "trust")
+          params.investor_trust, "delay", "trust")
 
     table("Upkeep activity vs payment delay (years)",
           [0.0, 1.0, 2.5, 5.0, 7.5, 10.0],
-          effects.om_activity, "delay", "activity")
+          params.om_activity, "delay", "activity")
 
     table("Annuity factor at 10% interest",
           [1.0, 5.0, 10.0, 20.0, 24.0],

@@ -22,13 +22,10 @@ from .engine import (
     lag_indices,
 )
 from .model import (
-    EconomicParameters,
-    ExogenousInputs,
     FitModel,
     ModelParameters,
     PARAMETER_NAMES,
     PriceTaxOverrides,
-    SocialEffectSet,
     annuity_factor,
     apply_overrides,
     compute_fit_price,

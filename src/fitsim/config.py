@@ -9,12 +9,12 @@ with provenance one of ``paper`` (taken from the source study), ``derived``
 implementation). Sections:
 
 * ``[clock]`` start_year, end_year, dt: the one clock of every scenario;
-* ``[parameters]`` the scalar economics (fields of
-  :class:`~fitsim.model.EconomicParameters`);
+* ``[parameters]`` the scalar economics, pipeline and initial state: the
+  fields of :class:`~fitsim.model.ModelParameters` that the next two
+  sections do not hold;
 * ``[effects]`` sigmoid shapes ``<effect>_{y_max,x_50,p}`` plus
   ``penetration_gain``;
 * ``[trends]`` exogenous drivers ``<trend>_{intercept,slope,reference_year}``;
-* ``[policy]`` default policy knobs shared by all scenarios;
 * ``[scenario:NAME]`` one named run: a required ``policy`` id, optional
   knob overrides, and optional parameter overrides by registry name.
 
@@ -62,16 +62,19 @@ PROVENANCE_SOURCES = ("paper", "derived", "assumed")
 _CLOCK_KEYS = SimulationClock._fields
 _POLICY_KEYS = tuple(name for name in PolicyControl._fields
                      if name != "policy_id")
-# section -> the ModelParameters group whose registry names it holds
-_PARAMETER_SECTIONS = {"parameters": "econ", "effects": "effects",
-                       "trends": "exogenous"}
+# the ModelParameters fields of [effects] and [trends]; [parameters] holds
+# the rest
+_SECTION_OF = {"social_tolerance": "effects", "investor_trust": "effects",
+               "om_activity": "effects", "penetration_gain": "effects",
+               "total_generation_capacity": "trends",
+               "electricity_consumption": "trends"}
+_PARAMETER_SECTIONS = ("parameters", "effects", "trends")
 
 _SCALAR_SECTIONS = {
     "clock": _CLOCK_KEYS,
-    **{section: tuple(name for name, path in PARAMETER_PATHS.items()
-                      if path[0] == group)
-       for section, group in _PARAMETER_SECTIONS.items()},
-    "policy": _POLICY_KEYS,
+    **{section: tuple(name for name, (field, *_) in PARAMETER_PATHS.items()
+                      if _SECTION_OF.get(field, "parameters") == section)
+       for section in _PARAMETER_SECTIONS},
 }
 
 
@@ -239,11 +242,6 @@ def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
                 lambda **changes: apply_overrides(params, changes), section,
                 given[section])
 
-    # knobs left out here fall back to PolicyControl's own defaults; they
-    # are checked here, for a file may have no scenario to use them
-    policy = _in_section(PolicyControl()._replace, "policy",
-                         read_section("policy", _POLICY_KEYS))
-
     def parse_scenario_value(name: str, key: str, token: str):
         if key == "policy":
             if token not in POLICY_IDS:
@@ -264,7 +262,7 @@ def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
         if "policy" not in values:
             raise ConfigurationError(f"[{section}] must declare a policy "
                                      f"(one of {POLICY_IDS})")
-        defaults = policy._replace(policy_id=values.pop("policy"))
+        defaults = PolicyControl(policy_id=values.pop("policy"))
         knobs = {key: values.pop(key) for key in _POLICY_KEYS
                  if key in values}
         _in_section(lambda **changes: apply_overrides(params, changes),

@@ -35,9 +35,9 @@ perceived_shortage              dollars  first-order perception of the
 Except where noted, prices and costs are in dollars per MWh; the levy
 (``res_tax``) is in dollars per kWh and is converted at the budget boundary.
 
-Float parameters declare their bounds beside them, ranges included (see
-``engine.checked``); ``_check`` keeps only the remuneration period's
-one-year floor.
+``ModelParameters`` holds every parameter in one checked record: floats
+declare their bounds beside them, ranges included (see ``engine.checked``);
+``_check`` keeps only the remuneration period's one-year floor.
 
 Each link of the structure is a function in the table's convention,
 ``fn(params, *inputs)``: ``compute_*`` or ``allocate_payments`` where it
@@ -47,7 +47,8 @@ lists the auxiliaries in evaluation order with the names each reads;
 link against oracles. ``FitModel`` takes its stock, auxiliary and flow names
 from the two tables, and records each step in their order. Its step
 inlines the same links over constants bound once per run, calling a link
-only to raise its error, and the Euler update follows in the same loop.
+only to raise its error as a ``SimulationError`` that names the link and the
+time, and the Euler update follows in the same loop.
 ``ReferenceFitModel`` in ``tests/test_model.py`` evaluates the tables and
 runs through the generic integrator of ``tests/engine_reference.py``; a
 property over the calibration box, the policies and the step sizes holds
@@ -91,8 +92,13 @@ REQUEST_LAG = 1.0  # years
 
 
 @checked
-class EconomicParameters(NamedTuple):
-    """Scalar constants of the program: economics, pipeline, initial state."""
+class ModelParameters(NamedTuple):
+    """Everything a run needs besides the clock and the policy.
+
+    Each effect is an inverted sigmoid in one pressure variable: the levy
+    erodes public tolerance, the payment delay erodes investor trust, and
+    the same delay stalls operation-and-maintenance activity.
+    """
 
     capacity_factor: Positive             # fraction of nameplate output
     initial_fit_price: Positive           # $/MWh, tariff offered at launch
@@ -112,42 +118,18 @@ class EconomicParameters(NamedTuple):
     initial_installed_capacity: Positive  # MW
     initial_budget: NonNegative           # dollars
     initial_suna_debt: NonNegative        # dollars
+    social_tolerance: SigmoidEffect       # x: $/kWh
+    investor_trust: SigmoidEffect         # x: years
+    om_activity: SigmoidEffect            # x: years
+    penetration_gain: NonNegative         # slope of acceptance in penetration
+    total_generation_capacity: LinearTrend  # MW
+    electricity_consumption: LinearTrend    # MWh/yr
 
     def _check(self):
         if self.remuneration_period < 1.0:
             raise ConfigurationError(
                 f"remuneration_period must be at least one year, "
                 f"got {self.remuneration_period}")
-
-
-@checked
-class SocialEffectSet(NamedTuple):
-    """Saturating responses of the social and institutional environment.
-
-    Each response is an inverted sigmoid in one pressure variable: the levy
-    erodes public tolerance, the payment delay erodes investor trust, and
-    the same delay stalls operation-and-maintenance activity.
-    """
-
-    social_tolerance: SigmoidEffect  # x: $/kWh
-    investor_trust: SigmoidEffect    # x: years
-    om_activity: SigmoidEffect       # x: years
-    penetration_gain: NonNegative    # slope of acceptance in penetration
-
-
-class ExogenousInputs(NamedTuple):
-    """Drivers outside the model's feedback structure."""
-
-    total_generation_capacity: LinearTrend  # MW
-    electricity_consumption: LinearTrend    # MWh/yr
-
-
-class ModelParameters(NamedTuple):
-    """Everything a run needs besides the clock and the policy."""
-
-    econ: EconomicParameters
-    effects: SocialEffectSet
-    exogenous: ExogenousInputs
 
 
 @checked
@@ -193,9 +175,8 @@ def compute_roi(p: ModelParameters, fit_price: float,
     cost, ``(margin * annuity - capital) / capital``."""
     if capital_cost <= 0.0:
         raise ValueError(f"capital_cost must be positive, got {capital_cost}")
-    econ = p.econ
-    margin = econ.capacity_factor * ANNUAL_HOURS * (fit_price - econ.om_cost)
-    annuity = annuity_factor(econ.interest_rate, econ.remuneration_period)
+    margin = p.capacity_factor * ANNUAL_HOURS * (fit_price - p.om_cost)
+    annuity = annuity_factor(p.interest_rate, p.remuneration_period)
     return (margin * annuity - capital_cost) / capital_cost
 
 
@@ -208,9 +189,9 @@ def compute_capital_cost(p: ModelParameters, cumulative: float) -> float:
     if cumulative <= 0.0:
         raise ValueError(
             f"cumulative_capacity must be positive, got {cumulative}")
-    econ, base = p.econ, p.econ.initial_installed_capacity
+    base = p.initial_installed_capacity
     ratio = max(cumulative, base) / base
-    return econ.initial_capital_cost * ratio ** (-econ.learning_exponent)
+    return p.initial_capital_cost * ratio ** (-p.learning_exponent)
 
 
 def compute_fit_price(p: ModelParameters,
@@ -220,10 +201,9 @@ def compute_fit_price(p: ModelParameters,
     of the capacity target, never below ``fit_price_floor`` of its launch
     value, then scaled and shifted by the policy's overrides. A negative
     tariff is refused as a ``SimulationError`` naming ``t``."""
-    econ = p.econ
-    gap_fraction = (econ.capacity_target - installed_capacity) / econ.capacity_target
-    multiplier = min(1.0, max(econ.fit_price_floor, gap_fraction))
-    price = econ.initial_fit_price * multiplier
+    gap_fraction = (p.capacity_target - installed_capacity) / p.capacity_target
+    multiplier = min(1.0, max(p.fit_price_floor, gap_fraction))
+    price = p.initial_fit_price * multiplier
     if overrides is not None:
         price = price * overrides.fit_price_multiplier + overrides.fit_price_delta
     if price < 0.0:
@@ -240,8 +220,8 @@ def compute_social_acceptance(p: ModelParameters, penetration: float,
     if not 0.0 <= penetration <= 1.0:
         raise ValueError(
             f"penetration must lie in [0, 1], got {penetration}")
-    base = 1.0 + p.effects.penetration_gain * penetration
-    return base * eval_inverted_sigmoid(p.effects.social_tolerance, res_tax)
+    base = 1.0 + p.penetration_gain * penetration
+    return base * eval_inverted_sigmoid(p.social_tolerance, res_tax)
 
 
 def allocate_payments(p: ModelParameters, budget: float, suna_debt: float,
@@ -294,9 +274,9 @@ class Link(NamedTuple):
 # loops in it.
 LINKS: tuple[Link, ...] = (
     Link("total_generation_capacity", ("t",), lambda p, t: eval_linear_trend(
-        p.exogenous.total_generation_capacity, t)),
+        p.total_generation_capacity, t)),
     Link("electricity_consumption", ("t",), lambda p, t: eval_linear_trend(
-        p.exogenous.electricity_consumption, t)),
+        p.electricity_consumption, t)),
     Link("cumulative_installed_capacity",
          ("installed_capacity", "depreciated_capacity"),
          lambda p, installed, depreciated: installed + depreciated),
@@ -305,15 +285,14 @@ LINKS: tuple[Link, ...] = (
     Link("fit_price", ("perceived_shortage", "installed_capacity", "t"),
          compute_fit_price, "policy"),
     Link("res_tax", ("perceived_shortage",), lambda p, overrides: (
-        p.econ.res_tax_base if overrides is None or overrides.res_tax is None
+        p.res_tax_base if overrides is None or overrides.res_tax is None
         else overrides.res_tax), "policy"),
     Link("roi", ("fit_price", "capital_cost"), compute_roi),
     Link("penetration_rate",
          ("installed_capacity", "total_generation_capacity"),
          lambda p, installed, generation: installed / generation, "clamp"),
     Link("electricity_production", ("installed_capacity",),
-         lambda p, installed: installed * p.econ.capacity_factor
-         * ANNUAL_HOURS),
+         lambda p, installed: installed * p.capacity_factor * ANNUAL_HOURS),
     Link("average_fit_price",
          ("total_fit_payment", "total_electricity_production", "fit_price"),
          # the contracted average so far; the tariff before any production
@@ -330,8 +309,7 @@ LINKS: tuple[Link, ...] = (
     Link("social_acceptance", ("penetration_rate", "res_tax"),
          compute_social_acceptance),
     Link("investor_trust", ("delay_in_debt_payment",),
-         lambda p, delay: eval_inverted_sigmoid(p.effects.investor_trust,
-                                                delay)),
+         lambda p, delay: eval_inverted_sigmoid(p.investor_trust, delay)),
     Link("tendency_to_invest",
          ("roi", "social_acceptance", "investor_trust"),
          lambda p, roi, acceptance, trust: max(0.0, roi) * acceptance
@@ -341,15 +319,14 @@ LINKS: tuple[Link, ...] = (
     Link("annual_fit_requests", ("tendency_to_invest",),
          lambda p, previous, tendency: previous * tendency, "lag"),
     Link("approved_fit_requests", ("annual_fit_requests",),
-         lambda p, filed: filed * (1.0 - p.econ.rejection_fraction)),
+         lambda p, filed: filed * (1.0 - p.rejection_fraction)),
     Link("construction_rate", ("approved_fit_requests",),
-         lambda p, approved: approved / p.econ.time_to_build),
+         lambda p, approved: approved / p.time_to_build),
     Link("om_activity", ("delay_in_debt_payment",),
-         lambda p, delay: eval_inverted_sigmoid(p.effects.om_activity,
-                                                delay)),
+         lambda p, delay: eval_inverted_sigmoid(p.om_activity, delay)),
     Link("effective_lifetime", ("om_activity",),
          lambda p, activity: max(
-             MINIMUM_LIFETIME, p.econ.normal_equipment_lifetime * activity)),
+             MINIMUM_LIFETIME, p.normal_equipment_lifetime * activity)),
     Link("depreciation", ("installed_capacity", "effective_lifetime"),
          lambda p, installed, lifetime: installed / lifetime),
     # the fund's split with debt priority, one entry per field
@@ -391,7 +368,7 @@ RATES: tuple[Link, ...] = (
     # a first-order perception of the shortfall
     Link("perceived_shortage", ("budget_shortage", "perceived_shortage"),
          lambda p, shortage, perceived: (shortage - perceived)
-         / p.econ.shortage_smoothing_time),
+         / p.shortage_smoothing_time),
 )
 
 
@@ -400,23 +377,22 @@ RATES: tuple[Link, ...] = (
 def _registry() -> dict[str, tuple[str, ...]]:
     """Flat name -> attribute path of every scalar in ``ModelParameters``.
 
-    Scalars keep their field name (``capacity_target``); the parts of a
-    sigmoid or trend are ``<field>_<part>`` (``investor_trust_x_50``).
-    Groups and their fields keep declaration order.
+    A scalar keeps its field's name and path (``capacity_target``); a part
+    of a sigmoid or trend is ``<field>_<part>`` at ``(field, part)``
+    (``investor_trust_x_50``). Fields and parts keep declaration order.
     """
     names: dict[str, tuple[str, ...]] = {}
-    for group, group_type in ModelParameters.__annotations__.items():
-        for item, item_type in group_type.__annotations__.items():
-            if not hasattr(item_type, "_fields"):  # a scalar
-                names[item] = (group, item)
-                continue
-            for part in item_type._fields:
-                names[f"{item}_{part}"] = (group, item, part)
+    for field, kind in ModelParameters.__annotations__.items():
+        if not hasattr(kind, "_fields"):  # a scalar
+            names[field] = (field,)
+            continue
+        for part in kind._fields:
+            names[f"{field}_{part}"] = (field, part)
     return names
 
 
-# built once; the config derives its [parameters], [effects] and [trends]
-# keys from the first element of each path
+# built once; the config sorts these names into its [parameters], [effects]
+# and [trends] sections
 PARAMETER_PATHS: dict[str, tuple[str, ...]] = _registry()
 PARAMETER_NAMES: tuple[str, ...] = tuple(sorted(PARAMETER_PATHS))
 
@@ -424,14 +400,11 @@ PARAMETER_NAMES: tuple[str, ...] = tuple(sorted(PARAMETER_PATHS))
 def build_parameters(values: dict[str, float]) -> ModelParameters:
     """Parameters from a value for every name of ``PARAMETER_NAMES``: once
     per config parse, while runs change theirs by ``apply_overrides``."""
-    def build(record, prefix=""):
-        return record(**{
-            name: build(kind, f"{name}_")
-            if hasattr(kind, "_fields") else values[prefix + name]
-            for name, kind in record.__annotations__.items()})
-
-    return ModelParameters(**{group: build(kind) for group, kind
-                              in ModelParameters.__annotations__.items()})
+    return ModelParameters(**{
+        field: kind(**{part: values[f"{field}_{part}"]
+                       for part in kind._fields})
+        if hasattr(kind, "_fields") else values[field]
+        for field, kind in ModelParameters.__annotations__.items()})
 
 
 def _path(name: str) -> tuple[str, ...]:
@@ -451,23 +424,19 @@ def get_parameter(params: ModelParameters, name: str) -> float:
 
 def apply_overrides(params: ModelParameters,
                     overrides: dict[str, float]) -> ModelParameters:
-    """Functional update of named parameters; unknown names are rejected."""
-    # group -> field -> value, or part -> value for a sigmoid or trend
-    changes: dict[str, dict] = {}
+    """Functional update of named parameters; unknown names are rejected.
+    A refused part of a sigmoid or trend is named before a refused scalar."""
+    changes: dict = {}
+    parts: dict[str, dict[str, float]] = {}  # field -> part -> value
     for name, value in overrides.items():
-        group, item, *part = _path(name)
+        field, *part = _path(name)
         if part:
-            changes.setdefault(group, {}).setdefault(item, {})[part[0]] = value
+            parts.setdefault(field, {})[part[0]] = value
         else:
-            changes.setdefault(group, {})[item] = value
-    groups = {}
-    for group_name, group_changes in changes.items():
-        group = getattr(params, group_name)
-        groups[group_name] = group._replace(**{
-            item: (getattr(group, item)._replace(**value)
-                   if isinstance(value, dict) else value)
-            for item, value in group_changes.items()})
-    return params._replace(**groups)
+            changes[field] = value
+    for field, values in parts.items():
+        changes[field] = getattr(params, field)._replace(**values)
+    return params._replace(**changes)
 
 
 # === the wired model ===
@@ -484,6 +453,17 @@ def record_grid(clock: SimulationClock) -> tuple[tuple, tuple]:
 def _record_grid(key: tuple, clock: SimulationClock) -> tuple[tuple, tuple]:
     times = tuple(clock.times())
     return times, tuple(lag_indices(times, REQUEST_LAG))
+
+
+def _refuse(p: ModelParameters, name: str, t: float, *inputs) -> None:
+    """Raise the error of the link ``name`` of ``LINKS`` on ``inputs``, which
+    it refuses, as a :class:`SimulationError` in its words naming the link
+    and ``t``, where ``FitModel.simulate``'s inlined link would fail."""
+    link = next(link for link in LINKS if link.name == name)
+    try:
+        link.fn(p, *inputs)
+    except ValueError as exc:
+        raise SimulationError(str(exc), variable=name, time=t) from None
 
 
 def _settle(stocks: list[float], rates: tuple[float, ...], t: float,
@@ -532,9 +512,9 @@ class FitModel:
 
     def initial_state(self) -> tuple[float, ...]:
         """The stocks at launch, in ``stock_names`` order."""
-        econ = self.params.econ
-        return (econ.initial_installed_capacity, 0.0, econ.initial_suna_debt,
-                econ.initial_budget, 0.0, 0.0, 0.0)
+        p = self.params
+        return (p.initial_installed_capacity, 0.0, p.initial_suna_debt,
+                p.initial_budget, 0.0, 0.0, 0.0)
 
     def begin_run(self, clock: SimulationClock) -> None:
         """Reject a clock the run cannot complete, before the first step.
@@ -548,9 +528,11 @@ class FitModel:
         The test is made on the first two record times in floating point,
         so a rounding that puts step 1 past the bound is refused too.
         """
-        exog = self.params.exogenous
+        params = self.params
         start = clock.start_year
-        for name, trend in zip(exog._fields, exog):
+        for name, trend in zip(params._fields, params):
+            if not isinstance(trend, LinearTrend):
+                continue
             for year in (start, clock.end_year):
                 try:
                     eval_linear_trend(trend, year)
@@ -568,13 +550,13 @@ class FitModel:
 
         Each step is the links above inlined over constants bound once per
         run: each formula keeps its link's operation order, and each check
-        a run can reach stays, calling the link to raise its error; what
-        ``begin_run`` and the parameter records prove before step 0 is not
-        re-checked. The record times and the request-lag table depend on
-        the clock alone and come from :func:`record_grid`. The tolerance at
-        the base levy is computed once per run, and a levy override goes
-        through the sigmoid itself. The Euler update is written out per
-        stock, beside the step, with every check of the reference
+        a run can reach stays, calling the link through ``_refuse`` to raise
+        its error; what ``begin_run`` and the parameter record prove before
+        step 0 is not re-checked. The record times and the request-lag table
+        depend on the clock alone and come from :func:`record_grid`. The
+        tolerance at the base levy is computed once per run, and a levy
+        override goes through the sigmoid itself. The Euler update is written
+        out per stock, beside the step, with every check of the reference
         integrator (``tests/engine_reference.py``) in its words, variable
         and time: non-finite auxiliaries, non-finite rates and stocks (one
         test of the new stocks' sum, settled by ``_settle`` when it fails),
@@ -585,31 +567,30 @@ class FitModel:
         clamp event and error.
         """
         self.begin_run(clock)
-        econ, effects, exog = self.params
-        generation, use = exog
-        gen_intercept, gen_slope, gen_year = generation
-        use_intercept, use_slope, use_year = use
-        initial_installed = econ.initial_installed_capacity
-        initial_cost = econ.initial_capital_cost
-        learning = -econ.learning_exponent
-        target, price_floor = econ.capacity_target, econ.fit_price_floor
-        initial_price, base_tax = econ.initial_fit_price, econ.res_tax_base
-        margin_scale = econ.capacity_factor * ANNUAL_HOURS
-        om_cost = econ.om_cost
-        annuity = annuity_factor(econ.interest_rate, econ.remuneration_period)
-        capacity_factor = econ.capacity_factor
-        gain = effects.penetration_gain
-        base_tolerance = effects.social_tolerance(base_tax)
-        trust_max, trust_x50, trust_p = effects.investor_trust
-        om_max, om_x50, om_p = effects.om_activity
-        approval = 1.0 - econ.rejection_fraction
-        build_time = econ.time_to_build
-        normal_lifetime = econ.normal_equipment_lifetime
-        smoothing = econ.shortage_smoothing_time
+        p = self.params
+        gen_intercept, gen_slope, gen_year = p.total_generation_capacity
+        use_intercept, use_slope, use_year = p.electricity_consumption
+        initial_installed = p.initial_installed_capacity
+        initial_cost = p.initial_capital_cost
+        learning = -p.learning_exponent
+        target, price_floor = p.capacity_target, p.fit_price_floor
+        initial_price, base_tax = p.initial_fit_price, p.res_tax_base
+        margin_scale = p.capacity_factor * ANNUAL_HOURS
+        om_cost = p.om_cost
+        annuity = annuity_factor(p.interest_rate, p.remuneration_period)
+        capacity_factor = p.capacity_factor
+        gain = p.penetration_gain
+        base_tolerance = p.social_tolerance(base_tax)
+        trust_max, trust_x50, trust_p = p.investor_trust
+        om_max, om_x50, om_p = p.om_activity
+        approval = 1.0 - p.rejection_fraction
+        build_time = p.time_to_build
+        normal_lifetime = p.normal_equipment_lifetime
+        smoothing = p.shortage_smoothing_time
         policy = self.policy
         isfinite, inf = math.isfinite, math.inf
 
-        # finite and non-negative: the parameter records check them
+        # finite and non-negative: the parameter record checks them
         (installed, depreciated, debt, budget, total_production,
          total_payment, perceived) = self.initial_state()
         times, back = record_grid(clock)
@@ -619,7 +600,7 @@ class FitModel:
         events: list[ClampEvent] = []
         # the requests filed before launch, then one entry per record, read
         # one lag back through the index table
-        history = [econ.initial_annual_requests]
+        history = [p.initial_annual_requests]
         warned = False
 
         for k, t in enumerate(times):
@@ -659,7 +640,7 @@ class FitModel:
 
             # --- investment climate ---
             if capital_cost <= 0.0:
-                compute_roi(self.params, fit_price, capital_cost)
+                _refuse(p, "roi", t, fit_price, capital_cost)
             roi = ((margin_scale * (fit_price - om_cost) * annuity
                     - capital_cost) / capital_cost)
             penetration = installed / generation_capacity
@@ -695,11 +676,12 @@ class FitModel:
             if res_tax == base_tax:
                 tolerance = base_tolerance
             else:
-                tolerance = eval_inverted_sigmoid(effects.social_tolerance,
-                                                  res_tax)
+                if not 0.0 <= res_tax < inf:
+                    _refuse(p, "social_acceptance", t, penetration, res_tax)
+                tolerance = eval_inverted_sigmoid(p.social_tolerance, res_tax)
             acceptance = (1.0 + gain * penetration) * tolerance
             if not 0.0 <= delay < inf:
-                eval_inverted_sigmoid(effects.investor_trust, delay)
+                _refuse(p, "investor_trust", t, delay)
             try:
                 trust = trust_max / (1.0 + (delay / trust_x50) ** trust_p)
             except OverflowError:

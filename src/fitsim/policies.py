@@ -161,7 +161,7 @@ def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:
     and its policy bound to the resulting base levy."""
     params = apply_overrides(params, scenario.overrides)
     return FitModel(params, make_policy_fn(scenario.policy,
-                                           params.econ.res_tax_base))
+                                           params.res_tax_base))
 
 
 class ComparisonReport(NamedTuple):
@@ -276,7 +276,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         f"{signature.peak_year}, debt emerges at "
         f"{emergence if emergence is not None else 'never'}", margin))
 
-    target = report.params["base"].econ.capacity_target
+    target = report.params["base"].capacity_target
     t_p1 = _first_crossing_year(p1, "installed_capacity", target)
     t_base = _first_crossing_year(base, "installed_capacity", target)
     ok = math.isfinite(t_p1) and t_p1 <= t_base

@@ -63,7 +63,6 @@ def _discounted_dollar_stream(rate: float, years: int) -> float:
 
 def test_criterion_01_equation_oracles(default_params):
     start = time.perf_counter()
-    econ = default_params.econ
     ok = True
     details = []
 
@@ -72,9 +71,9 @@ def test_criterion_01_equation_oracles(default_params):
         if not _close(annuity_factor(rate, float(years)), oracle):
             ok, details = False, details + [f"annuity({rate},{years})"]
 
-    project = default_params._replace(econ=econ._replace(
+    project = default_params._replace(
         capacity_factor=0.25, om_cost=10.0, interest_rate=0.10,
-        remuneration_period=20.0))
+        remuneration_period=20.0)
     capital = 1.5e6
     margin = 0.25 * 8760.0 * (100.0 - 10.0)
     roi_oracle = (margin * _discounted_dollar_stream(0.10, 20)
@@ -82,12 +81,13 @@ def test_criterion_01_equation_oracles(default_params):
     if not _close(compute_roi(project, 100.0, capital), roi_oracle):
         ok, details = False, details + ["roi"]
 
-    cost_oracle = econ.initial_capital_cost * 2.0 ** (-econ.learning_exponent)
+    cost_oracle = (default_params.initial_capital_cost
+                   * 2.0 ** (-default_params.learning_exponent))
     if not _close(compute_capital_cost(default_params, 240.0), cost_oracle):
         ok, details = False, details + ["learning curve"]
-    if not _close(compute_capital_cost(default_params,
-                                       econ.initial_installed_capacity),
-                  econ.initial_capital_cost):
+    launch = default_params.initial_installed_capacity
+    if not _close(compute_capital_cost(default_params, launch),
+                  default_params.initial_capital_cost):
         ok, details = False, details + ["learning curve at launch"]
 
     for installed, expected in ((0.0, 20.0), (2500.0, 10.0),
@@ -118,11 +118,10 @@ def test_criterion_01_equation_oracles(default_params):
 
 def test_criterion_02_sigmoid_battery(default_params):
     start = time.perf_counter()
-    effects = default_params.effects
     rng = np.random.default_rng(20150101)
     ok = True
-    for effect in (effects.social_tolerance, effects.investor_trust,
-                   effects.om_activity):
+    for effect in (default_params.social_tolerance,
+                   default_params.investor_trust, default_params.om_activity):
         ok = ok and _close(effect(0.0), effect.y_max)
         ok = ok and _close(effect(effect.x_50), effect.y_max / 2.0)
         x = np.sort(rng.uniform(0.0, 10.0 * effect.x_50, size=1200))

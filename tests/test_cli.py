@@ -79,6 +79,20 @@ def test_run_refuses_a_config_with_a_non_finite_trend(tmp_path, capsys):
             "LinearTrend.slope must be finite, got nan\n")
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "validate"])
+def test_a_link_refused_in_a_run_names_it_and_the_time(command, tmp_path,
+                                                        capsys):
+    # the learning curve takes the capital cost to zero, which the ROI refuses
+    config = tmp_path / "learning.cfg"
+    config.write_text(default_config_text().replace(
+        "learning_exponent = 0.135 ;", "learning_exponent = 1e6 ;"),
+        encoding="utf-8")
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: capital_cost must be positive, got 0.0 "
+            "(variable='roi', t=2015.25)\n")
+
+
 def test_validate_refuses_an_unknown_historical_variable_before_running(
         no_runs, tmp_path, capsys):
     history = tmp_path / "history.csv"

@@ -161,27 +161,34 @@ def test_run_refuses_a_config_with_a_refused_value(section, key, value,
 
 CAP = "need tax_floor <= tax_cap <= 0.1, got floor="
 NAME = "scenario name must be non-empty letters, digits, '_', '-' and '.', got "
-# (config text, the whole refusal): a knob of a file without scenarios is
-# checked too, and a refusal that no value makes alone in the same words
-# names its section
+# (config text, the whole refusal): a refusal that no value makes alone in
+# the same words names its section
 PLACED_REFUSALS = {
-    "policy knob": (MINIMAL + "[policy]\ntax_cap = 0.5 ; assumed\n",
-                    f"[policy] tax_cap: {CAP}0.0, cap=0.5"),
-    "policy nan": (MINIMAL
-                   + "[policy]\nfit_controller_gain = nan ; assumed\n",
-                   "[policy] fit_controller_gain: fit_controller_gain must "
-                   "be non-negative and finite, got nan"),
-    "policy pair": (MINIMAL + "[policy]\ntax_floor = 0.05 ; assumed\n"
-                    "tax_cap = 0.02 ; assumed\n",
-                    f"[policy] {CAP}0.05, cap=0.02"),
+    # the knobs' defaults live in PolicyControl alone
+    "policy section": (MINIMAL + "[policy]\ntax_cap = 0.1 ; assumed\n",
+                       "unknown section [policy]; expected one of "
+                       "['clock', 'effects', 'parameters', 'trends'] or "
+                       "[scenario:NAME]"),
+    "scenario knob": (MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
+                      "tax_cap = 0.5 ; assumed\n",
+                      f"[scenario:a] tax_cap: {CAP}0.0, cap=0.5"),
     "scenario pair": (MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
                       "tax_floor = 0.05 ; assumed\n"
                       "tax_cap = 0.02 ; assumed\n",
                       f"[scenario:a] {CAP}0.05, cap=0.02"),
-    "scenario on policy": ("[policy]\ntax_floor = 0.05 ; assumed\n"
-                           "[scenario:a]\npolicy = base ; paper\n"
-                           "tax_cap = 0.02 ; assumed\n",
-                           f"[scenario:a] tax_cap: {CAP}0.05, cap=0.02"),
+    # an [effects] key, then a [parameters] one: the one record refuses
+    # positive fields before non-negative ones, whatever the file's order
+    "scenario effect and economics": (
+        MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
+        "penetration_gain = -1 ; assumed\ncapacity_factor = 0 ; assumed\n",
+        "[scenario:a] capacity_factor: capacity_factor must be positive and "
+        "finite, got 0.0"),
+    # a sigmoid part is refused before any scalar
+    "scenario economics and effect part": (
+        MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
+        "capacity_factor = 0 ; assumed\ninvestor_trust_p = 0 ; assumed\n",
+        "[scenario:a] investor_trust_p: SigmoidEffect.p must be positive and "
+        "finite, got 0.0"),
     # a scenario's name becomes a CSV and SVG field and a file name
     "scenario name markup": (
         MINIMAL + "[scenario:a,<b>&c]\npolicy = base ; paper\n",
@@ -279,8 +286,8 @@ def test_parameter_overrides_reach_the_model():
     text = ("[parameters]\ninitial_fit_price = 25.0 ; assumed\n"
             "[trends]\nelectricity_consumption_slope = 4e6 ; assumed\n")
     params = parse_config(text).params
-    assert params.econ.initial_fit_price == 25.0
-    assert params.exogenous.electricity_consumption.slope == 4e6
+    assert params.initial_fit_price == 25.0
+    assert params.electricity_consumption.slope == 4e6
 
 
 def test_scenario_requires_a_policy():
@@ -288,21 +295,6 @@ def test_scenario_requires_a_policy():
         parse_config("[scenario:x]\nfit_price_delta = 1.0 ; assumed\n")
     with pytest.raises(ConfigurationError, match="policy must be one of"):
         parse_config("[scenario:x]\npolicy = p9_wishful ; assumed\n")
-
-
-def test_policy_section_sets_shared_knob_defaults():
-    text = """\
-[policy]
-fit_price_delta = 2.0 ; assumed
-[scenario:a]
-policy = p1_higher_fit ; assumed
-[scenario:b]
-policy = p1_higher_fit ; assumed
-fit_price_delta = 4.0 ; assumed
-"""
-    doc = parse_config(text)
-    assert doc.scenario("a").policy.fit_price_delta == 2.0
-    assert doc.scenario("b").policy.fit_price_delta == 4.0
 
 
 def test_scenario_parameter_overrides_are_kept_apart_from_knobs():
@@ -337,9 +329,8 @@ def test_shipped_config_defines_every_parameter_and_knob(default_doc):
     defined = {key for section in ("clock", "parameters", "effects", "trends")
                for key in default_doc.entries[section]}
     assert defined == set(PARAMETER_NAMES) | set(SimulationClock._fields)
-    knobs = set(PolicyControl._fields) - {"policy_id"}
-    assert len(knobs) == 5
-    assert set(default_doc.entries["policy"]) == knobs
+    # a knob that no scenario sets is PolicyControl's own default
+    assert default_doc.scenario("base").policy == PolicyControl()
     assert not any("defaulted" in line for line in default_doc.log)
 
 

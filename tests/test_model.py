@@ -144,7 +144,7 @@ def test_capital_cost_is_monotone_decreasing():
 def test_capital_cost_flat_when_learning_disabled():
     params = apply_overrides(PACKAGED, {"learning_exponent": 0.0})
     assert (compute_capital_cost(params, 5000.0)
-            == params.econ.initial_capital_cost)
+            == params.initial_capital_cost)
 
 
 def test_capital_cost_rejects_non_positive_build():
@@ -346,15 +346,15 @@ def test_registry_rejects_unknown_names():
 
 def test_parameter_validation_catches_bad_values():
     with pytest.raises(ConfigurationError):
-        PACKAGED.econ._replace(rejection_fraction=1.5)
+        PACKAGED._replace(rejection_fraction=1.5)
     with pytest.raises(ConfigurationError):
-        PACKAGED.econ._replace(initial_fit_price=-1.0)
+        PACKAGED._replace(initial_fit_price=-1.0)
     with pytest.raises(ConfigurationError):
-        PACKAGED.econ._replace(remuneration_period=0.5)
+        PACKAGED._replace(remuneration_period=0.5)
     with pytest.raises(ConfigurationError):
-        PACKAGED.econ._replace(fit_price_floor=0.0)
+        PACKAGED._replace(fit_price_floor=0.0)
     with pytest.raises(ConfigurationError):
-        PACKAGED.econ._replace(initial_budget=-1.0)
+        PACKAGED._replace(initial_budget=-1.0)
 
 
 # === full-run ledger identities ===
@@ -548,7 +548,7 @@ class ReferenceFitModel(FitModel):
         super().begin_run(clock)
         self._requests = BisectLaggedSeries(
             lag=REQUEST_LAG,
-            initial_value=self.params.econ.initial_annual_requests)
+            initial_value=self.params.initial_annual_requests)
         self._penetration_warned = False
 
     def simulate(self, clock):
@@ -568,7 +568,11 @@ class ReferenceFitModel(FitModel):
                 inputs[0] = overrides
             elif link.state == "lag":
                 inputs.insert(0, self._requests.lookup(t))
-            value = link.fn(self.params, *inputs)
+            try:
+                value = link.fn(self.params, *inputs)
+            except ValueError as exc:
+                raise SimulationError(str(exc), variable=link.name,
+                                      time=t) from None
             if link.state == "lag":
                 self._requests.record(t, value)
             elif link.state == "clamp" and value > 1.0:
@@ -682,7 +686,7 @@ def outcome(model_class, params, policy, clock=DOC.clock):
 def run_outcome(model_class, params, scenario, dt):
     params = apply_overrides(params, scenario.overrides)
     return outcome(model_class, params,
-                   make_policy_fn(scenario.policy, params.econ.res_tax_base),
+                   make_policy_fn(scenario.policy, params.res_tax_base),
                    SimulationClock(2015.0, 2035.0, dt))
 
 
@@ -744,11 +748,11 @@ def levy(tax: float):
 
 def launch_tariff_cut():
     """A policy hook that takes the launch tariff off every step's tariff."""
-    econ = PACKAGED.econ
-    gap = ((econ.capacity_target - econ.initial_installed_capacity)
-           / econ.capacity_target)
+    p = PACKAGED
+    gap = ((p.capacity_target - p.initial_installed_capacity)
+           / p.capacity_target)
     overrides = PriceTaxOverrides(fit_price_delta=-(
-        econ.initial_fit_price * min(1.0, max(econ.fit_price_floor, gap))))
+        p.initial_fit_price * min(1.0, max(p.fit_price_floor, gap))))
     return lambda shortage: overrides
 
 
@@ -757,18 +761,22 @@ def launch_tariff_cut():
 # sigmoid overflowed)
 STEP_EDGES = {
     "nan levy": ({}, levy(math.nan), DOC.clock,
-                 (ValueError, "sigmoid input must be finite, got nan")),
+                 (SimulationError, "sigmoid input must be finite, got nan "
+                                   "(variable='social_acceptance', "
+                                   "t=2015.0)")),
     # production overflows at a zero tariff: the desired payment is
     # inf * 0, and the debt's delay over it NaN
     "nan delay": ({"capacity_factor": 1e305, "initial_suna_debt": 1e6},
                   launch_tariff_cut(), DOC.clock,
-                  (ValueError, "sigmoid input must be finite, got nan")),
+                  (SimulationError, "sigmoid input must be finite, got nan "
+                                    "(variable='investor_trust', t=2015.0)")),
     "learning": ({"learning_exponent": 1e6}, None, DOC.clock,
-                 (ValueError, "capital_cost must be positive, got 0.0")),
+                 (SimulationError, "capital_cost must be positive, got 0.0 "
+                                   "(variable='roi', t=2015.25)")),
     "negative tariff": (
         {}, make_policy_fn(PolicyControl("p1_higher_fit",
                                          fit_price_delta=-100.0),
-                           PACKAGED.econ.res_tax_base), DOC.clock,
+                           PACKAGED.res_tax_base), DOC.clock,
         (SimulationError, "tariff must be non-negative, got -80.48 "
                           "(variable='fit_price', t=2015.0)")),
     "huge levy": ({}, levy(1e100), DOC.clock, ("social_acceptance",)),
@@ -825,7 +833,7 @@ def test_step_matches_the_composed_links_at_its_edges(overrides, policy,
 def test_a_levy_override_reads_the_tolerance_at_its_own_value(scale):
     # the run computes the tolerance at the base levy once, and a step
     # reads it only when its levy is the base levy
-    policy = levy(PACKAGED.econ.res_tax_base * scale)
+    policy = levy(PACKAGED.res_tax_base * scale)
     assert (outcome(FitModel, PACKAGED, policy)
             == outcome(ReferenceFitModel, PACKAGED, policy))
 

@@ -260,7 +260,7 @@ def test_target_check_reads_the_base_runs_capacity_target():
     text = default_config_text().replace(
         "capacity_target = 5000.0 ;", "capacity_target = 4000.0 ;")
     doc = parse_config(text)
-    assert doc.params.econ.capacity_target == 4000.0
+    assert doc.params.capacity_target == 4000.0
     report = run_scenario_suite(doc.params, list(doc.scenarios), doc.clock)
     finding = next(finding for finding in qualitative_checks(report)
                    if finding.name == "p1_reaches_target_first")

@@ -23,6 +23,7 @@ import fitsim.policies
 from fitsim import (
     ConfigurationError,
     LinearTrend,
+    ModelParameters,
     PolicyControl,
     PriceTaxOverrides,
     Scenario,
@@ -44,9 +45,9 @@ CHECKED = [
      "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
     (LinearTrend(100.0, 10.0, 2015.0), "slope", float("inf"),
      "LinearTrend.slope must be finite, got inf"),
-    (PACKAGED.econ, "rejection_fraction", 1.5,
+    (PACKAGED, "rejection_fraction", 1.5,
      "rejection_fraction must lie in [0, 1], got 1.5"),
-    (PACKAGED.effects, "penetration_gain", -1.0,
+    (PACKAGED, "penetration_gain", -1.0,
      "penetration_gain must be non-negative and finite, got -1.0"),
     (PriceTaxOverrides(), "fit_price_multiplier", 0.0,
      "fit_price_multiplier must lie in (0, 1], got 0.0"),
@@ -72,8 +73,14 @@ def build_paths(record, field, value):
     }
 
 
+KINDS = [type(case[0]) for case in CHECKED]
+# a record checked on more than one field is named with the field too
+CHECKED_IDS = [kind.__name__ + (f".{field}" if KINDS.count(kind) > 1 else "")
+               for kind, (_, field, _, _) in zip(KINDS, CHECKED)]
+
+
 @pytest.mark.parametrize("record, field, value, message", CHECKED,
-                         ids=[type(case[0]).__name__ for case in CHECKED])
+                         ids=CHECKED_IDS)
 def test_every_construction_path_runs_the_check(record, field, value,
                                                  message):
     for path, build in build_paths(record, field, value).items():
@@ -88,7 +95,7 @@ def test_every_construction_path_runs_the_check(record, field, value,
 
 
 # a valid instance of every checked record
-RECORDS = [case[0] for case in CHECKED]
+RECORDS = list({type(case[0]): case[0] for case in CHECKED}.values())
 
 
 def is_checked(kind):
@@ -167,30 +174,30 @@ def test_the_first_refused_kind_then_field_is_named():
     # several bad values: positive fields, then non-negative, finite,
     # [0, 1] and (0, 1], each kind in declaration order, and all before the
     # record's _check
-    econ = PACKAGED.econ._asdict()
+    params = PACKAGED._asdict()
     cases = [
-        (lambda: type(PACKAGED.econ)(**{**econ, "om_cost": -1.0,
-                                         "capacity_target": -1.0}),
+        (lambda: ModelParameters(**{**params, "om_cost": -1.0,
+                                    "capacity_target": -1.0}),
          "capacity_target must be positive and finite, got -1.0"),
-        (lambda: type(PACKAGED.econ)(**{**econ, "initial_budget": math.nan,
-                                         "om_cost": math.nan}),
+        (lambda: ModelParameters(**{**params, "initial_budget": math.nan,
+                                    "om_cost": math.nan}),
          "om_cost must be non-negative and finite, got nan"),
-        (lambda: type(PACKAGED.econ)(**{**econ, "remuneration_period": 0.5,
-                                         "initial_suna_debt": -1.0}),
+        (lambda: ModelParameters(**{**params, "remuneration_period": 0.5,
+                                    "initial_suna_debt": -1.0}),
          "initial_suna_debt must be non-negative and finite, got -1.0"),
         (lambda: PolicyControl(fit_price_delta=math.nan, tax_floor=-1.0),
          "tax_floor must be non-negative and finite, got -1.0"),
         (lambda: PolicyControl(policy_id="x", tax_floor="y"),
          "tax_floor must be non-negative and finite, got y"),
-        (lambda: type(PACKAGED.econ)(**{**econ, "remuneration_period": 0.5,
-                                         "fit_price_floor": 0.0}),
+        (lambda: ModelParameters(**{**params, "remuneration_period": 0.5,
+                                    "fit_price_floor": 0.0}),
          "fit_price_floor must lie in (0, 1], got 0.0"),
-        (lambda: type(PACKAGED.econ)(**{**econ, "fit_price_floor": 0.0,
-                                         "rejection_fraction": 1.5,
-                                         "capacity_target": -1.0}),
+        (lambda: ModelParameters(**{**params, "fit_price_floor": 0.0,
+                                    "rejection_fraction": 1.5,
+                                    "capacity_target": -1.0}),
          "capacity_target must be positive and finite, got -1.0"),
-        (lambda: type(PACKAGED.econ)(**{**econ, "fit_price_floor": 0.0,
-                                         "rejection_fraction": 1.5}),
+        (lambda: ModelParameters(**{**params, "fit_price_floor": 0.0,
+                                    "rejection_fraction": 1.5}),
          "rejection_fraction must lie in [0, 1], got 1.5"),
     ]
     for build, message in cases:
@@ -209,9 +216,11 @@ UNBOUNDED = {
     "Scenario.overrides": "a mapping, tested by _check; apply_overrides "
                           "checks its values",
     # nested records, which check their own fields
-    "SocialEffectSet.social_tolerance": "a SigmoidEffect",
-    "SocialEffectSet.investor_trust": "a SigmoidEffect",
-    "SocialEffectSet.om_activity": "a SigmoidEffect",
+    "ModelParameters.social_tolerance": "a SigmoidEffect",
+    "ModelParameters.investor_trust": "a SigmoidEffect",
+    "ModelParameters.om_activity": "a SigmoidEffect",
+    "ModelParameters.total_generation_capacity": "a LinearTrend",
+    "ModelParameters.electricity_consumption": "a LinearTrend",
     "Scenario.policy": "a PolicyControl",
 }
 
