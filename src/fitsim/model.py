@@ -196,19 +196,18 @@ def compute_capital_cost(p: ModelParameters, cumulative: float) -> float:
 
 def compute_fit_price(p: ModelParameters,
                       overrides: PriceTaxOverrides | None,
-                      installed_capacity: float, t: float) -> float:
+                      installed_capacity: float) -> float:
     """Offered tariff: the launch tariff scaled by the remaining fraction
     of the capacity target, never below ``fit_price_floor`` of its launch
     value, then scaled and shifted by the policy's overrides. A negative
-    tariff is refused as a ``SimulationError`` naming ``t``."""
+    tariff is refused."""
     gap_fraction = (p.capacity_target - installed_capacity) / p.capacity_target
     multiplier = min(1.0, max(p.fit_price_floor, gap_fraction))
     price = p.initial_fit_price * multiplier
     if overrides is not None:
         price = price * overrides.fit_price_multiplier + overrides.fit_price_delta
     if price < 0.0:
-        raise SimulationError(f"tariff must be non-negative, got {price}",
-                              variable="fit_price", time=t)
+        raise ValueError(f"tariff must be non-negative, got {price}")
     return price
 
 
@@ -282,7 +281,7 @@ LINKS: tuple[Link, ...] = (
          lambda p, installed, depreciated: installed + depreciated),
     Link("capital_cost", ("cumulative_installed_capacity",),
          compute_capital_cost),
-    Link("fit_price", ("perceived_shortage", "installed_capacity", "t"),
+    Link("fit_price", ("perceived_shortage", "installed_capacity"),
          compute_fit_price, "policy"),
     Link("res_tax", ("perceived_shortage",), lambda p, overrides: (
         p.res_tax_base if overrides is None or overrides.res_tax is None
@@ -457,8 +456,9 @@ def _record_grid(key: tuple, clock: SimulationClock) -> tuple[tuple, tuple]:
 
 def _refuse(p: ModelParameters, name: str, t: float, *inputs) -> None:
     """Raise the error of the link ``name`` of ``LINKS`` on ``inputs``, which
-    it refuses, as a :class:`SimulationError` in its words naming the link
-    and ``t``, where ``FitModel.simulate``'s inlined link would fail."""
+    it refuses with a ``ValueError``, as a :class:`SimulationError` in its
+    words naming the link and ``t``, where ``FitModel.simulate``'s inlined
+    link would fail: the tariff, the ROI, acceptance or trust."""
     link = next(link for link in LINKS if link.name == name)
     try:
         link.fn(p, *inputs)
@@ -634,9 +634,7 @@ class FitModel:
             # the base rule's tariff is positive, so only a policy's delta
             # can take it below zero
             if fit_price < 0.0:
-                raise SimulationError(
-                    f"tariff must be non-negative, got {fit_price}",
-                    variable="fit_price", time=t)
+                _refuse(p, "fit_price", t, overrides, installed)
 
             # --- investment climate ---
             if capital_cost <= 0.0:

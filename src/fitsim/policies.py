@@ -41,7 +41,6 @@ from .model import (
 )
 from .validation import (
     ACCEPTANCE_BOUNDS,
-    GROWTH_PEAK_DECLINE,
     Finding,
     _non_strict,
     behavior_signature,
@@ -219,9 +218,6 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
 
     capacity = {name: report.runs[name].final("installed_capacity")
                 for name in POLICY_IDS}
-    ok = (capacity["p3_budget_adjusted_tax"] > capacity["base"]
-          > capacity["p2_budget_adjusted_fit"]
-          > capacity["p1_higher_fit"])
     # gaps near zero are no margin: they count against at least the launch
     # capacity, and for debt the launch fund
     order = ("p3_budget_adjusted_tax", "base", "p2_budget_adjusted_fit",
@@ -230,7 +226,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
                               base["installed_capacity"][0])
                  for a, b in zip(order, order[1:]))
     findings.append(Finding(
-        "capacity_ordering", ok,
+        "capacity_ordering",
         f"{end} installed capacity (MW): "
         + ", ".join(f"{name}={capacity[name]:.1f}"
                     for name in POLICY_IDS), margin))
@@ -238,9 +234,6 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     debt = {name: report.runs[name].final("suna_debt")
             for name in POLICY_IDS}
     p3_debt_peak = max(p3["suna_debt"])
-    ok = (debt["p1_higher_fit"] > debt["base"]
-          > debt["p2_budget_adjusted_fit"] > debt["p3_budget_adjusted_tax"]
-          and p3_debt_peak <= 0.0)
     fund = max(base["budget"][0], 1.0)
     # p2 pays its debt down, so its gap to p3 at the horizon has no floor;
     # p3 is debt-free by its lowest fund over the launch fund
@@ -252,7 +245,7 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         _non_strict(min(p3["budget"]) / fund) if p3_debt_peak <= 0.0
         else -1.0)
     findings.append(Finding(
-        "debt_ordering", ok,
+        "debt_ordering",
         f"{end} debt ($): "
         + ", ".join(f"{name}={debt[name]:.3g}"
                     for name in POLICY_IDS)
@@ -262,16 +255,13 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     debt_signature = behavior_signature(base.times, base["suna_debt"])
     emergence = debt_signature.first_positive_year
     after = ACCEPTANCE_BOUNDS["debt_emerges_after"]
-    ok = (signature.shape == GROWTH_PEAK_DECLINE
-          and emergence is not None
-          and emergence > after)
     start = base.times[0]  # years count from the start
     margin = min(
         peak_decline_margin(base["installed_capacity"], signature.shape),
         dry_fund_margin(base["budget"]) if emergence is None
         else margin_above(emergence - start, after - start))
     findings.append(Finding(
-        "base_debt_and_peak", ok,
+        "base_debt_and_peak",
         f"base: capacity {signature.shape} with peak at "
         f"{signature.peak_year}, debt emerges at "
         f"{emergence if emergence is not None else 'never'}", margin))
@@ -279,7 +269,6 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
     target = report.params["base"].capacity_target
     t_p1 = _first_crossing_year(p1, "installed_capacity", target)
     t_base = _first_crossing_year(base, "installed_capacity", target)
-    ok = math.isfinite(t_p1) and t_p1 <= t_base
     # a year past the horizon stands for never; the lead over the horizon
     late = base.times[-1] + 1.0
     margin = min(
@@ -287,17 +276,16 @@ def qualitative_checks(report: ComparisonReport) -> list[Finding]:
         _non_strict((min(t_base, late) - min(t_p1, late))
                     / (base.times[-1] - start)))
     findings.append(Finding(
-        "p1_reaches_target_first", ok,
+        "p1_reaches_target_first",
         f"first year at {target:.0f} MW: p1={t_p1}, base={t_base}", margin))
 
     tendency = p2["tendency_to_invest"]
     trough = min(tendency)
-    ok = tendency[-1] > trough
     # a tendency ends at zero with the return, which tells how far off it is
     margin = (min(0.0, p2.final("roi")) if tendency[-1] <= 0.0
               else margin_above(tendency[-1], trough, tendency[0]))
     findings.append(Finding(
-        "p2_tendency_recovers", ok,
+        "p2_tendency_recovers",
         f"p2 tendency trough={trough:.4f}, final={tendency[-1]:.4f}", margin))
     return findings
 

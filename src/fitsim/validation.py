@@ -44,15 +44,19 @@ __all__ = [
 class Finding(NamedTuple):
     """Outcome of one structural check, printed as its verdict and detail.
 
-    ``margin``, relative and dimensionless, tells how far the check is from
-    flipping and is positive exactly when it passes: the smallest of its
-    demands' margins, or ``math.inf`` for a flag that always passes.
+    ``margin``, relative and dimensionless, is the verdict: the check passes
+    exactly when it is positive, and its size tells how far the check is
+    from flipping. It is the smallest of the check's demands' margins, or
+    ``math.inf`` for a flag that always passes; zero and NaN fail.
     """
 
     name: str
-    passed: bool
     detail: str
     margin: float
+
+    @property
+    def passed(self) -> bool:
+        return self.margin > 0.0
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -405,14 +409,14 @@ def calibration_story(base) -> list[Finding]:
     start, end = (base.at_year("installed_capacity", year)
                   for year in (first, then))
     return [
-        Finding("fund_peak_decline", shape == GROWTH_PEAK_DECLINE,
-                f"fund {shape}", peak_decline_margin(budget, shape)),
-        Finding("debt_ends_above_fund", debt > fund,
+        Finding("fund_peak_decline", f"fund {shape}",
+                peak_decline_margin(budget, shape)),
+        Finding("debt_ends_above_fund",
                 f"final debt {debt:.3g} $, fund {fund:.3g} $",
                 margin_above(debt, fund, budget[0])),
-        Finding("capacity_peak_window", low < peak < high,
-                f"capacity peaks at {peak}", margin_inside(peak, low, high)),
-        Finding("capacity_grows_by_2021", end > start,
+        Finding("capacity_peak_window", f"capacity peaks at {peak}",
+                margin_inside(peak, low, high)),
+        Finding("capacity_grows_by_2021",
                 f"capacity {start:.1f} -> {end:.1f} MW",
                 margin_above(end, start)),
     ]
@@ -425,10 +429,10 @@ def policy_tendencies(runs) -> list[Finding]:
     p1 = runs["p1_higher_fit"]["tendency_to_invest"]
     collapsed = ACCEPTANCE_BOUNDS["p1_tendency_collapse"] * p1[0]
     return [
-        Finding("p3_tendency_rises", p3[-1] > p3[0],
+        Finding("p3_tendency_rises",
                 f"p3 tendency {p3[0]:.4f} -> {p3[-1]:.4f}",
                 margin_above(p3[-1], p3[0])),
-        Finding("p1_tendency_collapses", p1[-1] < collapsed,
+        Finding("p1_tendency_collapses",
                 f"p1 tendency {p1[0]:.4f} -> {p1[-1]:.4f}",
                 margin_below(p1[-1], collapsed)),
     ]
@@ -448,8 +452,8 @@ def step_halving(coarse, fine) -> list[Finding]:
                 abs(a - b) for a, b in zip(coarse[stock], fine[stock][::2]))
                 / scale)
     bound = ACCEPTANCE_BOUNDS["step_halving"]
-    return [Finding("step_halving", worst < bound,
-                    f"worst {100.0 * worst:.2f}%", margin_below(worst, bound))]
+    return [Finding("step_halving", f"worst {100.0 * worst:.2f}%",
+                    margin_below(worst, bound))]
 
 
 # === stress suites ===
@@ -518,12 +522,10 @@ def extreme_condition_suite(params: ModelParameters,
     budget = run["budget"]
     findings.append(Finding(
         "remuneration_1yr_capacity_declines",
-        installed[-1] < installed[0],
         f"installed {installed[0]:.1f} -> {installed[-1]:.1f} MW",
         margin_above(installed[0], installed[-1])))
     findings.append(Finding(
         "remuneration_1yr_no_tendency",
-        tendency[-1] < bound["remuneration_tendency"],
         f"final tendency {tendency[-1]:.3g}",
         margin_below(tendency[-1], bound["remuneration_tendency"])))
     later = budget[steps_per_year:]
@@ -535,7 +537,6 @@ def extreme_condition_suite(params: ModelParameters,
         margin = min(margin, min(steps) / scale + 1e-9)
     findings.append(Finding(
         "remuneration_1yr_budget_grows",
-        grows and budget[-1] > budget[0],
         f"budget {budget[0]:.3g} -> {budget[-1]:.3g}, "
         f"monotone after year 1: {grows}", margin))
 
@@ -552,7 +553,6 @@ def extreme_condition_suite(params: ModelParameters,
     year_3 = bound["inherited_debt_tendency_year_3"]
     findings.append(Finding(
         "inherited_debt_kills_tendency",
-        t0 < at_start and t3 < year_3,
         f"tendency {t0:.3g} at start -> {t3:.3g} (year 3)",
         min(margin_below(t0, at_start), margin_below(t3, year_3))))
     b0 = budget[0]
@@ -560,7 +560,6 @@ def extreme_condition_suite(params: ModelParameters,
     drained = bound["inherited_debt_fund_year_1"] * b0
     findings.append(Finding(
         "inherited_debt_drains_budget",
-        b1 < drained,
         f"budget {b0:.3g} -> {b1:.3g} within the first year",
         margin_below(b1, drained)))
     return findings
@@ -591,7 +590,7 @@ def sensitivity_suite(params: ModelParameters,
     pert_took_off = max(pert_ic) >= took_off
     if base_took_off and not pert_took_off:
         findings.append(Finding(
-            "sensitivity_out_of_band", True,
+            "sensitivity_out_of_band",
             "perturbation suppresses growth entirely; regime change, "
             "signatures not comparable", math.inf))
         return findings
@@ -608,7 +607,7 @@ def sensitivity_suite(params: ModelParameters,
         margin = min(margin, _non_strict(margin_above(max(pert_ic),
                                                       took_off)))
     findings.append(Finding(
-        "sensitivity_installed_capacity", same,
+        "sensitivity_installed_capacity",
         f"base {sig_base.shape} (peak {sig_base.peak_year}), perturbed "
         f"{sig_pert.shape} (peak {sig_pert.peak_year})", margin))
 
@@ -622,7 +621,6 @@ def sensitivity_suite(params: ModelParameters,
         margin = dry_fund_margin(perturbed["budget"])
     findings.append(Finding(
         "sensitivity_suna_debt",
-        debt_base.emerged == debt_pert.emerged,
         f"base debt emerges {debt_base.first_positive_year}, perturbed "
         f"{debt_pert.first_positive_year}", margin))
     return findings

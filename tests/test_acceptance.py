@@ -92,8 +92,8 @@ def test_criterion_01_equation_oracles(default_params):
 
     for installed, expected in ((0.0, 20.0), (2500.0, 10.0),
                                 (4000.0, 5.0), (20000.0, 5.0)):
-        if not _close(compute_fit_price(default_params, None, installed,
-                                        2015.0), expected):
+        if not _close(compute_fit_price(default_params, None, installed),
+                      expected):
             ok, details = False, details + [f"fit price @ {installed}"]
 
     if not _close(compute_social_acceptance(default_params, 0.1, 0.0), 1.5):

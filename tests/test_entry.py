@@ -84,12 +84,12 @@ def test_the_console_script_is_the_module_entry():
                                   ["validate"]])
 def test_a_closed_stdout_ends_quietly_as_sigpipe(args):
     # the reader is gone before fitsim writes its first byte
-    proc = subprocess.Popen([sys.executable, "-m", "fitsim", *args],
-                            env=_env(), stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 141
+    with subprocess.Popen([sys.executable, "-m", "fitsim", *args],
+                          env=_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
     assert b"error:" not in err and b"Traceback" not in err, err
 
 

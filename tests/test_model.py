@@ -156,7 +156,7 @@ def test_capital_cost_rejects_non_positive_build():
 
 def test_fit_price_tracks_remaining_target_gap():
     def price(installed):
-        return compute_fit_price(PACKAGED, None, installed, 2015.0)
+        return compute_fit_price(PACKAGED, None, installed)
 
     assert price(0.0) == pytest.approx(20.0)
     assert price(2500.0) == pytest.approx(10.0)
@@ -168,11 +168,11 @@ def test_fit_price_tracks_remaining_target_gap():
 def test_fit_price_policy_overrides_scale_then_shift():
     overrides = PriceTaxOverrides(fit_price_delta=4.0,
                                   fit_price_multiplier=0.5)
-    assert compute_fit_price(PACKAGED, overrides, 0.0,
-                             2015.0) == pytest.approx(14.0)
-    with pytest.raises(SimulationError, match=r"variable='fit_price', t=2015"):
+    assert compute_fit_price(PACKAGED, overrides, 0.0) == pytest.approx(14.0)
+    with pytest.raises(ValueError,
+                       match="tariff must be non-negative, got -10.0"):
         compute_fit_price(PACKAGED, PriceTaxOverrides(fit_price_delta=-30.0),
-                          0.0, 2015.0)
+                          0.0)
     with pytest.raises(ConfigurationError):
         PriceTaxOverrides(fit_price_multiplier=0.0)
     with pytest.raises(ConfigurationError):

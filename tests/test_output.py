@@ -146,8 +146,8 @@ def test_outcome_table_mentions_every_scenario(canonical_report):
 
 def test_findings_text_format():
     # the margin is not printed
-    text = findings_text([Finding("alpha", True, "fine", 0.5),
-                          Finding("beta", False, "broken", -0.25)])
+    text = findings_text([Finding("alpha", "fine", 0.5),
+                          Finding("beta", "broken", -0.25)])
     assert text == "PASS alpha: fine\nFAIL beta: broken"
 
 

@@ -28,6 +28,7 @@ from fitsim import (
 )
 from fitsim.validation import (
     FLAT,
+    Finding,
     GROWTH_PEAK_DECLINE,
     MONOTONE_DECLINE,
     MONOTONE_GROWTH,
@@ -484,6 +485,17 @@ def test_margins_agree_with_verdicts_where_checks_fail(default_doc):
     assert not disagreements(all_findings(doc, doc.clock))
     assert not disagreements(all_findings(default_doc, default_doc.clock,
                                           perturbations=PerturbationSet(())))
+
+
+@pytest.mark.parametrize("margin, status", [
+    (-0.0, "FAIL"), (0.0, "FAIL"), (-math.inf, "FAIL"), (math.nan, "FAIL"),
+    (math.ulp(0.0), "PASS"), (math.inf, "PASS")])
+def test_a_finding_passes_exactly_when_its_margin_is_positive(margin,
+                                                              status):
+    finding = Finding("edge", "detail", margin)
+    assert Finding._fields == ("name", "detail", "margin")
+    assert finding.passed is (status == "PASS")
+    assert str(finding) == f"{status} edge: detail"
 
 
 def test_a_non_strict_demand_holds_at_equality(default_doc):
