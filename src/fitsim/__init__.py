@@ -12,9 +12,7 @@ suites.
 from .engine import (
     ClampEvent,
     ConfigurationError,
-    LinearTrend,
     RunResult,
-    SigmoidEffect,
     SimulationClock,
     SimulationError,
     eval_inverted_sigmoid,

@@ -21,6 +21,7 @@ import sys
 
 from .config import ConfigDocument, _named, load_config, load_default_config
 from .engine import MAX_STEPS, ConfigurationError, SimulationError
+from .model import FitModel
 from .output import (
     emit_comparison_csv,
     emit_run_csv,
@@ -54,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fitsim",
         description="Stock-flow simulator of a feed-in-tariff program")
     common = argparse.ArgumentParser(add_help=False)
+    size = FitModel._record.size  # bytes of one record
     common.add_argument("--config", metavar="PATH",
                         help="configuration file (default: packaged config)")
     common.add_argument("--dt", type=float, metavar="YEARS",
@@ -64,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "year here: halving dt 0.25 moves p2's stocks "
                              "by 15.8%%, and at dt 0.4 compare exits 1. A "
                              f"clock of more than {MAX_STEPS} steps is "
-                             "refused: a run holds 304 bytes of records per "
-                             "step, about 80 MB at that ceiling")
+                             f"refused: a run holds {size} bytes of records "
+                             f"per step, about {size * MAX_STEPS / 1e6:.0f} "
+                             "MB at that ceiling")
     common.add_argument("--horizon", type=float, metavar="YEAR",
                         help="override the end year")
 
@@ -93,7 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", parents=[common],
         help="error metrics against history plus the stress suites")
-    validate.add_argument("--scenario", default="base", metavar="NAME")
+    validate.add_argument("--scenario", default="base", metavar="NAME",
+                          help="scenario whose parameters the stress suites "
+                               "use; its policy runs only in the "
+                               "--historical fit")
     validate.add_argument("--historical", metavar="CSV",
                           help="two-column year,value history")
     validate.add_argument("--historical-variable", metavar="NAME",

@@ -9,14 +9,16 @@ with provenance one of ``paper`` (taken from the source study), ``derived``
 implementation). Sections:
 
 * ``[clock]`` start_year, end_year, dt: the one clock of every scenario;
-* ``[parameters]`` the scalar economics, pipeline and initial state: the
-  fields of :class:`~fitsim.model.ModelParameters` that the next two
-  sections do not hold;
+* ``[parameters]`` the economics, pipeline and initial state;
 * ``[effects]`` sigmoid shapes ``<effect>_{y_max,x_50,p}`` plus
   ``penetration_gain``;
 * ``[trends]`` exogenous drivers ``<trend>_{intercept,slope,reference_year}``;
 * ``[scenario:NAME]`` one named run: a required ``policy`` id, optional
-  knob overrides, and optional parameter overrides by registry name.
+  knob overrides, and optional parameter overrides by config key.
+
+Each key of those three sections is a field of
+:class:`~fitsim.model.ModelParameters`, in the section of the group its
+name starts with (``_SECTION_OF``), else in ``[parameters]``.
 
 Unknown sections or keys are rejected. A file is laid over the packaged
 config, which must define every clock key and parameter: a clock key or
@@ -38,13 +40,7 @@ import os
 from typing import NamedTuple
 
 from .engine import ConfigurationError, SimulationClock
-from .model import (
-    ModelParameters,
-    PARAMETER_NAMES,
-    PARAMETER_PATHS,
-    apply_overrides,
-    build_parameters,
-)
+from .model import ModelParameters, PARAMETER_NAMES, apply_overrides
 from .policies import POLICY_IDS, PolicyControl, Scenario
 
 __all__ = [
@@ -62,18 +58,24 @@ PROVENANCE_SOURCES = ("paper", "derived", "assumed")
 _CLOCK_KEYS = SimulationClock._fields
 _POLICY_KEYS = tuple(name for name in PolicyControl._fields
                      if name != "policy_id")
-# the ModelParameters fields of [effects] and [trends]; [parameters] holds
-# the rest
+# the groups of ModelParameters fields in [effects] and [trends], each the
+# prefix of its fields' names; [parameters] holds the rest
 _SECTION_OF = {"social_tolerance": "effects", "investor_trust": "effects",
                "om_activity": "effects", "penetration_gain": "effects",
                "total_generation_capacity": "trends",
                "electricity_consumption": "trends"}
 _PARAMETER_SECTIONS = ("parameters", "effects", "trends")
 
+
+def _section_of(field: str) -> str:
+    return next((section for group, section in _SECTION_OF.items()
+                 if field.startswith(group)), "parameters")
+
+
 _SCALAR_SECTIONS = {
     "clock": _CLOCK_KEYS,
-    **{section: tuple(name for name, (field, *_) in PARAMETER_PATHS.items()
-                      if _SECTION_OF.get(field, "parameters") == section)
+    **{section: tuple(name for name in ModelParameters._fields
+                      if _section_of(name) == section)
        for section in _PARAMETER_SECTIONS},
 }
 
@@ -232,8 +234,8 @@ def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
                        f"{packaged.entries[section][key].value!r}")
     if packaged is None:  # the base every other file is laid over
         clock = SimulationClock(**given.pop("clock"))
-        params = build_parameters({key: value for values in given.values()
-                                   for key, value in values.items()})
+        params = ModelParameters(**{key: value for values in given.values()
+                                    for key, value in values.items()})
     else:
         clock = _in_section(packaged.clock._replace, "clock", given["clock"])
         params = packaged.params

@@ -48,8 +48,6 @@ __all__ = [
     "ConfigurationError",
     "SimulationError",
     "SimulationClock",
-    "SigmoidEffect",
-    "LinearTrend",
     "lag_indices",
     "ClampEvent",
     "RunResult",
@@ -97,21 +95,19 @@ def checked(cls):
     construction path, ``_make`` and ``_replace`` included, refuses with a
     :class:`ConfigurationError` the first field that is not an ``int`` or
     ``float`` within its bound (positive, non-negative, finite, ``[0, 1]``
-    then ``(0, 1]`` fields, each kind in declaration order), named
-    ``<record>.<field>`` if the class sets ``_qualified``, then runs the
-    class's ``_check`` if it has one: the rules over several fields or
-    non-numbers, the one-year remuneration floor and the clock's ``dt > 0``
-    (after its span test)."""
+    then ``(0, 1]`` fields, each kind in declaration order), named by the
+    field, then runs the class's ``_check`` if it has one: the rules over
+    several fields or non-numbers, the one-year remuneration floor and the
+    clock's ``dt > 0`` (after its span test)."""
     hints = get_type_hints(cls, include_extras=True)
     bounded = tuple((i, *hints[name].__metadata__[:2]) for bound in _BOUNDS
                     for i, name in enumerate(cls._fields)
                     if hints[name] == bound)
-    prefix = f"{cls.__name__}." if getattr(cls, "_qualified", False) else ""
     check, new = getattr(cls, "_check", None), cls.__new__
 
     def refusal(self, i):
         name = self._fields[i]
-        return ConfigurationError(f"{prefix}{name} must "
+        return ConfigurationError(f"{name} must "
                                   f"{hints[name].__metadata__[2]}, "
                                   f"got {self[i]}")
 
@@ -133,10 +129,9 @@ def checked(cls):
     return cls
 
 
-# the most steps a clock may take: a fitsim record is 38 doubles, so one run
-# at the ceiling holds about 80 MB of records, and a four-scenario compare
-# four times that; dt 1/8192 is the finest power of two it admits over the
-# shipped 20 years
+# the most steps a clock may take; dt 1/8192 is the finest power of two it
+# admits over the shipped 20 years. The memory of a run at the ceiling is
+# stated in the CLI's ``--dt`` help, from the width of a fitsim record
 MAX_STEPS = 2 ** 18
 
 
@@ -185,52 +180,30 @@ class SimulationClock(NamedTuple):
         return [start + dt * k for k in range(self.n_steps)] + [self.end_year]
 
 
-@checked
-class SigmoidEffect(NamedTuple):
-    """Inverted sigmoid ``y = y_max / (1 + (x / x_50) ** p)``.
+def eval_inverted_sigmoid(y_max: float, x_50: float, p: float,
+                          x: float) -> float:
+    """Inverted sigmoid ``y = y_max / (1 + (x / x_50) ** p)`` at ``x >= 0``.
 
     Hits ``y_max`` at x = 0, half of it at x = x_50, and decays toward 0
     as x grows; larger ``p`` sharpens the transition.
     """
-
-    y_max: Positive
-    x_50: Positive
-    p: Positive
-
-    _qualified = True  # a part of an effect, whose config key it cannot know
-
-    def __call__(self, x: float) -> float:
-        return eval_inverted_sigmoid(self, x)
-
-
-def eval_inverted_sigmoid(effect: SigmoidEffect, x: float) -> float:
-    """Evaluate an inverted sigmoid at ``x >= 0``."""
     if not math.isfinite(x):
         raise ValueError(f"sigmoid input must be finite, got {x}")
     if x < 0.0:
         raise ValueError(f"sigmoid input must be non-negative, got {x}")
     try:
-        grown = (x / effect.x_50) ** effect.p
+        grown = (x / x_50) ** p
     except OverflowError:
         return 0.0  # far tail; the true value underflows anyway
-    return effect.y_max / (1.0 + grown)
+    return y_max / (1.0 + grown)
 
 
-@checked
-class LinearTrend(NamedTuple):
-    """Exogenous driver ``value = intercept + slope * (t - reference_year)``."""
-
-    intercept: Finite
-    slope: Finite
-    reference_year: Finite
-
-    _qualified = True  # a part of a trend, whose config key it cannot know
-
-
-def eval_linear_trend(trend: LinearTrend, t: float) -> float:
-    """Evaluate a trend at time ``t``; the result must stay positive and
-    finite, so an overflow fails here too."""
-    value = trend.intercept + trend.slope * (t - trend.reference_year)
+def eval_linear_trend(intercept: float, slope: float, reference_year: float,
+                      t: float) -> float:
+    """Evaluate the trend ``intercept + slope * (t - reference_year)`` at
+    time ``t``; the result must stay positive and finite, so an overflow
+    fails here too."""
+    value = intercept + slope * (t - reference_year)
     if not 0.0 < value < math.inf:
         raise ConfigurationError(
             f"linear trend evaluates to {value} at t={t}; exogenous drivers "

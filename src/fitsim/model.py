@@ -35,9 +35,12 @@ perceived_shortage              dollars  first-order perception of the
 Except where noted, prices and costs are in dollars per MWh; the levy
 (``res_tax``) is in dollars per kWh and is converted at the budget boundary.
 
-``ModelParameters`` holds every parameter in one checked record: floats
-declare their bounds beside them, ranges included (see ``engine.checked``);
-``_check`` keeps only the remuneration period's one-year floor.
+``ModelParameters`` holds every parameter in one checked record, one float
+field per config key, the parts of the three effects and the two trends
+included (``investor_trust_x_50``): each field declares its bound beside it
+(see ``engine.checked``), and a refusal names the field; ``_check`` keeps
+only the remuneration period's one-year floor. ``PARAMETER_NAMES`` lists
+the fields in sorted order.
 
 Each link of the structure is a function in the table's convention,
 ``fn(params, *inputs)``: ``compute_*`` or ``allocate_payments`` where it
@@ -65,13 +68,11 @@ from .engine import (
     ClampEvent,
     ConfigurationError,
     Finite,
-    LinearTrend,
     NonNegative,
     Positive,
     PositiveShare,
     RunResult,
     Share,
-    SigmoidEffect,
     SimulationClock,
     SimulationError,
     _raise_first_non_finite,
@@ -93,7 +94,8 @@ REQUEST_LAG = 1.0  # years
 
 @checked
 class ModelParameters(NamedTuple):
-    """Everything a run needs besides the clock and the policy.
+    """Everything a run needs besides the clock and the policy, each field
+    named by its config key.
 
     Each effect is an inverted sigmoid in one pressure variable: the levy
     erodes public tolerance, the payment delay erodes investor trust, and
@@ -118,12 +120,27 @@ class ModelParameters(NamedTuple):
     initial_installed_capacity: Positive  # MW
     initial_budget: NonNegative           # dollars
     initial_suna_debt: NonNegative        # dollars
-    social_tolerance: SigmoidEffect       # x: $/kWh
-    investor_trust: SigmoidEffect         # x: years
-    om_activity: SigmoidEffect            # x: years
+    # tolerance of the levy x in $/kWh: y_max / (1 + (x / x_50) ** p)
+    social_tolerance_y_max: Positive      # multiplier
+    social_tolerance_x_50: Positive       # $/kWh
+    social_tolerance_p: Positive          # steepness
+    # investor trust under a payment delay x in years: the same sigmoid
+    investor_trust_y_max: Positive        # multiplier
+    investor_trust_x_50: Positive         # years
+    investor_trust_p: Positive            # steepness
+    # upkeep activity under a payment delay x in years: the same sigmoid
+    om_activity_y_max: Positive           # multiplier
+    om_activity_x_50: Positive            # years
+    om_activity_p: Positive               # steepness
     penetration_gain: NonNegative         # slope of acceptance in penetration
-    total_generation_capacity: LinearTrend  # MW
-    electricity_consumption: LinearTrend    # MWh/yr
+    # generation capacity in year t: intercept + slope * (t - reference_year)
+    total_generation_capacity_intercept: Finite       # MW
+    total_generation_capacity_slope: Finite           # MW/year
+    total_generation_capacity_reference_year: Finite  # year
+    # electricity consumption in year t: the same trend
+    electricity_consumption_intercept: Finite         # MWh/yr
+    electricity_consumption_slope: Finite             # MWh/yr per year
+    electricity_consumption_reference_year: Finite    # year
 
     def _check(self):
         if self.remuneration_period < 1.0:
@@ -220,7 +237,9 @@ def compute_social_acceptance(p: ModelParameters, penetration: float,
         raise ValueError(
             f"penetration must lie in [0, 1], got {penetration}")
     base = 1.0 + p.penetration_gain * penetration
-    return base * eval_inverted_sigmoid(p.social_tolerance, res_tax)
+    return base * eval_inverted_sigmoid(
+        p.social_tolerance_y_max, p.social_tolerance_x_50,
+        p.social_tolerance_p, res_tax)
 
 
 def allocate_payments(p: ModelParameters, budget: float, suna_debt: float,
@@ -273,9 +292,12 @@ class Link(NamedTuple):
 # loops in it.
 LINKS: tuple[Link, ...] = (
     Link("total_generation_capacity", ("t",), lambda p, t: eval_linear_trend(
-        p.total_generation_capacity, t)),
+        p.total_generation_capacity_intercept,
+        p.total_generation_capacity_slope,
+        p.total_generation_capacity_reference_year, t)),
     Link("electricity_consumption", ("t",), lambda p, t: eval_linear_trend(
-        p.electricity_consumption, t)),
+        p.electricity_consumption_intercept, p.electricity_consumption_slope,
+        p.electricity_consumption_reference_year, t)),
     Link("cumulative_installed_capacity",
          ("installed_capacity", "depreciated_capacity"),
          lambda p, installed, depreciated: installed + depreciated),
@@ -308,7 +330,9 @@ LINKS: tuple[Link, ...] = (
     Link("social_acceptance", ("penetration_rate", "res_tax"),
          compute_social_acceptance),
     Link("investor_trust", ("delay_in_debt_payment",),
-         lambda p, delay: eval_inverted_sigmoid(p.investor_trust, delay)),
+         lambda p, delay: eval_inverted_sigmoid(
+             p.investor_trust_y_max, p.investor_trust_x_50,
+             p.investor_trust_p, delay)),
     Link("tendency_to_invest",
          ("roi", "social_acceptance", "investor_trust"),
          lambda p, roi, acceptance, trust: max(0.0, roi) * acceptance
@@ -322,7 +346,9 @@ LINKS: tuple[Link, ...] = (
     Link("construction_rate", ("approved_fit_requests",),
          lambda p, approved: approved / p.time_to_build),
     Link("om_activity", ("delay_in_debt_payment",),
-         lambda p, delay: eval_inverted_sigmoid(p.om_activity, delay)),
+         lambda p, delay: eval_inverted_sigmoid(
+             p.om_activity_y_max, p.om_activity_x_50, p.om_activity_p,
+             delay)),
     Link("effective_lifetime", ("om_activity",),
          lambda p, activity: max(
              MINIMUM_LIFETIME, p.normal_equipment_lifetime * activity)),
@@ -371,71 +397,26 @@ RATES: tuple[Link, ...] = (
 )
 
 
-# === parameter registry (config keys and sensitivity targets) ===
+# === parameter names (config keys and sensitivity targets) ===
 
-def _registry() -> dict[str, tuple[str, ...]]:
-    """Flat name -> attribute path of every scalar in ``ModelParameters``.
-
-    A scalar keeps its field's name and path (``capacity_target``); a part
-    of a sigmoid or trend is ``<field>_<part>`` at ``(field, part)``
-    (``investor_trust_x_50``). Fields and parts keep declaration order.
-    """
-    names: dict[str, tuple[str, ...]] = {}
-    for field, kind in ModelParameters.__annotations__.items():
-        if not hasattr(kind, "_fields"):  # a scalar
-            names[field] = (field,)
-            continue
-        for part in kind._fields:
-            names[f"{field}_{part}"] = (field, part)
-    return names
-
-
-# built once; the config sorts these names into its [parameters], [effects]
-# and [trends] sections
-PARAMETER_PATHS: dict[str, tuple[str, ...]] = _registry()
-PARAMETER_NAMES: tuple[str, ...] = tuple(sorted(PARAMETER_PATHS))
-
-
-def build_parameters(values: dict[str, float]) -> ModelParameters:
-    """Parameters from a value for every name of ``PARAMETER_NAMES``: once
-    per config parse, while runs change theirs by ``apply_overrides``."""
-    return ModelParameters(**{
-        field: kind(**{part: values[f"{field}_{part}"]
-                       for part in kind._fields})
-        if hasattr(kind, "_fields") else values[field]
-        for field, kind in ModelParameters.__annotations__.items()})
-
-
-def _path(name: str) -> tuple[str, ...]:
-    path = PARAMETER_PATHS.get(name)
-    if path is None:
-        raise ConfigurationError(f"unknown parameter {name!r}")
-    return path
+PARAMETER_NAMES: tuple[str, ...] = tuple(sorted(ModelParameters._fields))
 
 
 def get_parameter(params: ModelParameters, name: str) -> float:
     """Current value of a named parameter (see ``PARAMETER_NAMES``)."""
-    obj = params
-    for attr in _path(name):
-        obj = getattr(obj, attr)
-    return obj
+    if name not in ModelParameters._fields:
+        raise ConfigurationError(f"unknown parameter {name!r}")
+    return getattr(params, name)
 
 
 def apply_overrides(params: ModelParameters,
                     overrides: dict[str, float]) -> ModelParameters:
-    """Functional update of named parameters; unknown names are rejected.
-    A refused part of a sigmoid or trend is named before a refused scalar."""
-    changes: dict = {}
-    parts: dict[str, dict[str, float]] = {}  # field -> part -> value
-    for name, value in overrides.items():
-        field, *part = _path(name)
-        if part:
-            parts.setdefault(field, {})[part[0]] = value
-        else:
-            changes[field] = value
-    for field, values in parts.items():
-        changes[field] = getattr(params, field)._replace(**values)
-    return params._replace(**changes)
+    """Functional update of named parameters; unknown names are rejected
+    before any value is checked."""
+    for name in overrides:
+        if name not in ModelParameters._fields:
+            raise ConfigurationError(f"unknown parameter {name!r}")
+    return params._replace(**overrides)
 
 
 # === the wired model ===
@@ -519,25 +500,24 @@ class FitModel:
     def begin_run(self, clock: SimulationClock) -> None:
         """Reject a clock the run cannot complete, before the first step.
 
-        A linear trend is monotone in ``t``, in floating point too, so one
-        positive and finite at ``start_year`` and ``end_year``, the first
-        and last record times, is so at every step, and a bad trend fails
-        here. So does a step too coarse for the request lag: step 1 reads
+        The entries of ``LINKS`` that read only ``t`` are the linear trends,
+        each monotone in ``t``, in floating point too, so one positive and
+        finite at ``start_year`` and ``end_year``, the first and last record
+        times, is so at every step, and a bad trend fails here, named by its
+        link. So does a step too coarse for the request lag: step 1 reads
         one lag back, where only step 0 is recorded, and that target may lie
         at most half a lag past step 0, so ``dt`` may be at most 1.5 lags.
         The test is made on the first two record times in floating point,
         so a rounding that puts step 1 past the bound is refused too.
         """
-        params = self.params
-        start = clock.start_year
-        for name, trend in zip(params._fields, params):
-            if not isinstance(trend, LinearTrend):
+        for link in LINKS:
+            if link.inputs != ("t",):
                 continue
-            for year in (start, clock.end_year):
+            for year in (clock.start_year, clock.end_year):
                 try:
-                    eval_linear_trend(trend, year)
+                    link.fn(self.params, year)
                 except ConfigurationError as exc:
-                    raise ConfigurationError(f"{name}: {exc}") from None
+                    raise ConfigurationError(f"{link.name}: {exc}") from None
         lag = REQUEST_LAG
         times = record_grid(clock)[0]
         if times[1] - lag > times[0] + 0.5 * lag:
@@ -568,8 +548,12 @@ class FitModel:
         """
         self.begin_run(clock)
         p = self.params
-        gen_intercept, gen_slope, gen_year = p.total_generation_capacity
-        use_intercept, use_slope, use_year = p.electricity_consumption
+        gen_intercept = p.total_generation_capacity_intercept
+        gen_slope = p.total_generation_capacity_slope
+        gen_year = p.total_generation_capacity_reference_year
+        use_intercept = p.electricity_consumption_intercept
+        use_slope = p.electricity_consumption_slope
+        use_year = p.electricity_consumption_reference_year
         initial_installed = p.initial_installed_capacity
         initial_cost = p.initial_capital_cost
         learning = -p.learning_exponent
@@ -580,9 +564,13 @@ class FitModel:
         annuity = annuity_factor(p.interest_rate, p.remuneration_period)
         capacity_factor = p.capacity_factor
         gain = p.penetration_gain
-        base_tolerance = p.social_tolerance(base_tax)
-        trust_max, trust_x50, trust_p = p.investor_trust
-        om_max, om_x50, om_p = p.om_activity
+        tolerance_curve = (p.social_tolerance_y_max, p.social_tolerance_x_50,
+                           p.social_tolerance_p)
+        base_tolerance = eval_inverted_sigmoid(*tolerance_curve, base_tax)
+        trust_max, trust_x50, trust_p = (
+            p.investor_trust_y_max, p.investor_trust_x_50, p.investor_trust_p)
+        om_max, om_x50, om_p = (
+            p.om_activity_y_max, p.om_activity_x_50, p.om_activity_p)
         approval = 1.0 - p.rejection_fraction
         build_time = p.time_to_build
         normal_lifetime = p.normal_equipment_lifetime
@@ -676,7 +664,7 @@ class FitModel:
             else:
                 if not 0.0 <= res_tax < inf:
                     _refuse(p, "social_acceptance", t, penetration, res_tax)
-                tolerance = eval_inverted_sigmoid(p.social_tolerance, res_tax)
+                tolerance = eval_inverted_sigmoid(*tolerance_curve, res_tax)
             acceptance = (1.0 + gain * penetration) * tolerance
             if not 0.0 <= delay < inf:
                 _refuse(p, "investor_trust", t, delay)

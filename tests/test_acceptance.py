@@ -12,6 +12,7 @@ import numpy as np
 from fitsim import (
     FitModel,
     annuity_factor,
+    eval_inverted_sigmoid,
     extreme_condition_suite,
     qualitative_checks,
     run_scenario_suite,
@@ -120,14 +121,17 @@ def test_criterion_02_sigmoid_battery(default_params):
     start = time.perf_counter()
     rng = np.random.default_rng(20150101)
     ok = True
-    for effect in (default_params.social_tolerance,
-                   default_params.investor_trust, default_params.om_activity):
-        ok = ok and _close(effect(0.0), effect.y_max)
-        ok = ok and _close(effect(effect.x_50), effect.y_max / 2.0)
-        x = np.sort(rng.uniform(0.0, 10.0 * effect.x_50, size=1200))
-        y = np.array([effect(float(v)) for v in x])
+    for name in ("social_tolerance", "investor_trust", "om_activity"):
+        y_max, x_50, p = (getattr(default_params, f"{name}_{part}")
+                          for part in ("y_max", "x_50", "p"))
+        ok = ok and _close(eval_inverted_sigmoid(y_max, x_50, p, 0.0), y_max)
+        ok = ok and _close(eval_inverted_sigmoid(y_max, x_50, p, x_50),
+                           y_max / 2.0)
+        x = np.sort(rng.uniform(0.0, 10.0 * x_50, size=1200))
+        y = np.array([eval_inverted_sigmoid(y_max, x_50, p, float(v))
+                      for v in x])
         ok = ok and bool(np.all(np.diff(y) <= 0.0))
-        ok = ok and bool(np.all((y >= 0.0) & (y <= effect.y_max)))
+        ok = ok and bool(np.all((y >= 0.0) & (y <= y_max)))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     _verdict(2, ok, "all three response curves anchor at y_max and "

@@ -76,7 +76,7 @@ def test_run_refuses_a_config_with_a_non_finite_trend(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr() == (
         "", "error: [trends] electricity_consumption_slope: "
-            "LinearTrend.slope must be finite, got nan\n")
+            "electricity_consumption_slope must be finite, got nan\n")
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "validate"])

@@ -108,8 +108,8 @@ def test_a_non_finite_trend_value_is_refused(trend, part, value):
         f"{key} = {value} ; assumed\n" if line.startswith(f"{key} =")
         else line for line in default_config_text().splitlines(True))
     with pytest.raises(ConfigurationError,
-                       match=rf"^\[trends\] {key}: "
-                             rf"LinearTrend.{part} must be finite, got "):
+                       match=rf"^\[trends\] {key}: {key} must be finite, "
+                             rf"got "):
         parse_config(text)
 
 
@@ -125,17 +125,19 @@ def refusing_config(section: str, key: str, value: str) -> str:
         else line for line in text.splitlines(True))
 
 
-# (section, key, value, what the record check says about the value)
+# (section, key, value, what the parse or the record check says about the
+# value)
 REFUSED_VALUES = [
     ("trends", "electricity_consumption_slope", "nan",
-     "LinearTrend.slope must be finite, got nan"),
+     "electricity_consumption_slope must be finite, got nan"),
     ("effects", "social_tolerance_x_50", "-1",
-     "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
+     "social_tolerance_x_50 must be positive and finite, got -1.0"),
     ("scenario:a", "social_tolerance_x_50", "-1",
-     "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
+     "social_tolerance_x_50 must be positive and finite, got -1.0"),
     ("clock", "dt", "-1", "dt must be positive, got -1.0"),
     ("scenario:a", "tax_floor", "-1",
      "tax_floor must be non-negative and finite, got -1.0"),
+    ("parameters", "om_cost", "", "empty value"),
 ]
 
 
@@ -183,11 +185,12 @@ PLACED_REFUSALS = {
         "penetration_gain = -1 ; assumed\ncapacity_factor = 0 ; assumed\n",
         "[scenario:a] capacity_factor: capacity_factor must be positive and "
         "finite, got 0.0"),
-    # a sigmoid part is refused before any scalar
+    # a sigmoid part is a positive field like any other: of two, the one
+    # declared first is refused
     "scenario economics and effect part": (
         MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
         "capacity_factor = 0 ; assumed\ninvestor_trust_p = 0 ; assumed\n",
-        "[scenario:a] investor_trust_p: SigmoidEffect.p must be positive and "
+        "[scenario:a] capacity_factor: capacity_factor must be positive and "
         "finite, got 0.0"),
     # a scenario's name becomes a CSV and SVG field and a file name
     "scenario name markup": (
@@ -287,7 +290,7 @@ def test_parameter_overrides_reach_the_model():
             "[trends]\nelectricity_consumption_slope = 4e6 ; assumed\n")
     params = parse_config(text).params
     assert params.initial_fit_price == 25.0
-    assert params.electricity_consumption.slope == 4e6
+    assert params.electricity_consumption_slope == 4e6
 
 
 def test_scenario_requires_a_policy():

@@ -11,13 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from fitsim import (
     ClampEvent,
     ConfigurationError,
-    LinearTrend,
-    SigmoidEffect,
     SimulationClock,
     SimulationError,
+    apply_overrides,
     eval_inverted_sigmoid,
     eval_linear_trend,
     lag_indices,
+    load_default_config,
 )
 from fitsim.engine import MAX_STEPS
 from engine_reference import run_simulation
@@ -98,88 +98,90 @@ def test_clock_refuses_a_step_count_over_the_ceiling():
 
 # === inverted sigmoid ===
 
+# (y_max, x_50, p) of the shipped tolerance, trust and activity curves
+EFFECTS = [(1.0, 0.05, 7.0), (1.0, 5.0, 4.0), (1.0, 5.0, 6.0)]
+
+
 def test_sigmoid_fixture_values():
-    tolerance = SigmoidEffect(1.0, 0.05, 7.0)
+    tolerance = (1.0, 0.05, 7.0)
     # doubling the halfway input with p=7 gives 1/(1+2^7)
-    assert eval_inverted_sigmoid(tolerance, 0.1) == pytest.approx(1.0 / 129.0,
-                                                                  rel=1e-12)
-    assert eval_inverted_sigmoid(tolerance, 0.05) == pytest.approx(0.5,
-                                                                   rel=1e-12)
-    assert eval_inverted_sigmoid(tolerance, 0.0) == 1.0
+    assert eval_inverted_sigmoid(*tolerance, 0.1) == pytest.approx(
+        1.0 / 129.0, rel=1e-12)
+    assert eval_inverted_sigmoid(*tolerance, 0.05) == pytest.approx(
+        0.5, rel=1e-12)
+    assert eval_inverted_sigmoid(*tolerance, 0.0) == 1.0
 
 
-@pytest.mark.parametrize("effect", [
-    SigmoidEffect(1.0, 0.05, 7.0),
-    SigmoidEffect(1.0, 5.0, 4.0),
-    SigmoidEffect(1.0, 5.0, 6.0),
-])
+@pytest.mark.parametrize("effect", EFFECTS)
 def test_sigmoid_anchors(effect):
-    assert eval_inverted_sigmoid(effect, 0.0) == effect.y_max
-    assert eval_inverted_sigmoid(effect, effect.x_50) == pytest.approx(
-        effect.y_max / 2.0, rel=1e-12)
+    y_max, x_50, _ = effect
+    assert eval_inverted_sigmoid(*effect, 0.0) == y_max
+    assert eval_inverted_sigmoid(*effect, x_50) == pytest.approx(
+        y_max / 2.0, rel=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=1e6),
        st.floats(min_value=0.0, max_value=1e6))
 def test_sigmoid_monotone_decreasing(x1, x2):
-    effect = SigmoidEffect(1.0, 5.0, 4.0)
+    effect = (1.0, 5.0, 4.0)
     lo, hi = sorted((x1, x2))
-    assert eval_inverted_sigmoid(effect, lo) >= eval_inverted_sigmoid(effect, hi)
+    assert (eval_inverted_sigmoid(*effect, lo)
+            >= eval_inverted_sigmoid(*effect, hi))
 
 
 def test_sigmoid_random_points_bounded_and_ordered():
     rng = np.random.default_rng(42)
-    for effect in (SigmoidEffect(1.0, 0.05, 7.0), SigmoidEffect(1.0, 5.0, 4.0),
-                   SigmoidEffect(1.0, 5.0, 6.0)):
-        xs = np.sort(rng.uniform(0.0, 100.0 * effect.x_50, size=500))
-        ys = np.array([eval_inverted_sigmoid(effect, float(x)) for x in xs])
-        assert np.all(ys <= effect.y_max) and np.all(ys >= 0.0)
+    for effect in EFFECTS:
+        y_max, x_50, _ = effect
+        xs = np.sort(rng.uniform(0.0, 100.0 * x_50, size=500))
+        ys = np.array([eval_inverted_sigmoid(*effect, float(x)) for x in xs])
+        assert np.all(ys <= y_max) and np.all(ys >= 0.0)
         assert np.all(np.diff(ys) <= 1e-15)
 
 
 def test_sigmoid_far_tail_underflows_to_zero():
-    effect = SigmoidEffect(1.0, 1.0, 1000.0)
-    assert eval_inverted_sigmoid(effect, 2.5) == 0.0
+    assert eval_inverted_sigmoid(1.0, 1.0, 1000.0, 2.5) == 0.0
 
 
 def test_sigmoid_rejects_bad_inputs():
-    effect = SigmoidEffect(1.0, 5.0, 4.0)
+    effect = (1.0, 5.0, 4.0)
     with pytest.raises(ValueError):
-        eval_inverted_sigmoid(effect, -1.0)
+        eval_inverted_sigmoid(*effect, -1.0)
     with pytest.raises(ValueError):
-        eval_inverted_sigmoid(effect, math.nan)
+        eval_inverted_sigmoid(*effect, math.nan)
+    # the parameter record refuses a curve's bad parts
+    params = load_default_config().params
     with pytest.raises(ConfigurationError):
-        SigmoidEffect(1.0, 0.0, 4.0)
+        apply_overrides(params, {"investor_trust_x_50": 0.0})
     with pytest.raises(ConfigurationError):
-        SigmoidEffect(-1.0, 5.0, 4.0)
+        apply_overrides(params, {"investor_trust_y_max": -1.0})
 
 
-def test_sigmoid_effect_is_callable():
-    effect = SigmoidEffect(2.0, 5.0, 4.0)
-    assert effect(5.0) == pytest.approx(1.0)
+def test_sigmoid_scales_with_y_max():
+    assert eval_inverted_sigmoid(2.0, 5.0, 4.0, 5.0) == pytest.approx(1.0)
 
 
 # === linear trend ===
 
 def test_linear_trend_evaluation():
-    trend = LinearTrend(74000.0, 1700.0, reference_year=2015.0)
-    assert eval_linear_trend(trend, 2015.0) == 74000.0
-    assert eval_linear_trend(trend, 2020.0) == pytest.approx(82500.0)
+    trend = (74000.0, 1700.0, 2015.0)
+    assert eval_linear_trend(*trend, 2015.0) == 74000.0
+    assert eval_linear_trend(*trend, 2020.0) == pytest.approx(82500.0)
 
 
 def test_linear_trend_must_stay_positive():
-    trend = LinearTrend(100.0, -10.0, reference_year=2015.0)
-    assert eval_linear_trend(trend, 2020.0) == pytest.approx(50.0)
+    trend = (100.0, -10.0, 2015.0)
+    assert eval_linear_trend(*trend, 2020.0) == pytest.approx(50.0)
     with pytest.raises(ConfigurationError):
-        eval_linear_trend(trend, 2030.0)
+        eval_linear_trend(*trend, 2030.0)
 
 
 def test_linear_trend_must_stay_finite():
-    # finite fields whose value overflows at one end of the window
-    trend = LinearTrend(1e308, 1e308, reference_year=2015.0)
-    assert eval_linear_trend(trend, 2015.0) == 1e308
+    # finite parts whose value overflows at one end of the window
+    trend = (1e308, 1e308, 2015.0)
+    assert eval_linear_trend(*trend, 2015.0) == 1e308
     with pytest.raises(ConfigurationError, match="evaluates to inf"):
-        eval_linear_trend(trend, 2020.0)
+        eval_linear_trend(*trend, 2020.0)
 
 
 # === lag indices ===

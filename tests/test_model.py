@@ -36,6 +36,7 @@ from fitsim import (
 from fitsim.cli import main
 from fitsim.model import (
     LINKS,
+    ModelParameters,
     RATES,
     REQUEST_LAG,
     PriceTaxOverrides,
@@ -316,10 +317,12 @@ def test_desired_payment_uses_contracted_average_not_current_price():
     assert out["fit_payment_inflow"] == pytest.approx(production * 5.0)
 
 
-# === parameter registry ===
+# === parameter names ===
 
 def test_registry_round_trip():
     params = PACKAGED
+    # one name per parameter: its field in the record and its config key
+    assert PARAMETER_NAMES == tuple(sorted(ModelParameters._fields))
     assert "initial_fit_price" in PARAMETER_NAMES
     assert "investor_trust_x_50" in PARAMETER_NAMES
     assert "electricity_consumption_slope" in PARAMETER_NAMES
@@ -342,6 +345,11 @@ def test_registry_rejects_unknown_names():
         get_parameter(PACKAGED, "not_a_parameter")
     with pytest.raises(ConfigurationError):
         apply_overrides(PACKAGED, {"not_a_parameter": 1.0})
+    # an unknown name is refused before any value is checked
+    with pytest.raises(ConfigurationError,
+                       match=r"^unknown parameter 'not_a_parameter'$"):
+        apply_overrides(PACKAGED, {"capacity_factor": -1.0,
+                                   "not_a_parameter": 1.0})
 
 
 def test_parameter_validation_catches_bad_values():

@@ -22,12 +22,10 @@ import fitsim.model
 import fitsim.policies
 from fitsim import (
     ConfigurationError,
-    LinearTrend,
     ModelParameters,
     PolicyControl,
     PriceTaxOverrides,
     Scenario,
-    SigmoidEffect,
     SimulationClock,
     apply_overrides,
     load_default_config,
@@ -41,10 +39,10 @@ CLOCK = SimulationClock(2015.0, 2035.0, 0.25)
 # (a valid record, the field given a bad value, the value, the message)
 CHECKED = [
     (CLOCK, "dt", 0.0, "dt must be positive, got 0.0"),
-    (SigmoidEffect(1.0, 0.5, 2.0), "x_50", -1.0,
-     "SigmoidEffect.x_50 must be positive and finite, got -1.0"),
-    (LinearTrend(100.0, 10.0, 2015.0), "slope", float("inf"),
-     "LinearTrend.slope must be finite, got inf"),
+    (PACKAGED, "social_tolerance_x_50", -1.0,
+     "social_tolerance_x_50 must be positive and finite, got -1.0"),
+    (PACKAGED, "electricity_consumption_slope", float("inf"),
+     "electricity_consumption_slope must be finite, got inf"),
     (PACKAGED, "rejection_fraction", 1.5,
      "rejection_fraction must lie in [0, 1], got 1.5"),
     (PACKAGED, "penetration_gain", -1.0,
@@ -125,8 +123,6 @@ OUTSIDE = {Positive: [0.0, -1.0, *NOT_FINITE],
            Finite: NOT_FINITE,
            Share: [-1.0, 1.5, *NOT_FINITE],
            PositiveShare: [0.0, -0.0, -1.0, 1.5, *NOT_FINITE]}
-# a record whose fields are parts of a config key names itself too
-QUALIFIED = (SigmoidEffect, LinearTrend)
 
 
 def bounds(kind):
@@ -144,9 +140,8 @@ BOUNDED = [(record, field, bound) for record in RECORDS
     "record, field, bound", BOUNDED,
     ids=[f"{type(record).__name__}.{field}" for record, field, _ in BOUNDED])
 def test_every_bounded_field_is_refused_by_name(record, field, bound):
-    prefix = f"{type(record).__name__}." if type(record) in QUALIFIED else ""
     for value in OUTSIDE[bound]:
-        message = f"{prefix}{field} must {BOUND_WORDS[bound]}, got {value}"
+        message = f"{field} must {BOUND_WORDS[bound]}, got {value}"
         for path, build in build_paths(record, field, value).items():
             with pytest.raises(ConfigurationError) as raised:
                 build()
@@ -199,6 +194,14 @@ def test_the_first_refused_kind_then_field_is_named():
         (lambda: ModelParameters(**{**params, "fit_price_floor": 0.0,
                                     "rejection_fraction": 1.5}),
          "rejection_fraction must lie in [0, 1], got 1.5"),
+        # a part of a curve is a field like any other
+        (lambda: ModelParameters(**{**params, "investor_trust_p": 0.0,
+                                    "capacity_factor": 0.0}),
+         "capacity_factor must be positive and finite, got 0.0"),
+        (lambda: ModelParameters(**{**params, "penetration_gain": -1.0,
+                                    "total_generation_capacity_slope":
+                                    math.nan}),
+         "penetration_gain must be non-negative and finite, got -1.0"),
     ]
     for build, message in cases:
         with pytest.raises(ConfigurationError) as raised:
@@ -215,12 +218,7 @@ UNBOUNDED = {
     "Scenario.name": "any label",
     "Scenario.overrides": "a mapping, tested by _check; apply_overrides "
                           "checks its values",
-    # nested records, which check their own fields
-    "ModelParameters.social_tolerance": "a SigmoidEffect",
-    "ModelParameters.investor_trust": "a SigmoidEffect",
-    "ModelParameters.om_activity": "a SigmoidEffect",
-    "ModelParameters.total_generation_capacity": "a LinearTrend",
-    "ModelParameters.electricity_consumption": "a LinearTrend",
+    # a nested record, which checks its own fields
     "Scenario.policy": "a PolicyControl",
 }
 
@@ -273,7 +271,7 @@ def test_apply_overrides_runs_the_group_checks():
                              r"got 1\.5$"):
         apply_overrides(PACKAGED, {"rejection_fraction": 1.5})
     with pytest.raises(ConfigurationError,
-                       match=r"^SigmoidEffect\.p must be positive"):
+                       match=r"^investor_trust_p must be positive"):
         apply_overrides(PACKAGED, {"investor_trust_p": 0.0})
     with pytest.raises(ConfigurationError,
                        match=r"^om_cost must be non-negative and finite, "

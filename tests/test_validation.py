@@ -36,6 +36,7 @@ from fitsim.validation import (
     calibration_story,
     load_series_csv,
     margin_above,
+    margin_below,
     peak_decline_margin,
     policy_tendencies,
     step_halving,
@@ -64,6 +65,11 @@ def test_error_metrics_hand_computed_fixture():
     assert report.r_squared == pytest.approx(1.0 - 1.25 / sst, rel=1e-12)
     assert (report.theil_um + report.theil_us
             + report.theil_uc) == pytest.approx(1.0, abs=1e-12)
+    # a constant simulation has no co-movement with the history
+    report = error_metrics([5.0] * 3, [4.0, 6.0, 7.0])
+    assert report.theil_uc == 0.0
+    assert (report.theil_um + report.theil_us
+            + report.theil_uc) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_error_metrics_input_guards():
@@ -82,6 +88,8 @@ def test_error_metrics_input_guards():
     # three 0.1s average to 0.10000000000000002, not to 0.1
     with pytest.raises(ValueError):
         error_metrics([0.2, 0.3, 0.1], [0.1, 0.1, 0.1])
+    with pytest.raises(ValueError, match="^series must be one-dimensional$"):
+        error_metrics([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
 
 
 @pytest.mark.parametrize("simulated, historical, message", [
@@ -435,21 +443,14 @@ def all_findings(doc, clock, params=None, perturbations=TABLE_PERTURBATIONS):
             + sensitivity_suite(params, perturbations, clock=clock))
 
 
-def disagreements(findings):
-    return [f"{finding} (margin {finding.margin!r})" for finding in findings
-            if finding.passed != (finding.margin > 0.0)]
-
-
 @pytest.mark.parametrize("dt", [0.25, 0.1, 1.0 / 64.0])
-def test_each_shipped_finding_passes_exactly_when_its_margin_is_positive(
-        default_doc, dt):
+def test_the_twelve_shipped_findings_pass_at_three_grids(default_doc, dt):
     findings = all_findings(default_doc, default_doc.clock._replace(dt=dt))
     assert len(findings) == 12
     assert all(finding.passed for finding in findings)
-    assert not disagreements(findings)
 
 
-def test_margins_agree_with_verdicts_across_the_assumed_box(default_doc):
+def test_the_assumed_box_reaches_failing_findings(default_doc):
     # 50 seeded draws of the +-20% box around every assumed model parameter
     keys = default_doc.assumed_keys
     rng = random.Random(2026)
@@ -459,32 +460,33 @@ def test_margins_agree_with_verdicts_across_the_assumed_box(default_doc):
             key: get_parameter(default_doc.params, key)
             * (1.0 + rng.uniform(-0.2, 0.2)) for key in keys})
         findings = all_findings(default_doc, default_doc.clock, params)
-        assert not disagreements(findings)
         failed |= {finding.name for finding in findings if not finding.passed}
     assert failed  # the box reaches failing verdicts too
 
 
-def test_margins_agree_with_verdicts_where_checks_fail(default_doc):
+def test_the_checks_fail_where_they_should(default_doc):
     short = SimulationClock(2015.0, 2020.0, 0.25)
     # no run reaches the 5000 MW target by 2020
     findings = all_findings(default_doc, short)
     target = next(finding for finding in findings
                   if finding.name == "p1_reaches_target_first")
     assert not target.passed and target.margin < 0.0
-    assert not disagreements(findings)
     # a gutted tariff is out of band: a flag that cannot fail
     findings = all_findings(default_doc, default_doc.clock,
                             perturbations=PerturbationSet(
                                 (("initial_fit_price", -0.9),)))
     assert findings[-1].name == "sensitivity_out_of_band"
     assert findings[-1].margin == math.inf
-    assert not disagreements(findings)
-    # a lower target, and no perturbation at all
-    doc = parse_config(default_config_text().replace(
-        "capacity_target = 5000.0 ;", "capacity_target = 4000.0 ;"))
-    assert not disagreements(all_findings(doc, doc.clock))
-    assert not disagreements(all_findings(default_doc, default_doc.clock,
-                                          perturbations=PerturbationSet(())))
+    # an inherited debt makes the one-year fund dip after its first year:
+    # the fund must grow step by step, so the finding fails although the
+    # fund ends higher
+    params = apply_overrides(default_doc.params, {"initial_suna_debt": 5e8})
+    grows = next(finding for finding in extreme_condition_suite(
+        params, default_doc.clock)
+        if finding.name == "remuneration_1yr_budget_grows")
+    assert grows.detail == ("budget 2.28e+08 -> 3.98e+08, monotone after "
+                            "year 1: False")
+    assert grows.margin == pytest.approx(-0.0413, abs=1e-4)
 
 
 @pytest.mark.parametrize("margin, status", [
@@ -520,6 +522,9 @@ def test_orderings_near_zero_count_against_the_floor():
     assert margin_above(2.0, 1.0) == 0.5
     assert margin_above(2.0, 1.0, floor=10.0) == 0.1
     assert margin_above(0.0, 0.0) == 0.0
+    # a bound at or below zero has no scale: the margin is its sign
+    assert margin_below(0.5, 0.0) == -1.0
+    assert margin_below(-1.0, -0.5) == 1.0
 
 
 # === the findings of criteria 05, 06 and 09 on constructed runs ===
@@ -577,7 +582,6 @@ def test_calibration_story_fails_each_finding_alone(name, column, corners):
         for key, value in STORY.items()}))
     assert [finding.name for finding in findings if not finding.passed] == [
         name]
-    assert not disagreements(findings)
 
 
 def tendencies(p3_end: float, p1_end: float):
@@ -595,7 +599,6 @@ def test_policy_tendencies_pass_and_fail_apart():
         assert len(findings) == 2
         assert [finding.name for finding in findings
                 if not finding.passed] == failed
-        assert not disagreements(findings)
 
 
 def test_step_halving_reads_every_accounted_stock_at_the_coarse_records():
