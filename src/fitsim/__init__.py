@@ -33,7 +33,6 @@ from .model import (
 from .policies import (
     POLICY_IDS,
     ComparisonReport,
-    PolicyControl,
     Scenario,
     apply_policy,
     make_policy_fn,

@@ -6,30 +6,29 @@ Every value line carries a marker saying where the number comes from::
 
 with provenance one of ``paper`` (taken from the source study), ``derived``
 (computed from other values), or ``assumed`` (an engineering choice of this
-implementation). Sections:
+implementation). Each section builds one record, and each of its keys is
+a field of that record under the same name:
 
-* ``[clock]`` start_year, end_year, dt: the one clock of every scenario;
-* ``[parameters]`` the economics, pipeline and initial state;
-* ``[effects]`` sigmoid shapes ``<effect>_{y_max,x_50,p}`` plus
-  ``penetration_gain``;
-* ``[trends]`` exogenous drivers ``<trend>_{intercept,slope,reference_year}``;
-* ``[scenario:NAME]`` one named run: a required ``policy`` id, optional
-  knob overrides, and optional parameter overrides by config key.
-
-Each key of those three sections is a field of
-:class:`~fitsim.model.ModelParameters`, in the section of the group its
-name starts with (``_SECTION_OF``), else in ``[parameters]``.
+* ``[clock]`` start_year, end_year, dt: the one clock of every scenario,
+  a :class:`~fitsim.engine.SimulationClock`;
+* ``[parameters]`` every model parameter, a
+  :class:`~fitsim.model.ModelParameters`: the economics, pipeline and
+  initial state, the response curves and the exogenous trends;
+* ``[scenario:NAME]`` one named run, a :class:`~fitsim.policies.Scenario`:
+  a required ``policy`` id and optional knobs, its fields, while its
+  other keys are parameter overrides, its ``overrides``.
 
 Unknown sections or keys are rejected. A file is laid over the packaged
 config, which must define every clock key and parameter: a clock key or
 parameter left out keeps the packaged value, and each such fallback is
-logged. A knob left out takes ``PolicyControl``'s neutral default,
-unlogged. A clock value, parameter or knob that its record refuses, in
-any section, fails the parse. The refusal is named by the section and
-key of the first value that, laid alone over the same record, is refused
-in the same words, or else by its section alone, for only several values
-together are refused; the CLI names a refused ``--dt`` or ``--horizon``
-by its flag in the same way. Full line comments start with ``#``; the
+logged. A knob left out takes ``Scenario``'s neutral default, unlogged.
+A clock value, parameter, policy or knob that its record refuses, in any
+section, fails the parse. The refusal is named by the section and key of
+the first value that, laid alone over the same record, is refused in the
+same words, or else by its section alone, for only several values
+together are refused, as is a knob of another policy or a refused
+scenario name; the CLI names a refused ``--dt`` or ``--horizon`` by its
+flag in the same way. Full line comments start with ``#``; the
 ``;`` is reserved for provenance.
 """
 
@@ -41,7 +40,7 @@ from typing import NamedTuple
 
 from .engine import ConfigurationError, SimulationClock
 from .model import ModelParameters, PARAMETER_NAMES, apply_overrides
-from .policies import POLICY_IDS, PolicyControl, Scenario
+from .policies import POLICY_IDS, Scenario
 
 __all__ = [
     "PROVENANCE_SOURCES",
@@ -55,29 +54,8 @@ __all__ = [
 
 PROVENANCE_SOURCES = ("paper", "derived", "assumed")
 
-_CLOCK_KEYS = SimulationClock._fields
-_POLICY_KEYS = tuple(name for name in PolicyControl._fields
-                     if name != "policy_id")
-# the groups of ModelParameters fields in [effects] and [trends], each the
-# prefix of its fields' names; [parameters] holds the rest
-_SECTION_OF = {"social_tolerance": "effects", "investor_trust": "effects",
-               "om_activity": "effects", "penetration_gain": "effects",
-               "total_generation_capacity": "trends",
-               "electricity_consumption": "trends"}
-_PARAMETER_SECTIONS = ("parameters", "effects", "trends")
-
-
-def _section_of(field: str) -> str:
-    return next((section for group, section in _SECTION_OF.items()
-                 if field.startswith(group)), "parameters")
-
-
-_SCALAR_SECTIONS = {
-    "clock": _CLOCK_KEYS,
-    **{section: tuple(name for name in ModelParameters._fields
-                      if _section_of(name) == section)
-       for section in _PARAMETER_SECTIONS},
-}
+_SCALAR_SECTIONS = {"clock": SimulationClock._fields,
+                    "parameters": ModelParameters._fields}
 
 
 class ConfigEntry(NamedTuple):
@@ -109,8 +87,7 @@ class ConfigDocument(NamedTuple):
     def assumed_keys(self) -> tuple[str, ...]:
         """The model parameters marked ``assumed``, sorted."""
         return tuple(sorted(
-            key for section in _PARAMETER_SECTIONS
-            for key, entry in self.entries.get(section, {}).items()
+            key for key, entry in self.entries.get("parameters", {}).items()
             if entry.source == "assumed"))
 
     def scenario(self, name: str) -> Scenario:
@@ -221,8 +198,8 @@ def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
             section_entries[key] = ConfigEntry(value, source, note)
         return values
 
-    given = {section: read_section(section, _SCALAR_SECTIONS[section])
-             for section in ("clock", *_PARAMETER_SECTIONS)}
+    given = {section: read_section(section, keys)
+             for section, keys in _SCALAR_SECTIONS.items()}
     for section, values in given.items():
         for key in _SCALAR_SECTIONS[section]:
             if key in values:
@@ -233,27 +210,17 @@ def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
             log.append(f"{section}.{key} defaulted to "
                        f"{packaged.entries[section][key].value!r}")
     if packaged is None:  # the base every other file is laid over
-        clock = SimulationClock(**given.pop("clock"))
-        params = ModelParameters(**{key: value for values in given.values()
-                                    for key, value in values.items()})
+        clock = SimulationClock(**given["clock"])
+        params = ModelParameters(**given["parameters"])
     else:
         clock = _in_section(packaged.clock._replace, "clock", given["clock"])
-        params = packaged.params
-        for section in _PARAMETER_SECTIONS:
-            params = _in_section(
-                lambda **changes: apply_overrides(params, changes), section,
-                given[section])
+        params = _in_section(packaged.params._replace, "parameters",
+                             given["parameters"])
 
     def parse_scenario_value(name: str, key: str, token: str):
-        if key == "policy":
-            if token not in POLICY_IDS:
-                raise ConfigurationError(
-                    f"[{name}] policy must be one of {POLICY_IDS}, "
-                    f"got {token!r}")
-            return token
-        return _parse_scalar(name, key, token)
+        return token if key == "policy" else _parse_scalar(name, key, token)
 
-    scenario_allowed = ("policy",) + _POLICY_KEYS + PARAMETER_NAMES
+    scenario_allowed = Scenario._fields[2:] + PARAMETER_NAMES
     scenarios: list[Scenario] = []
     for section in parser.sections():
         if not section.startswith("scenario:"):
@@ -264,14 +231,13 @@ def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
         if "policy" not in values:
             raise ConfigurationError(f"[{section}] must declare a policy "
                                      f"(one of {POLICY_IDS})")
-        defaults = PolicyControl(policy_id=values.pop("policy"))
-        knobs = {key: values.pop(key) for key in _POLICY_KEYS
-                 if key in values}
+        fields = {key: values.pop(key) for key in Scenario._fields[2:]
+                  if key in values}
         _in_section(lambda **changes: apply_overrides(params, changes),
                     section, values)
-        control = _in_section(defaults._replace, section, knobs)
-        scenarios.append(_in_section(lambda: Scenario(
-            name=name, overrides=values, policy=control), section, {}))
+        # the name is refused by its section alone, before policy and knobs
+        named = _in_section(lambda: Scenario(name, values), section, {})
+        scenarios.append(_in_section(named._replace, section, fields))
 
     if not scenarios:
         log.append("no [scenario:NAME] sections; synthesized neutral 'base'")

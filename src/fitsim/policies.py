@@ -14,8 +14,9 @@ Both budget-reactive policies act on the model's first-order perceived
 shortage, so they respond with roughly a one-year delay. Policies with all
 gains and deltas at zero reproduce the base run bit-exactly.
 
-A :class:`Scenario` names parameter overrides and a policy. A comparison
-runs a list of them on one clock and reports their runs and parameters.
+A :class:`Scenario` names parameter overrides, a policy and that policy's
+knobs. A comparison runs a list of them on one clock and reports their
+runs and parameters.
 """
 
 from __future__ import annotations
@@ -59,61 +60,6 @@ POLICY_IDS = (
 MAX_RES_TAX = 0.1  # $/kWh; beyond this the tolerance sigmoid saturates
 
 
-@checked
-class PolicyControl(NamedTuple):
-    """Knobs of one policy; zeroed knobs make every policy the base run."""
-
-    policy_id: str = "base"
-    fit_price_delta: Finite = 0.0            # $/MWh, p1
-    fit_controller_gain: NonNegative = 0.0   # 1/$ of perceived shortage, p2
-    tax_controller_gain: NonNegative = 0.0   # ($/kWh) per $ of perceived shortage, p3
-    tax_floor: NonNegative = 0.0             # $/kWh, p3 clamp
-    tax_cap: Finite = MAX_RES_TAX            # $/kWh, p3 clamp
-
-    def _check(self):
-        if self.policy_id not in POLICY_IDS:
-            raise ConfigurationError(
-                f"unknown policy_id {self.policy_id!r}; "
-                f"expected one of {POLICY_IDS}")
-        if not self.tax_floor <= self.tax_cap <= MAX_RES_TAX:
-            raise ConfigurationError(
-                f"need tax_floor <= tax_cap <= {MAX_RES_TAX}, got "
-                f"floor={self.tax_floor}, cap={self.tax_cap}")
-
-
-def apply_policy(control: PolicyControl, shortage: float,
-                 base_tax: float) -> PriceTaxOverrides:
-    """Overrides for one step given the perceived budget shortfall in dollars.
-
-    A negative perceived shortfall reads as none.
-    """
-    if control.policy_id == "base":
-        return PriceTaxOverrides()
-    shortage = max(0.0, shortage)
-    if control.policy_id == "p1_higher_fit":
-        return PriceTaxOverrides(fit_price_delta=control.fit_price_delta)
-    if control.policy_id == "p2_budget_adjusted_fit":
-        multiplier = 1.0 / (1.0 + control.fit_controller_gain * shortage)
-        return PriceTaxOverrides(fit_price_multiplier=multiplier)
-    if control.policy_id == "p3_budget_adjusted_tax":
-        raw = base_tax + control.tax_controller_gain * shortage
-        tax = min(max(raw, control.tax_floor), control.tax_cap)
-        return PriceTaxOverrides(res_tax=tax)
-    raise ConfigurationError(f"unknown policy_id {control.policy_id!r}")
-
-
-def make_policy_fn(control: PolicyControl, base_tax: float) -> PolicyFn:
-    """The model's policy hook: :func:`apply_policy` bound to a control and
-    the base levy. One record, built here, serves every step without a
-    perceived shortfall, and every step of base and p1, which ignore it."""
-    calm = apply_policy(control, 0.0, base_tax)
-    if control.policy_id in ("base", "p1_higher_fit"):
-        return lambda shortage: calm
-    # apply_policy reads every shortage <= 0.0 as 0.0; NaN takes its path
-    return lambda shortage: (calm if shortage <= 0.0
-                             else apply_policy(control, shortage, base_tax))
-
-
 class _NoOverrides(Mapping):
     """Read-only empty overrides that, unlike an empty ``mappingproxy``,
     pickle and deep-copy."""
@@ -131,18 +77,46 @@ class _NoOverrides(Mapping):
         return "{}"
 
 
+# the one policy that reads each knob
+_KNOB_POLICY = {"fit_price_delta": "p1_higher_fit",
+                "fit_controller_gain": "p2_budget_adjusted_fit",
+                "tax_controller_gain": "p3_budget_adjusted_tax",
+                "tax_floor": "p3_budget_adjusted_tax",
+                "tax_cap": "p3_budget_adjusted_tax"}
+
+
 @checked
 class Scenario(NamedTuple):
-    """One named run: parameter overrides plus a policy. Every scenario of
-    a comparison runs on the clock given to :func:`run_scenario_suite`.
-    The name becomes a file name and a CSV and SVG field, so it is refused
-    unless it is non-empty letters, digits, ``_``, ``-`` and ``.``."""
+    """One named run: parameter overrides plus a policy and its knobs.
+    Every scenario of a comparison runs on the clock given to
+    :func:`run_scenario_suite`. The name becomes a file name and a CSV and
+    SVG field, so it is refused unless it is non-empty letters, digits,
+    ``_``, ``-`` and ``.``. A knob of another policy than the scenario's
+    own is refused unless it keeps its default; zeroed knobs make every
+    policy the base run."""
 
     name: str
     overrides: Mapping[str, float] = _NoOverrides()
-    policy: PolicyControl = PolicyControl()
+    policy: str = "base"
+    fit_price_delta: Finite = 0.0            # $/MWh, p1
+    fit_controller_gain: NonNegative = 0.0   # 1/$ of perceived shortage, p2
+    tax_controller_gain: NonNegative = 0.0   # ($/kWh) per $ of perceived shortage, p3
+    tax_floor: NonNegative = 0.0             # $/kWh, p3 clamp
+    tax_cap: Finite = MAX_RES_TAX            # $/kWh, p3 clamp
 
     def _check(self):
+        if self.policy not in POLICY_IDS:
+            raise ConfigurationError(
+                f"policy must be one of {POLICY_IDS}, got {self.policy!r}")
+        if not self.tax_floor <= self.tax_cap <= MAX_RES_TAX:
+            raise ConfigurationError(
+                f"need tax_floor <= tax_cap <= {MAX_RES_TAX}, got "
+                f"floor={self.tax_floor}, cap={self.tax_cap}")
+        for knob, policy in _KNOB_POLICY.items():
+            if (policy != self.policy
+                    and getattr(self, knob) != self._field_defaults[knob]):
+                raise ConfigurationError(
+                    f"{knob} is a knob of {policy}, not of {self.policy}")
         name = self.name
         if not (isinstance(name, str) and name
                 and all(c.isalnum() or c in "_-." for c in name)):
@@ -155,12 +129,43 @@ class Scenario(NamedTuple):
                 f"parameter names to values, got {self.overrides!r}")
 
 
+def apply_policy(scenario: Scenario, shortage: float,
+                 base_tax: float) -> PriceTaxOverrides:
+    """Overrides for one step given the perceived budget shortfall in dollars.
+
+    A negative perceived shortfall reads as none.
+    """
+    if scenario.policy == "base":
+        return PriceTaxOverrides()
+    shortage = max(0.0, shortage)
+    if scenario.policy == "p1_higher_fit":
+        return PriceTaxOverrides(fit_price_delta=scenario.fit_price_delta)
+    if scenario.policy == "p2_budget_adjusted_fit":
+        multiplier = 1.0 / (1.0 + scenario.fit_controller_gain * shortage)
+        return PriceTaxOverrides(fit_price_multiplier=multiplier)
+    # p3_budget_adjusted_tax, for Scenario refuses any other policy
+    raw = base_tax + scenario.tax_controller_gain * shortage
+    tax = min(max(raw, scenario.tax_floor), scenario.tax_cap)
+    return PriceTaxOverrides(res_tax=tax)
+
+
+def make_policy_fn(scenario: Scenario, base_tax: float) -> PolicyFn:
+    """The model's policy hook: :func:`apply_policy` bound to a scenario and
+    the base levy. One record, built here, serves every step without a
+    perceived shortfall, and every step of base and p1, which ignore it."""
+    calm = apply_policy(scenario, 0.0, base_tax)
+    if scenario.policy in ("base", "p1_higher_fit"):
+        return lambda shortage: calm
+    # apply_policy reads every shortage <= 0.0 as 0.0; NaN takes its path
+    return lambda shortage: (calm if shortage <= 0.0
+                             else apply_policy(scenario, shortage, base_tax))
+
+
 def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:
     """The model of one scenario: its overrides applied on top of ``params``
     and its policy bound to the resulting base levy."""
     params = apply_overrides(params, scenario.overrides)
-    return FitModel(params, make_policy_fn(scenario.policy,
-                                           params.res_tax_base))
+    return FitModel(params, make_policy_fn(scenario, params.res_tax_base))
 
 
 class ComparisonReport(NamedTuple):

@@ -272,7 +272,7 @@ class BehaviorSignature(NamedTuple):
     shape: str
     emerged: bool                      # ever meaningfully above zero
     first_positive_year: float | None  # None when never meaningfully positive
-    peak_year: float | None            # argmax, None for flat series
+    peak_year: float | None            # first argmax, None for all-zero series
 
 
 def behavior_signature(times, values) -> BehaviorSignature:

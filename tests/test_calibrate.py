@@ -102,7 +102,7 @@ def test_a_rewritten_config_parses_to_the_written_values():
     assert not any("defaulted" in line for line in doc.log)
     for key, value in values.items():
         if key in calibrate.KNOBS:
-            got = getattr(doc.scenario(calibrate.KNOBS[key]).policy, key)
+            got = getattr(doc.scenario(calibrate.KNOBS[key]), key)
         else:
             got = get_parameter(doc.params, key)
         assert got == value, key

@@ -75,7 +75,7 @@ def test_run_refuses_a_config_with_a_non_finite_trend(tmp_path, capsys):
         "electricity_consumption_slope = nan ;"), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr() == (
-        "", "error: [trends] electricity_consumption_slope: "
+        "", "error: [parameters] electricity_consumption_slope: "
             "electricity_consumption_slope must be finite, got nan\n")
 
 

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from fitsim import (
     ConfigurationError,
     PARAMETER_NAMES,
-    PolicyControl,
+    POLICY_IDS,
+    Scenario,
     SimulationClock,
     default_config_text,
     get_parameter,
@@ -36,7 +37,7 @@ def test_minimal_document_synthesizes_a_base_scenario():
     assert doc.clock.end_year == 2035.0
     assert doc.clock.dt == 0.25
     assert doc.scenario_names == ("base",)
-    assert doc.scenarios[0].policy.policy_id == "base"
+    assert doc.scenarios[0].policy == "base"
     # every parameter left out takes the packaged config's value
     packaged = load_default_config().params
     for name in PARAMETER_NAMES:
@@ -108,7 +109,7 @@ def test_a_non_finite_trend_value_is_refused(trend, part, value):
         f"{key} = {value} ; assumed\n" if line.startswith(f"{key} =")
         else line for line in default_config_text().splitlines(True))
     with pytest.raises(ConfigurationError,
-                       match=rf"^\[trends\] {key}: {key} must be finite, "
+                       match=rf"^\[parameters\] {key}: {key} must be finite, "
                              rf"got "):
         parse_config(text)
 
@@ -128,9 +129,9 @@ def refusing_config(section: str, key: str, value: str) -> str:
 # (section, key, value, what the parse or the record check says about the
 # value)
 REFUSED_VALUES = [
-    ("trends", "electricity_consumption_slope", "nan",
+    ("parameters", "electricity_consumption_slope", "nan",
      "electricity_consumption_slope must be finite, got nan"),
-    ("effects", "social_tolerance_x_50", "-1",
+    ("parameters", "social_tolerance_x_50", "-1",
      "social_tolerance_x_50 must be positive and finite, got -1.0"),
     ("scenario:a", "social_tolerance_x_50", "-1",
      "social_tolerance_x_50 must be positive and finite, got -1.0"),
@@ -138,6 +139,9 @@ REFUSED_VALUES = [
     ("scenario:a", "tax_floor", "-1",
      "tax_floor must be non-negative and finite, got -1.0"),
     ("parameters", "om_cost", "", "empty value"),
+    # the knob of another policy than the section's
+    ("scenario:a", "fit_price_delta", "3.4",
+     "fit_price_delta is a knob of p1_higher_fit, not of base"),
 ]
 
 
@@ -166,11 +170,44 @@ NAME = "scenario name must be non-empty letters, digits, '_', '-' and '.', got "
 # (config text, the whole refusal): a refusal that no value makes alone in
 # the same words names its section
 PLACED_REFUSALS = {
-    # the knobs' defaults live in PolicyControl alone
+    # the knobs' defaults live in Scenario alone
     "policy section": (MINIMAL + "[policy]\ntax_cap = 0.1 ; assumed\n",
                        "unknown section [policy]; expected one of "
-                       "['clock', 'effects', 'parameters', 'trends'] or "
-                       "[scenario:NAME]"),
+                       "['clock', 'parameters'] or [scenario:NAME]"),
+    # every model parameter is in [parameters]
+    "effects section": (
+        MINIMAL + "[effects]\npenetration_gain = 5.0 ; paper\n",
+        "unknown section [effects]; expected one of ['clock', 'parameters'] "
+        "or [scenario:NAME]"),
+    # of several refused parameters, the first by bound kind, then by
+    # declaration order, is named
+    "parameters economics and curve part": (
+        MINIMAL + "[parameters]\nom_cost = -1 ; assumed\n"
+        "investor_trust_p = 0 ; assumed\n",
+        "[parameters] investor_trust_p: investor_trust_p must be positive "
+        "and finite, got 0.0"),
+    "scenario policy": (MINIMAL + "[scenario:a]\npolicy = p9 ; paper\n",
+                        f"[scenario:a] policy: policy must be one of "
+                        f"{POLICY_IDS}, got 'p9'"),
+    # the parameter overrides are refused before the policy
+    "scenario policy and override": (
+        MINIMAL + "[scenario:a]\npolicy = p9 ; paper\n"
+        "om_cost = -1 ; assumed\n",
+        "[scenario:a] om_cost: om_cost must be non-negative and finite, "
+        "got -1.0"),
+    # a knob refused only together with the policy; of two, the one
+    # declared first
+    "scenario knob of another policy": (
+        MINIMAL + "[scenario:a]\npolicy = p1_higher_fit ; paper\n"
+        "fit_price_delta = 3.4 ; assumed\ntax_cap = 0.01 ; assumed\n",
+        "[scenario:a] tax_cap is a knob of p3_budget_adjusted_tax, "
+        "not of p1_higher_fit"),
+    "scenario knobs of other policies": (
+        MINIMAL + "[scenario:a]\npolicy = p1_higher_fit ; paper\n"
+        "fit_price_delta = 3.4 ; assumed\ntax_cap = 0.01 ; assumed\n"
+        "fit_controller_gain = 1.0 ; assumed\n",
+        "[scenario:a] fit_controller_gain is a knob of "
+        "p2_budget_adjusted_fit, not of p1_higher_fit"),
     "scenario knob": (MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
                       "tax_cap = 0.5 ; assumed\n",
                       f"[scenario:a] tax_cap: {CAP}0.0, cap=0.5"),
@@ -178,8 +215,8 @@ PLACED_REFUSALS = {
                       "tax_floor = 0.05 ; assumed\n"
                       "tax_cap = 0.02 ; assumed\n",
                       f"[scenario:a] {CAP}0.05, cap=0.02"),
-    # an [effects] key, then a [parameters] one: the one record refuses
-    # positive fields before non-negative ones, whatever the file's order
+    # a curve key, then an economic one: the one record refuses positive
+    # fields before non-negative ones, whatever the file's order
     "scenario effect and economics": (
         MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
         "penetration_gain = -1 ; assumed\ncapacity_factor = 0 ; assumed\n",
@@ -235,8 +272,7 @@ def fallback_lines() -> list[tuple[int, str, str]]:
     for index, line in enumerate(PACKAGED_LINES):
         if line.startswith("["):
             section = line.strip()[1:-1]
-        elif section in ("clock", "parameters", "effects", "trends") and (
-                " = " in line):
+        elif section in ("clock", "parameters") and " = " in line:
             found.append((index, section, line.split(" = ")[0]))
     return found
 
@@ -287,7 +323,7 @@ def test_duplicate_section_is_a_syntax_error():
 
 def test_parameter_overrides_reach_the_model():
     text = ("[parameters]\ninitial_fit_price = 25.0 ; assumed\n"
-            "[trends]\nelectricity_consumption_slope = 4e6 ; assumed\n")
+            "electricity_consumption_slope = 4e6 ; assumed\n")
     params = parse_config(text).params
     assert params.initial_fit_price == 25.0
     assert params.electricity_consumption_slope == 4e6
@@ -309,7 +345,7 @@ tax_controller_gain = 1e-9 ; assumed
 """
     scenario = parse_config(text).scenario("levy")
     assert scenario.overrides == {"res_tax_base": 0.03}
-    assert scenario.policy.tax_controller_gain == 1e-9
+    assert scenario.tax_controller_gain == 1e-9
 
 
 def test_unknown_scenario_lookup_raises():
@@ -323,17 +359,17 @@ def test_shipped_config_defines_the_canonical_suite(default_doc):
     assert default_doc.clock.dt == 0.25
     p3 = default_doc.scenario("p3_budget_adjusted_tax")
     assert p3.overrides["res_tax_base"] == pytest.approx(0.03)
-    assert p3.policy.tax_cap == pytest.approx(0.06)
+    assert p3.tax_cap == pytest.approx(0.06)
 
 
 def test_shipped_config_defines_every_parameter_and_knob(default_doc):
     # the packaged file is where a partial config's values come from, so
     # it must define all of them itself
-    defined = {key for section in ("clock", "parameters", "effects", "trends")
+    defined = {key for section in ("clock", "parameters")
                for key in default_doc.entries[section]}
     assert defined == set(PARAMETER_NAMES) | set(SimulationClock._fields)
-    # a knob that no scenario sets is PolicyControl's own default
-    assert default_doc.scenario("base").policy == PolicyControl()
+    # a knob that no scenario sets is Scenario's own default
+    assert default_doc.scenario("base") == Scenario("base")
     assert not any("defaulted" in line for line in default_doc.log)
 
 

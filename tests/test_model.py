@@ -19,9 +19,9 @@ from fitsim import (
     ClampEvent,
     ConfigurationError,
     PARAMETER_NAMES,
+    Scenario,
     SimulationClock,
     FitModel,
-    PolicyControl,
     SimulationError,
     annuity_factor,
     apply_overrides,
@@ -452,7 +452,7 @@ def test_trend_positivity_is_checked_before_the_first_step(
     text = "[clock]\n" + "".join(
         f"{name} = {value!r} ; assumed\n"
         for name, value in zip(clock._fields, clock))
-    text += "[trends]\n" + "".join(
+    text += "[parameters]\n" + "".join(
         f"{trend}_{line} ; assumed\n" for line in lines)
     doc = parse_config(text)
     assert doc.clock == clock
@@ -475,7 +475,7 @@ def test_an_off_grid_clock_ends_at_its_end_year(tmp_path, capsys):
     config = tmp_path / "off_grid.cfg"
     config.write_text(
         "[clock]\nstart_year = 2000.2 ; assumed\n"
-        "end_year = 2001.6 ; assumed\ndt = 0.05 ; assumed\n[trends]\n"
+        "end_year = 2001.6 ; assumed\ndt = 0.05 ; assumed\n[parameters]\n"
         "electricity_consumption_intercept = 1e-300 ; assumed\n"
         "electricity_consumption_slope = -1e10 ; assumed\n"
         "electricity_consumption_reference_year = 2001.6 ; assumed\n",
@@ -675,8 +675,7 @@ ASSUMED_KEYS = DOC.assumed_keys
 # the four canonical scenarios, plus a p1 whose tariff is negative from
 # the first step
 NEGATIVE_TARIFF = DOC.scenario("p1_higher_fit")._replace(
-    policy=DOC.scenario("p1_higher_fit").policy._replace(
-        fit_price_delta=-30.0))
+    fit_price_delta=-30.0)
 SCENARIOS = DOC.scenarios + (NEGATIVE_TARIFF,)
 
 
@@ -694,7 +693,7 @@ def outcome(model_class, params, policy, clock=DOC.clock):
 def run_outcome(model_class, params, scenario, dt):
     params = apply_overrides(params, scenario.overrides)
     return outcome(model_class, params,
-                   make_policy_fn(scenario.policy, params.res_tax_base),
+                   make_policy_fn(scenario, params.res_tax_base),
                    SimulationClock(2015.0, 2035.0, dt))
 
 
@@ -782,8 +781,8 @@ STEP_EDGES = {
                  (SimulationError, "capital_cost must be positive, got 0.0 "
                                    "(variable='roi', t=2015.25)")),
     "negative tariff": (
-        {}, make_policy_fn(PolicyControl("p1_higher_fit",
-                                         fit_price_delta=-100.0),
+        {}, make_policy_fn(Scenario("x", policy="p1_higher_fit",
+                                    fit_price_delta=-100.0),
                            PACKAGED.res_tax_base), DOC.clock,
         (SimulationError, "tariff must be non-negative, got -80.48 "
                           "(variable='fit_price', t=2015.0)")),

@@ -11,7 +11,6 @@ from fitsim import (
     ConfigurationError,
     ModelParameters,
     POLICY_IDS,
-    PolicyControl,
     Scenario,
     SimulationClock,
     apply_policy,
@@ -21,6 +20,7 @@ from fitsim import (
     qualitative_checks,
     run_scenario_suite,
 )
+from fitsim.policies import _KNOB_POLICY
 
 SHORT_CLOCK = SimulationClock(2015.0, 2020.0, 0.25)
 
@@ -28,65 +28,88 @@ SHORT_CLOCK = SimulationClock(2015.0, 2020.0, 0.25)
 # === controller behavior ===
 
 def test_base_policy_is_neutral():
-    control = PolicyControl("base")
-    overrides = apply_policy(control, 5e5, base_tax=0.001)
+    overrides = apply_policy(Scenario("s"), 5e5, base_tax=0.001)
     assert overrides.fit_price_delta == 0.0
     assert overrides.fit_price_multiplier == 1.0
     assert overrides.res_tax is None
 
 
 def test_p1_adds_a_flat_tariff_increase():
-    control = PolicyControl("p1_higher_fit", fit_price_delta=4.0)
-    overrides = apply_policy(control, 1e9, base_tax=0.001)
+    scenario = Scenario("s", policy="p1_higher_fit", fit_price_delta=4.0)
+    overrides = apply_policy(scenario, 1e9, base_tax=0.001)
     assert overrides.fit_price_delta == 4.0
     assert overrides.fit_price_multiplier == 1.0
 
 
 def test_p2_scales_the_tariff_down_with_the_shortfall():
-    control = PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=2e-7)
-    healthy = apply_policy(control, 0.0, base_tax=0.001)
+    scenario = Scenario("s", policy="p2_budget_adjusted_fit",
+                        fit_controller_gain=2e-7)
+    healthy = apply_policy(scenario, 0.0, base_tax=0.001)
     assert healthy.fit_price_multiplier == 1.0
-    stressed = apply_policy(control, 5e6, base_tax=0.001)
+    stressed = apply_policy(scenario, 5e6, base_tax=0.001)
     assert stressed.fit_price_multiplier == pytest.approx(1.0 / 2.0)
     # negative perceived shortfall reads as healthy, not as a tariff boost
-    recovered = apply_policy(control, -1e6, base_tax=0.001)
+    recovered = apply_policy(scenario, -1e6, base_tax=0.001)
     assert recovered.fit_price_multiplier == 1.0
 
 
 def test_p3_raises_the_levy_within_its_clamp():
-    control = PolicyControl("p3_budget_adjusted_tax",
-                            tax_controller_gain=1e-9, tax_floor=0.001,
-                            tax_cap=0.06)
-    idle = apply_policy(control, 0.0, base_tax=0.03)
+    scenario = Scenario("s", policy="p3_budget_adjusted_tax",
+                        tax_controller_gain=1e-9, tax_floor=0.001,
+                        tax_cap=0.06)
+    idle = apply_policy(scenario, 0.0, base_tax=0.03)
     assert idle.res_tax == pytest.approx(0.03)
-    pushed = apply_policy(control, 1e7, base_tax=0.03)
+    pushed = apply_policy(scenario, 1e7, base_tax=0.03)
     assert pushed.res_tax == pytest.approx(0.04)
-    saturated = apply_policy(control, 1e12, base_tax=0.03)
+    saturated = apply_policy(scenario, 1e12, base_tax=0.03)
     assert saturated.res_tax == 0.06
 
 
 def test_policy_control_validation():
-    with pytest.raises(ConfigurationError):
-        PolicyControl("p9_unknown")
-    with pytest.raises(ConfigurationError):
-        PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=-1.0)
-    with pytest.raises(ConfigurationError):
-        PolicyControl("p3_budget_adjusted_tax", tax_floor=0.05, tax_cap=0.01)
-    with pytest.raises(ConfigurationError):
-        PolicyControl("p3_budget_adjusted_tax", tax_cap=0.5)
+    cases = [
+        (lambda: Scenario("s", policy="p9_unknown"),
+         f"policy must be one of {POLICY_IDS}, got 'p9_unknown'"),
+        (lambda: Scenario("s", policy="p2_budget_adjusted_fit",
+                          fit_controller_gain=-1.0),
+         "fit_controller_gain must be non-negative and finite, got -1.0"),
+        (lambda: Scenario("s", policy="p3_budget_adjusted_tax",
+                          tax_floor=0.05, tax_cap=0.01),
+         "need tax_floor <= tax_cap <= 0.1, got floor=0.05, cap=0.01"),
+        (lambda: Scenario("s", policy="p3_budget_adjusted_tax", tax_cap=0.5),
+         "need tax_floor <= tax_cap <= 0.1, got floor=0.0, cap=0.5"),
+        # a knob another policy reads is refused unless it keeps its default
+        (lambda: Scenario("s", policy="p1_higher_fit", fit_price_delta=3.4,
+                          tax_cap=0.01),
+         "tax_cap is a knob of p3_budget_adjusted_tax, not of p1_higher_fit"),
+        (lambda: Scenario("s", fit_controller_gain=1.0),
+         "fit_controller_gain is a knob of p2_budget_adjusted_fit, "
+         "not of base"),
+        (lambda: Scenario("s", policy="p3_budget_adjusted_tax",
+                          fit_price_delta=-0.5),
+         "fit_price_delta is a knob of p1_higher_fit, "
+         "not of p3_budget_adjusted_tax"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ConfigurationError) as raised:
+            build()
+        assert str(raised.value) == message
+    # every knob has its one policy
+    assert tuple(_KNOB_POLICY) == Scenario._fields[3:]
+    # another policy's knob that keeps its default is allowed
+    assert Scenario("s", policy="p1_higher_fit", tax_cap=0.1,
+                    fit_controller_gain=-0.0).tax_cap == 0.1
 
 
 def test_make_policy_fn_binds_control_and_tax():
-    policy = make_policy_fn(PolicyControl("p3_budget_adjusted_tax",
-                                          tax_controller_gain=0.0,
-                                          tax_cap=0.06),
+    policy = make_policy_fn(Scenario("s", policy="p3_budget_adjusted_tax",
+                                     tax_controller_gain=0.0, tax_cap=0.06),
                             base_tax=0.03)
     assert policy(0.0).res_tax == pytest.approx(0.03)
 
 
-def reference_policy_fn(control, base_tax):
+def reference_policy_fn(scenario, base_tax):
     """The hook as a plain binding: a fresh record on every step."""
-    return partial(apply_policy, control, base_tax=base_tax)
+    return partial(apply_policy, scenario, base_tax=base_tax)
 
 
 def policy_outcome(hook, shortage):
@@ -106,17 +129,19 @@ tax = st.floats(min_value=0.0, max_value=0.1)
 
 @st.composite
 def controls(draw):
-    """A valid control of each policy, with its knobs anywhere they are
-    allowed."""
+    """A valid scenario of each policy, with that policy's knobs anywhere
+    they are allowed and the others at their defaults."""
+    policy = draw(st.sampled_from(POLICY_IDS))
     floor = draw(tax)
-    return PolicyControl(
-        draw(st.sampled_from(POLICY_IDS)),
-        fit_price_delta=draw(st.floats(allow_nan=False,
-                                       allow_infinity=False)),
-        fit_controller_gain=draw(knob),
-        tax_controller_gain=draw(knob),
-        tax_floor=floor,
-        tax_cap=draw(st.floats(min_value=floor, max_value=0.1)))
+    knobs = {"fit_price_delta": draw(st.floats(allow_nan=False,
+                                               allow_infinity=False)),
+             "fit_controller_gain": draw(knob),
+             "tax_controller_gain": draw(knob),
+             "tax_floor": floor,
+             "tax_cap": draw(st.floats(min_value=floor, max_value=0.1))}
+    return Scenario("s", policy=policy, **{
+        key: value for key, value in knobs.items()
+        if _KNOB_POLICY[key] == policy})
 
 
 SHORTAGES = [-1e9, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, 1.0, 5e6, 1e300,
@@ -127,18 +152,19 @@ SHORTAGES = [-1e9, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, 1.0, 5e6, 1e300,
 @given(controls(), st.one_of(st.floats(), tax),
        st.lists(st.one_of(st.sampled_from(SHORTAGES), st.floats()),
                 min_size=1, max_size=8))
-@example(PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=2e-7),
-         0.001, [5e6, 0.0, 5e6])
+@example(Scenario("s", policy="p2_budget_adjusted_fit",
+                  fit_controller_gain=2e-7), 0.001, [5e6, 0.0, 5e6])
 # a multiplier driven to 0 still raises on its step
-@example(PolicyControl("p2_budget_adjusted_fit", fit_controller_gain=1e300),
-         0.001, [1e300, -1.0])
-@example(PolicyControl("p3_budget_adjusted_tax", tax_controller_gain=1e-9,
-                       tax_cap=0.06), 0.03, [1e7, -0.0, math.nan])
-def test_the_hook_returns_what_apply_policy_returns(control, base_tax,
+@example(Scenario("s", policy="p2_budget_adjusted_fit",
+                  fit_controller_gain=1e300), 0.001, [1e300, -1.0])
+@example(Scenario("s", policy="p3_budget_adjusted_tax",
+                  tax_controller_gain=1e-9, tax_cap=0.06),
+         0.03, [1e7, -0.0, math.nan])
+def test_the_hook_returns_what_apply_policy_returns(scenario, base_tax,
                                                      shortages):
-    # building the hook never raises for a valid control, whatever the levy
-    hook = make_policy_fn(control, base_tax)
-    reference = reference_policy_fn(control, base_tax)
+    # building the hook never raises for a valid scenario, whatever the levy
+    hook = make_policy_fn(scenario, base_tax)
+    reference = reference_policy_fn(scenario, base_tax)
     for shortage in shortages:
         assert (policy_outcome(hook, shortage)
                 == policy_outcome(reference, shortage))
@@ -148,10 +174,9 @@ def test_the_hook_returns_what_apply_policy_returns(control, base_tax,
 
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
 def test_neutral_knobs_reproduce_the_base_run(policy_id, default_params):
-    neutral = PolicyControl(policy_id)
     scenarios = [
         Scenario(name="plain"),
-        Scenario(name="zeroed", policy=neutral),
+        Scenario(name="zeroed", policy=policy_id),
     ]
     report = run_scenario_suite(default_params, scenarios, SHORT_CLOCK)
     plain, zeroed = report.runs["plain"], report.runs["zeroed"]
@@ -162,9 +187,9 @@ def test_neutral_knobs_reproduce_the_base_run(policy_id, default_params):
 
 def test_p3_neutral_needs_matching_floor():
     # a zero-gain p3 still overrides the levy when its floor differs
-    control = PolicyControl("p3_budget_adjusted_tax", tax_floor=0.002,
-                            tax_cap=0.06)
-    overrides = apply_policy(control, 0.0, base_tax=0.001)
+    scenario = Scenario("s", policy="p3_budget_adjusted_tax",
+                        tax_floor=0.002, tax_cap=0.06)
+    overrides = apply_policy(scenario, 0.0, base_tax=0.001)
     assert overrides.res_tax == 0.002
 
 

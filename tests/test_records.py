@@ -23,7 +23,6 @@ import fitsim.policies
 from fitsim import (
     ConfigurationError,
     ModelParameters,
-    PolicyControl,
     PriceTaxOverrides,
     Scenario,
     SimulationClock,
@@ -49,8 +48,6 @@ CHECKED = [
      "penetration_gain must be non-negative and finite, got -1.0"),
     (PriceTaxOverrides(), "fit_price_multiplier", 0.0,
      "fit_price_multiplier must lie in (0, 1], got 0.0"),
-    (PolicyControl(), "tax_cap", 0.5,
-     "need tax_floor <= tax_cap <= 0.1, got floor=0.0, cap=0.5"),
     (Scenario("a"), "overrides", None,
      "scenario 'a': overrides must be a mapping of parameter names to "
      "values, got None"),
@@ -197,9 +194,9 @@ def test_the_first_refused_kind_then_field_is_named():
         (lambda: ModelParameters(**{**params, "remuneration_period": 0.5,
                                     "initial_suna_debt": -1.0}),
          "initial_suna_debt must be non-negative and finite, got -1.0"),
-        (lambda: PolicyControl(fit_price_delta=math.nan, tax_floor=-1.0),
+        (lambda: Scenario("a", fit_price_delta=math.nan, tax_floor=-1.0),
          "tax_floor must be non-negative and finite, got -1.0"),
-        (lambda: PolicyControl(policy_id="x", tax_floor="y"),
+        (lambda: Scenario("a", policy="x", tax_floor="y"),
          "tax_floor must be non-negative and finite, got y"),
         (lambda: ModelParameters(**{**params, "remuneration_period": 0.5,
                                     "fit_price_floor": 0.0}),
@@ -231,12 +228,10 @@ UNBOUNDED = {
     # a policy's step levy, which the run itself checks
     "PriceTaxOverrides.res_tax": "None keeps the base levy",
     # names
-    "PolicyControl.policy_id": "one of POLICY_IDS, tested by _check",
     "Scenario.name": "any label",
+    "Scenario.policy": "one of POLICY_IDS, tested by _check",
     "Scenario.overrides": "a mapping, tested by _check; apply_overrides "
                           "checks its values",
-    # a nested record, which checks its own fields
-    "Scenario.policy": "a PolicyControl",
 }
 
 
@@ -303,7 +298,7 @@ def test_apply_overrides_runs_the_group_checks():
      "fit_price_floor must lie in (0, 1], got x"),
     (lambda: PriceTaxOverrides(fit_price_multiplier="x"),
      "fit_price_multiplier must lie in (0, 1], got x"),
-    (lambda: PolicyControl(tax_cap="x"), "tax_cap must be finite, got x"),
+    (lambda: Scenario("a", tax_cap="x"), "tax_cap must be finite, got x"),
     (lambda: apply_overrides(PACKAGED, {"capacity_target": 10**400}),
      f"capacity_target must be positive and finite, got {10**400}"),
 ], ids=["rejection_fraction", "fit_price_floor", "fit_price_multiplier",
@@ -321,10 +316,15 @@ def test_a_scenario_left_without_overrides_gets_a_read_only_mapping():
              Scenario("d")._replace(name="e")]
     for scenario in built:
         assert scenario.overrides == {}
+        assert len(scenario.overrides) == 0
+        with pytest.raises(KeyError):
+            scenario.overrides["om_cost"]
         # one mapping serves every scenario, so none may change it
         with pytest.raises(TypeError):
             scenario.overrides["om_cost"] = 1.0
     assert len({id(scenario.overrides) for scenario in built}) == 1
+    assert repr(built[0]).startswith(
+        "Scenario(name='a', overrides={}, policy='base', ")
 
 
 @pytest.mark.parametrize(

@@ -96,8 +96,8 @@ SEARCH_BOX = {
     "rejection_fraction": ("parameters", 0.1, 0.8, False),
     "initial_annual_requests": ("parameters", 100.0, 1000.0, True),
     "res_tax_base": ("parameters", 2e-4, 5e-3, True),
-    "electricity_consumption_intercept": ("trends", 2e6, 2e8, True),
-    "electricity_consumption_slope": ("trends", 1e3, 1e7, True),
+    "electricity_consumption_intercept": ("parameters", 2e6, 2e8, True),
+    "electricity_consumption_slope": ("parameters", 1e3, 1e7, True),
     "fit_price_delta": ("scenario:p1_higher_fit", 0.5, 8.0, True),
     "fit_controller_gain": ("scenario:p2_budget_adjusted_fit",
                             1e-9, 1e-6, True),
@@ -196,7 +196,7 @@ class Calibration:
 
     def incumbent(self) -> dict[str, float]:
         """The config's current values of the searched keys."""
-        return {key: getattr(self.doc.scenario(KNOBS[key]).policy, key)
+        return {key: getattr(self.doc.scenario(KNOBS[key]), key)
                 if key in KNOBS else get_parameter(self.doc.params, key)
                 for key in KEYS}
 
@@ -208,14 +208,10 @@ class Calibration:
             if key not in KNOBS})
 
     def scenarios(self, values: dict[str, float]):
-        scenarios = []
-        for scenario in self.doc.scenarios:
-            policy = scenario.policy
-            for knob, name in KNOBS.items():
-                if scenario.name == name:
-                    policy = policy._replace(**{knob: values[knob]})
-            scenarios.append(scenario._replace(policy=policy))
-        return scenarios
+        return [scenario._replace(**{knob: values[knob]
+                                     for knob, name in KNOBS.items()
+                                     if name == scenario.name})
+                for scenario in self.doc.scenarios]
 
     # --- margins ---
 
