@@ -23,7 +23,8 @@ from fitsim import (
 
 def main():
     doc = load_default_config()
-    run = FitModel(doc.params).simulate(doc.clock)
+    model = FitModel(doc.params)
+    run = model.simulate(doc.clock)
 
     # a stand-in history: the simulated series, biased and roughened
     years = [2016.0 + k for k in range(8)]
@@ -40,10 +41,10 @@ def main():
           f"{report.theil_um + report.theil_us + report.theil_uc:.3f})")
 
     print("\nextreme conditions:")
-    print(findings_text(extreme_condition_suite(doc.params, doc.clock)))
+    print(findings_text(extreme_condition_suite(model, doc.clock)))
 
     print("\nsensitivity to the committed perturbation battery:")
-    print(findings_text(sensitivity_suite(doc.params, clock=doc.clock)))
+    print(findings_text(sensitivity_suite(model, doc.clock)))
 
 
 if __name__ == "__main__":

@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", parents=[common],
         help="error metrics against history plus the stress suites")
     validate.add_argument("--scenario", default="base", metavar="NAME",
-                          help="scenario whose parameters the stress suites "
-                               "use; its policy runs only in the "
+                          help="scenario whose model, its policy included, "
+                               "runs in the stress suites and in the "
                                "--historical fit")
     validate.add_argument("--historical", metavar="CSV",
                           help="two-column year,value history")
@@ -209,8 +209,8 @@ def _cmd_validate(args) -> int:
         print(f"  theil um/us/uc = {report.theil_um:.4f} "
               f"{report.theil_us:.4f} {report.theil_uc:.4f}")
 
-    findings = extreme_condition_suite(model.params, doc.clock)
-    findings += sensitivity_suite(model.params, clock=doc.clock)
+    findings = extreme_condition_suite(model, doc.clock)
+    findings += sensitivity_suite(model, doc.clock)
     print(findings_text(findings))
     return 0 if all(finding.passed for finding in findings) else 1
 

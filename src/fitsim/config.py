@@ -26,9 +26,9 @@ A clock value, parameter, policy or knob that its record refuses, in any
 section, fails the parse. The refusal is named by the section and key of
 the first value that, laid alone over the same record, is refused in the
 same words, or else by its section alone, for only several values
-together are refused, as is a knob of another policy or a refused
-scenario name; the CLI names a refused ``--dt`` or ``--horizon`` by its
-flag in the same way. Full line comments start with ``#``; the
+together are refused, as is a refused scenario name (its policy is laid
+before its knobs); the CLI names a refused ``--dt`` or ``--horizon`` by
+its flag in the same way. Full line comments start with ``#``; the
 ``;`` is reserved for provenance.
 """
 
@@ -235,9 +235,11 @@ def _parse(text: str, packaged: ConfigDocument | None) -> ConfigDocument:
                   if key in values}
         _in_section(lambda **changes: apply_overrides(params, changes),
                     section, values)
-        # the name is refused by its section alone, before policy and knobs
+        # the name is refused by its section alone, then policy, then knobs
         named = _in_section(lambda: Scenario(name, values), section, {})
-        scenarios.append(_in_section(named._replace, section, fields))
+        placed = _in_section(named._replace, section,
+                             {"policy": fields.pop("policy")})
+        scenarios.append(_in_section(placed._replace, section, fields))
 
     if not scenarios:
         log.append("no [scenario:NAME] sections; synthesized neutral 'base'")

@@ -150,9 +150,9 @@ def apply_policy(scenario: Scenario, shortage: float,
 
 
 def make_policy_fn(scenario: Scenario, base_tax: float) -> PolicyFn:
-    """The model's policy hook: :func:`apply_policy` bound to a scenario and
-    the base levy. One record, built here, serves every step without a
-    perceived shortfall, and every step of base and p1, which ignore it."""
+    """:func:`apply_policy` bound to a scenario and the base levy: the hook
+    :func:`scenario_model` binds for each policy but base. One record serves
+    every step without a perceived shortfall, and every step of p1 or base."""
     calm = apply_policy(scenario, 0.0, base_tax)
     if scenario.policy in ("base", "p1_higher_fit"):
         return lambda shortage: calm
@@ -162,10 +162,11 @@ def make_policy_fn(scenario: Scenario, base_tax: float) -> PolicyFn:
 
 
 def scenario_model(params: ModelParameters, scenario: Scenario) -> FitModel:
-    """The model of one scenario: its overrides applied on top of ``params``
-    and its policy bound to the resulting base levy."""
+    """One scenario's model: its overrides laid over ``params`` and its
+    policy bound to the resulting base levy, or no hook for neutral base."""
     params = apply_overrides(params, scenario.overrides)
-    return FitModel(params, make_policy_fn(scenario, params.res_tax_base))
+    return FitModel(params, None if scenario.policy == "base"
+                    else make_policy_fn(scenario, params.res_tax_base))
 
 
 class ComparisonReport(NamedTuple):

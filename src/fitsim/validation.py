@@ -9,9 +9,9 @@ Three layers of confidence checks:
   signature (shape class, emergence, timing), used to ask whether
   parameter changes alter the *kind* of behavior rather than its exact
   numbers;
-* extreme-condition and sensitivity suites that run the model under
-  deliberately broken or perturbed parameters and check the structural
-  expectations hold.
+* extreme-condition and sensitivity suites that run a model, its policy
+  hook keeping the levy it was bound to, under deliberately broken or
+  perturbed parameters, and check the structural expectations hold.
 """
 
 from __future__ import annotations
@@ -480,8 +480,12 @@ TABLE_PERTURBATIONS = PerturbationSet((
     ("learning_exponent", -0.50),
 ))
 
-def _base_run(params: ModelParameters, clock: SimulationClock):
-    return FitModel(params, policy=None).simulate(clock)
+
+def _run(model: FitModel, clock: SimulationClock, **changes):
+    """``model`` run with ``changes`` laid over its parameters. Its hook
+    keeps its bound levy: no shipped stress changes ``res_tax_base``."""
+    return FitModel(apply_overrides(model.params, changes),
+                    model.policy).simulate(clock)
 
 
 def check_extreme_horizon(clock: SimulationClock) -> None:
@@ -493,9 +497,9 @@ def check_extreme_horizon(clock: SimulationClock) -> None:
             f"years, got {clock.start_year} to {clock.end_year}")
 
 
-def extreme_condition_suite(params: ModelParameters,
+def extreme_condition_suite(model: FitModel,
                             clock: SimulationClock) -> list[Finding]:
-    """Run the model under deliberately broken conditions.
+    """Run ``model`` and its policy under deliberately broken conditions.
 
     (a) one-year remuneration: projects cannot pay back, so capacity must
         decline, the tendency to invest must die out, and the fund must
@@ -515,8 +519,7 @@ def extreme_condition_suite(params: ModelParameters,
     findings = []
 
     bound = ACCEPTANCE_BOUNDS
-    run = _base_run(apply_overrides(params, {"remuneration_period": 1.0}),
-                    clock)
+    run = _run(model, clock, remuneration_period=1.0)
     installed = run["installed_capacity"]
     tendency = run["tendency_to_invest"]
     budget = run["budget"]
@@ -540,8 +543,7 @@ def extreme_condition_suite(params: ModelParameters,
         f"budget {budget[0]:.3g} -> {budget[-1]:.3g}, "
         f"monotone after year 1: {grows}", margin))
 
-    run = _base_run(apply_overrides(
-        params, {"initial_suna_debt": bound["inherited_debt"]}), clock)
+    run = _run(model, clock, initial_suna_debt=bound["inherited_debt"])
     tendency = run["tendency_to_invest"]
     budget = run["budget"]
     t0 = tendency[0]
@@ -565,21 +567,22 @@ def extreme_condition_suite(params: ModelParameters,
     return findings
 
 
-def sensitivity_suite(params: ModelParameters,
-                      perturbations: PerturbationSet = TABLE_PERTURBATIONS,
-                      *, clock: SimulationClock) -> list[Finding]:
-    """Check that parameter perturbations keep the behavior modes.
+def sensitivity_suite(model: FitModel, clock: SimulationClock,
+                      perturbations: PerturbationSet = TABLE_PERTURBATIONS
+                      ) -> list[Finding]:
+    """Check that parameter perturbations keep ``model``'s behavior modes.
 
-    The base and perturbed runs are classified on installed capacity and
-    debt. Capacity must keep its shape class (growth-peak-decline vs monotone)
-    and debt must keep its emergence verdict; timing and amplitude may
-    shift. A perturbation that pushes the model into a different regime
-    entirely (no growth at all where the base takes off) is flagged as
-    out-of-band rather than failed, since signature comparison is not
-    meaningful across regimes.
+    The base and perturbed runs, both under ``model``'s policy hook, are
+    classified on installed capacity and debt. Capacity must keep its shape
+    class (growth-peak-decline vs monotone) and debt must keep its
+    emergence verdict; timing and amplitude may shift. A perturbation that
+    pushes the model into a different regime entirely (no growth at all
+    where the base takes off) is flagged as out-of-band rather than
+    failed, since signature comparison is not meaningful across regimes.
     """
-    base = _base_run(params, clock)
-    perturbed = _base_run(perturbations.resolve(params), clock)
+    base = model.simulate(clock)
+    perturbed = FitModel(perturbations.resolve(model.params),
+                         model.policy).simulate(clock)
     findings = []
 
     base_ic = base["installed_capacity"]

@@ -225,7 +225,8 @@ def test_criterion_06_policy_orderings(default_doc):
 
 def test_criterion_07_extreme_conditions(default_doc):
     start = time.perf_counter()
-    findings = extreme_condition_suite(default_doc.params, default_doc.clock)
+    findings = extreme_condition_suite(FitModel(default_doc.params),
+                                       default_doc.clock)
     elapsed = time.perf_counter() - start
     _findings_verdict(7, f"{len(findings)} extreme-condition checks hold "
                       f"({elapsed:.1f} s)", findings, elapsed < 5.0)
@@ -233,7 +234,8 @@ def test_criterion_07_extreme_conditions(default_doc):
 
 def test_criterion_08_perturbation_keeps_behavior_modes(default_doc):
     start = time.perf_counter()
-    findings = sensitivity_suite(default_doc.params, clock=default_doc.clock)
+    findings = sensitivity_suite(FitModel(default_doc.params),
+                                 default_doc.clock)
     elapsed = time.perf_counter() - start
     _findings_verdict(8, "five-parameter perturbation keeps capacity and debt "
                       f"behavior modes ({elapsed:.1f} s)", findings,

@@ -7,8 +7,13 @@ import pytest
 from fitsim import (
     FitModel,
     PARAMETER_NAMES,
+    POLICY_IDS,
     default_config_text,
+    extreme_condition_suite,
+    findings_text,
     load_default_config,
+    scenario_model,
+    sensitivity_suite,
 )
 from fitsim.cli import main
 
@@ -355,6 +360,29 @@ def test_validate_exit_code_tracks_findings(capsys):
     assert "PASS remuneration_1yr_capacity_declines" in out
     any_failed = any(line.startswith("FAIL") for line in out.splitlines())
     assert code == (1 if any_failed else 0)
+
+
+@pytest.mark.parametrize("name", POLICY_IDS)
+def test_validate_runs_the_scenarios_model_in_both_suites(name, capsys):
+    # the shipped scenarios are named after their policies
+    doc = load_default_config()
+    model = scenario_model(doc.params, doc.scenario(name))
+    findings = (extreme_condition_suite(model, doc.clock)
+                + sensitivity_suite(model, doc.clock))
+    code = main(["validate", "--scenario", name])
+    out = capsys.readouterr().out
+    assert out == findings_text(findings) + "\n"
+    any_failed = any(line.startswith("FAIL") for line in out.splitlines())
+    assert code == (1 if any_failed else 0)
+
+
+def test_validate_scenario_runs_its_policy(capsys):
+    # p1 overrides no parameter: only its policy tells it from base
+    outs = []
+    for name in ("base", "p1_higher_fit"):
+        main(["validate", "--scenario", name])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1]
 
 
 def test_validate_reports_fit_metrics(tmp_path, capsys):

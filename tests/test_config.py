@@ -195,19 +195,19 @@ PLACED_REFUSALS = {
         "om_cost = -1 ; assumed\n",
         "[scenario:a] om_cost: om_cost must be non-negative and finite, "
         "got -1.0"),
-    # a knob refused only together with the policy; of two, the one
-    # declared first
+    # a knob laid alone over the scenario with its policy; of two, the
+    # one its record checks first
     "scenario knob of another policy": (
         MINIMAL + "[scenario:a]\npolicy = p1_higher_fit ; paper\n"
         "fit_price_delta = 3.4 ; assumed\ntax_cap = 0.01 ; assumed\n",
-        "[scenario:a] tax_cap is a knob of p3_budget_adjusted_tax, "
+        "[scenario:a] tax_cap: tax_cap is a knob of p3_budget_adjusted_tax, "
         "not of p1_higher_fit"),
     "scenario knobs of other policies": (
         MINIMAL + "[scenario:a]\npolicy = p1_higher_fit ; paper\n"
         "fit_price_delta = 3.4 ; assumed\ntax_cap = 0.01 ; assumed\n"
         "fit_controller_gain = 1.0 ; assumed\n",
-        "[scenario:a] fit_controller_gain is a knob of "
-        "p2_budget_adjusted_fit, not of p1_higher_fit"),
+        "[scenario:a] fit_controller_gain: fit_controller_gain is a knob "
+        "of p2_budget_adjusted_fit, not of p1_higher_fit"),
     "scenario knob": (MINIMAL + "[scenario:a]\npolicy = base ; paper\n"
                       "tax_cap = 0.5 ; assumed\n",
                       f"[scenario:a] tax_cap: {CAP}0.0, cap=0.5"),

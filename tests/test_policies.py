@@ -301,3 +301,18 @@ def test_target_check_fails_when_no_run_reaches_the_target(default_doc):
                    if finding.name == "p1_reaches_target_first")
     assert finding.detail == "first year at 5000 MW: p1=inf, base=inf"
     assert not finding.passed
+
+
+def test_debt_ordering_fails_when_p3_carries_debt(default_doc):
+    # without its raised levy and with its controller idle, p3 falls into
+    # debt, which fails the ordering outright however the finals rank
+    scenarios = [scenario._replace(overrides={}, tax_controller_gain=0.0)
+                 if scenario.name == "p3_budget_adjusted_tax" else scenario
+                 for scenario in default_doc.scenarios]
+    report = run_scenario_suite(default_doc.params, scenarios,
+                                default_doc.clock)
+    assert max(report.runs["p3_budget_adjusted_tax"]["suna_debt"]) > 0.0
+    finding = next(finding for finding in qualitative_checks(report)
+                   if finding.name == "debt_ordering")
+    assert finding.margin == -1.0
+    assert not finding.passed

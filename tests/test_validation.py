@@ -377,7 +377,8 @@ def test_committed_battery_contents():
 # === stress suites ===
 
 def test_extreme_condition_suite_passes(default_doc):
-    findings = extreme_condition_suite(default_doc.params, default_doc.clock)
+    findings = extreme_condition_suite(FitModel(default_doc.params),
+                                       default_doc.clock)
     failed = [str(finding) for finding in findings if not finding.passed]
     assert not failed, failed
     names = {finding.name for finding in findings}
@@ -387,7 +388,7 @@ def test_extreme_condition_suite_passes(default_doc):
 
 def test_sensitivity_suite_reports_both_signature_variables(default_doc):
     default_params, clock = default_doc.params, default_doc.clock
-    findings = sensitivity_suite(default_params, clock=clock)
+    findings = sensitivity_suite(FitModel(default_params), clock)
     by_name = {finding.name: finding for finding in findings}
     assert set(by_name) == {"sensitivity_installed_capacity",
                             "sensitivity_suna_debt"}
@@ -405,8 +406,8 @@ def test_sensitivity_suite_reports_both_signature_variables(default_doc):
 
 
 def test_sensitivity_zero_magnitude_perturbation_passes(default_doc):
-    findings = sensitivity_suite(default_doc.params, PerturbationSet(()),
-                                 clock=default_doc.clock)
+    findings = sensitivity_suite(FitModel(default_doc.params),
+                                 default_doc.clock, PerturbationSet(()))
     assert all(finding.passed for finding in findings)
 
 
@@ -414,8 +415,8 @@ def test_sensitivity_flags_regime_change_as_out_of_band(default_doc):
     # gutting the tariff kills growth entirely; that is a regime change,
     # not a signature mismatch
     throttled = PerturbationSet((("initial_fit_price", -0.9),))
-    findings = sensitivity_suite(default_doc.params, throttled,
-                                 clock=default_doc.clock)
+    findings = sensitivity_suite(FitModel(default_doc.params),
+                                 default_doc.clock, throttled)
     assert len(findings) == 1
     assert findings[0].name == "sensitivity_out_of_band"
     assert findings[0].passed
@@ -423,13 +424,13 @@ def test_sensitivity_flags_regime_change_as_out_of_band(default_doc):
 
 def test_each_suite_needs_a_clock(default_doc):
     # the shipped clock lives in the config alone; no suite assumes one
+    model = FitModel(default_doc.params)
     with pytest.raises(TypeError):
-        extreme_condition_suite(default_doc.params)
+        extreme_condition_suite(model)
     with pytest.raises(TypeError):
-        sensitivity_suite(default_doc.params)
+        sensitivity_suite(model)
     with pytest.raises(TypeError):
-        sensitivity_suite(default_doc.params, TABLE_PERTURBATIONS,
-                          default_doc.clock)
+        sensitivity_suite(model, perturbations=TABLE_PERTURBATIONS)
 
 
 # === margins ===
@@ -438,9 +439,10 @@ def all_findings(doc, clock, params=None, perturbations=TABLE_PERTURBATIONS):
     """Every finding the three checks build for one calibration."""
     params = doc.params if params is None else params
     report = run_scenario_suite(params, list(doc.scenarios), clock)
+    model = FitModel(params)
     return (qualitative_checks(report)
-            + extreme_condition_suite(params, clock)
-            + sensitivity_suite(params, perturbations, clock=clock))
+            + extreme_condition_suite(model, clock)
+            + sensitivity_suite(model, clock, perturbations))
 
 
 @pytest.mark.parametrize("dt", [0.25, 0.1, 1.0 / 64.0])
@@ -482,7 +484,7 @@ def test_the_checks_fail_where_they_should(default_doc):
     # fund ends higher
     params = apply_overrides(default_doc.params, {"initial_suna_debt": 5e8})
     grows = next(finding for finding in extreme_condition_suite(
-        params, default_doc.clock)
+        FitModel(params), default_doc.clock)
         if finding.name == "remuneration_1yr_budget_grows")
     assert grows.detail == ("budget 2.28e+08 -> 3.98e+08, monotone after "
                             "year 1: False")

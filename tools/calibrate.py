@@ -241,12 +241,12 @@ class Calibration:
         self._qualitative(report, margins, gates, "")
         base = report.runs["base"]
         gates["base_unclamped"] = base.clamp_events == ()
+        model = FitModel(params)
         criteria = {"05": calibration_story(base),
                     "06": policy_tendencies(report.runs),
-                    "07": extreme_condition_suite(params, SHIPPED),
-                    "08": sensitivity_suite(params, clock=SHIPPED),
-                    "09": step_halving(base,
-                                       FitModel(params).simulate(HALVED))}
+                    "07": extreme_condition_suite(model, SHIPPED),
+                    "08": sensitivity_suite(model, SHIPPED),
+                    "09": step_halving(base, model.simulate(HALVED))}
         for findings in criteria.values():
             for finding in findings:
                 margins[finding.name] = finding.margin
